@@ -613,29 +613,6 @@ class DnsCache:
                 return ancestor
         return None
 
-    def get_chain(
-        self, keys: "tuple[int, ...] | list[int]", now: float
-    ) -> list[RRset | None]:
-        """Batch-resolve a whole ancestor path of packed keys in one call.
-
-        One position per key: the live RRset, or None when absent or
-        lapsed.  Replaces N separate ``get`` calls on referral-chain
-        walks — one method dispatch, one clock comparison stream, and no
-        per-key tuple construction.  Like ``best_zone_for`` (which is
-        built on the same probe), this is a read-only scan: it neither
-        touches LRU recency nor emits observer events.
-        """
-        entries = self._entries
-        out: list[RRset | None] = []
-        append = out.append
-        for key in keys:
-            entry = entries.get(key)
-            if entry is not None and entry.expires_at > now:
-                append(entry.rrset)
-            else:
-                append(None)
-        return out
-
     # -- occupancy -----------------------------------------------------------------
 
     def live_entry_count(self, now: float) -> int:

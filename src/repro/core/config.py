@@ -114,9 +114,10 @@ class ResilienceConfig:
     swr_grace: Optional[float] = None
     """Stale-while-revalidate grace window in seconds: a lookup that
     misses but finds a record expired no more than this long ago serves
-    the stale RRset immediately and enqueues one deduplicated background
-    refetch (the renewal-tagged analogue of the serve front end's
-    singleflight/stale memo); None disables SWR."""
+    the stale RRset immediately and enqueues one deduplicated,
+    renewal-tagged background refetch — in replay and in ``repro serve``
+    alike, this is the only stale-while-revalidate path; None disables
+    SWR."""
 
     update_channel: bool = False
     """Decoupled-TTL update channel: zone migrations publish

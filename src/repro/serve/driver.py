@@ -3,7 +3,7 @@
 Each client keeps exactly one query in flight (closed loop — the paper's
 stub-resolver model), round-robining over a fixed name list.  Latencies
 are wall-clock per-query; the report carries throughput and the p50/p99
-tail the bench harness records in ``BENCH_serve.json``.
+tail.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ class ServeMetrics:
     __slots__ = (
         "udp_queries", "tcp_queries", "singleflight_hits", "stale_served",
         "truncated", "formerr", "servfail", "budget_rejections",
-        "stale_memo_entries",
     )
 
     def __init__(self) -> None:
@@ -37,7 +36,6 @@ class ServeMetrics:
         self.formerr = 0
         self.servfail = 0
         self.budget_rejections = 0
-        self.stale_memo_entries = 0
 
     @property
     def queries_total(self) -> int:
@@ -55,7 +53,8 @@ class ServeMetrics:
             "# TYPE repro_serve_singleflight_hits_total counter",
             f"repro_serve_singleflight_hits_total {self.singleflight_hits}",
             "# HELP repro_serve_stale_served_total "
-            "Stale answers served while a refetch was in flight.",
+            "Responses the core answered from a lapsed cache entry "
+            "(STALE_HIT under serve-stale/swr schemes).",
             "# TYPE repro_serve_stale_served_total counter",
             f"repro_serve_stale_served_total {self.stale_served}",
             "# HELP repro_serve_truncated_total UDP responses truncated with TC set.",
@@ -72,10 +71,6 @@ class ServeMetrics:
             "upstream-fetch budget.",
             "# TYPE repro_serve_budget_rejections_total counter",
             f"repro_serve_budget_rejections_total {self.budget_rejections}",
-            "# HELP repro_serve_stale_memo_entries "
-            "Entries currently held by the bounded serve-stale memo.",
-            "# TYPE repro_serve_stale_memo_entries gauge",
-            f"repro_serve_stale_memo_entries {self.stale_memo_entries}",
         ]
         return "\n".join(lines) + "\n"
 

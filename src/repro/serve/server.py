@@ -2,20 +2,19 @@
 
 Threading model (the whole design in one paragraph): the asyncio loop
 thread owns sockets, parses/encodes packets, and keeps the singleflight
-and serve-stale state; one dedicated resolver thread owns the
+table; one dedicated resolver thread owns the
 :class:`~repro.core.caching_server.CachingServer` — every stub query
 *and* every renewal timer body (via :class:`~repro.serve.clock.WallClock`'s
 runner) executes there, preserving the core's single-threaded
 discipline without any locks inside it.
 
-Front-end semantics layered on top of the core:
+The front end holds no answers: what may be answered, fresh or stale,
+is decided by the core's one cache under the selected scheme (run
+``--scheme swr:30`` for stale-while-revalidate).  Layered on top:
 
 * **Singleflight** — concurrent identical questions (same name/type)
-  collapse onto one in-flight resolution; followers await its future.
-* **Serve-stale during refetch** — a follower that finds a previous
-  answer within ``ttl + stale_grace`` is answered from it immediately
-  instead of waiting on the in-flight refetch (the refetch still
-  completes and refreshes the memo).
+  collapse onto one in-flight resolution; followers await its future
+  and get the leader's answer.
 * **Truncation + TCP fallback** — UDP responses above the spec's
   payload ceiling degrade to TC-marked header+question; the TCP
   listener answers the retry without a ceiling.
@@ -53,10 +52,6 @@ from repro.serve.wire import (
 
 _TCP_LENGTH = struct.Struct("!H")
 
-#: Non-failure outcomes without an answer RRset (NXDOMAIN / NODATA) are
-#: memoised for this long — the serve-stale memo's negative TTL.
-_NEGATIVE_MEMO_TTL = 5.0
-
 
 class _UdpProtocol(asyncio.DatagramProtocol):
     def __init__(self, front_end: "DnsFrontEnd") -> None:
@@ -91,15 +86,14 @@ class DnsFrontEnd:
         self._loop: asyncio.AbstractEventLoop | None = None
         # Singleflight: packed question key -> the in-flight resolution.
         self._inflight: dict[int, asyncio.Future[Resolution]] = {}
-        # Per-client concurrent upstream-fetch budgets (empty when the
+        # Per-client concurrent upstream-fetch budgets, one entry per
+        # client with a resolution in flight (always empty when the
         # spec leaves client_fetch_budget at 0 = unlimited).  Budgets
-        # cap *leader* resolutions only: singleflight followers and
-        # stale serves cost the upstream nothing, so they stay free —
-        # an abusive client is limited precisely in the currency it
-        # burns, resolver work.
+        # cap *leader* resolutions only: singleflight followers cost
+        # the resolver thread nothing, so they stay free — an abusive
+        # client is limited precisely in the currency it burns,
+        # resolver work.
         self._client_budgets: dict[str, FetchBudget] = {}
-        # Serve-stale memo: packed key -> (stored_at, ttl, resolution).
-        self._last_good: dict[int, tuple[float, float, Resolution]] = {}
         self._udp_transport: asyncio.DatagramTransport | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
@@ -216,10 +210,10 @@ class DnsFrontEnd:
             while True:
                 try:
                     header = await reader.readexactly(_TCP_LENGTH.size)
+                    (length,) = _TCP_LENGTH.unpack(header)
+                    data = await reader.readexactly(length)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
-                (length,) = _TCP_LENGTH.unpack(header)
-                data = await reader.readexactly(length)
                 try:
                     query = decode_query(data)
                 except WireFormatError:
@@ -243,7 +237,7 @@ class DnsFrontEnd:
         finally:
             writer.close()
 
-    # -- resolution: singleflight + serve-stale -----------------------------
+    # -- resolution: singleflight --------------------------------------------
 
     async def _resolve(self, query: DecodedQuery, client: str = "") -> Message:
         question = query.question
@@ -251,10 +245,6 @@ class DnsFrontEnd:
         flight = self._inflight.get(key)
         if flight is not None:
             self.metrics.singleflight_hits += 1
-            stale = self._usable_memo(key)
-            if stale is not None:
-                self.metrics.stale_served += 1
-                return self._render(question, query.message_id, stale)
             resolution = await asyncio.shield(flight)
         else:
             budget = self._client_budget(client)
@@ -270,8 +260,12 @@ class DnsFrontEnd:
                 finally:
                     if budget is not None:
                         budget.release()
+                        if budget.used == 0:
+                            del self._client_budgets[client]
         if resolution.failed:
             self.metrics.servfail += 1
+        elif resolution.outcome is ResolutionOutcome.STALE_HIT:
+            self.metrics.stale_served += 1
         return self._render(question, query.message_id, resolution)
 
     def _client_budget(self, client: str) -> FetchBudget | None:
@@ -301,67 +295,15 @@ class DnsFrontEnd:
         except BaseException as error:
             if not future.done():
                 future.set_exception(error)
-            # The future's consumers re-raise; keep the memo untouched.
+            # The future's consumers re-raise.
             future.exception()  # mark retrieved for followers-free case
             raise
         else:
             if not future.done():
                 future.set_result(resolution)
-            if not resolution.failed:
-                ttl = (
-                    resolution.answer.ttl
-                    if resolution.answer is not None
-                    else _NEGATIVE_MEMO_TTL
-                )
-                self._store_memo(key, clock.now(), ttl, resolution)
             return resolution
         finally:
             self._inflight.pop(key, None)
-
-    def _store_memo(
-        self, key: int, now: float, ttl: float, resolution: Resolution
-    ) -> None:
-        """File one answer in the serve-stale memo, keeping it bounded.
-
-        Unbounded growth was the PR-5 negative-cache bug shape all over
-        again: entries were only ever evicted when their exact key was
-        probed after expiry, so one pass over many distinct names pinned
-        memory forever.  Now every store re-inserts (so dict order is
-        storage order), sweeps entries past ``ttl + stale_grace`` when
-        the cap is hit, and falls back to oldest-stored eviction.
-        """
-        memo = self._last_good
-        limit = self.spec.stale_memo_max
-        if limit <= 0:
-            return
-        memo.pop(key, None)
-        memo[key] = (now, ttl, resolution)
-        if len(memo) > limit:
-            grace = self.spec.stale_grace
-            expired = [
-                stale_key
-                for stale_key, (stored_at, entry_ttl, _) in memo.items()
-                if now - stored_at > entry_ttl + grace
-            ]
-            for stale_key in expired:
-                del memo[stale_key]
-            while len(memo) > limit:
-                del memo[next(iter(memo))]
-        self.metrics.stale_memo_entries = len(memo)
-
-    def _usable_memo(self, key: int) -> Resolution | None:
-        if self.clock is None:
-            raise RuntimeError("front end not started")
-        memo = self._last_good.get(key)
-        if memo is None:
-            return None
-        stored_at, ttl, resolution = memo
-        age = self.clock.now() - stored_at
-        if age <= ttl + self.spec.stale_grace:
-            return resolution
-        del self._last_good[key]
-        self.metrics.stale_memo_entries = len(self._last_good)
-        return None
 
     def _render(
         self, question: Question, message_id: int, resolution: Resolution

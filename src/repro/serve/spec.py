@@ -33,13 +33,6 @@ class ServeSpec:
         "help": "hierarchy/trace seed (fixes which names exist)"})
     udp_payload_max: int = field(default=512, metadata={
         "help": "UDP response ceiling before TC truncation"})
-    stale_grace: float = field(default=30.0, metadata={
-        "help": "seconds a stale answer may be served while an identical "
-                "question is being refetched"})
-    stale_memo_max: int = field(default=4096, metadata={
-        "help": "max entries in the serve-stale memo (expired entries "
-                "are swept first, then oldest-stored; 0 disables the "
-                "memo entirely)"})
     client_fetch_budget: int = field(default=0, metadata={
         "help": "max concurrent upstream resolutions per client address "
                 "(0 = unlimited); over-budget queries get SERVFAIL"})
@@ -62,10 +55,6 @@ class ServeSpec:
             raise ValueError(f"metrics_port {self.metrics_port} out of range")
         if self.udp_payload_max < 64:
             raise ValueError("udp_payload_max must be at least 64 octets")
-        if self.stale_grace < 0:
-            raise ValueError("stale_grace must be non-negative")
-        if self.stale_memo_max < 0:
-            raise ValueError("stale_memo_max must be non-negative")
         if self.client_fetch_budget < 0:
             raise ValueError("client_fetch_budget must be non-negative")
         if self.selftest_queries < 1 or self.selftest_clients < 1:

@@ -220,6 +220,35 @@ class TestTcpPath:
         assert tcp_message.answer == udp_message.answer
         assert tcp_message.rcode is Rcode.NOERROR
 
+    def test_truncated_tcp_frame_closes_quietly(self):
+        """A frame that announces 100 octets, sends 5 and closes is a
+        quiet close, not an exception out of the connection handler —
+        and the listener keeps answering."""
+
+        async def run():
+            async with _front_end() as front_end:
+                loop = asyncio.get_running_loop()
+                unhandled = []
+                loop.set_exception_handler(
+                    lambda _loop, context: unhandled.append(context)
+                )
+                _, writer = await asyncio.open_connection(
+                    *front_end.udp_address
+                )
+                writer.write(struct.pack("!H", 100) + b"short")
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+                name = front_end.sample_names(1)[0]
+                packet = encode_query(Question(name, RRType.A), 12)
+                reply = await _tcp_query(front_end.udp_address, packet)
+                await asyncio.sleep(0.05)
+                return unhandled, reply
+
+        unhandled, reply = asyncio.run(run())
+        assert unhandled == []
+        assert decode_message(reply).message.rcode is Rcode.NOERROR
+
     def test_truncated_udp_falls_back_to_tcp(self):
         """Force a tiny UDP ceiling: the UDP reply degrades to TC +
         question, and the TCP retry carries the full answer."""
@@ -276,33 +305,113 @@ class TestFrontEndSemantics:
 
         hits, first, second, stale = asyncio.run(run())
         assert hits == 1
-        assert stale == 0  # no memo yet: the follower awaited the flight
+        # The follower awaited the leader's flight; a fresh answer is
+        # not a stale serve, whoever received it.
+        assert stale == 0
         assert first.answer == second.answer
         assert first.rcode is Rcode.NOERROR and first.answer
 
-    def test_follower_is_served_stale_during_refetch(self):
+    def test_swr_serves_the_lapsed_rrset_then_revalidates(self):
+        """Stale answers in serve are the core's: under ``swr:30`` a
+        lapsed entry is answered at once (STALE_HIT), refetched in the
+        background on the resolver thread, and hit fresh afterwards."""
+        import dataclasses
+
+        spec = dataclasses.replace(_SPEC, scheme="swr:30")
+
+        async def run():
+            async with _front_end(spec) as front_end:
+                loop = asyncio.get_running_loop()
+                server, clock = front_end.server, front_end.clock
+                query = self._query_for(front_end)
+                name = query.question.name
+                warm = await front_end._resolve(query)
+
+                def lapse():
+                    entry = server.cache.entry(name, RRType.A)
+                    entry.expires_at = clock.now() - 1
+
+                await loop.run_in_executor(front_end._executor, lapse)
+                lapsed = await front_end._resolve(query)
+                served = front_end.metrics.stale_served
+                for _ in range(500):
+                    expiry = await loop.run_in_executor(
+                        front_end._executor,
+                        lambda: server.cache.expires_at(
+                            name, RRType.A, clock.now()
+                        ),
+                    )
+                    if expiry is not None:
+                        break
+                    await asyncio.sleep(0.01)
+                fresh = await front_end._resolve(query)
+                return (warm, lapsed, served, expiry, fresh,
+                        front_end.metrics.stale_served, server.metrics)
+
+        warm, lapsed, served, expiry, fresh, final_served, core = (
+            asyncio.run(run())
+        )
+        assert lapsed.rcode is Rcode.NOERROR
+        assert lapsed.answer == warm.answer and lapsed.answer
+        assert served == 1
+        assert expiry is not None  # the background refetch landed
+        assert fresh.answer == warm.answer
+        assert final_served == 1 == core.sr_stale_hits
+        assert core.swr_refreshes == 1
+        assert core.sr_cache_hits == 1
+
+    def test_front_end_holds_no_answers(self):
+        """After 200 distinct questions (existing names and NXDOMAINs)
+        the quiet front end holds nothing keyed by question: the
+        singleflight table has drained and no other container on the
+        object has an element."""
+        from repro.serve.wire import decode_query
+
         async def run():
             async with _front_end() as front_end:
-                query = self._query_for(front_end)
-                # Populate the serve-stale memo with a completed answer.
-                warm = await front_end._resolve(query)
-                gate = threading.Event()
-                front_end._executor.submit(gate.wait)
-                leader = asyncio.ensure_future(front_end._resolve(query))
-                await asyncio.sleep(0.05)
-                # The follower must answer *now*, while the refetch is
-                # still blocked behind the gate.
-                follower = await asyncio.wait_for(
-                    front_end._resolve(query), timeout=1.0
-                )
-                stale = front_end.metrics.stale_served
-                gate.set()
-                await leader
-                return warm, follower, stale
+                names = list(front_end.sample_names(150))
+                names += [
+                    Name.from_text(f"nx{i}.no.such.zz")
+                    for i in range(200 - len(names))
+                ]
+                rcodes = set()
+                for index, name in enumerate(names):
+                    query = decode_query(
+                        encode_query(Question(name, RRType.A), index + 1)
+                    )
+                    rcodes.add((await front_end._resolve(query)).rcode)
+                held = {
+                    attr: value
+                    for attr, value in vars(front_end).items()
+                    if isinstance(value, (dict, set, list)) and value
+                }
+                return len(set(names)), rcodes, front_end._inflight, held
 
-        warm, follower, stale = asyncio.run(run())
-        assert stale == 1
-        assert follower.answer == warm.answer
+        distinct, rcodes, inflight, held = asyncio.run(run())
+        assert distinct == 200
+        assert rcodes == {Rcode.NOERROR, Rcode.NXDOMAIN}
+        assert inflight == {}
+        assert held == {}
+
+    def test_idle_client_budgets_are_released(self):
+        """The per-client budget map holds only clients with a
+        resolution in flight: N sequential one-query clients (UDP
+        sources are spoofable) leave it empty."""
+        import dataclasses
+
+        spec = dataclasses.replace(_SPEC, client_fetch_budget=2)
+
+        async def run():
+            async with _front_end(spec) as front_end:
+                query = self._query_for(front_end)
+                for index in range(50):
+                    reply = await front_end._resolve(
+                        query, client=f"10.1.0.{index}"
+                    )
+                    assert reply.rcode is Rcode.NOERROR
+                return dict(front_end._client_budgets)
+
+        assert asyncio.run(run()) == {}
 
     def test_client_budget_rejects_concurrent_over_budget_queries(self):
         """With a 1-unit client budget, a second *distinct* question from

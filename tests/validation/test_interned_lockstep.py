@@ -3,9 +3,9 @@
 The production :class:`DnsCache` indexes everything by packed int keys
 derived from intern ids; the :class:`OracleCache` deliberately keys on
 ``(Name, RRType)`` tuples.  Driving both through the fuzz corpus proves
-the int-keyed fast paths (identity no-op puts, in-place refresh,
-``get_chain``) never disagree with the naive semantics — and that the
-primary cache really is running on ints, not quietly falling back.
+the int-keyed fast paths (identity no-op puts, in-place refresh) never
+disagree with the naive semantics — and that the primary cache really
+is running on ints, not quietly falling back.
 """
 
 from repro.core.cache import cache_key
