@@ -155,12 +155,20 @@ class EventBus:
     Every ``emit`` increments the bus-wide sequence number whether or
     not anyone listens for that kind, so the numbering a sink observes
     does not depend on which *other* sinks are attached.
+
+    The bus also counts: a per-kind tally and the latest event time are
+    kept on every ``emit``, before any :class:`Event` is built, so a
+    consumer that only needs totals (the Prometheus scrape) reads
+    :meth:`counts` / :attr:`last_time` instead of subscribing — and a
+    bus with no subscriber never builds an event at all.
     """
 
-    __slots__ = ("_seq", "_all", "_by_kind")
+    __slots__ = ("_seq", "_counts", "_last_time", "_all", "_by_kind")
 
     def __init__(self) -> None:
         self._seq = 0
+        self._counts: dict[EventKind, int] = {}
+        self._last_time = 0.0
         self._all: list[EventHandler] = []
         self._by_kind: dict[EventKind, list[EventHandler]] = {}
 
@@ -185,6 +193,10 @@ class EventBus:
         """Publish one event; returns it, or None when nobody listened."""
         seq = self._seq
         self._seq = seq + 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if time > self._last_time:
+            self._last_time = time
         targeted = self._by_kind.get(kind)
         if not self._all and not targeted:
             return None
@@ -205,3 +217,12 @@ class EventBus:
     def emitted(self) -> int:
         """Events published so far (including unobserved ones)."""
         return self._seq
+
+    def counts(self) -> dict[EventKind, int]:
+        """Events published so far, per kind (a snapshot)."""
+        return dict(self._counts)
+
+    @property
+    def last_time(self) -> float:
+        """The latest event time published so far (0.0 before any)."""
+        return self._last_time

@@ -130,18 +130,27 @@ class JsonlSink:
 
 
 class PrometheusSink:
-    """Whole-run counters in the Prometheus text exposition format."""
+    """Whole-run counters in the Prometheus text exposition format.
+
+    The bus counts, the sink renders: :meth:`attach` subscribes nothing
+    — it keeps the bus and :meth:`render` reads the bus's own per-kind
+    totals (everything the bus has published, so attach before the
+    first event, as every caller does).  A bus whose only consumer is
+    this sink therefore never builds an :class:`Event`.  An unattached
+    sink counts the events fed to :meth:`on_event` by hand.
+    """
 
     #: What scrapers expect a text-format body to be served as; the
     #: ``repro serve`` metrics endpoint sends :meth:`render` under it.
     CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
     def __init__(self) -> None:
+        self._bus: EventBus | None = None
         self._counts: Counter[EventKind] = Counter()
         self._last_time = 0.0
 
     def attach(self, bus: EventBus) -> "PrometheusSink":
-        bus.subscribe(self.on_event)
+        self._bus = bus
         return self
 
     def on_event(self, event: Event) -> None:
@@ -154,13 +163,19 @@ class PrometheusSink:
 
     def render(self) -> str:
         """The full text dump (deterministically ordered)."""
+        bus = self._bus
+        if bus is None:
+            counts: dict[EventKind, int] = self._counts
+            last_time = self._last_time
+        else:
+            counts, last_time = bus.counts(), bus.last_time
         lines = [
             "# HELP repro_events_total Simulation events by kind.",
             "# TYPE repro_events_total counter",
         ]
         total = 0
-        for kind in sorted(self._counts, key=lambda k: k.value):
-            count = self._counts[kind]
+        for kind in sorted(counts, key=lambda k: k.value):
+            count = counts[kind]
             total += count
             lines.append(
                 f'repro_events_total{{kind="{kind.value}"}} {count}'
@@ -172,7 +187,7 @@ class PrometheusSink:
                 f"repro_events_seen_total {total}",
                 "# HELP repro_last_event_seconds Virtual time of the last event.",
                 "# TYPE repro_last_event_seconds gauge",
-                f"repro_last_event_seconds {self._last_time!r}",
+                f"repro_last_event_seconds {last_time!r}",
             ]
         )
         return "\n".join(lines) + "\n"

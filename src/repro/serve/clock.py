@@ -27,8 +27,10 @@ from typing import Callable
 from repro.core.clock import TimerAction
 
 Runner = Callable[[Callable[[], None]], object]
-"""Where timer bodies execute (e.g. ``executor.submit``); defaults to
-inline on the loop thread."""
+"""Where timer bodies execute: called on the loop thread with the body,
+it hands the body to whoever runs it and returns at once (the front end
+passes its resolver mailbox's ``put``, so a body that raises meets the
+mailbox's guard).  Defaults to inline on the loop thread."""
 
 _GONE: object = object()
 

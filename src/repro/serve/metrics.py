@@ -17,8 +17,8 @@ from repro.obs.sinks import PrometheusSink
 class ServeMetrics:
     """Plain counters for the wall-clock front end.
 
-    Mutated from the loop thread only (the resolver thread reports back
-    through futures), read by the scrape handler on the same thread —
+    Mutated from the loop thread only (the resolver thread posts its
+    results back to it), read by the scrape handler on the same thread —
     no locking needed.
     """
 

@@ -1,20 +1,30 @@
 """The asyncio DNS front end: UDP + TCP listeners over a CachingServer.
 
 Threading model (the whole design in one paragraph): the asyncio loop
-thread owns sockets, parses/encodes packets, and keeps the singleflight
-table; one dedicated resolver thread owns the
-:class:`~repro.core.caching_server.CachingServer` — every stub query
-*and* every renewal timer body (via :class:`~repro.serve.clock.WallClock`'s
-runner) executes there, preserving the core's single-threaded
-discipline without any locks inside it.
+thread owns sockets, parses/encodes packets, and keeps the in-flight
+table; one dedicated ``repro-resolver`` thread owns the
+:class:`~repro.core.caching_server.CachingServer` and drains a mailbox
+(a ``queue.SimpleQueue`` of callables) — every stub query *and* every
+renewal timer body (via :class:`~repro.serve.clock.WallClock`'s runner,
+which is the mailbox's ``put``) executes there, preserving the core's
+single-threaded discipline without any locks inside it.  A served query
+costs one hop each way: ``_submit`` puts one job in the mailbox, the
+resolver thread runs ``handle_stub_query`` and posts the result back
+with one ``call_soon_threadsafe(_landed, ...)``, and ``_landed``
+renders, encodes and sends to everyone waiting on that question.
 
 The front end holds no answers: what may be answered, fresh or stale,
 is decided by the core's one cache under the selected scheme (run
 ``--scheme swr:30`` for stale-while-revalidate).  Layered on top:
 
 * **Singleflight** — concurrent identical questions (same name/type)
-  collapse onto one in-flight resolution; followers await its future
-  and get the leader's answer.
+  collapse onto one in-flight resolution; followers join the leader's
+  waiter list and get its answer, never reaching the resolver thread.
+* **Bounded, typed overload and errors** — at most ``_MAX_INFLIGHT``
+  distinct questions are in flight; a new one beyond that is answered
+  SERVFAIL at once.  A resolution that raises answers SERVFAIL to every
+  waiter and is reported to the loop's exception handler; the resolver
+  thread survives.
 * **Truncation + TCP fallback** — UDP responses above the spec's
   payload ceiling degrade to TC-marked header+question; the TCP
   listener answers the retry without a ceiling.
@@ -23,8 +33,11 @@ is decided by the core's one cache under the selected scheme (run
 from __future__ import annotations
 
 import asyncio
+import queue
 import struct
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from functools import partial
+from typing import Callable
 
 from repro.core.budget import FetchBudget
 from repro.core.caching_server import CachingServer, Resolution, ResolutionOutcome
@@ -52,6 +65,18 @@ from repro.serve.wire import (
 
 _TCP_LENGTH = struct.Struct("!H")
 
+#: Distinct questions in flight before new ones are shed with SERVFAIL:
+#: the bound on the in-flight table and, through it, on the mailbox.
+_MAX_INFLIGHT = 1024
+
+_FAILED = Resolution(ResolutionOutcome.FAILURE)
+
+Deliver = Callable[[Message], None]
+"""Where one waiter's rendered answer goes (loop thread)."""
+
+Job = Callable[[], object]
+"""One unit of work for the resolver thread."""
+
 
 class _UdpProtocol(asyncio.DatagramProtocol):
     def __init__(self, front_end: "DnsFrontEnd") -> None:
@@ -78,14 +103,15 @@ class DnsFrontEnd:
         self.metrics = ServeMetrics()
         self.bus = EventBus()
         self.prometheus = PrometheusSink().attach(self.bus)
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-resolver"
-        )
+        # The resolver thread's mailbox; None tells it to exit.
+        self._jobs: queue.SimpleQueue[Job | None] = queue.SimpleQueue()
+        self._resolver: threading.Thread | None = None
         self.clock: WallClock | None = None
         self.server: CachingServer | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
-        # Singleflight: packed question key -> the in-flight resolution.
-        self._inflight: dict[int, asyncio.Future[Resolution]] = {}
+        # Singleflight: packed question key -> everyone waiting on the
+        # one resolution in flight for it (the leader first).
+        self._inflight: dict[int, list[tuple[DecodedQuery, Deliver]]] = {}
         # Per-client concurrent upstream-fetch budgets, one entry per
         # client with a resolution in flight (always empty when the
         # spec leaves client_fetch_budget at 0 = unlimited).  Budgets
@@ -94,10 +120,11 @@ class DnsFrontEnd:
         # client is limited precisely in the currency it burns,
         # resolver work.
         self._client_budgets: dict[str, FetchBudget] = {}
+        # Unanswered _resolve() calls, so stop() can cancel them.
+        self._pending: set[asyncio.Future[Message]] = set()
         self._udp_transport: asyncio.DatagramTransport | None = None
         self._tcp_server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
-        self._tasks: set[asyncio.Task] = set()
         self.udp_address: tuple[str, int] | None = None
         self.metrics_address: tuple[str, int] | None = None
 
@@ -107,7 +134,7 @@ class DnsFrontEnd:
         """Bind UDP/TCP/metrics listeners and build the resolver core."""
         loop = asyncio.get_running_loop()
         self._loop = loop
-        self.clock = WallClock(loop, runner=self._executor.submit)
+        self.clock = WallClock(loop, runner=self._jobs.put)
         self.server = CachingServer(
             root_hints=self._built.tree.root_hints(),
             network=self._make_upstream(),
@@ -115,6 +142,13 @@ class DnsFrontEnd:
             config=self._config,
             observer=self.bus,
         )
+        self._resolver = threading.Thread(
+            target=self._drain,
+            args=(loop,),
+            name="repro-resolver",
+            daemon=True,
+        )
+        self._resolver.start()
         spec = self.spec
         self._udp_transport, _ = await loop.create_datagram_endpoint(
             lambda: _UdpProtocol(self),
@@ -147,16 +181,31 @@ class DnsFrontEnd:
         return Network(self._built.tree)
 
     async def stop(self) -> None:
-        """Close listeners, drain in-flight work, stop the resolver."""
-        for task in list(self._tasks):
-            task.cancel()
+        """Close listeners, drop in-flight work, stop the resolver.
+
+        Waiters still in flight get no answer (a pending ``_resolve()``
+        is cancelled); queued jobs are discarded and the one the
+        resolver thread is running is waited for.
+        """
+        self._inflight.clear()
+        self._client_budgets.clear()
+        for future in list(self._pending):
+            future.cancel()
         if self._udp_transport is not None:
             self._udp_transport.close()
         for server in (self._tcp_server, self._metrics_server):
             if server is not None:
                 server.close()
                 await server.wait_closed()
-        self._executor.shutdown(wait=True, cancel_futures=True)
+        if self._resolver is not None:
+            try:
+                while True:
+                    self._jobs.get_nowait()
+            except queue.Empty:
+                pass
+            self._jobs.put(None)
+            self._resolver.join()
+            self._resolver = None
 
     def sample_names(self, count: int) -> tuple[Name, ...]:
         """Deterministic resolvable host names (for clients and tests)."""
@@ -181,25 +230,20 @@ class DnsFrontEnd:
                 transport.sendto(reject, addr)
             return
         self.metrics.udp_queries += 1
-        self._spawn(self._answer_udp(query, addr, transport))
 
-    async def _answer_udp(
-        self,
-        query: DecodedQuery,
-        addr: tuple,
-        transport: asyncio.DatagramTransport,
-    ) -> None:
-        message = await self._resolve(query, client=addr[0])
-        payload = encode_response(
-            message,
-            message_id=query.message_id,
-            raw_labels=query.raw_labels,
-            recursion_desired=query.recursion_desired,
-            max_size=self.spec.udp_payload_max,
-        )
-        if payload[2] & (FLAG_TC >> 8):
-            self.metrics.truncated += 1
-        transport.sendto(payload, addr)
+        def deliver(message: Message) -> None:
+            payload = encode_response(
+                message,
+                message_id=query.message_id,
+                raw_labels=query.raw_labels,
+                recursion_desired=query.recursion_desired,
+                max_size=self.spec.udp_payload_max,
+            )
+            if payload[2] & (FLAG_TC >> 8):
+                self.metrics.truncated += 1
+            transport.sendto(payload, addr)
+
+        self._submit(query, addr[0], deliver)
 
     async def _on_tcp(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -237,36 +281,51 @@ class DnsFrontEnd:
         finally:
             writer.close()
 
-    # -- resolution: singleflight --------------------------------------------
+    # -- resolution: singleflight over one mailbox hop ------------------------
 
     async def _resolve(self, query: DecodedQuery, client: str = "") -> Message:
+        """:meth:`_submit` behind one loop future (TCP path and tests)."""
+        future: asyncio.Future[Message] = (
+            asyncio.get_running_loop().create_future()
+        )
+        self._pending.add(future)
+        future.add_done_callback(self._pending.discard)
+
+        def deliver(message: Message) -> None:
+            if not future.done():  # the caller may have given up
+                future.set_result(message)
+
+        self._submit(query, client, deliver)
+        return await future
+
+    def _submit(
+        self, query: DecodedQuery, client: str, deliver: Deliver
+    ) -> None:
+        """Answer ``query`` through ``deliver``: now when it is refused,
+        else when its question's resolution lands (loop thread)."""
+        if self._resolver is None:
+            raise RuntimeError("front end not started")
         question = query.question
         key = (question.name.iid << RRTYPE_BITS) | question.rrtype
-        flight = self._inflight.get(key)
-        if flight is not None:
+        waiters = self._inflight.get(key)
+        if waiters is not None:
             self.metrics.singleflight_hits += 1
-            resolution = await asyncio.shield(flight)
-        else:
-            budget = self._client_budget(client)
-            if budget is not None and not budget.spend():
-                # Over-budget clients get an immediate SERVFAIL instead
-                # of a resolver-thread slot (graceful refusal, same
-                # semantics as the simulated fetch budget).
-                self.metrics.budget_rejections += 1
-                resolution = Resolution(ResolutionOutcome.FAILURE)
-            else:
-                try:
-                    resolution = await self._resolve_leader(key, question)
-                finally:
-                    if budget is not None:
-                        budget.release()
-                        if budget.used == 0:
-                            del self._client_budgets[client]
-        if resolution.failed:
-            self.metrics.servfail += 1
-        elif resolution.outcome is ResolutionOutcome.STALE_HIT:
-            self.metrics.stale_served += 1
-        return self._render(question, query.message_id, resolution)
+            waiters.append((query, deliver))
+            return
+        if len(self._inflight) >= _MAX_INFLIGHT:
+            # Overload sheds new questions; it never queues them.
+            deliver(self._answer(query, _FAILED))
+            return
+        budget = self._client_budget(client)
+        if budget is not None and not budget.spend():
+            # Over-budget clients get an immediate SERVFAIL instead
+            # of a resolver-thread slot (graceful refusal, same
+            # semantics as the simulated fetch budget).
+            self.metrics.budget_rejections += 1
+            deliver(self._answer(query, _FAILED))
+            return
+        self._inflight[key] = [(query, deliver)]
+        self._jobs.put(partial(self._work, key, question, client))
 
     def _client_budget(self, client: str) -> FetchBudget | None:
         limit = self.spec.client_fetch_budget
@@ -278,58 +337,78 @@ class DnsFrontEnd:
             self._client_budgets[client] = budget
         return budget
 
-    async def _resolve_leader(self, key: int, question: Question) -> Resolution:
+    def _drain(self, loop: asyncio.AbstractEventLoop) -> None:
+        """The resolver thread: run mailbox jobs until told to stop.
+
+        A job that raises — a stub query or a renewal timer body — is
+        reported to the loop's exception handler and the thread carries
+        on.
+        """
+        for job in iter(self._jobs.get, None):
+            try:
+                job()
+            except Exception as error:
+                loop.call_soon_threadsafe(
+                    loop.call_exception_handler,
+                    {"message": "resolver job failed", "exception": error},
+                )
+
+    def _work(self, key: int, question: Question, client: str) -> None:
+        """One stub query through the core, its result posted back to
+        the loop (resolver thread).  A resolution that raises lands as
+        a failure, so its waiters get SERVFAIL, not silence."""
         loop, clock, server = self._loop, self.clock, self.server
         if loop is None or clock is None or server is None:
             raise RuntimeError("front end not started")
-        future: asyncio.Future[Resolution] = loop.create_future()
-        self._inflight[key] = future
-
-        def work() -> Resolution:
-            return server.handle_stub_query(
+        resolution = _FAILED
+        try:
+            resolution = server.handle_stub_query(
                 question.name, question.rrtype, clock.now()
             )
-
-        try:
-            resolution = await loop.run_in_executor(self._executor, work)
-        except BaseException as error:
-            if not future.done():
-                future.set_exception(error)
-            # The future's consumers re-raise.
-            future.exception()  # mark retrieved for followers-free case
-            raise
-        else:
-            if not future.done():
-                future.set_result(resolution)
-            return resolution
         finally:
-            self._inflight.pop(key, None)
+            loop.call_soon_threadsafe(self._landed, key, client, resolution)
 
-    def _render(
-        self, question: Question, message_id: int, resolution: Resolution
-    ) -> Message:
+    def _landed(self, key: int, client: str, resolution: Resolution) -> None:
+        """Release the leader's budget unit and answer every waiter of
+        the flight (loop thread)."""
+        waiters = self._inflight.pop(key, None)
+        if waiters is None:
+            return  # stop() dropped the flight
+        budget = self._client_budgets.get(client)
+        if budget is not None:
+            budget.release()
+            if budget.used == 0:
+                del self._client_budgets[client]
+        for query, deliver in waiters:
+            try:
+                deliver(self._answer(query, resolution))
+            except Exception as error:
+                # One waiter's encode/send failure is its own.
+                asyncio.get_running_loop().call_exception_handler(
+                    {"message": "serve reply failed", "exception": error}
+                )
+
+    def _answer(self, query: DecodedQuery, resolution: Resolution) -> Message:
+        """Count and render one waiter's response."""
         rcode = Rcode.NOERROR
         answer: tuple = ()
-        if resolution.failed:
+        outcome = resolution.outcome
+        if outcome.failed:
+            self.metrics.servfail += 1
             rcode = Rcode.SERVFAIL
-        elif resolution.outcome is ResolutionOutcome.NXDOMAIN:
+        elif outcome is ResolutionOutcome.NXDOMAIN:
             rcode = Rcode.NXDOMAIN
         elif resolution.answer is not None:
             answer = (resolution.answer,)
+        if outcome is ResolutionOutcome.STALE_HIT:
+            self.metrics.stale_served += 1
         return Message(
-            question=question,
+            question=query.question,
             rcode=rcode,
             authoritative=False,
             answer=answer,
-            message_id=message_id,
+            message_id=query.message_id,
         )
-
-    def _spawn(self, coroutine) -> None:  # noqa: ANN001
-        if self._loop is None:
-            raise RuntimeError("front end not started")
-        task = self._loop.create_task(coroutine)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
 
 def _formerr_for(data: bytes) -> bytes | None:

@@ -29,6 +29,7 @@ echoed question bytes — 0x20 mixing must survive the round trip).
 from __future__ import annotations
 
 import ipaddress
+import socket
 import struct
 from dataclasses import dataclass
 
@@ -59,6 +60,7 @@ _POINTER_TAG = 0xC0
 
 _SOA_WIRE_TAIL = struct.Struct("!IIIII")
 _RR_FIXED = struct.Struct("!HHIH")
+_QUESTION_FIXED = struct.Struct("!HH")
 _U16 = struct.Struct("!H")
 
 _NAME_RDATA = frozenset({RRType.NS, RRType.CNAME, RRType.PTR})
@@ -83,44 +85,56 @@ class _Writer:
         # Canonical (lowercased) suffix -> offset of its first encoding.
         self._offsets: dict[tuple[str, ...], int] = {}
 
-    def write_name(self, labels: tuple[str, ...]) -> None:
+    def write_name(
+        self, labels: tuple[str, ...], canonical: bool = False
+    ) -> None:
         """Write a (possibly mixed-case) label sequence, compressing
-        against every suffix already present in the message."""
-        for index in range(len(labels)):
-            suffix = tuple(label.lower() for label in labels[index:])
-            pointer = self._offsets.get(suffix)
+        against every suffix already present in the message.
+
+        ``canonical`` promises the labels are already lowercase (a
+        :class:`~repro.dns.name.Name`'s are), so they key the suffix
+        table as they stand.
+        """
+        lowered = (
+            labels if canonical
+            else tuple([label.lower() for label in labels])
+        )
+        buf, offsets = self.buf, self._offsets
+        for index, label in enumerate(labels):
+            suffix = lowered[index:]
+            pointer = offsets.get(suffix)
             if pointer is not None:
-                self.buf += _U16.pack(0xC000 | pointer)
+                buf += _U16.pack(0xC000 | pointer)
                 return
-            here = len(self.buf)
+            here = len(buf)
             if here < _POINTER_LIMIT:
-                self._offsets[suffix] = here
-            encoded = labels[index].encode("ascii")
+                offsets[suffix] = here
+            encoded = label.encode("ascii")
             if not 0 < len(encoded) < 64:
-                raise WireFormatError(f"label {labels[index]!r} not encodable")
-            self.buf.append(len(encoded))
-            self.buf += encoded
-        self.buf.append(0)
+                raise WireFormatError(f"label {label!r} not encodable")
+            buf.append(len(encoded))
+            buf += encoded
+        buf.append(0)
 
     def write_question(
         self, question: Question, raw_labels: tuple[str, ...] | None = None
     ) -> None:
-        self.write_name(raw_labels or question.name.labels)
-        self.buf += _U16.pack(int(question.rrtype))
-        self.buf += _U16.pack(int(question.rrclass))
+        if raw_labels:
+            self.write_name(raw_labels)
+        else:
+            self.write_name(question.name.labels, canonical=True)
+        self.buf += _QUESTION_FIXED.pack(question.rrtype, question.rrclass)
 
     def write_record(self, record: ResourceRecord) -> None:
-        self.write_name(record.name.labels)
+        self.write_name(record.name.labels, canonical=True)
         ttl = int(record.ttl)
         if not 0 <= ttl < 2**32:
             raise WireFormatError(f"TTL {record.ttl} not encodable")
-        self.buf += _RR_FIXED.pack(
-            int(record.rrtype), int(record.rrclass), ttl, 0
-        )
-        rdlength_at = len(self.buf) - 2
+        buf = self.buf
+        buf += _RR_FIXED.pack(record.rrtype, record.rrclass, ttl, 0)
+        rdata_at = len(buf)
         self._write_rdata(record)
-        rdlength = len(self.buf) - rdlength_at - 2
-        self.buf[rdlength_at:rdlength_at + 2] = _U16.pack(rdlength)
+        _U16.pack_into(buf, rdata_at - 2, len(buf) - rdata_at)
 
     def _write_rdata(self, record: ResourceRecord) -> None:
         rrtype = record.rrtype
@@ -128,9 +142,12 @@ class _Writer:
         if rrtype in _NAME_RDATA:
             if not isinstance(data, Name):  # pragma: no cover - typed upstream
                 raise WireFormatError(f"{rrtype.name} rdata must be a Name")
-            self.write_name(data.labels)
+            self.write_name(data.labels, canonical=True)
         elif rrtype is RRType.A:
-            self.buf += _encode_ipv4(str(data))
+            try:
+                self.buf += socket.inet_pton(socket.AF_INET, str(data))
+            except OSError as error:
+                raise WireFormatError(f"bad A rdata {data!r}") from error
         elif rrtype is RRType.AAAA:
             try:
                 self.buf += ipaddress.IPv6Address(str(data)).packed
@@ -173,17 +190,6 @@ def _labels_from_text(text: str) -> tuple[str, ...]:
     return tuple(stripped.split("."))
 
 
-def _encode_ipv4(text: str) -> bytes:
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise WireFormatError(f"bad A rdata {text!r}")
-    try:
-        octets = bytes(int(part) for part in parts)
-    except ValueError as error:
-        raise WireFormatError(f"bad A rdata {text!r}") from error
-    return octets
-
-
 def encode_query(
     question: Question,
     message_id: int,
@@ -223,23 +229,26 @@ def encode_response(
         flags |= FLAG_RD
     if recursion_available:
         flags |= FLAG_RA
-    flags |= int(message.rcode) & _RCODE_MASK
-    sections = (message.answer, message.authority, message.additional)
-    counts = tuple(
-        sum(len(rrset) for rrset in section) for section in sections
-    )
+    flags |= message.rcode & _RCODE_MASK
     mid = (message.message_id if message_id is None else message_id) & 0xFFFF
-    writer.buf += HEADER.pack(mid, flags, 1, *counts)
+    # The counts are tallied while the records are written and filled
+    # in afterwards.
+    writer.buf += HEADER.pack(mid, flags, 1, 0, 0, 0)
     writer.write_question(message.question, raw_labels)
-    for section in sections:
+    counts = [0, 0, 0]
+    for index, section in enumerate(
+        (message.answer, message.authority, message.additional)
+    ):
         for rrset in section:
             for record in rrset:
                 writer.write_record(record)
+                counts[index] += 1
     if max_size is not None and len(writer.buf) > max_size:
         truncated = _Writer()
         truncated.buf += HEADER.pack(mid, flags | FLAG_TC, 1, 0, 0, 0)
         truncated.write_question(message.question, raw_labels)
         return bytes(truncated.buf)
+    HEADER.pack_into(writer.buf, 0, mid, flags, 1, *counts)
     return bytes(writer.buf)
 
 
@@ -327,10 +336,13 @@ def _canonical_name(labels: tuple[str, ...]) -> Name:
     return Name.from_text(".".join(labels) + ".")
 
 
-def _read_u16(data: bytes, offset: int) -> tuple[int, int]:
-    if offset + 2 > len(data):
+def _read_type_class(data: bytes, offset: int) -> tuple[int, int, int]:
+    """The question's fixed tail: ``(rrtype, rrclass, next_offset)``."""
+    end = offset + _QUESTION_FIXED.size
+    if end > len(data):
         raise WireFormatError("packet truncated mid-field")
-    return _U16.unpack_from(data, offset)[0], offset + 2
+    rrtype_value, rrclass_value = _QUESTION_FIXED.unpack_from(data, offset)
+    return rrtype_value, rrclass_value, end
 
 
 def decode_query(data: bytes) -> DecodedQuery:
@@ -348,8 +360,7 @@ def decode_query(data: bytes) -> DecodedQuery:
     if qdcount != 1:
         raise WireFormatError(f"expected exactly one question, got {qdcount}")
     labels, offset = _read_name(data, HEADER.size)
-    rrtype_value, offset = _read_u16(data, offset)
-    rrclass_value, offset = _read_u16(data, offset)
+    rrtype_value, rrclass_value, offset = _read_type_class(data, offset)
     try:
         question = Question(
             _canonical_name(labels),
@@ -474,8 +485,7 @@ def decode_message(data: bytes) -> DecodedMessage:
     if qdcount != 1:
         raise WireFormatError(f"expected exactly one question, got {qdcount}")
     labels, offset = _read_name(data, HEADER.size)
-    rrtype_value, offset = _read_u16(data, offset)
-    rrclass_value, offset = _read_u16(data, offset)
+    rrtype_value, rrclass_value, offset = _read_type_class(data, offset)
     try:
         question = Question(
             _canonical_name(labels),

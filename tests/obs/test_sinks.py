@@ -85,6 +85,32 @@ class TestPrometheusSink:
             "repro_last_event_seconds 3.5\n"
         )
 
+    def test_a_bus_with_only_the_scrape_attached_builds_no_event(self):
+        """The bus counts, the sink renders: nothing subscribes, so
+        ``emit`` returns before constructing an Event."""
+        bus = EventBus()
+        sink = PrometheusSink().attach(bus)
+        assert bus.emit(EventKind.CACHE_HIT, 2.0, name="a.com.") is None
+        assert 'repro_events_total{kind="cache.hit"} 1' in sink.render()
+        assert "repro_last_event_seconds 2.0" in sink.render()
+
+    def test_jsonl_beside_the_scrape_still_gets_every_event(self):
+        """A JSONL log written with a Prometheus sink attached is
+        byte-identical to one written without."""
+        logs = []
+        for with_scrape in (False, True):
+            bus = EventBus()
+            stream = io.StringIO()
+            JsonlSink(stream=stream).attach(bus)
+            if with_scrape:
+                sink = PrometheusSink().attach(bus)
+            event = bus.emit(EventKind.STUB_QUERY, 1.5, name="a.com.")
+            assert event is not None and event.kind is EventKind.STUB_QUERY
+            bus.emit(EventKind.CACHE_MISS, 1.5, name="a.com.")
+            logs.append(stream.getvalue())
+        assert logs[0] == logs[1] != ""
+        assert "repro_events_seen_total 2" in sink.render()
+
     def test_write(self, tmp_path):
         sink = PrometheusSink()
         target = tmp_path / "metrics.prom"

@@ -85,6 +85,27 @@ async def _tcp_query(
         writer.close()
 
 
+def _collect_loop_errors() -> list:
+    """Route what reaches the running loop's exception handler into the
+    returned list (instead of the log)."""
+    reported: list = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda _loop, context: reported.append(context)
+    )
+    return reported
+
+
+async def _on_resolver(front_end: DnsFrontEnd, function):
+    """Run ``function`` on the resolver thread (through the mailbox,
+    serialised with stub queries) and return its result."""
+    loop = asyncio.get_running_loop()
+    future = loop.create_future()
+    front_end._jobs.put(
+        lambda: loop.call_soon_threadsafe(future.set_result, function())
+    )
+    return await future
+
+
 async def _scrape(address: tuple[str, int]) -> str:
     reader, writer = await asyncio.open_connection(*address)
     try:
@@ -293,7 +314,7 @@ class TestFrontEndSemantics:
                 gate = threading.Event()
                 # Stall the (single) resolver thread so the leader's
                 # resolution stays in flight while followers arrive.
-                front_end._executor.submit(gate.wait)
+                front_end._jobs.put(gate.wait)
                 leader = asyncio.ensure_future(front_end._resolve(query))
                 await asyncio.sleep(0.05)
                 follower = asyncio.ensure_future(front_end._resolve(query))
@@ -321,7 +342,6 @@ class TestFrontEndSemantics:
 
         async def run():
             async with _front_end(spec) as front_end:
-                loop = asyncio.get_running_loop()
                 server, clock = front_end.server, front_end.clock
                 query = self._query_for(front_end)
                 name = query.question.name
@@ -331,12 +351,12 @@ class TestFrontEndSemantics:
                     entry = server.cache.entry(name, RRType.A)
                     entry.expires_at = clock.now() - 1
 
-                await loop.run_in_executor(front_end._executor, lapse)
+                await _on_resolver(front_end, lapse)
                 lapsed = await front_end._resolve(query)
                 served = front_end.metrics.stale_served
                 for _ in range(500):
-                    expiry = await loop.run_in_executor(
-                        front_end._executor,
+                    expiry = await _on_resolver(
+                        front_end,
                         lambda: server.cache.expires_at(
                             name, RRType.A, clock.now()
                         ),
@@ -431,7 +451,7 @@ class TestFrontEndSemantics:
                     for i, name in enumerate(names)
                 ]
                 gate = threading.Event()
-                front_end._executor.submit(gate.wait)
+                front_end._jobs.put(gate.wait)
                 leader = asyncio.ensure_future(
                     front_end._resolve(queries[0], client="10.9.9.9")
                 )
@@ -470,6 +490,213 @@ class TestFrontEndSemantics:
         assert third.rcode is Rcode.NOERROR
         assert final_rejections == 1
         assert "repro_serve_budget_rejections_total 1" in rendered
+
+    def test_resolver_exception_answers_servfail_and_survives(self):
+        """A resolution that raises is a SERVFAIL on the wire (not a
+        client timeout), is reported to the loop's exception handler,
+        leaves nothing in flight, and the resolver thread carries on."""
+
+        async def run():
+            async with _front_end() as front_end:
+                reported = _collect_loop_errors()
+                name = front_end.sample_names(1)[0]
+                packet = encode_query(Question(name, RRType.A), 21)
+
+                def boom(*_args):
+                    raise KeyError("resolver bug")
+
+                front_end.server.handle_stub_query = boom
+                failed = await _udp_query(
+                    front_end.udp_address, packet, timeout=1.0
+                )
+                servfail = front_end.metrics.servfail
+                inflight = dict(front_end._inflight)
+                del front_end.server.handle_stub_query
+                answered = await _udp_query(front_end.udp_address, packet)
+                return failed, servfail, inflight, reported, answered
+
+        failed, servfail, inflight, reported, answered = asyncio.run(run())
+        assert decode_message(failed).message.rcode is Rcode.SERVFAIL
+        assert decode_message(failed).message.message_id == 21
+        assert servfail == 1
+        assert inflight == {}
+        assert [type(c["exception"]) for c in reported] == [KeyError]
+        assert decode_message(answered).message.rcode is Rcode.NOERROR
+
+    def test_raising_timer_body_is_reported_not_swallowed(self):
+        """Renewal timer bodies reach the resolver thread through the
+        same mailbox and the same guard."""
+
+        async def run():
+            async with _front_end() as front_end:
+                reported = _collect_loop_errors()
+
+                def body(_now):
+                    raise ValueError("timer bug")
+
+                front_end.clock.schedule(0.0, body)
+                for _ in range(200):
+                    if reported:
+                        break
+                    await asyncio.sleep(0.005)
+                reply = await front_end._resolve(self._query_for(front_end))
+                return reported, reply
+
+        reported, reply = asyncio.run(run())
+        assert [type(c["exception"]) for c in reported] == [ValueError]
+        assert reply.rcode is Rcode.NOERROR
+
+    def test_one_waiters_reply_failure_does_not_starve_the_others(self):
+        async def run():
+            async with _front_end() as front_end:
+                reported = _collect_loop_errors()
+                query = self._query_for(front_end)
+                gate = threading.Event()
+                front_end._jobs.put(gate.wait)
+
+                def broken(_message):
+                    raise OSError("send failed")
+
+                front_end._submit(query, "10.0.0.1", broken)
+                follower = asyncio.ensure_future(front_end._resolve(query))
+                await asyncio.sleep(0.05)
+                gate.set()
+                reply = await asyncio.wait_for(follower, timeout=2.0)
+                return reported, reply
+
+        reported, reply = asyncio.run(run())
+        assert [type(c["exception"]) for c in reported] == [OSError]
+        assert reply.rcode is Rcode.NOERROR and reply.answer
+
+    def test_overload_sheds_new_questions_with_servfail(self):
+        """The in-flight table is bounded: with the resolver stalled,
+        questions beyond ``_MAX_INFLIGHT`` are refused at once on the
+        loop thread, followers of a flight are still admitted, and the
+        admitted ones are all answered once the resolver runs again."""
+        from repro.serve.server import _MAX_INFLIGHT
+        from repro.serve.wire import decode_query
+
+        extra = 50
+
+        async def run():
+            async with _front_end() as front_end:
+                gate = threading.Event()
+                front_end._jobs.put(gate.wait)
+                queries = [
+                    decode_query(encode_query(
+                        Question(Name.from_text(f"q{i}.no.such.zz"), RRType.A),
+                        i & 0xFFFF,
+                    ))
+                    for i in range(_MAX_INFLIGHT + extra)
+                ]
+                replies = []
+                for query in queries:
+                    front_end._submit(query, "10.0.0.1", replies.append)
+                shed = list(replies)
+                held = len(front_end._inflight)
+                servfail = front_end.metrics.servfail
+                follower = asyncio.ensure_future(
+                    front_end._resolve(queries[0])
+                )
+                await asyncio.sleep(0.05)
+                joined = front_end.metrics.singleflight_hits
+                gate.set()
+                await asyncio.wait_for(follower, timeout=10.0)
+                for _ in range(1000):
+                    if not front_end._inflight:
+                        break
+                    await asyncio.sleep(0.01)
+                return (shed, held, servfail, joined, replies,
+                        dict(front_end._inflight))
+
+        shed, held, servfail, joined, replies, inflight = asyncio.run(run())
+        assert len(shed) == extra == servfail
+        assert {message.rcode for message in shed} == {Rcode.SERVFAIL}
+        assert held == _MAX_INFLIGHT
+        assert joined == 1
+        assert len(replies) == _MAX_INFLIGHT + extra
+        assert {m.rcode for m in replies[extra:]} == {Rcode.NXDOMAIN}
+        assert inflight == {}
+
+    def test_no_query_is_lost_under_thread_switch_pressure(self):
+        """Stress the loop<->resolver hand-off: 8 closed-loop clients
+        over 2 names with a 10 us switch interval.  Every query is
+        answered, each one either led a resolution (reached the core)
+        or followed one, and nothing is left in flight."""
+        import sys
+
+        from repro.serve.driver import run_load
+
+        async def run():
+            async with _front_end() as front_end:
+                report = await asyncio.wait_for(
+                    run_load(
+                        *front_end.udp_address,
+                        front_end.sample_names(2),
+                        queries=2000,
+                        clients=8,
+                    ),
+                    timeout=60.0,
+                )
+                return (report, front_end.metrics.singleflight_hits,
+                        front_end.server.metrics.sr_queries,
+                        dict(front_end._inflight))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            report, followers, leaders, inflight = asyncio.run(run())
+        finally:
+            sys.setswitchinterval(interval)
+        assert report.answered == report.queries == 2000
+        assert followers + leaders == 2000
+        assert inflight == {}
+
+    def test_stop_with_queries_in_flight(self):
+        """stop() with a stalled resolver and leaders pending: returns
+        once the running job does, leaves no resolver thread behind and
+        no _resolve() future pending."""
+        from repro.serve.wire import decode_query
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            front_end = DnsFrontEnd(_SPEC)
+            await front_end.start()
+            serving = [
+                thread.name for thread in threading.enumerate()
+                if thread.name.startswith("repro-resolver")
+            ]
+            gate = threading.Event()
+            front_end._jobs.put(gate.wait)
+            leaders = [
+                asyncio.ensure_future(front_end._resolve(decode_query(
+                    encode_query(Question(name, RRType.A), index + 1)
+                )))
+                for index, name in enumerate(front_end.sample_names(3))
+            ]
+            await asyncio.sleep(0.05)
+            pending = len(front_end._inflight)
+            opener = threading.Timer(0.2, gate.set)
+            opener.start()
+            begun = loop.time()
+            await front_end.stop()
+            took = loop.time() - begun
+            opener.join()
+            await asyncio.wait(leaders, timeout=1.0)
+            return (serving, pending, took,
+                    [leader.cancelled() for leader in leaders],
+                    front_end._pending)
+
+        serving, pending, took, cancelled, left = asyncio.run(run())
+        assert serving == ["repro-resolver"]
+        assert pending == 3
+        assert took < 2.0
+        assert cancelled == [True, True, True]
+        assert left == set()
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-resolver")
+        ]
 
     def test_default_spec_has_no_client_budget(self):
         async def run():

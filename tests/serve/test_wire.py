@@ -178,6 +178,126 @@ class TestGoldenVectors:
         assert answer.records[0].ttl == 3600.0
 
 
+class TestPinnedBytes:
+    """Packets captured from the codec before its one-pass rewrite: the
+    encoder may get faster, the octets may not move."""
+
+    WWW = Name.from_text("www.z47.biz.")
+
+    def test_hit_path_answer_echoes_case_and_compresses_the_owner(self):
+        message = Message(
+            question=Question(self.WWW, RRType.A),
+            answer=(RRset.from_records(
+                [ResourceRecord(self.WWW, RRType.A, 3600, "10.0.1.7")]
+            ),),
+            message_id=1,
+        )
+        packet = encode_response(
+            message,
+            message_id=0xBEEF,
+            raw_labels=("wWw", "Z47", "bIz"),
+            recursion_desired=True,
+            max_size=UDP_PAYLOAD_MAX,
+        )
+        assert packet.hex() == (
+            "beef81800001000100000000"
+            "03775777035a34370362497a0000010001"  # wWw.Z47.bIz. A IN
+            "c00c00010001" "00000e10" "0004" "0a000107"
+        )
+
+    def test_referral_compresses_rdata_names_and_glue_owners(self):
+        zone = Name.from_text("z47.biz.")
+        ns1 = Name.from_text("ns1.z47.biz.")
+        ns2 = Name.from_text("ns2.z47.biz.")
+        message = Message(
+            question=Question(self.WWW, RRType.A),
+            authority=(RRset.from_records([
+                ResourceRecord(zone, RRType.NS, 172800, ns1),
+                ResourceRecord(zone, RRType.NS, 172800, ns2),
+            ]),),
+            additional=(
+                RRset.from_records(
+                    [ResourceRecord(ns1, RRType.A, 172800, "10.0.47.1")]
+                ),
+                RRset.from_records(
+                    [ResourceRecord(ns2, RRType.A, 172800, "10.0.47.2")]
+                ),
+            ),
+            message_id=0x0102,
+        )
+        assert encode_response(message).hex() == (
+            "01028080000100000002000203777777037a34370362697a0000010001c01000"
+            "0200010002a3000006036e7331c010c010000200010002a3000006036e7332c0"
+            "10c029000100010002a30000040a002f01c03b000100010002a30000040a002f"
+            "02"
+        )
+
+    def test_oversize_answer_truncates_to_tc_and_zero_counts(self):
+        name = Name.from_text("big.z47.biz.")
+        message = Message(
+            question=Question(name, RRType.TXT),
+            answer=(RRset.from_records([
+                ResourceRecord(
+                    name, RRType.TXT, 60, f"filler-{i:02d}-" + "x" * 38
+                )
+                for i in range(10)
+            ]),),
+            message_id=5,
+        )
+        assert len(encode_response(message)) == 639
+        packet = encode_response(
+            message, raw_labels=("BIG", "z47", "biz"), max_size=512
+        )
+        assert packet.hex() == (
+            "000582800001000000000000"
+            "03424947037a34370362697a0000100001"
+        )
+
+    def test_soa_in_authority(self):
+        message = Message(
+            question=Question(Name.from_text("nope.biz."), RRType.A),
+            rcode=Rcode.NXDOMAIN,
+            authoritative=True,
+            authority=(RRset.from_records([ResourceRecord(
+                Name.from_text("biz."), RRType.SOA, 900,
+                "ns1.biz. hostmaster.biz. 2007010101 300",
+            )]),),
+            message_id=0x7777,
+        )
+        assert encode_response(message).hex() == (
+            "777784830001000000010000046e6f70650362697a0000010001c01100060001"
+            "000003840027036e7331c0110a686f73746d6173746572c01177a08b35000000"
+            "0000000000000000000000012c"
+        )
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ResourceRecord(WWW, RRType.A, 60, "10.0.1"),
+            ResourceRecord(WWW, RRType.A, 60, "10.0.1.256"),
+            ResourceRecord(WWW, RRType.A, 60, "1.2.3.4.5"),
+            ResourceRecord(WWW, RRType.A, 2**32, "10.0.1.7"),
+        ],
+        ids=["short-quad", "octet-256", "five-octets", "ttl-2**32"],
+    )
+    def test_unencodable_records_still_raise(self, record):
+        message = Message(
+            question=Question(self.WWW, RRType.A),
+            answer=(RRset.from_records([record]),),
+        )
+        with pytest.raises(WireFormatError):
+            encode_response(message)
+
+    def test_64_octet_label_still_raises(self):
+        question = Question(self.WWW, RRType.A)
+        with pytest.raises(WireFormatError, match="not encodable"):
+            encode_query(question, 1, raw_labels=("x" * 64, "biz"))
+        with pytest.raises(WireFormatError, match="not encodable"):
+            encode_response(
+                Message(question=question), raw_labels=("x" * 64, "biz")
+            )
+
+
 class TestQueryDecoding:
     def test_round_trip_preserves_raw_case(self):
         """0x20 case mixing survives: canonical Name is lowercased but
