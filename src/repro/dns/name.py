@@ -4,9 +4,10 @@ A :class:`Name` stores its labels most-significant-last, exactly like the
 textual form reads: ``Name.from_text("www.ucla.edu")`` has labels
 ``("www", "ucla", "edu")``.  The root name has no labels.
 
-Names are value objects: hashable, totally ordered by canonical DNS
-ordering (reversed label comparison), and interned per-process so that the
-simulator's hot paths can compare and hash them cheaply.
+Names are value objects: totally ordered by canonical DNS ordering
+(reversed label comparison) and interned per-process, so that equal names
+are one object and the simulator's hot paths compare and hash them by
+identity.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ class Name:
     the raw constructor assumes already-validated lowercase labels.
     """
 
-    __slots__ = ("labels", "iid", "_hash", "_ancestors", "_wire_length",
-                 "_ns_chain")
+    __slots__ = ("labels", "iid", "_ancestors", "_wire_length", "_ns_chain")
 
     # Fill-only memos on an interned immutable class; `repro audit`
     # (REP010) proves nothing outside __new__ writes the label data
@@ -66,7 +66,6 @@ class Name:
         self = super().__new__(cls)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "iid", len(_BY_ID))
-        object.__setattr__(self, "_hash", hash(labels))
         object.__setattr__(self, "_ancestors", None)
         object.__setattr__(self, "_ns_chain", None)
         object.__setattr__(
@@ -208,17 +207,10 @@ class Name:
 
     # -- value semantics -------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        # Interning makes identity equality; fall back for robustness
-        # against unpickled instances.
-        if self is other:
-            return True
-        if not isinstance(other, Name):
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self) -> int:
-        return self._hash
+    # No __eq__ or __hash__: every Name is interned in __new__ (unpickling
+    # comes back through it, see __reduce__), so equal labels are one
+    # object and the identity comparison and hash every object inherits are
+    # the value ones — run by dicts and sets without a Python frame.
 
     def __lt__(self, other: "Name") -> bool:
         if not isinstance(other, Name):
@@ -246,7 +238,7 @@ class Name:
 
     def __reduce__(
         self,
-    ) -> "tuple[type[Name], tuple[tuple[str, ...]]]":  # pragma: no cover
+    ) -> "tuple[type[Name], tuple[tuple[str, ...]]]":
         return (Name, (self.labels,))
 
 

@@ -119,7 +119,10 @@ class RRset:
         ttl = min(record.ttl for record in record_list)
         name = record_list[0].name
         rrtype = record_list[0].rrtype
-        normalised = tuple(record.with_ttl(ttl) for record in record_list)
+        normalised = tuple(
+            record if record.ttl == ttl else record.with_ttl(ttl)
+            for record in record_list
+        )
         return cls(name=name, rrtype=rrtype, ttl=ttl, records=normalised)
 
     def with_ttl(self, ttl: float) -> "RRset":

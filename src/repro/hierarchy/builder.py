@@ -26,6 +26,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from repro.collector import paused_collector
 from repro.dns.dnssec import sign_irrs
 from repro.dns.errors import ZoneConfigError
 from repro.dns.name import Name, root_name
@@ -128,8 +129,13 @@ class HierarchyBuilder:
 
     # -- public -----------------------------------------------------------
 
+    @paused_collector()
     def build(self) -> BuiltHierarchy:
-        """Construct the whole tree.  Call once per builder instance."""
+        """Construct the whole tree.  Call once per builder instance.
+
+        Runs with the collector paused: zones, servers and record sets
+        are long-lived and acyclic, and there are tens of thousands.
+        """
         tld_names = self._choose_tld_names()
         tld_irrs = {name: self._make_zone_irrs(name, *self.config.tld_server_range)
                     for name in tld_names}

@@ -14,16 +14,31 @@ depends on (rather than the authors' private packet traces):
 * **Query-type mix** — mostly A, a sliver of AAAA/MX (which often yield
   NODATA, as in real traces).
 
-numpy does the heavy sampling so month-long traces stay cheap.
+A trace is generated column by column, never query by query: every
+random draw is one numpy call over the whole trace, the host pick is one
+``searchsorted`` per distinct host-list size, and names and types are
+picked by indexing flat object arrays built once per generator.  Python
+objects appear only at the very end, when the columns are turned into
+:class:`~repro.workload.trace.TraceQuery` rows :data:`ROW_CHUNK` at a
+time, so week- and month-long traces of millions of queries cost seconds.
+
+The order and sizes of the ``rng`` calls in :meth:`TraceGenerator.generate`
+are a compatibility contract: the golden digests, the paper figures and
+every pinned test replay traces that are a function of that call
+sequence.  ``tests/workload/reference_generator.py`` keeps the one-query-
+at-a-time loop this module used to run, and the tests hold the two
+equal row for row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from repro.collector import paused_collector
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
 from repro.simulation.faults import unit_hash
@@ -31,6 +46,12 @@ from repro.workload.trace import Trace, TraceQuery
 
 DAY = 86400.0
 HOUR = 3600.0
+
+ROW_CHUNK = 1 << 16
+"""Rows turned from array columns into ``TraceQuery`` objects at a time.
+The columns of one chunk live as Python lists (four boxed values a row)
+only until its rows exist; all 624k rows of the benchmark's hot trace at
+once read 20 % more peak memory than the per-query loop had."""
 
 
 @dataclass(frozen=True)
@@ -65,6 +86,23 @@ class WorkloadConfig:
             raise ValueError(f"qtype_mix weights sum to {total}, expected 1")
 
 
+def _zipf_cdf(size: int, alpha: float) -> np.ndarray:
+    """The CDF of a Zipf(``alpha``) law over ranks 1..``size``."""
+    weights = np.arange(1, size + 1, dtype=np.float64) ** (-alpha)
+    cdf: np.ndarray = np.cumsum(weights / weights.sum())
+    # The running sum can stop an ulp or two short of 1; a draw above it
+    # would make searchsorted answer ``size``, one past the last rank.
+    cdf[-1] = 1.0
+    return cdf
+
+
+def _object_array(items: Sequence[object]) -> np.ndarray:
+    """A 1-d array holding ``items`` themselves, for picking them by index."""
+    array = np.empty(len(items), dtype=object)
+    array[:] = items
+    return array
+
+
 class TraceGenerator:
     """Generates traces against a zone catalog.
 
@@ -74,35 +112,53 @@ class TraceGenerator:
 
     def __init__(self, catalog: dict[Name, list[Name]], config: WorkloadConfig,
                  seed: int = 0) -> None:
-        if not catalog:
-            raise ValueError("catalog is empty — build the hierarchy first")
-        self.config = config
-        self._seed = seed
         # Deterministic zone ordering, then a seeded popularity shuffle so
         # popularity is independent of construction order.
-        zones = sorted(catalog.keys())
+        zones = sorted(zone for zone, hosts in catalog.items() if hosts)
+        if not zones:
+            raise ValueError(
+                f"catalog has no queryable hosts ({len(catalog)} zones, none "
+                "with a host) — build the hierarchy first"
+            )
+        self.config = config
+        self._seed = seed
         shuffle_rng = np.random.default_rng(seed)
         order = shuffle_rng.permutation(len(zones))
         self._zones: list[Name] = [zones[i] for i in order]
         self._hosts: list[list[Name]] = [catalog[zone] for zone in self._zones]
+        self._zone_cdf = _zipf_cdf(len(self._zones), config.zone_zipf_alpha)
 
-        ranks = np.arange(1, len(self._zones) + 1, dtype=np.float64)
-        weights = ranks ** (-config.zone_zipf_alpha)
-        self._zone_cdf = np.cumsum(weights / weights.sum())
-
+        # Every zone's hosts end to end: zone ``z``'s ``h``-th host is
+        # ``_flat_hosts[_host_starts[z] + h]``.
+        self._host_counts = np.array(
+            [len(hosts) for hosts in self._hosts], dtype=np.int64
+        )
+        self._host_starts = np.cumsum(self._host_counts) - self._host_counts
+        self._flat_hosts = _object_array(
+            [host for hosts in self._hosts for host in hosts]
+        )
         # Per-zone-size host CDFs (sizes are small; cache by size).
-        self._host_cdfs: dict[int, np.ndarray] = {}
-        for hosts in self._hosts:
-            size = len(hosts)
-            if size not in self._host_cdfs:
-                host_ranks = np.arange(1, size + 1, dtype=np.float64)
-                host_weights = host_ranks ** (-config.name_zipf_alpha)
-                self._host_cdfs[size] = np.cumsum(host_weights / host_weights.sum())
+        self._host_cdfs: dict[int, np.ndarray] = {
+            size: _zipf_cdf(size, config.name_zipf_alpha)
+            for size in np.unique(self._host_counts).tolist()
+        }
+        self._qtype_table = _object_array(
+            [rrtype for rrtype, _ in config.qtype_mix]
+        )
 
     # -- public ---------------------------------------------------------------
 
+    @paused_collector()
     def generate(self, name: str, stream: int = 0) -> Trace:
-        """Produce one trace; ``stream`` decorrelates TRC1..TRCn."""
+        """Produce one trace; ``stream`` decorrelates TRC1..TRCn.
+
+        The ``rng`` calls below — which, in what order, of what size — fix
+        the trace; everything after the last of them only rearranges what
+        was drawn.  The collector is paused for the call: the rows are
+        hundreds of thousands of frozen, acyclic objects, and a collector
+        left on re-walks them (and the whole hierarchy) some ten times
+        while they are being made.
+        """
         config = self.config
         rng = np.random.default_rng((self._seed, stream, 0xD25))
         times = self._arrival_times(rng)
@@ -132,27 +188,42 @@ class TraceGenerator:
             len(qtypes), size=count, p=np.asarray(qtype_weights)
         )
 
+        host_positions = self._host_positions(zone_indices, host_draws)
+        # Four columns feed the rows.  The others go now, so that the row
+        # list grows into the room they leave instead of on top of it.
+        del shared_mask, private_mask, slot, zone_indices, host_draws
         queries: list[TraceQuery] = []
-        hosts = self._hosts
-        host_cdfs = self._host_cdfs
-        for position in range(count):
-            zone_index = int(zone_indices[position])
-            zone_hosts = hosts[zone_index]
-            cdf = host_cdfs[len(zone_hosts)]
-            host_index = int(np.searchsorted(cdf, host_draws[position]))
-            queries.append(
-                TraceQuery(
-                    time=float(times[position]),
-                    client_id=int(clients[position]),
-                    qname=zone_hosts[host_index],
-                    rrtype=qtypes[int(type_indices[position])],
-                )
-            )
+        for begin in range(0, count, ROW_CHUNK):
+            chunk = slice(begin, begin + ROW_CHUNK)
+            # tolist() boxes to plain float/int: no numpy scalar reaches a
+            # row, and from there the metrics or a JSON dump.
+            queries.extend(map(
+                TraceQuery,
+                times[chunk].tolist(),
+                clients[chunk].tolist(),
+                self._flat_hosts[host_positions[chunk]].tolist(),
+                self._qtype_table[type_indices[chunk]].tolist(),
+            ))
         return Trace(
             name=name, duration=config.duration_days * DAY, queries=queries
         )
 
     # -- internals ---------------------------------------------------------------
+
+    def _host_positions(
+        self, zone_indices: np.ndarray, host_draws: np.ndarray
+    ) -> np.ndarray:
+        """Where in ``_flat_hosts`` each query's name is.
+
+        A query's draw picks a rank within its zone by that zone's host
+        CDF: one ``searchsorted`` per distinct list size covers them all.
+        """
+        host_counts = self._host_counts[zone_indices]
+        positions: np.ndarray = self._host_starts[zone_indices]
+        for size, cdf in self._host_cdfs.items():
+            rows = np.flatnonzero(host_counts == size)
+            positions[rows] += np.searchsorted(cdf, host_draws[rows])
+        return positions
 
     def _arrival_times(self, rng: np.random.Generator) -> np.ndarray:
         """Diurnal non-homogeneous Poisson arrivals over the full duration.

@@ -98,8 +98,10 @@ def _write_stream(trace: Trace, handle: IO[str]) -> None:
     handle.write(f"# trace {trace.name} duration {trace.duration}\n")
     handle.write("# time_seconds client_id qname qtype\n")
     for query in trace.queries:
+        # repr, not a fixed precision: the file must replay like the trace
+        # it was written from, and a rounded time reorders cache expiries.
         handle.write(
-            f"{query.time:.4f} {query.client_id} {query.qname} "
+            f"{query.time!r} {query.client_id} {query.qname} "
             f"{query.rrtype.name}\n"
         )
 

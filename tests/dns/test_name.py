@@ -1,5 +1,7 @@
 """Unit + property tests for domain names."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,6 +113,22 @@ class TestValueSemantics:
     def test_hash_consistency(self):
         name = Name.from_text("x.org")
         assert hash(name) == hash(Name(("x", "org")))
+
+    def test_equal_labels_are_one_object_however_made(self):
+        """Identity is the only equality Name has, so every constructor
+        must hand back the interned instance."""
+        name = Name.from_text("www.one.example")
+        assert Name.from_text("WWW.One.Example.") is name
+        assert Name.from_text("one.example").child("www") is name
+        assert Name.from_text("deep.www.one.example").parent() is name
+        assert Name.from_text("deep.www.one.example").ancestors()[1] is name
+        assert Name.__eq__ is object.__eq__ and Name.__hash__ is object.__hash__
+
+    def test_pickle_round_trip_is_the_original(self):
+        name = Name.from_text("pickled.example")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(name, protocol)) is name
+        assert pickle.loads(pickle.dumps({name: [name]})) == {name: [name]}
 
     def test_ordering_is_by_reversed_labels(self):
         # Canonical DNS order sorts by rightmost label first.

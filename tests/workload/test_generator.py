@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
+from repro.experiments.scenarios import Scale, make_scenario
 from repro.workload.generator import DAY, TraceGenerator, WorkloadConfig
 
 
@@ -87,6 +89,46 @@ class TestGeneration:
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
             TraceGenerator({}, small_config())
+
+    def test_catalog_without_any_host_rejected(self):
+        empty = {Name.from_text("a.test"): [], Name.from_text("b.test"): []}
+        with pytest.raises(ValueError, match="catalog has no queryable hosts"):
+            TraceGenerator(empty, small_config())
+
+    def test_hostless_zones_are_never_queried(self, catalog):
+        hostless = [Name.from_text(f"empty{index}.test") for index in range(20)]
+        mixed = {**catalog, **{zone: [] for zone in hostless}}
+        generator = TraceGenerator(mixed, small_config(), seed=3)
+        assert not set(hostless) & set(generator._zones)
+        trace = generator.generate("T")
+        hosts = {host for hosts in catalog.values() for host in hosts}
+        assert len(trace) > 0 and all(query.qname in hosts for query in trace)
+
+
+class TestCdfTail:
+    """A Zipf CDF's float sum can stop short of 1.0; the largest draw must
+    still land on the last rank, not one past it."""
+
+    TOP_DRAW = np.nextafter(1.0, 0.0)
+
+    @pytest.fixture(scope="class")
+    def generator(self):
+        scenario = make_scenario(Scale.SMALL, seed=7)
+        return TraceGenerator(scenario.built.catalog, WorkloadConfig(), seed=7)
+
+    def test_every_cdf_ends_at_exactly_one(self, generator):
+        cdfs = [generator._zone_cdf, *generator._host_cdfs.values()]
+        assert len(cdfs) > 5
+        for cdf in cdfs:
+            assert cdf[-1] == 1.0
+            assert np.searchsorted(cdf, self.TOP_DRAW) == len(cdf) - 1
+            assert np.all(np.diff(cdf) > 0)
+
+    def test_top_draw_picks_each_zones_last_host(self, generator):
+        zones = np.arange(len(generator._zones))
+        draws = np.full(len(zones), self.TOP_DRAW)
+        picked = generator._flat_hosts[generator._host_positions(zones, draws)]
+        assert picked.tolist() == [hosts[-1] for hosts in generator._hosts]
 
 
 class TestConfigValidation:

@@ -3,8 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.schemes import parse_scheme
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
+from repro.experiments.harness import AttackSpec, run_replay
+from repro.experiments.scenarios import Scale, make_scenario
 from repro.workload.trace import (
     Trace,
     TraceQuery,
@@ -69,6 +72,19 @@ class TestTextFormat:
         assert len(loaded) == len(trace)
         assert loaded.queries[0].qname == trace.queries[0].qname
 
+    def test_written_trace_replays_like_the_one_in_memory(self, tmp_path):
+        """Times survive the file exactly, so the replay's outcome does too."""
+        scenario = make_scenario(Scale.TINY, seed=7)
+        trace = scenario.trace("TRC1")
+        path = tmp_path / "trc1.txt"
+        write_trace(trace, path)
+        loaded = read_trace(path)
+        assert loaded.queries == trace.queries
+        config = parse_scheme("a-lfu:5")
+        in_memory = run_replay(scenario.built, trace, config, attack=AttackSpec())
+        from_file = run_replay(scenario.built, loaded, config, attack=AttackSpec())
+        assert from_file.metrics == in_memory.metrics
+
     def test_qtype_preserved(self, tmp_path):
         trace = Trace("T", 10.0, [
             TraceQuery(1.0, 0, Name.from_text("a.z.test"), RRType.MX)
@@ -120,4 +136,4 @@ class TestTextFormat:
             assert parsed.qname == original.qname
             assert parsed.client_id == original.client_id
             assert parsed.rrtype == original.rrtype
-            assert parsed.time == pytest.approx(original.time, abs=1e-4)
+            assert parsed.time == original.time
