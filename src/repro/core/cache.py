@@ -16,10 +16,11 @@ Semantics that matter for the paper:
 
 from __future__ import annotations
 
+import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.dns.name import Name, name_for_id
 from repro.dns.ranking import Rank
@@ -89,9 +90,16 @@ class CacheEntry:
         return max(0.0, self.expires_at - now)
 
 
-@dataclass(frozen=True, slots=True)
-class PutResult:
-    """What a ``put`` did, so callers can react (gap tracking, timers)."""
+class PutResult(NamedTuple):
+    """What a ``put`` did, so callers can react (gap tracking, timers).
+
+    A ``NamedTuple`` rather than a frozen dataclass: one is built per
+    ``put``, and ``tuple.__new__`` fills all six fields in one C call
+    where a frozen dataclass pays one ``object.__setattr__`` per field.
+    The field order is part of the contract — ``put``'s early returns
+    and the validation oracle build results positionally, and the
+    differential cache compares the two with ``==``.
+    """
 
     stored: bool
     """Whether the cache now holds the offered data (stored or refreshed)."""
@@ -112,7 +120,16 @@ class PutResult:
     """The (possibly unchanged) expiry now in effect for the key."""
 
 
-_NOT_STORED = PutResult(False, False, False, None, None, None)
+class NegativeVerdict(enum.Enum):
+    """Which negative answer a negative entry holds (RFC 2308 §2).
+
+    The two must replay as themselves: NXDOMAIN says the whole name is
+    absent (a stub may drop every type under it), NODATA only that this
+    type is.
+    """
+
+    NXDOMAIN = "nxdomain"
+    NODATA = "nodata"
 
 
 class DnsCache:
@@ -140,7 +157,7 @@ class DnsCache:
         # `cache_key`), not (Name, RRType) tuples: the public API still
         # speaks Names, but storage and every hot lookup run on ints.
         self._entries: dict[int, CacheEntry] = {}
-        self._negative: dict[int, float] = {}
+        self._negative: dict[int, tuple[float, NegativeVerdict]] = {}
         self.max_effective_ttl = max_effective_ttl
         self.max_entries = max_entries
         self.evictions = 0
@@ -574,14 +591,36 @@ class DnsCache:
 
     # -- negative entries ------------------------------------------------------
 
-    def put_negative(self, name: Name, rrtype: RRType, now: float, ttl: float) -> None:
-        """Cache an NXDOMAIN / NODATA outcome for ``ttl`` seconds."""
-        self._negative[(name.iid << RRTYPE_BITS) | rrtype] = now + ttl
+    def put_negative(
+        self,
+        name: Name,
+        rrtype: RRType,
+        now: float,
+        ttl: float,
+        verdict: NegativeVerdict = NegativeVerdict.NXDOMAIN,
+    ) -> None:
+        """Cache a negative answer for ``ttl`` seconds.
 
-    def get_negative(self, name: Name, rrtype: RRType, now: float) -> bool:
-        """Whether a live negative entry covers (name, type)."""
-        expiry = self._negative.get((name.iid << RRTYPE_BITS) | rrtype)
-        return expiry is not None and now < expiry
+        ``verdict`` says which one — the name does not exist, or it
+        exists without this type — and is what :meth:`get_negative`
+        hands back while the entry lives; a later put under the same
+        key replaces both the verdict and the countdown.
+        """
+        self._negative[(name.iid << RRTYPE_BITS) | rrtype] = (now + ttl, verdict)
+
+    def get_negative(
+        self, name: Name, rrtype: RRType, now: float
+    ) -> NegativeVerdict | None:
+        """The verdict of the live negative entry for (name, type), or None.
+
+        Both verdicts are truthy, so ``if cache.get_negative(...)`` still
+        reads "is a negative answer cached"; a caller that answers from
+        the entry must replay the verdict it holds, not assume NXDOMAIN.
+        """
+        held = self._negative.get((name.iid << RRTYPE_BITS) | rrtype)
+        if held is None or now >= held[0]:
+            return None
+        return held[1]
 
     # -- zone-oriented views -----------------------------------------------------
 
@@ -685,7 +724,7 @@ class DnsCache:
                 self._end_taint(key, min(now, entry.expires_at), cured=False)
         doomed_negative = [
             key
-            for key, expiry in self._negative.items()
+            for key, (expiry, _verdict) in self._negative.items()
             if expiry + older_than <= now
         ]
         for key in doomed_negative:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.core.budget import FetchBudget
-from repro.core.cache import DnsCache
+from repro.core.cache import DnsCache, NegativeVerdict
 from repro.core.clock import Clock, as_clock
 from repro.core.config import ResilienceConfig
 from repro.core.renewal import RenewalManager
@@ -62,17 +61,21 @@ class ResolutionOutcome(enum.Enum):
     """The data was obtained but the DNSSEC chain could not be
     established (a SERVFAIL to the stub — counts as a failed lookup)."""
 
-    @property
-    def failed(self) -> bool:
-        return self in (
-            ResolutionOutcome.FAILURE,
-            ResolutionOutcome.VALIDATION_FAILURE,
-        )
+    def __init__(self, label: str) -> None:
+        self.failed: bool = label in ("failure", "validation-failure")
+        """Whether the stub got no usable answer (a SERVFAIL).  Fixed
+        per member when the class is built: every stub query reads it,
+        so it is an attribute, not a membership test per call."""
 
 
-@dataclass(frozen=True, slots=True)
-class Resolution:
-    """A stub query's result: outcome plus the answer set, if any."""
+class Resolution(NamedTuple):
+    """A stub query's result: outcome plus the answer set, if any.
+
+    A ``NamedTuple`` like the other per-operation records
+    (:class:`~repro.core.cache.PutResult`,
+    :class:`~repro.simulation.network.QueryResult`): one is built per
+    stub query, and a tuple is filled in one C call.
+    """
 
     outcome: ResolutionOutcome
     answer: RRset | None = None
@@ -82,11 +85,15 @@ class Resolution:
         return self.outcome.failed
 
 
-# Internal fetch verdicts (subset of outcomes).
+# The outcomes as module constants: the stub path tests them by identity
+# and `_fetch` returns four of them as its verdicts.
+_CACHE_HIT = ResolutionOutcome.CACHE_HIT
 _ANSWERED = ResolutionOutcome.ANSWERED
 _NXDOMAIN = ResolutionOutcome.NXDOMAIN
 _NODATA = ResolutionOutcome.NODATA
+_STALE_HIT = ResolutionOutcome.STALE_HIT
 _FAILURE = ResolutionOutcome.FAILURE
+_VALIDATION_FAILURE = ResolutionOutcome.VALIDATION_FAILURE
 
 
 class CachingServer:
@@ -230,9 +237,11 @@ class CachingServer:
     def _question_for(self, qname: Name, rrtype: RRType) -> Question:
         """The memoized Question for (qname, rrtype).
 
-        Questions are frozen and recur for the whole replay; reusing one
-        object per key keeps its memoized wire size warm and avoids the
-        per-query allocation.
+        Asked only where a fetch is about to go upstream (`resolve`'s
+        miss branch, the SWR and renewal refetches): a Question is what
+        `_query_zone` sends and sizes, so one object per key keeps its
+        memoized wire size warm across every query that needs it.  A
+        cache hit never builds or looks one up.
         """
         key = (qname.iid << RRTYPE_BITS) | rrtype
         question = self._questions.get(key)
@@ -244,37 +253,44 @@ class CachingServer:
     def handle_stub_query(
         self, qname: Name, rrtype: RRType, now: float
     ) -> Resolution:
-        """Resolve one stub-resolver query, recording SR metrics."""
+        """Resolve one stub-resolver query, recording SR metrics.
+
+        The one stub-query path, hit or miss, replay or `repro serve`.
+        The outcome is read once and `record_sr_query` gets its five
+        flags positionally, so a hit on an idle engine is six Python
+        calls end to end: `advance_to`, this method, `resolve`, the
+        cache's `get`, the `Resolution` tuple, `record_sr_query`.
+        """
         obs = self.observer
         if obs is not None:
             obs.emit(EventKind.STUB_QUERY, now,
                      name=str(qname), rrtype=rrtype.name)
         if self._fetch_budget is not None:
             self._fetch_budget.reset()
-        question = self._question_for(qname, rrtype)
-        resolution = self.resolve(question, now)
+        resolution = self.resolve(qname, rrtype, now)
+        outcome = resolution.outcome
         if (
             self.config.dnssec_validation
-            and not resolution.failed
-            and resolution.outcome is not ResolutionOutcome.NXDOMAIN
+            and not outcome.failed
+            and outcome is not _NXDOMAIN
             and not self._chain_keys_available(qname, now)
         ):
-            resolution = Resolution(ResolutionOutcome.VALIDATION_FAILURE)
+            outcome = _VALIDATION_FAILURE
+            resolution = Resolution(outcome)
+        failed = outcome.failed
         self.metrics.record_sr_query(
             now,
-            failed=resolution.failed,
-            cache_hit=resolution.outcome is ResolutionOutcome.CACHE_HIT,
-            nxdomain=resolution.outcome is ResolutionOutcome.NXDOMAIN,
-            validation_failed=(
-                resolution.outcome is ResolutionOutcome.VALIDATION_FAILURE
-            ),
-            stale=resolution.outcome is ResolutionOutcome.STALE_HIT,
+            failed,
+            outcome is _CACHE_HIT,
+            outcome is _NXDOMAIN,
+            outcome is _VALIDATION_FAILURE,
+            outcome is _STALE_HIT,
         )
         if obs is not None:
             obs.emit(EventKind.STUB_OUTCOME, now,
                      name=str(qname), rrtype=rrtype.name,
-                     outcome=resolution.outcome.value,
-                     failed=resolution.failed)
+                     outcome=outcome.value,
+                     failed=failed)
         return resolution
 
     def handle_attack_query(
@@ -292,8 +308,7 @@ class CachingServer:
         if self._fetch_budget is not None:
             self._fetch_budget.reset()
         before = metrics.cs_demand_queries
-        question = self._question_for(qname, rrtype)
-        resolution = self.resolve(question, now)
+        resolution = self.resolve(qname, rrtype, now)
         provoked = metrics.cs_demand_queries - before
         metrics.attack_stub_queries += 1
         metrics.attack_cs_queries += provoked
@@ -306,30 +321,36 @@ class CachingServer:
 
     def resolve(
         self,
-        question: Question,
+        qname: Name,
+        rrtype: RRType,
         now: float,
         depth: int = 0,
         stack: frozenset[Name] = frozenset(),
     ) -> Resolution:
-        """Resolve ``question``, using the cache and the network.
+        """Resolve ``(qname, rrtype)``, using the cache and the network.
 
         Does not record SR metrics (so NS-address sub-resolutions don't
         pollute end-user statistics); ``handle_stub_query`` does.
+
+        Takes the name and type, not a :class:`Question`: a cached
+        answer (positive, negative or CNAME step) needs neither the
+        object nor its wire size, so the question is looked up only on
+        the branch that is about to ``_fetch``.  A live negative entry
+        replays the verdict it was filed with — a cached NODATA answers
+        NODATA, never NXDOMAIN (RFC 2308 §2.2).
         """
-        qname = question.name
         fetched = False
         for _ in range(self.config.max_cname_chain):
-            cached = self.cache.get(qname, question.rrtype, now)
+            cached = self.cache.get(qname, rrtype, now)
             if cached is not None:
-                outcome = (
-                    ResolutionOutcome.ANSWERED
-                    if fetched
-                    else ResolutionOutcome.CACHE_HIT
+                return Resolution(_ANSWERED if fetched else _CACHE_HIT, cached)
+            negative = self.cache.get_negative(qname, rrtype, now)
+            if negative is not None:
+                return Resolution(
+                    _NODATA if negative is NegativeVerdict.NODATA
+                    else _NXDOMAIN
                 )
-                return Resolution(outcome, cached)
-            if self.cache.get_negative(qname, question.rrtype, now):
-                return Resolution(ResolutionOutcome.NXDOMAIN)
-            if question.rrtype != RRType.CNAME:
+            if rrtype != RRType.CNAME:
                 cname = self.cache.get(qname, RRType.CNAME, now)
                 if cname is not None:
                     target = cname.records[0].data
@@ -343,47 +364,38 @@ class CachingServer:
             grace = self.config.swr_grace
             if grace is not None and not fetched:
                 stale = self.cache.get_stale(
-                    qname, question.rrtype, now, max_stale=grace
+                    qname, rrtype, now, max_stale=grace
                 )
                 if stale is not None:
                     # Stale-while-revalidate: answer from the lapsed
                     # entry now, refresh it off the critical path.
-                    if self._schedule_refetch(qname, question.rrtype, now):
+                    if self._schedule_refetch(qname, rrtype, now):
                         self.metrics.swr_refreshes += 1
                         if self.observer is not None:
                             self.observer.emit(
                                 EventKind.CACHE_SWR_REFRESH, now,
                                 qname=str(qname),
-                                rrtype=question.rrtype.name,
+                                rrtype=rrtype.name,
                             )
-                    return Resolution(ResolutionOutcome.STALE_HIT, stale)
+                    return Resolution(_STALE_HIT, stale)
 
-            fetch_question = (
-                question if qname is question.name
-                else self._question_for(qname, question.rrtype)
-            )
-            verdict = self._fetch(fetch_question, now, depth, stack)
+            question = self._question_for(qname, rrtype)
+            verdict = self._fetch(question, now, depth, stack)
             if verdict is _FAILURE and self.config.serve_stale:
-                verdict = self._fetch(
-                    fetch_question, now, depth, stack, stale=True
-                )
+                verdict = self._fetch(question, now, depth, stack, stale=True)
                 if verdict is _FAILURE:
                     stale = self.cache.get_stale(
-                        qname, question.rrtype, now,
+                        qname, rrtype, now,
                         max_stale=self.config.serve_stale_max_age,
                     )
                     if stale is not None:
-                        return Resolution(ResolutionOutcome.STALE_HIT, stale)
-            if verdict is _FAILURE:
-                return Resolution(ResolutionOutcome.FAILURE)
-            if verdict is _NXDOMAIN:
-                return Resolution(ResolutionOutcome.NXDOMAIN)
-            if verdict is _NODATA:
-                return Resolution(ResolutionOutcome.NODATA)
+                        return Resolution(_STALE_HIT, stale)
+            if verdict is not _ANSWERED:
+                return Resolution(verdict)
             fetched = True
             # ANSWERED: loop re-reads the cache; the answer may have been
             # a CNAME whose tail still needs chasing.
-        return Resolution(ResolutionOutcome.FAILURE)
+        return Resolution(_FAILURE)
 
     # ------------------------------------------------------------------
     # Iterative fetch
@@ -440,7 +452,7 @@ class CachingServer:
             if response.is_name_error():
                 self.cache.put_negative(
                     question.name, question.rrtype, now,
-                    self._negative_ttl(response),
+                    self._negative_ttl(response), NegativeVerdict.NXDOMAIN,
                 )
                 return _NXDOMAIN
             if response.answer:
@@ -477,7 +489,7 @@ class CachingServer:
             # Authoritative empty answer.
             self.cache.put_negative(
                 question.name, question.rrtype, now,
-                self._negative_ttl(response),
+                self._negative_ttl(response), NegativeVerdict.NODATA,
             )
             return _NODATA
         return _FAILURE
@@ -600,11 +612,11 @@ class CachingServer:
                 # ignored for renewal inside record_exchange).
                 record_exchange(
                     now,
-                    failed=message is None,
-                    renewal=renewal,
-                    bytes_out=question_size,
-                    bytes_in=message.wire_size() if message is not None else 0,
-                    latency=latency,
+                    message is None,
+                    renewal,
+                    question_size,
+                    message.wire_size() if message is not None else 0,
+                    latency,
                 )
                 if message is not None:
                     if obs is not None:
@@ -754,10 +766,7 @@ class CachingServer:
         if cap is not None:
             self._nxns_spent += 1
         sub = self.resolve(
-            self._question_for(server_name, RRType.A),
-            now,
-            depth + 1,
-            stack | {server_name},
+            server_name, RRType.A, now, depth + 1, stack | {server_name}
         )
         if sub.failed or sub.answer is None:
             return None
@@ -840,9 +849,7 @@ class CachingServer:
                 continue
             if self.cache.get(ancestor, RRType.DNSKEY, now) is not None:
                 continue
-            refetch = self.resolve(
-                self._question_for(ancestor, RRType.DNSKEY), now, depth=1
-            )
+            refetch = self.resolve(ancestor, RRType.DNSKEY, now, depth=1)
             if refetch.failed or refetch.answer is None:
                 return False
             if self.cache.get(ancestor, RRType.DNSKEY, now) is None:

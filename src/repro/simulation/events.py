@@ -122,8 +122,9 @@ class EventQueue:
         """True when no entries remain, cancelled or not — O(1).
 
         A queue holding only cancelled tombstones reports non-empty; the
-        caller's drain loop discards those.  This is the fast-path check
-        ``SimulationEngine.advance_to`` runs once per trace query.
+        caller's drain loop discards those.  ``SimulationEngine.advance_to``
+        makes this same test once per trace query, inlined on ``_heap``
+        to save the call; the two must keep meaning the same thing.
         """
         return not self._heap
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.dns.errors import LameDelegationError
 from repro.dns.message import Message, Question
@@ -60,10 +61,11 @@ class LatencyModel:
         return value
 
 
-@dataclass(frozen=True)
-class QueryResult:
+class QueryResult(NamedTuple):
     """Outcome of one CS -> AN query attempt.
 
+    A ``NamedTuple`` (one is built per upstream exchange; a tuple is
+    filled in one C call, a frozen dataclass field by field).
     ``dropped_by`` names the fault-layer mechanism that swallowed the
     query (``"attack"``, ``"loss"`` or ``"flap"``); it stays None on the
     fault-free path so pre-fault event streams are unchanged.

@@ -29,7 +29,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.cache import CacheEntry, DnsCache, PutResult, cache_key, split_key
+from repro.core.cache import (
+    CacheEntry,
+    DnsCache,
+    NegativeVerdict,
+    PutResult,
+    cache_key,
+    split_key,
+)
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
 from repro.dns.records import RRset
@@ -195,14 +202,24 @@ class DifferentialCache(DnsCache):
         self._compare_occupancy(op, None)
         return primary
 
-    def put_negative(self, name: Name, rrtype: RRType, now: float, ttl: float) -> None:
+    def put_negative(
+        self,
+        name: Name,
+        rrtype: RRType,
+        now: float,
+        ttl: float,
+        verdict: NegativeVerdict = NegativeVerdict.NXDOMAIN,
+    ) -> None:
         self.op_index += 1
-        op = f"put_negative({name}/{rrtype.name}, now={now:g}, ttl={ttl:g})"
-        DnsCache.put_negative(self, name, rrtype, now, ttl)
-        self._oracle.put_negative(name, rrtype, now, ttl)
+        op = (f"put_negative({name}/{rrtype.name}, now={now:g}, ttl={ttl:g}, "
+              f"verdict={verdict.name})")
+        DnsCache.put_negative(self, name, rrtype, now, ttl, verdict)
+        self._oracle.put_negative(name, rrtype, now, ttl, verdict)
         self._compare_occupancy(op, now)
 
-    def get_negative(self, name: Name, rrtype: RRType, now: float) -> bool:
+    def get_negative(
+        self, name: Name, rrtype: RRType, now: float
+    ) -> NegativeVerdict | None:
         self.op_index += 1
         primary = DnsCache.get_negative(self, name, rrtype, now)
         oracle = self._oracle.get_negative(name, rrtype, now)
@@ -293,7 +310,7 @@ class DifferentialCache(DnsCache):
             )
         self._compare(
             "audit [negative entries]",
-            {split_key(k): expiry for k, expiry in self._negative.items()},
+            {split_key(k): held for k, held in self._negative.items()},
             oracle.snapshot_negatives(),
         )
         self._compare_occupancy("audit", now)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.cache import DnsCache
+from repro.core.cache import DnsCache, NegativeVerdict
 from repro.core.policies import LRUPolicy
 from repro.core.renewal import RenewalManager
 from repro.dns.name import Name
@@ -59,7 +59,7 @@ def apply_ops(cache: DifferentialCache, ops: tuple[Op, ...] | list[Op]) -> None:
     * ``("put", owner, rrtype, ttl, rank, now, refresh, data)``
     * ``("get", owner, rrtype, now)``
     * ``("get_stale", owner, rrtype, now, max_stale)``
-    * ``("put_negative", owner, rrtype, now, ttl)``
+    * ``("put_negative", owner, rrtype, now, ttl[, verdict])``
     * ``("get_negative", owner, rrtype, now)``
     * ``("remove", owner, rrtype)``
     * ``("purge", now, older_than)``
@@ -80,8 +80,9 @@ def apply_ops(cache: DifferentialCache, ops: tuple[Op, ...] | list[Op]) -> None:
             _, owner, rrtype, now, max_stale = op
             cache.get_stale(Name.from_text(owner), rrtype, now, max_stale)
         elif opcode == "put_negative":
-            _, owner, rrtype, now, ttl = op
-            cache.put_negative(Name.from_text(owner), rrtype, now, ttl)
+            _, owner, rrtype, now, ttl, *verdict = op
+            cache.put_negative(Name.from_text(owner), rrtype, now, ttl,
+                               *verdict)
         elif opcode == "get_negative":
             _, owner, rrtype, now = op
             cache.get_negative(Name.from_text(owner), rrtype, now)
@@ -272,6 +273,32 @@ CORPUS: tuple[CorpusCase, ...] = (
             ("check", 1.0),
         ),
     ),
+    CorpusCase(
+        name="negative-verdict-replayed",
+        rationale=(
+            "a negative entry holds NXDOMAIN or NODATA and must hand back "
+            "the one it was filed with; the old bare-bool entry replayed "
+            "every cached NODATA as NXDOMAIN (RFC 2308 keeps them apart)"
+        ),
+        max_entries=None,
+        max_effective_ttl=None,
+        ops=(
+            ("put", "host.test.", RRType.A, 100.0, Rank.AUTH_ANSWER, 0.0,
+             False, "10.0.0.1"),
+            ("put_negative", "host.test.", RRType.MX, 0.0, 30.0,
+             NegativeVerdict.NODATA),
+            ("put_negative", "ghost.test.", RRType.A, 0.0, 30.0,
+             NegativeVerdict.NXDOMAIN),
+            ("get_negative", "host.test.", RRType.MX, 1.0),
+            ("get_negative", "ghost.test.", RRType.A, 1.0),
+            # A later verdict under the same key replaces the earlier.
+            ("put_negative", "ghost.test.", RRType.A, 2.0, 30.0,
+             NegativeVerdict.NODATA),
+            ("get_negative", "ghost.test.", RRType.A, 3.0),
+            ("check", 3.0),
+            ("get_negative", "host.test.", RRType.MX, 30.0),
+        ),
+    ),
 )
 
 
@@ -420,6 +447,7 @@ _OWNERS = (
 _ZONE_OWNERS = ("z1.test.", "z2.test.", "z3.test.")
 _RRTYPES = (RRType.A, RRType.NS, RRType.AAAA, RRType.MX)
 _TTLS = (0.5, 1.0, 5.0, 20.0, 60.0, 300.0)
+_VERDICTS = tuple(NegativeVerdict)
 _RANKS = (Rank.ADDITIONAL, Rank.NON_AUTH_AUTHORITY, Rank.AUTH_AUTHORITY,
           Rank.AUTH_ANSWER)
 _A_DATA = ("10.0.0.1", "10.0.0.2")
@@ -450,7 +478,8 @@ def _random_op(rng: random.Random, now: float) -> Op:
         max_stale = rng.choice((None, 0.0, 1.0, 5.0, 30.0))
         return ("get_stale", owner, rrtype, read_now, max_stale)
     if roll < 0.72:
-        return ("put_negative", owner, rrtype, now, rng.choice(_TTLS))
+        return ("put_negative", owner, rrtype, now, rng.choice(_TTLS),
+                rng.choice(_VERDICTS))
     if roll < 0.78:
         return ("get_negative", owner, rrtype, read_now)
     if roll < 0.84:

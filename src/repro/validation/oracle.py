@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.cache import PutResult
+from repro.core.cache import NegativeVerdict, PutResult
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
 from repro.dns.records import RRset
@@ -67,8 +67,9 @@ class OracleCache:
         self.evictions = 0
         # Recency-ordered store: index 0 is the least recently used.
         self._store: list[tuple[Key, OracleEntry]] = []
-        # Negative entries as (key, expiry) pairs, insertion-ordered.
-        self._negatives: list[tuple[Key, float]] = []
+        # Negative entries as (key, (expiry, verdict)) pairs,
+        # insertion-ordered.
+        self._negatives: list[tuple[Key, tuple[float, NegativeVerdict]]] = []
 
     # -- linear-scan helpers --------------------------------------------------
 
@@ -249,19 +250,30 @@ class OracleCache:
 
     # -- negative entries -----------------------------------------------------
 
-    def put_negative(self, name: Name, rrtype: RRType, now: float, ttl: float) -> None:
+    def put_negative(
+        self,
+        name: Name,
+        rrtype: RRType,
+        now: float,
+        ttl: float,
+        verdict: NegativeVerdict = NegativeVerdict.NXDOMAIN,
+    ) -> None:
         key = (name, rrtype)
+        held = (now + ttl, verdict)
         index = self._negative_index_of(key)
         if index is None:
-            self._negatives.append((key, now + ttl))
+            self._negatives.append((key, held))
         else:
-            self._negatives[index] = (key, now + ttl)
+            self._negatives[index] = (key, held)
 
-    def get_negative(self, name: Name, rrtype: RRType, now: float) -> bool:
+    def get_negative(
+        self, name: Name, rrtype: RRType, now: float
+    ) -> NegativeVerdict | None:
         index = self._negative_index_of((name, rrtype))
         if index is None:
-            return False
-        return now < self._negatives[index][1]
+            return None
+        expiry, verdict = self._negatives[index][1]
+        return verdict if now < expiry else None
 
     # -- zone-oriented views --------------------------------------------------
 
@@ -319,7 +331,7 @@ class OracleCache:
             self._delete(key)
         doomed_negative = [
             key
-            for key, expiry in list(self._negatives)
+            for key, (expiry, _verdict) in list(self._negatives)
             if expiry + older_than <= now
         ]
         for key in doomed_negative:
@@ -334,6 +346,6 @@ class OracleCache:
         """Every positive key (live and tombstone), unsorted."""
         return [key for key, _ in self._store]
 
-    def snapshot_negatives(self) -> dict[Key, float]:
-        """Every negative entry's expiry, keyed."""
+    def snapshot_negatives(self) -> dict[Key, tuple[float, NegativeVerdict]]:
+        """Every negative entry's ``(expiry, verdict)``, keyed."""
         return dict(self._negatives)

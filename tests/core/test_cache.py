@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.cache import DnsCache, split_key
+from repro.core.cache import DnsCache, NegativeVerdict, split_key
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
 from repro.dns.records import ResourceRecord, RRset
@@ -136,6 +136,18 @@ class TestNegativeCache:
         cache = DnsCache()
         cache.put_negative(Name.from_text("a.x.test"), RRType.MX, 0.0, 300.0)
         assert not cache.get_negative(Name.from_text("a.x.test"), RRType.A, 10.0)
+
+    def test_negative_entry_hands_back_its_verdict(self):
+        cache = DnsCache()
+        host = Name.from_text("a.x.test")
+        cache.put_negative(host, RRType.MX, 0.0, 300.0, NegativeVerdict.NODATA)
+        cache.put_negative(host, RRType.A, 0.0, 300.0)
+        assert cache.get_negative(host, RRType.MX, 299.0) is NegativeVerdict.NODATA
+        assert cache.get_negative(host, RRType.A, 299.0) is NegativeVerdict.NXDOMAIN
+        assert cache.get_negative(host, RRType.MX, 300.0) is None
+        # A later answer under the same key replaces verdict and countdown.
+        cache.put_negative(host, RRType.MX, 300.0, 50.0, NegativeVerdict.NXDOMAIN)
+        assert cache.get_negative(host, RRType.MX, 349.0) is NegativeVerdict.NXDOMAIN
 
 
 class TestZoneViews:

@@ -62,6 +62,46 @@ class TestIterativeResolution:
         resolution = server.handle_stub_query(name("www.example.test."), RRType.MX, 0.0)
         assert resolution.outcome is ResolutionOutcome.NODATA
 
+    def test_cached_nodata_replays_as_nodata(self, mini):
+        # RFC 2308 §2.2: the name exists, only the type is missing.  The
+        # negative entry used to hold no verdict and every replay of it
+        # read NXDOMAIN — for a name whose A record was being served.
+        server, engine, network, metrics = make_stack(mini, ResilienceConfig.vanilla())
+        www = name("www.example.test.")
+        first = server.handle_stub_query(www, RRType.TXT, 0.0)
+        queries_after_first = metrics.cs_demand_queries
+        replays = [
+            server.handle_stub_query(www, RRType.TXT, now) for now in (1.0, 2.0)
+        ]
+        assert [r.outcome for r in (first, *replays)] == [ResolutionOutcome.NODATA] * 3
+        assert all(r.answer is None and not r.failed for r in replays)
+        assert metrics.cs_demand_queries == queries_after_first  # served negatively
+        assert metrics.sr_nxdomain == 0
+        # The name itself still answers.
+        assert not server.handle_stub_query(www, RRType.A, 3.0).failed
+
+    def test_both_negative_verdicts_lapse_at_the_negative_ttl(self, mini):
+        config = ResilienceConfig.vanilla()
+        server, engine, network, metrics = make_stack(mini, config)
+        www, ghost = name("www.example.test."), name("ghost.example.test.")
+        server.handle_stub_query(www, RRType.TXT, 0.0)
+        server.handle_stub_query(ghost, RRType.A, 0.0)
+        before = metrics.cs_demand_queries
+        last = config.negative_ttl - 1.0
+        assert server.handle_stub_query(www, RRType.TXT, last).outcome \
+            is ResolutionOutcome.NODATA
+        assert server.handle_stub_query(ghost, RRType.A, last).outcome \
+            is ResolutionOutcome.NXDOMAIN
+        assert metrics.cs_demand_queries == before
+        assert metrics.sr_nxdomain == 2  # the ghost, fresh and replayed
+        # At the TTL both entries are dead: each verdict is fetched anew.
+        lapsed = config.negative_ttl
+        assert server.handle_stub_query(www, RRType.TXT, lapsed).outcome \
+            is ResolutionOutcome.NODATA
+        assert server.handle_stub_query(ghost, RRType.A, lapsed).outcome \
+            is ResolutionOutcome.NXDOMAIN
+        assert metrics.cs_demand_queries > before
+
     def test_glueless_zone_resolves_via_provider(self, mini):
         server, engine, network, metrics = make_stack(mini, ResilienceConfig.vanilla())
         resolution = server.handle_stub_query(name("www.hosted.test."), RRType.A, 0.0)

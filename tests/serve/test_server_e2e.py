@@ -185,6 +185,39 @@ class TestUdpPath:
         assert decoded.message.answer == ()
         assert decoded.message.message_id == 77
 
+    def test_missing_type_is_noerror_nodata_fresh_and_from_the_cache(self):
+        """A host that has an A but no TXT: NOERROR with an empty answer
+        both times.  The second reply comes from the negative cache,
+        which used to replay every entry as NXDOMAIN — telling the stub
+        the whole name was gone (RFC 2308 §2.2 keeps the two apart)."""
+
+        async def run():
+            async with _front_end() as front_end:
+                name = front_end.sample_names(1)[0]
+                replies, upstream = [], []
+                for turn in range(2):
+                    replies.append(await _udp_query(
+                        front_end.udp_address,
+                        encode_query(Question(name, RRType.TXT), 90 + turn),
+                    ))
+                    upstream.append(
+                        front_end.server.metrics.cs_demand_queries
+                    )
+                address = await _udp_query(
+                    front_end.udp_address,
+                    encode_query(Question(name, RRType.A), 99),
+                )
+                return replies, upstream, address
+
+        replies, upstream, address = asyncio.run(run())
+        for turn, reply in enumerate(replies):
+            message = decode_message(reply).message
+            assert message.message_id == 90 + turn
+            assert message.rcode is Rcode.NOERROR
+            assert message.answer == ()
+        assert 0 < upstream[0] == upstream[1]  # the replay asked nobody
+        assert decode_message(address).message.answer != ()
+
     def test_mixed_case_qname_is_echoed_verbatim(self):
         """0x20-style case mixing must survive into the response's
         question section (clients compare the echoed octets)."""

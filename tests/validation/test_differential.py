@@ -9,7 +9,7 @@ operation.
 
 import pytest
 
-from repro.core.cache import DnsCache, cache_key
+from repro.core.cache import DnsCache, NegativeVerdict, cache_key
 from repro.core.renewal import RenewalManager
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
@@ -75,6 +75,15 @@ def _buggy_purge_expired(self, now, older_than=0.0):
         del self._entries[key]  # repro: ignore[REP008]
         self._count_out(key)
     return len(doomed)
+
+
+def _buggy_get_negative(self, name, rrtype, now):
+    # Pre-fix: the entry held no verdict, so every live negative entry —
+    # NODATA included — replayed as "the name does not exist".
+    held = self._negative.get(cache_key(name, rrtype))  # repro: ignore[REP008]
+    if held is None or now >= held[0]:
+        return None
+    return NegativeVerdict.NXDOMAIN
 
 
 def _silent_drop_on_timer(self, zone, now):
@@ -154,6 +163,27 @@ class TestCorpusCatchesReinjectedCacheBugs:
         message = str(excinfo.value)
         assert "negative-entries-purged" in message
         assert "purge_expired" in message
+
+    def test_cached_nodata_replayed_as_nxdomain(self, monkeypatch):
+        monkeypatch.setattr(DnsCache, "get_negative", _buggy_get_negative)
+        with pytest.raises(DivergenceError) as excinfo:
+            run_corpus()
+        message = str(excinfo.value)
+        assert "negative-verdict-replayed" in message
+        assert "get_negative(host.test./MX" in message
+
+    def test_audit_compares_the_negative_verdict(self):
+        # A verdict that drifts without any read noticing is still a
+        # state mismatch: the full-state audit compares it with the expiry.
+        cache = DifferentialCache()
+        ghost = Name.from_text("ghost.test.")
+        cache.put_negative(ghost, RRType.A, 0.0, 30.0, NegativeVerdict.NODATA)
+        cache.audit(1.0)
+        cache.oracle.put_negative(ghost, RRType.A, 0.0, 30.0,
+                                  NegativeVerdict.NXDOMAIN)
+        with pytest.raises(DivergenceError) as excinfo:
+            cache.audit(1.0)
+        assert "negative entries" in str(excinfo.value)
 
     def test_clean_build_passes(self):
         assert run_corpus() == len(CORPUS)

@@ -14,5 +14,6 @@ class TestFuzzRuns:
         assert first == second
 
     def test_corpus_is_green(self):
-        # 5 original cases + the PR-10 stale-boundary/invalidation pair.
-        assert run_corpus() == 7
+        # 5 original cases + the PR-10 stale-boundary/invalidation pair
+        # + the negative-verdict case.
+        assert run_corpus() == 8

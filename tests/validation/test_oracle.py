@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.cache import DnsCache
+from repro.core.cache import DnsCache, NegativeVerdict
 from repro.dns.name import Name
 from repro.dns.ranking import Rank
 from repro.dns.records import ResourceRecord, RRset
@@ -72,6 +72,18 @@ class TestOracleSemantics:
         oracle.put_negative(ghost, RRType.A, 100.0, 50.0)
         assert oracle.remove(ghost, RRType.A)
         assert not oracle.get_negative(ghost, RRType.A, 101.0)
+
+    def test_negative_entry_replays_the_verdict_it_was_filed_with(self):
+        oracle = OracleCache()
+        host = Name.from_text("www.x.test")
+        oracle.put_negative(host, RRType.MX, 0.0, 10.0, NegativeVerdict.NODATA)
+        oracle.put_negative(host, RRType.A, 0.0, 10.0)
+        assert oracle.get_negative(host, RRType.MX, 9.0) is NegativeVerdict.NODATA
+        assert oracle.get_negative(host, RRType.A, 9.0) is NegativeVerdict.NXDOMAIN
+        assert oracle.get_negative(host, RRType.MX, 10.0) is None
+        assert oracle.snapshot_negatives()[(host, RRType.MX)] == (
+            10.0, NegativeVerdict.NODATA
+        )
 
     def test_max_effective_ttl_caps_lifetime(self):
         oracle = OracleCache(max_effective_ttl=100.0)
