@@ -90,16 +90,6 @@ def bench_name_wire_length(benchmark):
     assert benchmark(qname.wire_length) == 32
 
 
-def bench_live_record_count(benchmark, warm_cache):
-    """Figure 12's occupancy probe — incremental, no longer an O(n) scan."""
-    times = iter(range(1, 50_000_000))
-
-    def count():
-        return warm_cache.live_record_count(100.0 + next(times) * 1e-6)
-
-    assert benchmark(count) == 500
-
-
 def bench_cold_resolution(benchmark):
     mini = build_mini_internet()
 
@@ -146,27 +136,3 @@ def bench_replay_throughput(benchmark):
 
     result = benchmark.pedantic(replay, rounds=1, iterations=1)
     assert result.metrics.sr_queries == len(trace)
-
-
-def bench_attack_schedule_lookup(benchmark):
-    """block_intensity on a many-window schedule — one bisect plus one
-    dict probe per CS→AN query, replacing the old linear window scan
-    (the attack-grid sweep calls this on every simulated query)."""
-    from repro.simulation.attack import AttackSchedule, AttackWindow
-
-    mini = build_mini_internet()
-    schedule = AttackSchedule(mini.tree)
-    for index in range(50):
-        start = index * 100.0
-        schedule.add_window(
-            AttackWindow(start, start + 150.0, frozenset([name("test.")]),
-                         intensity=0.5 + (index % 2) * 0.5)
-        )
-    address = mini.address_of("ns1.test.")
-    times = iter(range(1, 50_000_000))
-
-    def lookup():
-        return schedule.block_intensity(address, float(next(times) % 6000))
-
-    benchmark(lookup)
-    assert schedule.block_intensity(address, 50.0) > 0.0

@@ -17,8 +17,6 @@ Semantics that matter for the paper:
 from __future__ import annotations
 
 import enum
-import heapq
-import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -65,19 +63,6 @@ class CacheEntry:
     expires_at: float
     published_ttl: float
     """The TTL the authority published (pre-cap), for gap normalisation."""
-
-    # repro: memo(noop: field=noop_result,
-    #   depends=[rrset, rank, stored_at, expires_at, published_ttl],
-    #   invalidator=none)
-    noop_result: "PutResult | None" = field(
-        default=None, repr=False, compare=False
-    )
-    """Memoized not-stored :class:`PutResult` for identity re-offers.
-
-    Zone response caching means the same RRset object is re-offered to
-    the cache thousands of times while this entry is live; the no-op
-    result is identical every time, so it is built once and cleared
-    whenever the entry's expiry changes."""
 
     tainted: bool = field(default=False, compare=False)
     """Simulator ground truth: True when this entry came from a forged
@@ -161,22 +146,6 @@ class DnsCache:
         self.max_effective_ttl = max_effective_ttl
         self.max_entries = max_entries
         self.evictions = 0
-        # Incremental occupancy accounting: the live entry/record/zone
-        # counts are maintained on every put/remove, with expirations
-        # applied lazily from a min-heap of (expires_at, token, key) as
-        # the clock (monotone during a replay) moves forward.  `_counted`
-        # maps each counted key to its (token, record_count) so stale
-        # heap entries for overwritten keys are recognised and skipped.
-        # The whole machinery stays off (`_counting=False`, zero put-path
-        # cost) until the first occupancy query builds it from the store.
-        self._counting = False
-        self._counted: dict[int, tuple[int, int]] = {}
-        self._expiry_heap: list[tuple[float, int, int]] = []
-        self._tokens = itertools.count()
-        self._count_horizon = float("-inf")
-        self._live_entries = 0
-        self._live_records = 0
-        self._live_zones = 0
         # Poison-dwell accounting (DESIGN.md §16): key -> (taint time,
         # rank stored at, rank of the live untainted entry it displaced,
         # if any).  Stays empty — and every guard on it false — unless a
@@ -202,81 +171,6 @@ class DnsCache:
         entry = self._entries.pop(key)
         self._entries[key] = entry
 
-    # -- incremental occupancy bookkeeping ----------------------------------
-
-    def _count_in(self, key: int, entry: CacheEntry, now: float) -> None:
-        """Start counting ``entry`` as live (replacing any prior count)."""
-        if not self._counting:
-            return
-        self._count_out(key)
-        if entry.expires_at > now:
-            token = next(self._tokens)
-            nrecords = len(entry.rrset.records)
-            self._counted[key] = (token, nrecords)
-            self._live_entries += 1
-            self._live_records += nrecords
-            if key & _TYPE_MASK == _NS_CODE:
-                self._live_zones += 1
-            heapq.heappush(self._expiry_heap, (entry.expires_at, token, key))
-
-    def _count_out(self, key: int) -> None:
-        """Stop counting ``key`` if it is currently counted as live."""
-        if not self._counting:
-            return
-        info = self._counted.pop(key, None)
-        if info is not None:
-            self._live_entries -= 1
-            self._live_records -= info[1]
-            if key & _TYPE_MASK == _NS_CODE:
-                self._live_zones -= 1
-
-    def _build_counts(self, now: float) -> None:
-        """Switch counting on: census the store, then maintain incrementally."""
-        self._counting = True
-        self._counted.clear()
-        heap = []
-        entries = records = zones = 0
-        for key, entry in self._entries.items():
-            expires_at = entry.expires_at
-            if expires_at <= now:
-                continue
-            token = next(self._tokens)
-            nrecords = len(entry.rrset.records)
-            self._counted[key] = (token, nrecords)
-            heap.append((expires_at, token, key))
-            entries += 1
-            records += nrecords
-            if key & _TYPE_MASK == _NS_CODE:
-                zones += 1
-        heapq.heapify(heap)
-        self._expiry_heap = heap
-        self._live_entries = entries
-        self._live_records = records
-        self._live_zones = zones
-        self._count_horizon = now
-
-    def _sync_counts(self, now: float) -> bool:
-        """Apply every expiry up to ``now``; False when time ran backwards
-        (the caller then falls back to an exact scan)."""
-        if not self._counting:
-            self._build_counts(now)
-            return True
-        if now < self._count_horizon:
-            return False
-        self._count_horizon = now
-        heap = self._expiry_heap
-        counted = self._counted
-        while heap and heap[0][0] <= now:
-            _, token, key = heapq.heappop(heap)
-            info = counted.get(key)
-            if info is not None and info[0] == token:
-                del counted[key]
-                self._live_entries -= 1
-                self._live_records -= info[1]
-                if key & _TYPE_MASK == _NS_CODE:
-                    self._live_zones -= 1
-        return True
-
     def _end_taint(self, key: int, end: float, cured: bool) -> None:
         """Close a tainted entry's dwell interval (if one is open)."""
         info = self._tainted.pop(key, None)
@@ -300,7 +194,6 @@ class DnsCache:
             if len(self._entries) < self.max_entries:
                 break
             entry = self._entries.pop(key)
-            self._count_out(key)
             if self._tainted:
                 self._end_taint(key, min(now, entry.expires_at), cured=False)
             self.evictions += 1
@@ -322,7 +215,6 @@ class DnsCache:
                     oldest_key,
                 )
             del self._entries[oldest_key]
-            self._count_out(oldest_key)
             if self._tainted:
                 self._end_taint(oldest_key, now, cured=False)
             self.evictions += 1
@@ -368,16 +260,9 @@ class DnsCache:
             # is trivially true and equal rank always may_replace, which
             # pins down both slow-path outcomes exactly:
             if not refresh:
-                # ...without refresh it is a no-op returning the same
-                # not-stored result every time (memoized on the entry).
-                result = existing.noop_result
-                if result is None:
-                    result = PutResult(False, False, False,
-                                       existing.expires_at,
-                                       existing.published_ttl,
-                                       existing.expires_at)
-                    existing.noop_result = result
-                return result
+                # ...without refresh it is a no-op, not stored.
+                return PutResult(False, False, False, existing.expires_at,
+                                 existing.published_ttl, existing.expires_at)
             # ...with refresh the slow path would rebuild an identical
             # entry with a restarted countdown (published_ttl is
             # unchanged: it came from this very rrset object).  Restart
@@ -394,9 +279,6 @@ class DnsCache:
                 self._entries[key] = existing
             existing.stored_at = now
             existing.expires_at = new_expiry
-            existing.noop_result = None
-            if self._counting:
-                self._count_in(key, existing, now)
             return PutResult(True, True, False, previous_expiry,
                              existing.published_ttl, new_expiry)
         ttl = rrset.ttl
@@ -430,8 +312,6 @@ class DnsCache:
                     entry.tainted = True
                     self._tainted[key] = (now, rank, None)
                     self.poison_stored += 1
-            if self._counting:
-                self._count_in(key, entry, now)
             return PutResult(
                 stored=True,
                 refreshed=False,
@@ -490,8 +370,6 @@ class DnsCache:
                 entry.tainted = True
                 self._tainted[key] = (now, rank, displaced)
                 self.poison_stored += 1
-        if self._counting:
-            self._count_in(key, entry, now)
         return PutResult(
             stored=True,
             refreshed=same_data,
@@ -581,7 +459,6 @@ class DnsCache:
         removed_negative = self._negative.pop(key, None) is not None
         if self._entries.pop(key, None) is None:
             return removed_negative
-        self._count_out(key)
         if self._tainted and self._tainted.pop(key, None) is not None:
             # Removal has no timestamp, so no dwell sample — but the
             # poison is gone, which counts as a cure (delegation resets
@@ -655,15 +532,11 @@ class DnsCache:
     # -- occupancy -----------------------------------------------------------------
 
     def live_entry_count(self, now: float) -> int:
-        """Number of live RRset entries (O(expired) amortised, not O(n))."""
-        if self._sync_counts(now):
-            return self._live_entries
+        """Number of live RRset entries."""
         return sum(1 for entry in self._entries.values() if entry.is_live(now))
 
     def live_record_count(self, now: float) -> int:
         """Number of live individual records (Figure 12's currency)."""
-        if self._sync_counts(now):
-            return self._live_records
         return sum(
             len(entry.rrset)
             for entry in self._entries.values()
@@ -672,8 +545,6 @@ class DnsCache:
 
     def live_zone_count(self, now: float) -> int:
         """Zones whose NS set is currently live (Figure 12's zone series)."""
-        if self._sync_counts(now):
-            return self._live_zones
         return sum(
             1
             for key, entry in self._entries.items()
@@ -719,7 +590,6 @@ class DnsCache:
         ]
         for key in doomed:
             entry = self._entries.pop(key)
-            self._count_out(key)
             if self._tainted:
                 self._end_taint(key, min(now, entry.expires_at), cured=False)
         doomed_negative = [

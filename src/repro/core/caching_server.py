@@ -218,10 +218,6 @@ class CachingServer:
         # The root's server set never changes during a replay.
         self._root_ns_info = (root_hints.server_names(), root_hints.ns.ttl)
 
-        # Question objects are immutable and recur per (name, rrtype);
-        # reusing them keeps their memoized wire size warm.
-        self._questions: dict[int, Question] = {}
-
         # Demand contacts per zone (answered queries to its servers) —
         # the λ the analytical availability model consumes.
         self.zone_contact_counts: dict[Name, int] = {}
@@ -233,22 +229,6 @@ class CachingServer:
     # ------------------------------------------------------------------
     # Stub-facing API
     # ------------------------------------------------------------------
-
-    def _question_for(self, qname: Name, rrtype: RRType) -> Question:
-        """The memoized Question for (qname, rrtype).
-
-        Asked only where a fetch is about to go upstream (`resolve`'s
-        miss branch, the SWR and renewal refetches): a Question is what
-        `_query_zone` sends and sizes, so one object per key keeps its
-        memoized wire size warm across every query that needs it.  A
-        cache hit never builds or looks one up.
-        """
-        key = (qname.iid << RRTYPE_BITS) | rrtype
-        question = self._questions.get(key)
-        if question is None:
-            question = Question(qname, rrtype)
-            self._questions[key] = question
-        return question
 
     def handle_stub_query(
         self, qname: Name, rrtype: RRType, now: float
@@ -334,8 +314,8 @@ class CachingServer:
 
         Takes the name and type, not a :class:`Question`: a cached
         answer (positive, negative or CNAME step) needs neither the
-        object nor its wire size, so the question is looked up only on
-        the branch that is about to ``_fetch``.  A live negative entry
+        object nor its wire size, so the question is built only on the
+        branch that is about to ``_fetch``.  A live negative entry
         replays the verdict it was filed with — a cached NODATA answers
         NODATA, never NXDOMAIN (RFC 2308 §2.2).
         """
@@ -379,7 +359,7 @@ class CachingServer:
                             )
                     return Resolution(_STALE_HIT, stale)
 
-            question = self._question_for(qname, rrtype)
+            question = Question(qname, rrtype)
             verdict = self._fetch(question, now, depth, stack)
             if verdict is _FAILURE and self.config.serve_stale:
                 verdict = self._fetch(question, now, depth, stack, stale=True)
@@ -896,7 +876,7 @@ class CachingServer:
         if key in self._refetch_pending:
             return False
         self._refetch_pending.add(key)
-        question = self._question_for(qname, rrtype)
+        question = Question(qname, rrtype)
 
         def refetch(at: float) -> None:
             try:
@@ -946,7 +926,7 @@ class CachingServer:
         the refetch produced an authoritative NS answer (which, once
         ingested, restarts the TTL countdown).
         """
-        question = self._question_for(zone, RRType.NS)
+        question = Question(zone, RRType.NS)
         if self._fetch_budget is not None:
             # Renewal refetches are their own top-level work unit.
             self._fetch_budget.reset()

@@ -54,19 +54,9 @@ class Question:
     def __str__(self) -> str:
         return f"{self.name} {self.rrclass.name} {self.rrtype.name}"
 
-    # Fill-only memo on a frozen class: nothing may mutate the
-    # dependency fields, so no invalidator exists by construction.
-    # repro: memo(wire_size: field=_wire_size, depends=[name],
-    #   invalidator=none)
-    _wire_size: int = field(default=-1, init=False, repr=False, compare=False)
-
     def wire_size(self) -> int:
         """Approximate query size in octets (header + question)."""
-        size = self._wire_size
-        if size < 0:
-            size = 12 + self.name.wire_length() + 4
-            object.__setattr__(self, "_wire_size", size)  # repro: ignore[REP006]
-        return size
+        return 16 + self.name.wire_length()
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,17 +82,12 @@ class Message:
     # Memo slots: responses are immutable, and with authoritative-side
     # response caching the same Message object is served (and ingested)
     # many times, so size/section walks are paid once per object.
-    # All three are fill-only memos on a frozen class — `repro audit`
+    # Both are fill-only memos on a frozen class — `repro audit`
     # (REP010) proves no code mutates their dependency fields.
     # repro: memo(wire_size: field=_wire_size,
     #   depends=[question, answer, authority, additional],
     #   invalidator=none)
     _wire_size: int = field(default=-1, init=False, repr=False, compare=False)
-    # repro: memo(sections: field=_sections,
-    #   depends=[answer, authority, additional], invalidator=none)
-    _sections: tuple[RRset, ...] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     # repro: memo(plan: field=_plan,
     #   depends=[answer, authority, additional, authoritative],
     #   invalidator=none)
@@ -146,11 +131,7 @@ class Message:
 
     def all_rrsets(self) -> tuple[RRset, ...]:
         """Every RRset in the message, section order preserved."""
-        sections = self._sections
-        if sections is None:
-            sections = self.answer + self.authority + self.additional
-            object.__setattr__(self, "_sections", sections)  # repro: ignore[REP006]
-        return sections
+        return self.answer + self.authority + self.additional
 
     def record_count(self) -> int:
         """Total records across all three sections."""

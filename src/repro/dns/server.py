@@ -35,17 +35,10 @@ class AuthoritativeServer:
         self.name = name
         self.address = address
         self._zones: dict[Name, Zone] = {}
-        # qname iid -> deepest hosted zone (or None); cleared whenever the
-        # served-zone set changes.  The ancestor walk is short but sits on
-        # the hot path of every single answered query.
-        # repro: memo(deepest: field=_deepest, depends=[_zones],
-        #   invalidator=none)
-        self._deepest: dict[int, Zone | None] = {}
 
     def serve_zone(self, zone: Zone) -> None:
         """Register this server as authoritative for ``zone``."""
         self._zones[zone.name] = zone
-        self._deepest.clear()
 
     def withdraw_zone(self, zone_name: Name) -> bool:
         """Stop answering for a zone (delegation moved elsewhere).
@@ -55,7 +48,6 @@ class AuthoritativeServer:
         exactly like a decommissioned-but-running production server.
         Returns whether the zone was being served.
         """
-        self._deepest.clear()
         return self._zones.pop(zone_name, None) is not None
 
     def zones_served(self) -> tuple[Name, ...]:
@@ -68,19 +60,12 @@ class AuthoritativeServer:
 
     def deepest_zone_for(self, qname: Name) -> Zone | None:
         """The most specific hosted zone whose bailiwick contains ``qname``."""
-        memo = self._deepest
-        iid = qname.iid
-        if iid in memo:
-            return memo[iid]
-        found: Zone | None = None
         zones = self._zones
         for ancestor in qname.ancestors():
             zone = zones.get(ancestor)
             if zone is not None:
-                found = zone
-                break
-        memo[iid] = found
-        return found
+                return zone
+        return None
 
     # -- answering --------------------------------------------------------
 
@@ -155,7 +140,10 @@ class AuthoritativeServer:
                 continue
             break
 
-        authority, additional = self._infrastructure_sections(zone)
+        # Every authoritative response carries the zone's own IRRs;
+        # whether the cache uses them to refresh TTLs is the
+        # resolver-side policy the paper studies.
+        authority, additional = zone.infrastructure_sections()
         if answer_sets:
             return Message(
                 question=question,
@@ -187,17 +175,6 @@ class AuthoritativeServer:
             authority=negative_authority,
             additional=(),
         )
-
-    @staticmethod
-    def _infrastructure_sections(
-        zone: Zone,
-    ) -> tuple[tuple[RRset, ...], tuple[RRset, ...]]:
-        """The zone's own IRRs as (authority, additional) sections.
-
-        Every authoritative response carries these; whether the cache uses
-        them to refresh TTLs is the resolver-side policy the paper studies.
-        """
-        return zone.infrastructure_sections()
 
     def __repr__(self) -> str:
         return f"AuthoritativeServer({self.name} @ {self.address}, zones={len(self._zones)})"

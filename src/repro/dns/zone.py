@@ -43,8 +43,6 @@ class Zone:
     # repro: memo(response: field=_response_cache,
     #   depends=[_apex_irrs, _rrsets, _delegations, _existing_names,
     #   soa_minimum], invalidator=_invalidate_response_cache)
-    # repro: memo(irr_sections: field=_irr_sections,
-    #   depends=[_apex_irrs], invalidator=_invalidate_response_cache)
 
     def __init__(
         self,
@@ -58,7 +56,6 @@ class Zone:
         self._apex_irrs = apex_irrs
         self._rrsets = rrsets
         self._delegations = delegations
-        self._irr_sections: tuple[tuple[RRset, ...], tuple[RRset, ...]] | None = None
         # Memoized responses keyed by packed (qname iid, rrtype) question
         # key.  Zone content only changes through the operator-action
         # methods below, each of which clears this; replay traffic asks
@@ -90,14 +87,13 @@ class Zone:
         # __init__ the cache is empty, so the clear is a no-op there.
         self._invalidate_response_cache()
 
-    @invalidates("response", "irr_sections")
+    @invalidates("response")
     def _invalidate_response_cache(self) -> None:
-        """Drop every memoized view of zone content.
+        """Drop every memoized response.
 
         The single funnel all operator actions go through; `repro audit`
         proves each dependency-field mutator reaches it.
         """
-        self._irr_sections = None
         self._response_cache.clear()
 
     # -- reads -----------------------------------------------------------
@@ -112,16 +108,11 @@ class Zone:
         return self._rrsets.get((self.name, RRType.SOA))
 
     def infrastructure_sections(self) -> tuple[tuple[RRset, ...], tuple[RRset, ...]]:
-        """The apex IRRs as (authority, additional) response sections.
-
-        Cached because every authoritative answer carries them.
-        """
-        if self._irr_sections is None:
-            irrs = self._apex_irrs
-            # DNSSEC IRRs (paper §6) ride the additional section so the
-            # refresh/renewal machinery sees them with every answer.
-            self._irr_sections = ((irrs.ns,), irrs.glue + irrs.dnssec)
-        return self._irr_sections
+        """The apex IRRs as (authority, additional) response sections."""
+        irrs = self._apex_irrs
+        # DNSSEC IRRs (paper §6) ride the additional section so the
+        # refresh/renewal machinery sees them with every answer.
+        return (irrs.ns,), irrs.glue + irrs.dnssec
 
     def cached_response(self, question_key: int) -> Message | None:
         """A memoized response for a packed question key, if one is stored."""

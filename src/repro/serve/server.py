@@ -150,22 +150,29 @@ class DnsFrontEnd:
         )
         self._resolver.start()
         spec = self.spec
-        self._udp_transport, _ = await loop.create_datagram_endpoint(
-            lambda: _UdpProtocol(self),
-            local_addr=(spec.host, spec.port),
-        )
-        sockname = self._udp_transport.get_extra_info("sockname")
-        self.udp_address = (sockname[0], sockname[1])
-        # TCP binds the port UDP actually got (matters when port=0).
-        self._tcp_server = await asyncio.start_server(
-            self._on_tcp, spec.host, self.udp_address[1]
-        )
-        if spec.metrics_port >= 0:
-            self._metrics_server = await start_metrics_server(
-                spec.host, spec.metrics_port, self.metrics, self.prometheus
+        try:
+            self._udp_transport, _ = await loop.create_datagram_endpoint(
+                lambda: _UdpProtocol(self),
+                local_addr=(spec.host, spec.port),
             )
-            msock = self._metrics_server.sockets[0].getsockname()
-            self.metrics_address = (msock[0], msock[1])
+            sockname = self._udp_transport.get_extra_info("sockname")
+            self.udp_address = (sockname[0], sockname[1])
+            # TCP binds the port UDP actually got (matters when port=0).
+            self._tcp_server = await asyncio.start_server(
+                self._on_tcp, spec.host, self.udp_address[1]
+            )
+            if spec.metrics_port >= 0:
+                self._metrics_server = await start_metrics_server(
+                    spec.host, spec.metrics_port, self.metrics,
+                    self.prometheus,
+                )
+                msock = self._metrics_server.sockets[0].getsockname()
+                self.metrics_address = (msock[0], msock[1])
+        except BaseException:
+            # A failed bind must not leave the resolver thread or an
+            # already-bound socket behind.
+            await self.stop()
+            raise
 
     def _make_upstream(self):  # noqa: ANN202 - Upstream protocol
         """The transport the core resolves through.
@@ -193,6 +200,9 @@ class DnsFrontEnd:
             future.cancel()
         if self._udp_transport is not None:
             self._udp_transport.close()
+            # The transport releases its socket on the next loop turn;
+            # take it, so the port is free once stop() returns.
+            await asyncio.sleep(0)
         for server in (self._tcp_server, self._metrics_server):
             if server is not None:
                 server.close()

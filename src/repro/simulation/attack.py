@@ -12,17 +12,10 @@ in [0, 1] that a query to a targeted server is dropped.  1.0 (the
 default) reproduces the paper's total blackout; fractional intensities
 model the partial-failure regime of Moura et al. (IMC 2018) and are
 resolved per query by :mod:`repro.simulation.faults`.
-
-Lookup cost: ``is_blocked``/``block_intensity`` run once per CS→AN
-query, so the schedule precomputes a sorted boundary timeline and
-memoises the address→intensity map per *segment* (a maximal span with a
-fixed set of active windows).  A query then costs one bisect plus one
-dict probe instead of a linear scan over all windows.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.dns.name import Name, root_name
@@ -76,11 +69,6 @@ class AttackSchedule:
         self._tree = tree
         self._windows: list[AttackWindow] = []
         self._blocked_by_window: list[frozenset[str]] = []
-        # Per-query lookup structure, built lazily: sorted window edges
-        # plus a memoised address -> intensity map per segment between
-        # consecutive edges (the active window set is constant there).
-        self._boundaries: list[float] | None = None
-        self._segment_maps: dict[int, dict[str, float]] = {}
         for window in windows or []:
             self.add_window(window)
 
@@ -91,46 +79,21 @@ class AttackSchedule:
             blocked.update(self._tree.addresses_for_zone(zone_name))
         self._windows.append(window)
         self._blocked_by_window.append(frozenset(blocked))
-        self._boundaries = None
-        self._segment_maps.clear()
 
     def windows(self) -> tuple[AttackWindow, ...]:
         return tuple(self._windows)
 
-    def _segment_index(self, now: float) -> int:
-        boundaries = self._boundaries
-        if boundaries is None:
-            edges: set[float] = set()
-            for window in self._windows:
-                edges.add(window.start)
-                edges.add(window.end)
-            boundaries = sorted(edges)
-            self._boundaries = boundaries
-        return bisect_right(boundaries, now)
-
-    def _segment_map(self, segment: int) -> dict[str, float]:
-        cached = self._segment_maps.get(segment)
-        if cached is not None:
-            return cached
-        intensities: dict[str, float] = {}
-        # Segment 0 precedes every edge (nothing active); any later
-        # segment is fully characterised by its left boundary, because
-        # window starts/ends are themselves edges.
-        boundaries = self._boundaries
-        if segment > 0 and boundaries:
-            representative = boundaries[segment - 1]
-            for window, blocked in zip(self._windows, self._blocked_by_window):
-                if not window.active_at(representative):
-                    continue
-                for address in blocked:
-                    if window.intensity > intensities.get(address, -1.0):
-                        intensities[address] = window.intensity
-        self._segment_maps[segment] = intensities
-        return intensities
-
     def block_intensity(self, address: str, now: float) -> float:
         """The drop probability for ``address`` at ``now`` (0.0 if safe)."""
-        return self._segment_map(self._segment_index(now)).get(address, 0.0)
+        intensity = 0.0
+        for window, blocked in zip(self._windows, self._blocked_by_window):
+            if (
+                window.start <= now < window.end
+                and address in blocked
+                and window.intensity > intensity
+            ):
+                intensity = window.intensity
+        return intensity
 
     def is_blocked(self, address: str, now: float) -> bool:
         """Whether ``address`` is fully unreachable at ``now``."""

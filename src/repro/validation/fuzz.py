@@ -13,8 +13,7 @@ Two layers:
   :class:`~repro.validation.errors.DivergenceError` naming the
   operation.
 * **Fuzzer** — :func:`run_fuzz` generates random put/get/expiry/
-  eviction/purge orderings (including occasional backwards-clock reads,
-  which the incremental counters must survive via their scan fallback)
+  eviction/purge orderings (including occasional backwards-clock reads)
   against randomly sized caches, auditing the full state periodically.
 """
 
@@ -235,7 +234,7 @@ CORPUS: tuple[CorpusCase, ...] = (
         rationale=(
             "the decoupled update channel evicts a migrated zone's NS "
             "plus the glue it named; stale reads, best_zone and the "
-            "counters must all agree the zone is gone"
+            "live counts must all agree the zone is gone"
         ),
         max_entries=None,
         max_effective_ttl=None,
@@ -461,8 +460,8 @@ def _random_op(rng: random.Random, now: float) -> Op:
     roll = rng.random()
     owner = rng.choice(_OWNERS)
     rrtype = rng.choice(_RRTYPES)
-    # Occasional backwards-clock reads exercise the counters' linear
-    # scan fallback (`_sync_counts` returning False).
+    # Occasional backwards-clock reads check that every read is a pure
+    # function of its own `now`, not of the latest time the cache saw.
     read_now = now - rng.uniform(0.0, 5.0) if rng.random() < 0.1 else now
     if roll < 0.35:
         data = rng.choice(_NS_DATA if rrtype == RRType.NS else _A_DATA)

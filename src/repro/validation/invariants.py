@@ -8,8 +8,6 @@ invariant; a clean pass returns None.
 
 Invariants checked:
 
-* ``cache-live-counts`` — the incremental occupancy counters agree with
-  a fresh linear census of the store.
 * ``cache-capacity`` — a bounded cache never holds more than
   ``max_entries`` entries.
 * ``cache-entry-sanity`` — every entry's lifetime is non-negative and no
@@ -41,7 +39,6 @@ from __future__ import annotations
 
 from repro.core.cache import DnsCache, split_key
 from repro.core.renewal import RenewalManager
-from repro.dns.rrtypes import RRType
 from repro.validation.errors import InvariantViolation
 
 #: Slack for float lifetime arithmetic (ttl additions are exact in the
@@ -50,11 +47,8 @@ _LIFETIME_SLACK = 1e-9
 
 
 def check_cache_invariants(cache: DnsCache, now: float) -> None:
-    """Verify the cache's counters and per-entry bookkeeping at ``now``."""
+    """Verify the cache's per-entry bookkeeping and capacity."""
     entries = cache._entries  # white-box census by design
-    census_entries = 0
-    census_records = 0
-    census_zones = 0
     for key, entry in entries.items():
         name, rrtype = split_key(key)
         if entry.published_ttl < 0:
@@ -74,28 +68,11 @@ def check_cache_invariants(cache: DnsCache, now: float) -> None:
                 f"expires_at={entry.expires_at:g})",
                 check="cache-entry-sanity",
             )
-        if entry.is_live(now):
-            census_entries += 1
-            census_records += len(entry.rrset)
-            if rrtype == RRType.NS:
-                census_zones += 1
     if cache.max_entries is not None and len(entries) > cache.max_entries:
         raise InvariantViolation(
             f"{len(entries)} entries stored with max_entries="
             f"{cache.max_entries}",
             check="cache-capacity",
-        )
-    counted = (
-        cache.live_entry_count(now),
-        cache.live_record_count(now),
-        cache.live_zone_count(now),
-    )
-    census = (census_entries, census_records, census_zones)
-    if counted != census:
-        raise InvariantViolation(
-            f"incremental live counts {counted} != census {census} "
-            f"(entries/records/zones) at now={now:g}",
-            check="cache-live-counts",
         )
     _check_taint_invariants(cache)
 

@@ -1,7 +1,7 @@
 """A deliberately naive reference model of :class:`~repro.core.cache.DnsCache`.
 
-The production cache earns its speed with incremental occupancy
-counters, a lazy expiry heap, dict-order LRU tricks and method
+The production cache earns its speed with packed int keys, an
+identity fast path in ``put``, dict-order LRU tricks and method
 rebinding.  Every one of those optimisations is a place where a bug can
 hide.  :class:`OracleCache` reimplements the *semantics* with none of
 the machinery:
@@ -9,7 +9,7 @@ the machinery:
 * storage is a plain list scanned linearly on every call;
 * recency is the list order itself (index 0 is coldest);
 * every occupancy figure is recomputed from scratch, every time;
-* there is no observer fast path, no counting switch, no heap.
+* there is no observer fast path and no identity fast path.
 
 The code is meant to be checkable by eye against the documented cache
 contract.  :class:`~repro.validation.differential.DifferentialCache`

@@ -308,7 +308,8 @@ def _assert_counts_match(cache: DnsCache, now: float):
 
 
 class TestIncrementalOccupancy:
-    """The O(1)-amortised counters must agree with an O(n) scan always."""
+    """The occupancy contract: the live counts agree with a brute-force
+    scan of the raw store at any probe time, probed in any order."""
 
     def test_expiry_decrements(self):
         cache = DnsCache()
@@ -337,7 +338,7 @@ class TestIncrementalOccupancy:
         cache.put(a_set(ttl=300), Rank.AUTH_ANSWER, now=100.0, refresh=True)
         assert cache.live_entry_count(150.0) == 1
         _assert_counts_match(cache, 150.0)
-        # The refreshed expiry (400), not the stale heap entry (300), rules.
+        # The refreshed expiry (400), not the original one (300), rules.
         assert cache.live_entry_count(350.0) == 1
         _assert_counts_match(cache, 350.0)
         _assert_counts_match(cache, 400.0)
@@ -371,8 +372,8 @@ class TestIncrementalOccupancy:
         cache = DnsCache()
         cache.put(a_set(ttl=10), Rank.AUTH_ANSWER, now=0.0)
         cache.put(ns_set(ttl=100), Rank.AUTH_AUTHORITY, now=0.0)
-        assert cache.live_entry_count(50.0) == 1  # advances the horizon
-        # Asking about the past must still be exact (scan fallback).
+        assert cache.live_entry_count(50.0) == 1
+        # Asking about the past afterwards must still be exact.
         assert cache.live_entry_count(5.0) == 2
         assert cache.live_record_count(5.0) == 2
         assert cache.live_zone_count(5.0) == 1
@@ -406,7 +407,7 @@ class TestIncrementalOccupancy:
             else:
                 cache.put(a_set(owner=f"h{owner}.x.test", ttl=ttl),
                           Rank.AUTH_ANSWER, now=now)
-        for now in probes:  # deliberately unsorted: exercises the fallback
+        for now in probes:  # deliberately unsorted
             _assert_counts_match(cache, now)
 
 

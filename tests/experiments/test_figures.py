@@ -95,16 +95,55 @@ class TestTable2:
         assert "Table 2" in result.render()
 
 
+# Figure 12's daily (zones_cached, records_cached) samples at TINY for
+# the two schemes below: any change to how occupancy is counted must
+# read the same series.  No sample lands exactly on an expiry; that tie
+# is pinned by the occupancy tests in tests/core/test_cache.py.
+FIGURE12_TINY_SERIES = {
+    "DNS": [
+        (74, 462), (73, 455), (73, 473), (75, 466), (70, 434), (65, 397),
+        (75, 465), (61, 389), (78, 471), (72, 444), (67, 424), (75, 468),
+        (72, 465), (76, 472), (77, 483), (71, 468), (68, 427), (72, 453),
+        (63, 398), (63, 392), (75, 464), (71, 447), (76, 476), (76, 466),
+        (71, 435), (74, 454), (76, 494), (71, 445), (76, 485), (72, 454),
+        (72, 461),
+    ],
+    "A-LFU 5": [
+        (143, 824), (148, 855), (150, 875), (155, 894), (151, 858),
+        (154, 878), (155, 880), (153, 873), (154, 877), (155, 884),
+        (154, 874), (155, 890), (155, 889), (151, 858), (151, 864),
+        (154, 889), (152, 870), (152, 875), (154, 885), (153, 878),
+        (153, 879), (151, 873), (153, 885), (152, 875), (154, 889),
+        (152, 874), (153, 878), (153, 863), (152, 877), (150, 872),
+        (153, 879),
+    ],
+}
+
+
 class TestFigure12:
-    def test_memory_series_and_ratios(self, scenario):
+    @pytest.fixture(scope="class")
+    def result(self, scenario):
         schemes = (
             figures.FIGURE12_SCHEMES[0],   # DNS
             figures.FIGURE12_SCHEMES[4],   # A-LFU 5
         )
-        result = figures.figure12(scenario, schemes=schemes,
-                                  sample_interval=86400.0)
+        return figures.figure12(scenario, schemes=schemes,
+                                sample_interval=86400.0)
+
+    def test_memory_series_and_ratios(self, result):
         assert set(result.series) == {"DNS", "A-LFU 5"}
         assert result.series["DNS"].samples
         # Enhanced scheme caches at least as much as vanilla.
         assert result.occupancy_ratios["A-LFU 5"] >= 1.0
         assert "Figure 12" in result.render()
+
+    def test_occupancy_series_pinned(self, result):
+        for label, expected in FIGURE12_TINY_SERIES.items():
+            samples = result.series[label].samples
+            assert [
+                (sample.zones_cached, sample.records_cached)
+                for sample in samples
+            ] == expected, label
+            assert [sample.time for sample in samples] == [
+                86400.0 * day for day in range(1, len(expected) + 1)
+            ]

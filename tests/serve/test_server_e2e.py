@@ -731,6 +731,32 @@ class TestFrontEndSemantics:
             if thread.name.startswith("repro-resolver")
         ]
 
+    def test_failed_bind_unwinds_the_started_resolver_and_sockets(self):
+        """A TCP bind that fails after UDP bound and the resolver thread
+        started raises, and leaves neither behind."""
+        import dataclasses
+        import socket
+
+        async def run():
+            with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as held:
+                held.bind(("127.0.0.1", 0))
+                held.listen()
+                port = held.getsockname()[1]
+                front_end = DnsFrontEnd(
+                    dataclasses.replace(_SPEC, port=port)
+                )
+                with pytest.raises(OSError):
+                    await front_end.start()
+            resolvers = [
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-resolver")
+            ]
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
+                probe.bind(("127.0.0.1", port))
+            return resolvers
+
+        assert asyncio.run(run()) == []
+
     def test_default_spec_has_no_client_budget(self):
         async def run():
             async with _front_end() as front_end:

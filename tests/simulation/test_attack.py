@@ -141,47 +141,3 @@ class TestIntensity:
         assert schedule.block_intensity(address, 75.0) == 0.8
         assert schedule.block_intensity(address, 125.0) == 0.8
         assert schedule.block_intensity(address, 175.0) == 0.0
-
-
-class TestSegmentCache:
-    """The bisect-based lookup agrees with a naive window scan."""
-
-    def naive_intensity(self, schedule, address, now):
-        best = 0.0
-        for window, blocked in zip(schedule._windows,
-                                   schedule._blocked_by_window):
-            if window.active_at(now) and address in blocked:
-                best = max(best, window.intensity)
-        return best
-
-    def test_matches_naive_scan_across_boundaries(self, mini):
-        schedule = AttackSchedule(mini.tree)
-        schedule.add_window(
-            AttackWindow(10.0, 40.0, frozenset([name("test.")]), intensity=0.5)
-        )
-        schedule.add_window(
-            AttackWindow(20.0, 60.0, frozenset([name("alt.")])),
-        )
-        schedule.add_window(
-            AttackWindow(30.0, 50.0, frozenset([name("test.")]), intensity=0.9)
-        )
-        probes = [0.0, 9.99, 10.0, 15.0, 20.0, 25.0, 30.0, 39.99, 40.0,
-                  45.0, 50.0, 55.0, 60.0, 99.0]
-        for address in mini.addresses.values():
-            for now in probes:
-                assert schedule.block_intensity(address, now) == (
-                    self.naive_intensity(schedule, address, now)
-                ), (address, now)
-
-    def test_add_window_invalidates_cache(self, mini):
-        schedule = AttackSchedule(mini.tree)
-        schedule.add_window(
-            AttackWindow(0.0, 10.0, frozenset([name("test.")]))
-        )
-        address = mini.address_of("ns1.test.")
-        assert schedule.is_blocked(address, 5.0)  # populates the cache
-        schedule.add_window(
-            AttackWindow(20.0, 30.0, frozenset([name("test.")]))
-        )
-        assert schedule.is_blocked(address, 25.0)
-        assert not schedule.is_blocked(address, 15.0)

@@ -58,10 +58,7 @@ def _buggy_remove(self, name, rrtype):
     # Pre-fix: only the positive entry was dropped; a negative verdict
     # under the same key survived a delegation change.
     key = cache_key(name, rrtype)
-    if self._entries.pop(key, None) is None:  # repro: ignore[REP008]
-        return False
-    self._count_out(key)
-    return True
+    return self._entries.pop(key, None) is not None  # repro: ignore[REP008]
 
 
 def _buggy_purge_expired(self, now, older_than=0.0):
@@ -73,7 +70,6 @@ def _buggy_purge_expired(self, now, older_than=0.0):
     ]
     for key in doomed:
         del self._entries[key]  # repro: ignore[REP008]
-        self._count_out(key)
     return len(doomed)
 
 
