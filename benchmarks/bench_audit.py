@@ -4,7 +4,7 @@
 its wall clock is a developer-facing budget, not a curiosity: the gate
 is only as good as people's willingness to keep it on.  This bench
 audits the real shipped tree (parse every module, build the call graph
-and mutation closure, run REP010–REP013) and fails when a full pass
+and mutation closure, run REP010, REP012 and REP013) and fails when a full pass
 exceeds :data:`FULL_TREE_BUDGET_SECONDS`.
 
 The budget is generous (the audit runs in well under two seconds on a

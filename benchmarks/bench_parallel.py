@@ -1,19 +1,16 @@
 """Serial vs parallel replay throughput (writes BENCH_parallel.json).
 
 Runs the standard scheme-grid sweep (schemes × week traces, 6 h attack)
-twice — once fully in-process, once fanned over worker processes — and
-records wall-clock, queries/second and the speedup as machine-readable
-JSON so the perf trajectory is tracked across PRs.
+twice — once fully in-process, once fanned over one worker per usable
+core — and records wall-clock, queries/second and the speedup as
+machine-readable JSON so the perf trajectory is tracked across PRs.
 
 The attainable speedup is bounded by the cores the process can actually
 run on, which is the *affinity mask* (``usable_cores``), not the machine
 total (``cpu_count``): inside containers or under ``taskset`` the mask
-is often smaller, and extra workers only time-slice one another while
-paying fork and IPC overhead.  The requested worker count is therefore
-clamped to ``usable_cores`` (``workers_clamped`` records when that
-happened); speedup is judged against the *effective* worker count.  The
-determinism check (``identical_outputs``) must hold everywhere
-regardless of worker count.
+is often smaller, and extra workers only time-slice one another.  The
+parallel leg therefore runs at ``usable_cores`` workers.  The
+determinism check (``identical_outputs``) must hold at any worker count.
 """
 
 from __future__ import annotations
@@ -24,9 +21,6 @@ import time
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import ReplaySpec, run_replays, usable_cpu_count
-
-#: Worker count for the parallel leg (the acceptance bar uses 4).
-BENCH_WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "4"))
 
 
 def bench_parallel_speedup(benchmark, scenario, record_bench_json):
@@ -41,25 +35,19 @@ def bench_parallel_speedup(benchmark, scenario, record_bench_json):
     total_queries = sum(
         len(scenario.trace(trace_name)) for trace_name in trace_names
     ) * len(schemes)
-
-    usable_cores = usable_cpu_count()
-    effective_workers = min(BENCH_WORKERS, usable_cores)
-    workers_clamped = effective_workers < BENCH_WORKERS
-    if workers_clamped:
-        print(
-            f"\n[warn] requested {BENCH_WORKERS} workers but only "
-            f"{usable_cores} usable core(s) in the affinity mask; "
-            f"clamping to {effective_workers}"
-        )
+    workers = usable_cpu_count()
 
     def compare():
+        # The parallel leg goes first: workers forked after the serial leg
+        # would inherit the hierarchy memos it filled and skip the
+        # first-replay warm-up that a real sweep pays.
+        parallel_started = time.perf_counter()
+        fanned = run_replays(specs, workers=workers)
+        parallel_seconds = time.perf_counter() - parallel_started
+
         serial_started = time.perf_counter()
         serial = run_replays(specs, workers=1)
         serial_seconds = time.perf_counter() - serial_started
-
-        parallel_started = time.perf_counter()
-        fanned = run_replays(specs, workers=effective_workers)
-        parallel_seconds = time.perf_counter() - parallel_started
         return serial, serial_seconds, fanned, parallel_seconds
 
     serial, serial_seconds, fanned, parallel_seconds = benchmark.pedantic(
@@ -70,11 +58,8 @@ def bench_parallel_speedup(benchmark, scenario, record_bench_json):
     speedup = serial_seconds / parallel_seconds
     payload = {
         "scale": scenario.scale.value,
-        "workers_requested": BENCH_WORKERS,
-        "workers": effective_workers,
-        "workers_clamped": workers_clamped,
         "cpu_count": os.cpu_count(),
-        "usable_cores": usable_cores,
+        "usable_cores": workers,
         "replays": len(specs),
         "total_queries": total_queries,
         "serial_seconds": round(serial_seconds, 3),
@@ -84,12 +69,11 @@ def bench_parallel_speedup(benchmark, scenario, record_bench_json):
             total_queries / parallel_seconds, 1
         ),
         "speedup": round(speedup, 3),
-        "speedup_per_worker": round(speedup / effective_workers, 3),
         "identical_outputs": identical,
     }
     record_bench_json("BENCH_parallel", payload)
     print(
-        f"\nserial {serial_seconds:.2f} s vs {effective_workers} workers "
+        f"\nserial {serial_seconds:.2f} s vs {workers} workers "
         f"{parallel_seconds:.2f} s -> speedup {speedup:.2f}x "
         f"(identical outputs: {identical})"
     )

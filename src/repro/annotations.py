@@ -1,7 +1,7 @@
 """Zero-cost source annotations read by the whole-program audit.
 
 The :mod:`repro.devtools.audit` analyzer enforces cross-module
-invariants (memo-invalidation completeness, copy-on-write safety, ...)
+invariants (memo-invalidation completeness, pickle safety, ...)
 that it cannot infer from bare code alone.  The conventions here are the
 declaration side of that contract:
 
@@ -14,11 +14,6 @@ declaration side of that contract:
   fields the cached value is computed from and which method clears it
   (``invalidator=none`` for fill-only memos whose mutators must clear
   the storage field directly).
-* ``# repro: published`` — class-body comment marking a class whose
-  instances are built once in the parent process and handed to forked
-  replay workers copy-on-write (DESIGN.md §14).
-* ``# repro: publishes`` — comment inside the function that performs
-  that pre-fork build, marking the publication point.
 * ``# repro: pickled-boundary`` — class-body comment marking a spec or
   summary dataclass that crosses the worker process boundary; every
   field type transitively reachable from it must stay picklable.

@@ -20,9 +20,6 @@ Commands
 ``events``
     Replay a trace with the flight recorder attached and print the
     event counts plus the tail of the event stream.
-``bench``
-    Time a TINY sweep through the serial and parallel replay paths and
-    print the speedup (smoke check for the batch runner).
 ``serve``
     Answer real DNS queries (UDP + TCP + a Prometheus endpoint) from
     the simulated hierarchy via an asyncio front end over the same
@@ -54,7 +51,7 @@ from typing import Any, Callable, Sequence
 
 from repro import __version__
 from repro.analysis import export as csv_export
-from repro.core.config import ResilienceConfig, RetryPolicy
+from repro.core.config import RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
 from repro.experiments import EXPERIMENTS, ExperimentDef, figures
 from repro.experiments.harness import AttackSpec, run_replay
@@ -311,79 +308,6 @@ def _experiment_command(
     return handler
 
 
-@dataclasses.dataclass(frozen=True)
-class BenchSpec:
-    """Flags for ``repro bench`` (serial-vs-parallel smoke check)."""
-
-    profile: bool = field(default=False, metadata={
-        "help": "cProfile the serial leg and print the top 20 functions "
-                "by cumulative time (skips the parallel leg)"})
-    profile_out: str | None = field(default=None, metadata={
-        "help": "also dump pstats data to this path (implies --profile)"})
-    workers: int = field(default=4, metadata={
-        "help": "worker processes for the parallel leg"})
-    seed: int = field(default=7, metadata={"help": "scenario seed"})
-
-
-def _cmd_bench(spec: BenchSpec) -> int:
-    """Smoke-check the parallel runner: serial vs fanned sweep, timed."""
-    import time
-
-    from repro.experiments.parallel import ReplaySpec, run_replays
-
-    scenario = make_scenario(Scale.TINY, seed=spec.seed)
-    attack = AttackSpec(start=scenario.attack_start, duration=6 * HOUR)
-    schemes = (ResilienceConfig.vanilla(), ResilienceConfig.refresh())
-    trace_names = ("TRC1", "TRC2")
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack)
-        for config in schemes
-        for trace_name in trace_names
-    ]
-    total_queries = len(schemes) * sum(
-        len(scenario.trace(trace_name)) for trace_name in trace_names
-    )
-    print(f"bench: {len(specs)} TINY replays "
-          f"({total_queries:,} stub queries), {spec.workers} workers")
-
-    if spec.profile or spec.profile_out:
-        # Profile the serial leg only: it runs in-process, so cProfile
-        # sees the replay hot path (worker processes would not be seen).
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        run_replays(specs, workers=1)
-        profiler.disable()
-        stats = pstats.Stats(profiler, stream=sys.stdout)
-        stats.sort_stats("cumulative").print_stats(20)
-        if spec.profile_out:
-            stats.dump_stats(spec.profile_out)
-            print(f"profile written to {spec.profile_out} "
-                  f"(inspect with python -m pstats)")
-        return 0
-
-    started = time.perf_counter()  # repro: ignore[REP001] — benchmarking
-    serial = run_replays(specs, workers=1)
-    serial_seconds = time.perf_counter() - started  # repro: ignore[REP001]
-    print(f"serial:   {serial_seconds:6.2f} s "
-          f"({total_queries / serial_seconds:,.0f} queries/s)")
-
-    started = time.perf_counter()  # repro: ignore[REP001] — benchmarking
-    fanned = run_replays(specs, workers=spec.workers)
-    parallel_seconds = time.perf_counter() - started  # repro: ignore[REP001]
-    print(f"parallel: {parallel_seconds:6.2f} s "
-          f"({total_queries / parallel_seconds:,.0f} queries/s)")
-
-    print(f"speedup:  {serial_seconds / parallel_seconds:.2f}x")
-    if fanned != serial:
-        print("error: parallel results differ from serial", file=sys.stderr)
-        return 1
-    print("outputs:  bitwise-identical to serial")
-    return 0
-
-
 def _commands() -> "tuple[CommandDef, ...]":
     """Non-experiment subcommands, registered like experiments are.
 
@@ -398,12 +322,6 @@ def _commands() -> "tuple[CommandDef, ...]":
             help="replay with the flight recorder and print the event stream",
             spec_type=EventsSpec,
             handler=_cmd_events,
-        ),
-        CommandDef(
-            name="bench",
-            help="time a TINY sweep serial vs parallel (smoke check)",
-            spec_type=BenchSpec,
-            handler=_cmd_bench,
         ),
         SERVE_COMMAND,
     )

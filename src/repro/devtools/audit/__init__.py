@@ -5,10 +5,10 @@ package parses every module once, builds a project-wide symbol table
 (:mod:`~repro.devtools.audit.project`), a conservative name-resolution
 call graph (:mod:`~repro.devtools.audit.callgraph`) and per-function
 field-mutation sets (:mod:`~repro.devtools.audit.mutation`), then
-enforces the semantic rule family REP010–REP013
+enforces the semantic rules REP010, REP012 and REP013
 (:mod:`~repro.devtools.audit.rules`) that no per-file lint can see:
-memo-invalidation completeness, copy-on-write publish safety,
-transitive pickle-safety and interprocedural determinism taint.
+memo-invalidation completeness, transitive pickle-safety and
+interprocedural determinism taint.
 
 Run it as ``repro audit``; DESIGN.md §14 documents the analysis model
 and its known over-approximations.

@@ -36,16 +36,6 @@ from repro.devtools.audit.project import (
 )
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """One resolved call (or function reference) inside a function body."""
-
-    callee: str
-    lineno: int
-    is_reference: bool = False
-    """True when the callee was referenced (passed / rebound), not called."""
-
-
 @dataclass
 class _Scope:
     """Per-function inference state."""
@@ -58,13 +48,12 @@ class _Scope:
 
 
 class CallGraph:
-    """Edges between project functions, plus per-caller ordered sites."""
+    """Edges between project functions, indexed both ways."""
 
     def __init__(self, index: ProjectIndex) -> None:
         self.index = index
         self.edges: dict[str, set[str]] = {}
         self.callers: dict[str, set[str]] = {}
-        self.sites: dict[str, tuple[CallSite, ...]] = {}
         self.scopes: dict[str, _Scope] = {}
         for function in index.iter_functions():
             self._analyze(function)
@@ -79,46 +68,22 @@ class CallGraph:
         # earlier-inferred names (flow-insensitive fixed point, depth 2).
         for _ in range(2):
             self._collect_locals(function, scope)
-        sites: list[CallSite] = []
+        callees = self.edges.setdefault(function.qualname, set())
         for node in ast.walk(function.node):
             if isinstance(node, ast.Call):
-                for callee in self._resolve_call(node, scope):
-                    sites.append(CallSite(callee=callee, lineno=node.lineno))
+                callees.update(self._resolve_call(node, scope))
             elif isinstance(node, ast.Attribute) and isinstance(
                 node.ctx, ast.Load
             ):
                 referenced = self._method_reference(node, scope)
                 if referenced is not None:
-                    sites.append(
-                        CallSite(
-                            callee=referenced,
-                            lineno=node.lineno,
-                            is_reference=True,
-                        )
-                    )
+                    callees.add(referenced)
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 symbol = self.index.resolve(function.module, node.id)
                 if symbol is not None and symbol in self.index.functions:
-                    sites.append(
-                        CallSite(
-                            callee=symbol,
-                            lineno=node.lineno,
-                            is_reference=True,
-                        )
-                    )
-        # Call expressions produce both the Call site and a Load of the
-        # same name; drop references that duplicate a call on the line.
-        called = {(site.callee, site.lineno) for site in sites
-                  if not site.is_reference}
-        deduped = tuple(
-            site for site in sites
-            if not site.is_reference or (site.callee, site.lineno) not in called
-        )
-        self.sites[function.qualname] = deduped
-        edge_set = self.edges.setdefault(function.qualname, set())
-        for site in deduped:
-            edge_set.add(site.callee)
-            self.callers.setdefault(site.callee, set()).add(function.qualname)
+                    callees.add(symbol)
+        for callee in callees:
+            self.callers.setdefault(callee, set()).add(function.qualname)
 
     def _collect_locals(self, function: FunctionInfo, scope: _Scope) -> None:
         for node in ast.walk(function.node):

@@ -1,8 +1,8 @@
 """The ``repro audit`` subcommand: whole-program analysis from the CLI.
 
 Where ``repro check`` lints file by file, ``repro audit`` parses the
-whole tree once and enforces the cross-module rules REP010–REP013.
-Output mirrors ``repro check``: human text by default, the shared
+whole tree once and enforces the cross-module rules REP010, REP012 and
+REP013.  Output mirrors ``repro check``: human text by default, the shared
 ``repro-findings`` JSON schema with ``--json``, SARIF 2.1.0 with
 ``--sarif`` for code-scanning upload.  A committed baseline
 (``audit-baseline.json``) holds reviewed, justified findings;
@@ -50,7 +50,7 @@ def add_audit_parser(
         description=(
             "Parse the whole tree once, build the cross-module call "
             "graph and mutation sets, and enforce memo-invalidation, "
-            "copy-on-write, pickle-safety and determinism-taint rules."
+            "pickle-safety and determinism-taint rules."
         ),
     )
     audit.add_argument(

@@ -17,12 +17,6 @@ code they describe and survive plain-text tooling:
         #   depends=[_rrsets, _delegations],
         #   invalidator=_invalidate_response_cache)
 
-``# repro: published``
-    Marks the enclosing class as pre-fork copy-on-write shared.
-
-``# repro: publishes``
-    Marks the enclosing function as the pre-fork publication point.
-
 ``# repro: pickled-boundary``
     Marks the enclosing class as a worker-boundary spec/summary root
     for the transitive pickle-safety walk.

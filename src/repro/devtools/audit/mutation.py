@@ -18,7 +18,7 @@ Transitive sets are the least fixed point over the call graph
 (references included — a rebound or passed method may run).  A function
 is *pure* when its transitive write-set is empty; the audit rules use
 the direct sets to find leaf write sites and the transitive sets to
-prove invalidation and copy-on-write safety.
+prove invalidation.
 """
 
 from __future__ import annotations

@@ -105,9 +105,6 @@ class FunctionInfo:
     invalidates: tuple[str, ...] = ()
     """Memo names declared via ``@invalidates(...)``."""
 
-    publishes: bool = False
-    """True when the body carries a ``# repro: publishes`` marker."""
-
     @property
     def is_method(self) -> bool:
         return self.cls is not None
@@ -130,7 +127,6 @@ class ClassInfo:
     methods: dict[str, str] = field(default_factory=dict)
     fields: dict[str, FieldInfo] = field(default_factory=dict)
     memos: tuple[MemoDecl, ...] = ()
-    published: bool = False
     pickled_boundary: bool = False
     is_dataclass: bool = False
     has_custom_reduce: bool = False
@@ -210,7 +206,7 @@ class ProjectIndex:
                 self._index_class(module_name, node, markers)
                 namespace[node.name] = f"{module_name}.{node.name}"
             elif isinstance(node, _FUNCTION_NODES):
-                self._index_function(module_name, None, node, markers)
+                self._index_function(module_name, None, node)
                 namespace[node.name] = f"{module_name}.{node.name}"
 
     def _index_class(
@@ -230,9 +226,7 @@ class ProjectIndex:
         self.classes[qualname] = info
         for item in node.body:
             if isinstance(item, _FUNCTION_NODES):
-                function = self._index_function(
-                    module_name, qualname, item, markers
-                )
+                function = self._index_function(module_name, qualname, item)
                 info.methods[item.name] = function.qualname
                 if item.name in ("__reduce__", "__reduce_ex__",
                                  "__getstate__"):
@@ -243,9 +237,6 @@ class ProjectIndex:
             if node.lineno <= line <= end
         }
         info.memos = parse_memo_decls(body_markers)
-        info.published = any(
-            text == "published" for text in body_markers.values()
-        )
         info.pickled_boundary = any(
             text == "pickled-boundary" for text in body_markers.values()
         )
@@ -255,7 +246,6 @@ class ProjectIndex:
         module_name: str,
         cls: str | None,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
-        markers: dict[int, str],
     ) -> FunctionInfo:
         if cls is None:
             qualname = f"{module_name}.{node.name}"
@@ -276,12 +266,6 @@ class ProjectIndex:
                         arg.value, str
                     ):
                         invalidated.append(arg.value)
-        end = node.end_lineno or node.lineno
-        publishes = any(
-            text == "publishes"
-            for line, text in markers.items()
-            if node.lineno <= line <= end
-        )
         info = FunctionInfo(
             qualname=qualname,
             module=module_name,
@@ -290,7 +274,6 @@ class ProjectIndex:
             node=node,
             decorators=decorators,
             invalidates=tuple(invalidated),
-            publishes=publishes,
         )
         self.functions[qualname] = info
         return info

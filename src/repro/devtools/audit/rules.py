@@ -1,4 +1,4 @@
-"""The whole-program rule family REP010–REP013.
+"""The whole-program rule family: REP010, REP012 and REP013.
 
 Each rule sees an :class:`AuditContext` — symbol table, call graph and
 mutation closure over the entire tree — and yields the same
@@ -9,9 +9,6 @@ work identically for both layers.
 REP010  memo-invalidation completeness: every direct mutator of a
         declared memo's dependency fields must transitively clear the
         memo's storage field or reach its ``@invalidates`` invalidator.
-REP011  post-publish mutation: after a ``# repro: publishes`` call, the
-        caller must not reach code that mutates copy-on-write
-        ``# repro: published`` state (memo storage fields exempt).
 REP012  pickle-safety: every field type transitively reachable from a
         ``# repro: pickled-boundary`` class must be picklable across
         the worker boundary.
@@ -31,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.devtools.audit.callgraph import CallGraph
 from repro.devtools.audit.memos import MemoDecl
 from repro.devtools.audit.mutation import MutationAnalysis, Write
-from repro.devtools.audit.project import ClassInfo, ProjectIndex, TypeDesc
+from repro.devtools.audit.project import ClassInfo, ProjectIndex
 from repro.devtools.checks import ImportMap, Violation
 from repro.devtools.rules.randomness import (
     _ALWAYS_BANNED,
@@ -203,147 +200,6 @@ class MemoInvalidationRule(AuditRule):
                     ),
                     fix_hint=f"{remedy} after mutating {dep}",
                 )
-
-
-# ---------------------------------------------------------------------------
-# REP011 — post-publish copy-on-write mutation
-# ---------------------------------------------------------------------------
-
-
-class PublishSafetyRule(AuditRule):
-    rule_id = "REP011"
-    title = "no mutation of published state after the publish point"
-    rationale = (
-        "objects built before the pool forks are shared copy-on-write; "
-        "a parent-side mutation after the publish point diverges the "
-        "parent from what the workers inherited"
-    )
-
-    def check(self, ctx: AuditContext) -> Iterator[Violation]:
-        published = _published_closure(ctx)
-        if not published:
-            return
-        exempt = {
-            (cls.qualname, memo.field)
-            for cls in ctx.index.classes.values()
-            for memo in cls.memos
-        }
-        publish_functions = {
-            fn.qualname for fn in ctx.index.iter_functions() if fn.publishes
-        }
-        if not publish_functions:
-            return
-        call_edges = _call_only_edges(ctx.graph)
-        for caller in sorted(ctx.graph.sites):
-            sites = ctx.graph.sites[caller]
-            publish_lines = [
-                site.lineno for site in sites
-                if site.callee in publish_functions and not site.is_reference
-            ]
-            if not publish_lines:
-                continue
-            first_publish = min(publish_lines)
-            reported: set[str] = set()
-            for site in sites:
-                if site.is_reference or site.lineno <= first_publish:
-                    continue
-                if site.callee in publish_functions:
-                    continue
-                if site.callee in reported:
-                    continue
-                offence = _first_cow_write(
-                    ctx, call_edges, site.callee, published, exempt
-                )
-                if offence is None:
-                    continue
-                reported.add(site.callee)
-                mutator, write, chain = offence
-                rendered = " -> ".join(
-                    part.rsplit(".", 2)[-1] if part.count(".") < 2
-                    else ".".join(part.rsplit(".", 2)[-2:])
-                    for part in chain
-                )
-                cls_name = write.cls.rsplit(".", 1)[-1]
-                yield Violation(
-                    rule=self.rule_id,
-                    path=ctx.display_path(caller),
-                    line=site.lineno,
-                    message=(
-                        f"{caller} calls {site.callee} after the publish "
-                        f"point, which reaches {mutator} mutating "
-                        f"published {cls_name}.{write.field} "
-                        f"(chain: {rendered})"
-                    ),
-                    fix_hint=(
-                        "move the call before the publish point or make "
-                        "the mutation worker-side"
-                    ),
-                )
-
-
-def _published_closure(ctx: AuditContext) -> frozenset[str]:
-    """Published roots plus every class reachable through field types."""
-    frontier = deque(
-        qual for qual, cls in ctx.index.classes.items() if cls.published
-    )
-    seen = set(frontier)
-    while frontier:
-        cls = ctx.index.classes.get(frontier.popleft())
-        if cls is None:
-            continue
-        for reachable in (*cls.bases, *_field_class_names(cls)):
-            if reachable not in seen and reachable in ctx.index.classes:
-                seen.add(reachable)
-                frontier.append(reachable)
-    return frozenset(seen)
-
-
-def _field_class_names(cls: ClassInfo) -> Iterator[str]:
-    for info in cls.fields.values():
-        yield from _type_class_names(info.type)
-
-
-def _type_class_names(desc: TypeDesc) -> Iterator[str]:
-    if desc.is_class:
-        yield desc.name
-    for arg in desc.args:
-        yield from _type_class_names(arg)
-
-
-def _call_only_edges(graph: CallGraph) -> dict[str, tuple[str, ...]]:
-    """Edges restricted to genuine calls: a function *reference* handed
-    to a pool runs worker-side, outside the parent's publish window."""
-    return {
-        caller: tuple(
-            sorted({s.callee for s in sites if not s.is_reference})
-        )
-        for caller, sites in graph.sites.items()
-    }
-
-
-def _first_cow_write(
-    ctx: AuditContext,
-    call_edges: dict[str, tuple[str, ...]],
-    start: str,
-    published: frozenset[str],
-    exempt: set[tuple[str, str]],
-) -> tuple[str, Write, tuple[str, ...]] | None:
-    """BFS over call-only edges for the first write into published state."""
-    parents: dict[str, str | None] = {start: None}
-    frontier = deque((start,))
-    while frontier:
-        current = frontier.popleft()
-        for write in ctx.mutation.direct.get(current, ()):
-            if write.cls in published and write.key not in exempt:
-                chain = [current]
-                while parents[chain[-1]] is not None:
-                    chain.append(parents[chain[-1]])  # type: ignore[arg-type]
-                return (current, write, tuple(reversed(chain)))
-        for callee in call_edges.get(current, ()):
-            if callee not in parents:
-                parents[callee] = current
-                frontier.append(callee)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +385,6 @@ def _banned_call_rule(qualified: str, node: ast.Call) -> str | None:
 
 ALL_AUDIT_RULES: tuple[AuditRule, ...] = (
     MemoInvalidationRule(),
-    PublishSafetyRule(),
     PickleSafetyRule(),
     DeterminismTaintRule(),
 )

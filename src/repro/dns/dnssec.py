@@ -38,7 +38,7 @@ def make_dnskey_rrset(zone: Name, ttl: float, generation: int = 0) -> RRset:
 
 
 def make_ds_rrset(zone: Name, ttl: float, generation: int = 0) -> RRset:
-    """The delegation-signer digest the parent publishes for ``zone``."""
+    """The delegation-signer digest the parent serves for ``zone``."""
     return RRset.from_records(
         [ResourceRecord(zone, RRType.DS, ttl, f"ds-{zone}-g{generation}")]
     )

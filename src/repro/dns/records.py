@@ -205,7 +205,7 @@ class InfrastructureRecordSet:
 
     @property
     def is_signed(self) -> bool:
-        """Whether the zone publishes DNSSEC infrastructure records."""
+        """Whether the zone serves DNSSEC infrastructure records."""
         return bool(self.dnssec)
 
     def server_names(self) -> tuple[Name, ...]:

@@ -7,20 +7,15 @@ declarative :class:`ReplaySpec` / :class:`FleetSpec` descriptions and
 executes them either in-process (``workers=1``, the default) or across a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
-Four design rules keep this correct and cheap:
+Three design rules keep this correct:
 
-* **The world is built once, in the parent.**  Before the pool exists,
-  :func:`run_replays` constructs every swept scenario — hierarchy *and*
-  traces — through the memoised
-  :func:`~repro.experiments.scenarios.make_scenario`.  Under the default
-  ``fork`` start method the workers inherit those objects copy-on-write:
-  the multi-MB ``BuiltHierarchy`` is never pickled and never rebuilt.
-  Under ``spawn`` (macOS/Windows default) children inherit nothing, so
-  the :func:`_warm_worker` initializer rebuilds the same scenarios from
-  the same keys — slower, but identical in outcome.
 * **Specs, not objects, cross the boundary.**  A spec carries only
   ``(scale, scenario seed, trace name, config, attack, seed)`` — the
-  lightweight key the memo resolves.
+  lightweight key :func:`~repro.experiments.scenarios.make_scenario`
+  memoises per process.  A forked worker finds whatever the parent had
+  already built; otherwise it builds the scenario on first use and
+  reuses it for the rest of the call.  The multi-MB ``BuiltHierarchy``
+  is never pickled.
 * **Summaries, not servers, come back.**  A replay's
   :class:`CachingServer`/engine graph is full of closures and timers;
   workers reduce it to a picklable :class:`ReplaySummary` holding the
@@ -32,15 +27,13 @@ Four design rules keep this correct and cheap:
   tests/experiments/test_parallel.py).
 
 ``REPRO_WORKERS`` selects the default worker count; ``workers=1`` (or an
-unset variable) preserves the original fully-serial behaviour.  A warm
-pool is kept alive between :func:`run_replays` calls so a sweep pays the
-fork + warm-up cost once, not once per sweep point; set
-``REPRO_POOL_REUSE=0`` to restore a fresh pool per call.
+unset variable) preserves the original fully-serial behaviour.  A
+parallel call creates its own pool and shuts it down before returning,
+so no worker outlives the call.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 from concurrent.futures import (
     BrokenExecutor,
@@ -62,7 +55,6 @@ from repro.experiments.summary import (
     summarize_replay,
 )
 from repro.obs.spec import ObservationSpec
-from repro.obs.timing import StageTimings, maybe_stage
 from repro.simulation.adversary import AdversarySpec
 from repro.simulation.faults import FaultSpec
 
@@ -71,24 +63,18 @@ __all__ = [
     "FleetSpec",
     "FleetSummary",
     "OverheadComparable",
-    "POOL_REUSE_ENV_VAR",
     "ReplayExecutionError",
     "ReplaySpec",
     "ReplaySummary",
     "WORKERS_ENV_VAR",
     "default_worker_count",
-    "pool_reuse_enabled",
     "run_replays",
-    "shutdown_shared_pool",
     "summarize_replay",
     "usable_cpu_count",
 ]
 
 #: Environment variable selecting the default worker count.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable gating cross-call pool reuse ("0" disables).
-POOL_REUSE_ENV_VAR = "REPRO_POOL_REUSE"
 
 
 class ReplayExecutionError(RuntimeError):
@@ -266,113 +252,6 @@ def usable_cpu_count() -> int:
     return os.cpu_count() or 1  # pragma: no cover - non-Linux
 
 
-def pool_reuse_enabled() -> bool:
-    """Whether run_replays keeps its worker pool warm between calls."""
-    return os.environ.get(POOL_REUSE_ENV_VAR, "") != "0"
-
-
-#: One scenario's warm-up key: (scale, scenario seed, trace names).
-_WarmKey = tuple[Scale, int, tuple[str, ...]]
-
-
-def _warm_worker(scenario_keys: tuple[_WarmKey, ...]) -> None:
-    """Worker initializer: make sure the swept scenarios are built.
-
-    Under ``fork`` the parent already built everything before the pool
-    existed (see :func:`_prepare_shared`), so each ``make_scenario`` /
-    ``trace`` call is a memo hit on the inherited copy-on-write pages.
-    Under ``spawn`` the child starts empty and this performs the actual
-    (deterministic) rebuild.
-    """
-    for scale, seed, trace_names in scenario_keys:
-        scenario = make_scenario(scale, seed)
-        for name in trace_names:
-            scenario.trace(name)
-
-
-def _prepare_shared(
-    spec_list: "Sequence[ReplaySpec | FleetSpec]",
-) -> tuple[_WarmKey, ...]:
-    """Build every swept scenario — hierarchy *and* traces — in the parent.
-
-    Must run before the pool is created: forked workers then share the
-    built world copy-on-write and never pickle or rebuild it.  Returns
-    the warm-up keys for :func:`_warm_worker` (the spawn fallback).
-    """
-    # repro: publishes
-    wanted: dict[tuple[Scale, int], set[str]] = {}
-    for spec in spec_list:
-        names = wanted.setdefault((spec.scale, spec.scenario_seed), set())
-        if isinstance(spec, FleetSpec):
-            names.update(spec.trace_names)
-        else:
-            names.add(spec.trace_name)
-    keys = []
-    for (scale, seed), names in sorted(
-        wanted.items(), key=lambda item: (item[0][0].value, item[0][1])
-    ):
-        scenario = make_scenario(scale, seed)
-        ordered = tuple(sorted(names))
-        for name in ordered:
-            scenario.trace(name)
-        keys.append((scale, seed, ordered))
-    return tuple(keys)
-
-
-# The shared pool: created by the first parallel run_replays call and
-# kept warm for the rest of the sweep (fork + scenario warm-up is paid
-# once, not once per sweep point).  Discarded whenever a run breaks it
-# (timeout, dead worker), the requested worker count changes, or reuse
-# is disabled via $REPRO_POOL_REUSE=0.
-_shared_pool: ProcessPoolExecutor | None = None
-_shared_pool_workers: int = 0
-
-
-def shutdown_shared_pool() -> None:
-    """Tear down the warm worker pool (no-op when none is alive)."""
-    global _shared_pool
-    if _shared_pool is not None:
-        _shared_pool.shutdown(wait=False, cancel_futures=True)
-        _shared_pool = None
-
-
-atexit.register(shutdown_shared_pool)
-
-
-def _acquire_pool(
-    workers: int, warm_keys: tuple[_WarmKey, ...]
-) -> ProcessPoolExecutor:
-    """A pool with ``workers`` processes — reused from the last call when
-    possible.
-
-    A reused pool was forked before this call's scenarios were built in
-    the parent, so its workers may warm missed scenarios on demand (the
-    worker-side memo makes that a one-time cost per worker).
-    """
-    global _shared_pool, _shared_pool_workers
-    if _shared_pool is not None:
-        if pool_reuse_enabled() and _shared_pool_workers == workers:
-            return _shared_pool
-        shutdown_shared_pool()
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_warm_worker,
-        initargs=(warm_keys,),
-    )
-
-
-def _release_pool(pool: ProcessPoolExecutor, workers: int, broken: bool) -> None:
-    """Keep a healthy pool warm for the next call; discard a broken one."""
-    global _shared_pool, _shared_pool_workers
-    if broken or not pool_reuse_enabled():
-        if pool is _shared_pool:
-            _shared_pool = None
-        pool.shutdown(wait=False, cancel_futures=True)
-        return
-    _shared_pool = pool
-    _shared_pool_workers = workers
-
-
 def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplaySummary | FleetSummary":
     """Run one spec in this process and summarise the outcome."""
     if isinstance(spec, FleetSpec):
@@ -418,7 +297,6 @@ def run_replays(
     specs: Iterable[ReplaySpec | FleetSpec],
     workers: int | None = None,
     timeout: float | None = None,
-    timings: StageTimings | None = None,
 ) -> "list[ReplaySummary | FleetSummary]":
     """Execute every spec; results come back in spec order.
 
@@ -428,58 +306,49 @@ def run_replays(
             1); 1 runs everything in-process with no executor involved.
         timeout: optional per-replay wall-clock limit in seconds
             (parallel mode only).
-        timings: optional :class:`StageTimings` accumulating the batch's
-            per-stage wall/CPU cost ("prepare" and "execute" stages).
 
     Raises:
         ReplayExecutionError: when a worker process dies (e.g. OOM-kill)
             or a replay exceeds ``timeout``.  Worker exceptions from the
             replay itself propagate unchanged.
     """
-    with maybe_stage(timings, "prepare"):
-        spec_list = list(specs)
-        if workers is None:
-            workers = default_worker_count()
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    spec_list = list(specs)
+    if workers is None:
+        workers = default_worker_count()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if workers == 1 or len(spec_list) <= 1:
-        with maybe_stage(timings, "execute"):
-            return [_execute_spec(spec) for spec in spec_list]
+        return [_execute_spec(spec) for spec in spec_list]
 
-    with maybe_stage(timings, "prepare"):
-        # Build the shared world BEFORE the pool forks off it.
-        warm_keys = _prepare_shared(spec_list)
-        pool = _acquire_pool(workers, warm_keys)
-    broken = False
+    # Under fork every worker starts up front, so never ask for more
+    # processes than there are specs.
+    pool = ProcessPoolExecutor(max_workers=min(workers, len(spec_list)))
     try:
-        with maybe_stage(timings, "execute"):
-            futures: list[Future] = [
-                pool.submit(_execute_spec, spec) for spec in spec_list
-            ]
-            results = []
-            for spec, future in zip(spec_list, futures):
-                try:
-                    results.append(future.result(timeout=timeout))
-                except FuturesTimeoutError:
-                    broken = True
-                    _abort_pool(pool, futures)
-                    raise ReplayExecutionError(
-                        f"replay {spec.describe()} exceeded the {timeout:g} s "
-                        f"timeout"
-                    ) from None
-                except BrokenExecutor as error:
-                    broken = True
-                    raise ReplayExecutionError(
-                        f"a worker process died while running "
-                        f"{spec.describe()} (killed or out of memory); "
-                        f"rerun with workers=1 to reproduce in-process"
-                    ) from error
-            return results
+        futures: list[Future] = [
+            pool.submit(_execute_spec, spec) for spec in spec_list
+        ]
+        results = []
+        for spec, future in zip(spec_list, futures):
+            try:
+                results.append(future.result(timeout=timeout))
+            except FuturesTimeoutError:
+                _abort_pool(pool, futures)
+                raise ReplayExecutionError(
+                    f"replay {spec.describe()} exceeded the {timeout:g} s "
+                    f"timeout"
+                ) from None
+            except BrokenExecutor as error:
+                raise ReplayExecutionError(
+                    f"a worker process died while running "
+                    f"{spec.describe()} (killed or out of memory); "
+                    f"rerun with workers=1 to reproduce in-process"
+                ) from error
     except BaseException:
-        broken = True
+        # A failed sweep returns at once; queued replays are dropped.
+        pool.shutdown(wait=False, cancel_futures=True)
         raise
-    finally:
-        _release_pool(pool, workers, broken)
+    pool.shutdown()
+    return results
 
 
 def _abort_pool(pool: ProcessPoolExecutor, futures: list[Future]) -> None:

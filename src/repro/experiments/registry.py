@@ -63,7 +63,7 @@ class CommandDef:
     """A non-experiment CLI subcommand built on the same spec machinery.
 
     Experiments return a :class:`Renderable` summary; commands (serve,
-    events, bench) own their output and return a process exit status.
+    events) own their output and return a process exit status.
     Both generate their flags from a frozen spec dataclass via
     :func:`add_spec_arguments`, so there is exactly one way a
     subcommand's surface is defined in this repo.

@@ -120,11 +120,6 @@ def _parameters_for(scale: Scale) -> ScenarioParameters:
 class Scenario:
     """A built hierarchy plus its trace set."""
 
-    # Instances are built once in the parent and inherited by forked
-    # replay workers copy-on-write; `repro audit` (REP011) proves the
-    # parent never mutates them after the publish point.
-    # repro: published
-
     scale: Scale
     seed: int
     built: BuiltHierarchy

@@ -33,10 +33,9 @@ class PhaseStats:
 class StageTimings:
     """Named wall/CPU timers shared across an experiment run.
 
-    One instance threads through ``run_replay`` / ``run_replays``; each
+    One instance threads through ``run_replay``; each
     ``with timings.stage("replay"):`` block accumulates into the stage's
-    :class:`PhaseStats`, so repeated stages (one per spec in a fleet)
-    sum naturally.
+    :class:`PhaseStats`, so repeated stages sum naturally.
     """
 
     _stats: dict[str, PhaseStats] = field(default_factory=dict)

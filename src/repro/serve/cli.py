@@ -1,7 +1,7 @@
 """The ``repro serve`` subcommand: handler + registry entry.
 
 Registered through the same :class:`~repro.experiments.registry.CommandDef`
-machinery as ``repro events`` and ``repro bench`` — every flag below is
+machinery as ``repro events`` — every flag below is
 generated from :class:`~repro.serve.spec.ServeSpec`.
 """
 

@@ -25,7 +25,7 @@ class TestFingerprint:
 
     def test_rule_path_and_message_all_discriminate(self):
         base = fingerprint(make_violation())
-        assert fingerprint(make_violation(rule="REP011")) != base
+        assert fingerprint(make_violation(rule="REP012")) != base
         assert fingerprint(make_violation(path="other.py")) != base
         assert fingerprint(make_violation(message="different")) != base
 

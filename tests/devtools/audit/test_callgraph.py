@@ -116,36 +116,6 @@ class TestResolution:
 
 
 class TestReferences:
-    def test_function_passed_as_argument_is_a_reference(self, write_tree):
-        graph = graph_over(write_tree, {
-            "mod.py": """\
-                def work(item):
-                    return item
-
-
-                def fan_out(pool, items):
-                    return pool.map(work, items)
-                """,
-        })
-        sites = graph.sites["repro.mod.fan_out"]
-        refs = [s for s in sites if s.callee == "repro.mod.work"]
-        assert refs and all(site.is_reference for site in refs)
-
-    def test_direct_call_is_not_a_reference(self, write_tree):
-        graph = graph_over(write_tree, {
-            "mod.py": """\
-                def helper():
-                    return 1
-
-
-                def caller():
-                    return helper()
-                """,
-        })
-        sites = [s for s in graph.sites["repro.mod.caller"]
-                 if s.callee == "repro.mod.helper"]
-        assert sites and not sites[0].is_reference
-
     def test_references_still_count_as_edges(self, write_tree):
         """Taint/mutation closure must flow through handed-off functions."""
         graph = graph_over(write_tree, {

@@ -120,13 +120,13 @@ class TestAuditCommand:
         log = json.loads(capsys.readouterr().out)
         driver = log["runs"][0]["tool"]["driver"]
         assert [r["id"] for r in driver["rules"]] == [
-            "REP010", "REP011", "REP012", "REP013",
+            "REP010", "REP012", "REP013",
         ]
 
     def test_list_rules(self, in_tmp, capsys):
         assert main(["audit", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP010", "REP011", "REP012", "REP013"):
+        for rule_id in ("REP010", "REP012", "REP013"):
             assert rule_id in out
 
     def test_not_a_directory_is_usage_error(self, in_tmp, capsys):

@@ -53,7 +53,7 @@ class TestMarkerScanning:
 
     def test_marker_text_inside_string_literal_is_not_a_marker(self):
         markers = markers_of("""\
-            EXAMPLE = "# repro: published"
+            EXAMPLE = "# repro: pickled-boundary"
             """)
         assert markers == {}
 
@@ -61,9 +61,9 @@ class TestMarkerScanning:
         markers = markers_of("""\
             import time
             now = time.time()  # repro: ignore[REP001]
-            # repro: published
+            # repro: pickled-boundary
             """)
-        assert markers == {3: "published"}
+        assert markers == {3: "pickled-boundary"}
 
     def test_bare_markers_pass_through(self):
         markers = markers_of("""\
@@ -108,7 +108,7 @@ class TestMemoDeclParsing:
         assert not decl.has_invalidator
 
     def test_non_memo_markers_are_skipped(self):
-        assert parse_memo_decls({1: "published", 2: "publishes"}) == ()
+        assert parse_memo_decls({1: "pickled-boundary"}) == ()
 
     def test_malformed_memo_raises(self):
         with pytest.raises(MemoDeclError, match="malformed memo"):

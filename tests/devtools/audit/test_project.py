@@ -106,11 +106,10 @@ class TestMarkersAndDecorators:
         assert len(cls.memos) == 1
         assert cls.memos[0].name == "resp"
 
-    def test_published_and_boundary_markers(self, write_tree):
+    def test_boundary_marker(self, write_tree):
         root = write_tree({
             "mod.py": """\
-                class Shared:
-                    # repro: published
+                class Plain:
                     pass
 
 
@@ -120,9 +119,8 @@ class TestMarkersAndDecorators:
                 """,
         })
         index = ProjectIndex.build([root])
-        assert index.classes["repro.mod.Shared"].published
         assert index.classes["repro.mod.Spec"].pickled_boundary
-        assert not index.classes["repro.mod.Spec"].published
+        assert not index.classes["repro.mod.Plain"].pickled_boundary
 
     def test_invalidates_decorator_strings_are_extracted(self, write_tree):
         root = write_tree({
@@ -138,17 +136,6 @@ class TestMarkersAndDecorators:
         })
         fn = ProjectIndex.build([root]).functions["repro.mod.Zone.clear"]
         assert fn.invalidates == ("resp", "sections")
-
-    def test_publishes_marker_inside_function_body(self, write_tree):
-        root = write_tree({
-            "mod.py": """\
-                def prepare():
-                    # repro: publishes
-                    return 1
-                """,
-        })
-        fn = ProjectIndex.build([root]).functions["repro.mod.prepare"]
-        assert fn.publishes
 
     def test_custom_reduce_is_detected(self, write_tree):
         root = write_tree({

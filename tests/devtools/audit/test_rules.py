@@ -1,4 +1,4 @@
-"""Seeded bug-reinjection tests for REP010–REP013.
+"""Seeded bug-reinjection tests for REP010, REP012 and REP013.
 
 Each rule gets (at least) a clean fixture and one deliberately broken
 variant per failure mode it exists to catch — the broken variants are
@@ -15,7 +15,6 @@ from repro.devtools.audit.rules import (
     DeterminismTaintRule,
     MemoInvalidationRule,
     PickleSafetyRule,
-    PublishSafetyRule,
     run_audit,
 )
 
@@ -206,186 +205,6 @@ class TestMemoInvalidation:
 """,
         }
         assert findings(write_tree, files, self.rule) == ()
-
-
-# ---------------------------------------------------------------------------
-# REP011 — post-publish copy-on-write mutation
-# ---------------------------------------------------------------------------
-
-
-PUBLISH_BASE = {
-    "scenario.py": """\
-        class Scenario:
-            # repro: published
-
-            def __init__(self):
-                self.seed = 7
-        """,
-    "prepare.py": """\
-        def prepare_shared(scenario):
-            # repro: publishes
-            return scenario
-        """,
-}
-
-
-class TestPublishSafety:
-    rule = PublishSafetyRule()
-
-    def test_read_only_after_publish_is_clean(self, write_tree):
-        files = dict(PUBLISH_BASE)
-        files["runner.py"] = """\
-            from repro.prepare import prepare_shared
-
-
-            def describe(scenario):
-                return scenario.seed
-
-
-            def run(scenario):
-                prepare_shared(scenario)
-                return describe(scenario)
-            """
-        assert findings(write_tree, files, self.rule) == ()
-
-    def test_seeded_bug_mutation_after_publish(self, write_tree):
-        files = dict(PUBLISH_BASE)
-        files["runner.py"] = """\
-            from repro.prepare import prepare_shared
-            from repro.scenario import Scenario
-
-
-            def poison(scenario: Scenario):
-                scenario.seed = 99
-
-
-            def run(scenario):
-                prepare_shared(scenario)
-                poison(scenario)
-            """
-        (violation,) = findings(write_tree, files, self.rule)
-        assert violation.rule == "REP011"
-        assert "after the publish point" in violation.message
-        assert "Scenario.seed" in violation.message
-        assert violation.path.endswith("runner.py")
-
-    def test_seeded_bug_mutation_through_a_chain(self, write_tree):
-        files = dict(PUBLISH_BASE)
-        files["runner.py"] = """\
-            from repro.prepare import prepare_shared
-            from repro.scenario import Scenario
-
-
-            def deep(scenario: Scenario):
-                scenario.seed = 99
-
-
-            def shallow(scenario: Scenario):
-                deep(scenario)
-
-
-            def run(scenario):
-                prepare_shared(scenario)
-                shallow(scenario)
-            """
-        (violation,) = findings(write_tree, files, self.rule)
-        assert "chain:" in violation.message
-
-    def test_mutation_before_publish_is_clean(self, write_tree):
-        files = dict(PUBLISH_BASE)
-        files["runner.py"] = """\
-            from repro.prepare import prepare_shared
-            from repro.scenario import Scenario
-
-
-            def tweak(scenario: Scenario):
-                scenario.seed = 99
-
-
-            def run(scenario):
-                tweak(scenario)
-                prepare_shared(scenario)
-            """
-        assert findings(write_tree, files, self.rule) == ()
-
-    def test_worker_reference_is_not_a_parent_side_call(self, write_tree):
-        """A function handed to the pool runs in workers — exempt."""
-        files = dict(PUBLISH_BASE)
-        files["runner.py"] = """\
-            from repro.prepare import prepare_shared
-            from repro.scenario import Scenario
-
-
-            def worker(scenario: Scenario):
-                scenario.seed = 99
-
-
-            def run(pool, scenario):
-                prepare_shared(scenario)
-                return pool.map(worker, [scenario])
-            """
-        assert findings(write_tree, files, self.rule) == ()
-
-    def test_memo_storage_fill_after_publish_is_exempt(self, write_tree):
-        """Filling a declared memo field is CoW-safe by design review."""
-        files = {
-            "scenario.py": """\
-                class Scenario:
-                    # repro: published
-                    # repro: memo(traces: field=_traces, depends=[seed], invalidator=none)
-
-                    def __init__(self):
-                        self.seed = 7
-                        self._traces = {}
-                """,
-            "prepare.py": PUBLISH_BASE["prepare.py"],
-            "runner.py": """\
-                from repro.prepare import prepare_shared
-                from repro.scenario import Scenario
-
-
-                def warm(scenario: Scenario):
-                    scenario._traces["TRC1"] = object()
-
-
-                def run(scenario):
-                    prepare_shared(scenario)
-                    warm(scenario)
-                """,
-        }
-        assert findings(write_tree, files, self.rule) == ()
-
-    def test_published_closure_covers_nested_classes(self, write_tree):
-        """Mutating a class reachable *through* a published field flags."""
-        files = {
-            "scenario.py": """\
-                class Hierarchy:
-                    def __init__(self):
-                        self.zones = []
-
-
-                class Scenario:
-                    # repro: published
-
-                    built: Hierarchy
-                """,
-            "prepare.py": PUBLISH_BASE["prepare.py"],
-            "runner.py": """\
-                from repro.prepare import prepare_shared
-                from repro.scenario import Hierarchy
-
-
-                def grow(hierarchy: Hierarchy):
-                    hierarchy.zones.append(1)
-
-
-                def run(scenario):
-                    prepare_shared(scenario)
-                    grow(scenario.built)
-                """,
-        }
-        (violation,) = findings(write_tree, files, self.rule)
-        assert "Hierarchy.zones" in violation.message
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +499,7 @@ class TestRunAudit:
 
     def test_rule_registry_is_complete_and_stable(self):
         assert [rule.rule_id for rule in ALL_AUDIT_RULES] == [
-            "REP010", "REP011", "REP012", "REP013",
+            "REP010", "REP012", "REP013",
         ]
         for rule in ALL_AUDIT_RULES:
             assert rule.title

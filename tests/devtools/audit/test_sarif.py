@@ -7,7 +7,7 @@ from repro.devtools.checks import Violation
 
 RULES = [
     ("REP010", "memo mutators must invalidate", "stale caches are bugs"),
-    ("REP011", "no post-publish mutation", "CoW divergence"),
+    ("REP012", "worker-boundary types must stay picklable", "pickle"),
 ]
 
 FINDING = Violation(
@@ -29,7 +29,7 @@ class TestToSarif:
         log = to_sarif([], RULES)
         driver = log["runs"][0]["tool"]["driver"]
         assert driver["name"] == "repro-audit"
-        assert [r["id"] for r in driver["rules"]] == ["REP010", "REP011"]
+        assert [r["id"] for r in driver["rules"]] == ["REP010", "REP012"]
         assert log["runs"][0]["results"] == []
 
     def test_result_location_targets_github_code_scanning(self):

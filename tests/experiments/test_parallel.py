@@ -7,9 +7,11 @@ the failure surface (crashed workers, hung replays, bad $REPRO_WORKERS)
 and the picklability contract the pool relies on.
 """
 
+import multiprocessing
 import os
 import pickle
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -168,16 +170,6 @@ def _hang_worker(spec):
 
 
 class TestFailureSurface:
-    @pytest.fixture(autouse=True)
-    def _fresh_pool(self, monkeypatch):
-        """Fork a fresh pool so the monkeypatched module reaches workers.
-
-        A reused warm pool predates the patch (fork copies memory at
-        pool-creation time), so these tests must opt out of reuse.
-        """
-        monkeypatch.setenv(parallel.POOL_REUSE_ENV_VAR, "0")
-        parallel.shutdown_shared_pool()
-
     def test_dead_worker_reported_clearly(self, scenario, monkeypatch):
         monkeypatch.setattr(parallel, "_execute_spec", _crash_worker)
         with pytest.raises(ReplayExecutionError, match="worker process died"):
@@ -194,46 +186,23 @@ class TestFailureSurface:
         assert time.monotonic() - started < 30.0  # repro: ignore[REP001]
 
 
-class TestPoolReuse:
-    @pytest.fixture(autouse=True)
-    def _clean_slate(self, monkeypatch):
-        monkeypatch.delenv(parallel.POOL_REUSE_ENV_VAR, raising=False)
-        parallel.shutdown_shared_pool()
-        yield
-        parallel.shutdown_shared_pool()
-
-    def test_pool_survives_across_calls(self, scenario):
-        specs = _sweep_specs(scenario)
-        run_replays(specs, workers=2)
-        first = parallel._shared_pool
-        assert first is not None
-        run_replays(specs, workers=2)
-        assert parallel._shared_pool is first
-
-    def test_worker_count_change_replaces_pool(self, scenario):
-        specs = _sweep_specs(scenario)
-        run_replays(specs, workers=2)
-        first = parallel._shared_pool
-        run_replays(specs, workers=3)
-        assert parallel._shared_pool is not first
-
-    def test_escape_hatch_disables_reuse(self, scenario, monkeypatch):
-        monkeypatch.setenv(parallel.POOL_REUSE_ENV_VAR, "0")
-        assert not parallel.pool_reuse_enabled()
+class TestPoolLifetime:
+    def test_no_worker_outlives_the_call(self, scenario):
         run_replays(_sweep_specs(scenario), workers=2)
-        assert parallel._shared_pool is None
+        assert multiprocessing.active_children() == []
 
-    def test_reused_pool_results_stay_identical(self, scenario):
-        specs = _sweep_specs(scenario)
-        serial = run_replays(specs, workers=1)
-        warm_once = run_replays(specs, workers=2)
-        warm_twice = run_replays(specs, workers=2)  # reused pool
-        assert warm_once == serial
-        assert warm_twice == serial
+    def test_pool_is_sized_to_the_work(self, scenario, monkeypatch):
+        sizes = []
 
-    def test_shutdown_is_idempotent(self):
-        parallel.shutdown_shared_pool()
-        parallel.shutdown_shared_pool()
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
+        specs = _sweep_specs(scenario)[:2]
+        assert run_replays(specs, workers=4) == run_replays(specs, workers=1)
+        assert sizes == [2]
 
 
 class TestUsableCpuCount:

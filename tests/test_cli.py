@@ -101,11 +101,6 @@ class TestCommands:
         assert main(["latency", "--scale", "tiny"]) == 0
         assert "Response time" in capsys.readouterr().out
 
-    def test_bench_smoke(self, capsys):
-        assert main(["bench", "--workers", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "speedup" in out
-        assert "bitwise-identical" in out
 
     def test_info_lists_registry_experiments(self, capsys):
         assert main(["info"]) == 0
