@@ -6,7 +6,10 @@ only the standard library, with the query built and the answer parsed
 by the classic raw ``struct`` layout rather than the server's own
 codec — resolves three of its sample names over UDP, repeats one query
 over TCP (the truncation-fallback transport, RFC 1035 §4.2.2 framing),
-and scrapes the metrics endpoint for nonzero query counters.
+sends two malformed datagrams (a 5-octet runt must get no reply, a
+two-question header must get FORMERR) each followed by a good query that
+must still be answered, and scrapes the metrics endpoint for nonzero
+query counters.
 
 Exit status 0 means every check passed; any failure raises.
 """
@@ -30,13 +33,13 @@ STARTUP_SECONDS = 90.0
 _DIG_LINE = re.compile(r"dig @\S+ -p \d+ (\S+) A$")
 
 
-def build_query(tid: int, domain: str) -> bytes:
-    header = struct.pack("!HHHHHH", tid, 0x0100, 1, 0, 0, 0)
+def build_query(tid: int, domain: str, qdcount: int = 1) -> bytes:
+    header = struct.pack("!HHHHHH", tid, 0x0100, qdcount, 0, 0, 0)
     qname = b"".join(
         bytes([len(part)]) + part.encode()
         for part in domain.rstrip(".").split(".")
     ) + b"\x00"
-    return header + qname + struct.pack("!HH", 1, 1)
+    return header + (qname + struct.pack("!HH", 1, 1)) * qdcount
 
 
 def read_name(data: bytes, offset: int) -> tuple[str, int]:
@@ -94,6 +97,35 @@ def udp_query(domain: str, tid: int, timeout: float = 3.0) -> bytes:
             data, _ = sock.recvfrom(4096)
             if len(data) >= 2 and struct.unpack("!H", data[:2])[0] == tid:
                 return data
+
+
+def udp_exchange(packet: bytes, timeout: float) -> bytes | None:
+    """Send one raw datagram; the first reply, or None after ``timeout``."""
+    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+        sock.settimeout(timeout)
+        sock.sendto(packet, (HOST, DNS_PORT))
+        try:
+            return sock.recvfrom(4096)[0]
+        except socket.timeout:
+            return None
+
+
+def check_malformed(domain: str) -> None:
+    """A runt datagram gets no reply and a two-question header gets
+    FORMERR with its id; after each, a good query is still answered."""
+    runt = udp_exchange(b"\x70\x01\x01\x00\x00", timeout=0.5)
+    assert runt is None, f"a 5-octet datagram was answered: {runt!r}"
+    assert parse_reply(udp_query(domain, tid=0x7011), tid=0x7011)
+    print("malformed ok: 5-octet datagram dropped, next query answered")
+
+    reply = udp_exchange(build_query(0x7002, domain, qdcount=2), timeout=3.0)
+    assert reply is not None, "no reply to a two-question query"
+    tid, flags = struct.unpack("!HH", reply[:4])
+    assert tid == 0x7002, f"FORMERR id {tid:#x} != 0x7002"
+    assert flags & 0x8000, "QR bit clear on the FORMERR"
+    assert flags & 0xF == 1, f"rcode {flags & 0xF} for QDCOUNT=2, not FORMERR"
+    assert parse_reply(udp_query(domain, tid=0x7012), tid=0x7012)
+    print("malformed ok: QDCOUNT=2 got FORMERR, next query answered")
 
 
 def tcp_query(domain: str, tid: int, timeout: float = 5.0) -> bytes:
@@ -170,6 +202,8 @@ def main() -> None:
         }, "TCP and UDP answers disagree"
         print(f"tcp ok: {names[0]} matches the UDP answer")
 
+        check_malformed(names[0])
+
         body = urllib.request.urlopen(
             f"http://{HOST}:{METRICS_PORT}/metrics", timeout=10
         ).read().decode("utf-8")
@@ -179,7 +213,7 @@ def main() -> None:
                 r'repro_serve_queries_total\{transport="(\w+)"\} (\d+)', body
             )
         }
-        assert counts.get("udp", 0) >= 4, f"udp counter too low: {counts}"
+        assert counts.get("udp", 0) >= 6, f"udp counter too low: {counts}"
         assert counts.get("tcp", 0) >= 1, f"tcp counter missing: {counts}"
         assert "repro_events_total" in body, "obs sink block missing"
         print(f"metrics ok: {counts}")

@@ -185,8 +185,7 @@ class CachingServer:
 
         # Packed (name, rrtype) keys with a background refetch already
         # queued — the SWR singleflight: concurrent stale hits collapse
-        # onto one upstream fetch (the simulated analogue of the serve
-        # front end's `_inflight` futures).
+        # onto one upstream fetch.
         self._refetch_pending: set[int] = set()
 
         # Work-limit defenses (None/0 keeps the pre-defense paths

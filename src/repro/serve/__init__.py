@@ -3,9 +3,12 @@
 Everything in this package runs in *wall-clock* territory: it binds real
 sockets, reads real time and answers real ``dig`` queries, fronting the
 same :class:`~repro.core.caching_server.CachingServer` the replays
-exercise — swapped onto a :class:`~repro.serve.clock.WallClock` and (on
-request) a real UDP :class:`~repro.serve.upstream.UdpUpstream` through
-the Clock/Transport protocols of DESIGN.md §15.
+exercise, swapped onto a :class:`~repro.serve.clock.WallClock` through
+the Clock protocol of DESIGN.md §15.  One asyncio loop thread does all
+of it: each query is resolved inside the callback that received it,
+against the in-process simulated network.
+:class:`~repro.serve.upstream.UdpUpstream` implements the Transport
+protocol over a real socket for callers that want live upstreams.
 
 Because wall-clock reads are the point here, ``serve/`` is the one
 sanctioned allowlist in the REP001 determinism gate; the simulated core

@@ -1,8 +1,8 @@
 """Serve-side counters plus the HTTP endpoint that exposes them.
 
 The endpoint renders two blocks in one scrape: the front end's own
-counters (queries by transport, singleflight dedups, stale serves,
-truncations) and the existing obs :class:`~repro.obs.sinks.PrometheusSink`
+counters (queries by transport, stale serves, truncations, FORMERR and
+SERVFAIL answers) and the existing obs :class:`~repro.obs.sinks.PrometheusSink`
 fed by the resolver core's event bus — so one ``curl`` shows both the
 transport layer and the simulation-grade event taxonomy underneath it.
 """
@@ -17,25 +17,21 @@ from repro.obs.sinks import PrometheusSink
 class ServeMetrics:
     """Plain counters for the wall-clock front end.
 
-    Mutated from the loop thread only (the resolver thread posts its
-    results back to it), read by the scrape handler on the same thread —
-    no locking needed.
+    Mutated and scraped on the loop thread, the front end's only thread.
     """
 
     __slots__ = (
-        "udp_queries", "tcp_queries", "singleflight_hits", "stale_served",
-        "truncated", "formerr", "servfail", "budget_rejections",
+        "udp_queries", "tcp_queries", "stale_served", "truncated", "formerr",
+        "servfail",
     )
 
     def __init__(self) -> None:
         self.udp_queries = 0
         self.tcp_queries = 0
-        self.singleflight_hits = 0
         self.stale_served = 0
         self.truncated = 0
         self.formerr = 0
         self.servfail = 0
-        self.budget_rejections = 0
 
     @property
     def queries_total(self) -> int:
@@ -49,9 +45,11 @@ class ServeMetrics:
             f'repro_serve_queries_total{{transport="udp"}} {self.udp_queries}',
             f'repro_serve_queries_total{{transport="tcp"}} {self.tcp_queries}',
             "# HELP repro_serve_singleflight_hits_total "
-            "Queries deduplicated onto an in-flight resolution.",
+            "Always 0: each query is resolved inside the callback that "
+            "received it, so none waits on another's resolution "
+            "(kept because benchmarks/perf/workloads.py reads it).",
             "# TYPE repro_serve_singleflight_hits_total counter",
-            f"repro_serve_singleflight_hits_total {self.singleflight_hits}",
+            "repro_serve_singleflight_hits_total 0",
             "# HELP repro_serve_stale_served_total "
             "Responses the core answered from a lapsed cache entry "
             "(STALE_HIT under serve-stale/swr schemes).",
@@ -66,11 +64,6 @@ class ServeMetrics:
             "# HELP repro_serve_servfail_total Resolutions that failed (SERVFAIL sent).",
             "# TYPE repro_serve_servfail_total counter",
             f"repro_serve_servfail_total {self.servfail}",
-            "# HELP repro_serve_budget_rejections_total "
-            "Queries refused because the client exceeded its concurrent "
-            "upstream-fetch budget.",
-            "# TYPE repro_serve_budget_rejections_total counter",
-            f"repro_serve_budget_rejections_total {self.budget_rejections}",
         ]
         return "\n".join(lines) + "\n"
 

@@ -33,9 +33,6 @@ class ServeSpec:
         "help": "hierarchy/trace seed (fixes which names exist)"})
     udp_payload_max: int = field(default=512, metadata={
         "help": "UDP response ceiling before TC truncation"})
-    client_fetch_budget: int = field(default=0, metadata={
-        "help": "max concurrent upstream resolutions per client address "
-                "(0 = unlimited); over-budget queries get SERVFAIL"})
     print_names: int = field(default=3, metadata={
         "help": "log this many resolvable sample names at startup"})
     selftest: bool = field(default=False, metadata={
@@ -55,7 +52,5 @@ class ServeSpec:
             raise ValueError(f"metrics_port {self.metrics_port} out of range")
         if self.udp_payload_max < 64:
             raise ValueError("udp_payload_max must be at least 64 octets")
-        if self.client_fetch_budget < 0:
-            raise ValueError("client_fetch_budget must be non-negative")
         if self.selftest_queries < 1 or self.selftest_clients < 1:
             raise ValueError("selftest_queries/clients must be positive")

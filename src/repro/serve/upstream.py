@@ -9,10 +9,11 @@ answer.  The caching server cannot tell the difference — both expose
 ``query`` and ``query_timeout`` and return
 :class:`~repro.simulation.network.QueryResult` values.
 
-Blocking by design: the serve front end runs the whole resolution core
-on one dedicated thread, so a synchronous send/receive keeps the core's
-single-threaded discipline (and its latency shows up where the metrics
-expect it).
+Blocking by design: the resolution core is synchronous and
+single-threaded, and a synchronous send/receive keeps it so (its latency
+shows up where the metrics expect it).  The serve front end does not use
+it: it resolves on its loop thread against the in-process simulated
+network, where a blocking socket would stall every other client.
 """
 
 from __future__ import annotations

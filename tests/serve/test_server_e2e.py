@@ -9,6 +9,7 @@ a different resolver.
 from __future__ import annotations
 
 import asyncio
+import re
 import struct
 import threading
 from contextlib import asynccontextmanager
@@ -93,17 +94,6 @@ def _collect_loop_errors() -> list:
         lambda _loop, context: reported.append(context)
     )
     return reported
-
-
-async def _on_resolver(front_end: DnsFrontEnd, function):
-    """Run ``function`` on the resolver thread (through the mailbox,
-    serialised with stub queries) and return its result."""
-    loop = asyncio.get_running_loop()
-    future = loop.create_future()
-    front_end._jobs.put(
-        lambda: loop.call_soon_threadsafe(future.set_result, function())
-    )
-    return await future
 
 
 async def _scrape(address: tuple[str, int]) -> str:
@@ -340,35 +330,40 @@ class TestFrontEndSemantics:
         name = front_end.sample_names(1)[0]
         return decode_query(encode_query(Question(name, RRType.A), 1))
 
-    def test_singleflight_collapses_concurrent_identical_questions(self):
-        async def run():
-            async with _front_end() as front_end:
-                query = self._query_for(front_end)
-                gate = threading.Event()
-                # Stall the (single) resolver thread so the leader's
-                # resolution stays in flight while followers arrive.
-                front_end._jobs.put(gate.wait)
-                leader = asyncio.ensure_future(front_end._resolve(query))
-                await asyncio.sleep(0.05)
-                follower = asyncio.ensure_future(front_end._resolve(query))
-                await asyncio.sleep(0.05)
-                hits = front_end.metrics.singleflight_hits
-                gate.set()
-                first, second = await asyncio.gather(leader, follower)
-                return hits, first, second, front_end.metrics.stale_served
+    def test_front_end_runs_on_the_loop_thread(self):
+        """start() adds no thread, and 8 closed-loop clients over 2
+        names get all 2000 queries answered, every one of them resolved
+        by the core (none joins another's resolution)."""
+        from repro.serve.driver import run_load
 
-        hits, first, second, stale = asyncio.run(run())
-        assert hits == 1
-        # The follower awaited the leader's flight; a fresh answer is
-        # not a stale serve, whoever received it.
-        assert stale == 0
-        assert first.answer == second.answer
-        assert first.rcode is Rcode.NOERROR and first.answer
+        async def run():
+            front_end = DnsFrontEnd(_SPEC)
+            threads = threading.active_count()
+            await front_end.start()
+            try:
+                added = threading.active_count() - threads
+                report = await asyncio.wait_for(
+                    run_load(
+                        *front_end.udp_address,
+                        front_end.sample_names(2),
+                        queries=2000,
+                        clients=8,
+                    ),
+                    timeout=60.0,
+                )
+                return added, report, front_end.server.metrics.sr_queries
+            finally:
+                await front_end.stop()
+
+        added, report, resolved = asyncio.run(run())
+        assert added == 0
+        assert report.answered == report.queries == 2000
+        assert resolved == 2000
 
     def test_swr_serves_the_lapsed_rrset_then_revalidates(self):
         """Stale answers in serve are the core's: under ``swr:30`` a
-        lapsed entry is answered at once (STALE_HIT), refetched in the
-        background on the resolver thread, and hit fresh afterwards."""
+        lapsed entry is answered at once (STALE_HIT), refetched by a
+        timer body on the loop, and hit fresh afterwards."""
         import dataclasses
 
         spec = dataclasses.replace(_SPEC, scheme="swr:30")
@@ -378,26 +373,16 @@ class TestFrontEndSemantics:
                 server, clock = front_end.server, front_end.clock
                 query = self._query_for(front_end)
                 name = query.question.name
-                warm = await front_end._resolve(query)
-
-                def lapse():
-                    entry = server.cache.entry(name, RRType.A)
-                    entry.expires_at = clock.now() - 1
-
-                await _on_resolver(front_end, lapse)
-                lapsed = await front_end._resolve(query)
+                warm = front_end._resolve(query)
+                server.cache.entry(name, RRType.A).expires_at = clock.now() - 1
+                lapsed = front_end._resolve(query)
                 served = front_end.metrics.stale_served
                 for _ in range(500):
-                    expiry = await _on_resolver(
-                        front_end,
-                        lambda: server.cache.expires_at(
-                            name, RRType.A, clock.now()
-                        ),
-                    )
+                    expiry = server.cache.expires_at(name, RRType.A, clock.now())
                     if expiry is not None:
                         break
                     await asyncio.sleep(0.01)
-                fresh = await front_end._resolve(query)
+                fresh = front_end._resolve(query)
                 return (warm, lapsed, served, expiry, fresh,
                         front_end.metrics.stale_served, server.metrics)
 
@@ -415,9 +400,8 @@ class TestFrontEndSemantics:
 
     def test_front_end_holds_no_answers(self):
         """After 200 distinct questions (existing names and NXDOMAINs)
-        the quiet front end holds nothing keyed by question: the
-        singleflight table has drained and no other container on the
-        object has an element."""
+        the front end holds nothing keyed by question: no container on
+        the object has an element."""
         from repro.serve.wire import decode_query
 
         async def run():
@@ -432,102 +416,23 @@ class TestFrontEndSemantics:
                     query = decode_query(
                         encode_query(Question(name, RRType.A), index + 1)
                     )
-                    rcodes.add((await front_end._resolve(query)).rcode)
+                    rcodes.add(front_end._resolve(query).rcode)
                 held = {
                     attr: value
                     for attr, value in vars(front_end).items()
                     if isinstance(value, (dict, set, list)) and value
                 }
-                return len(set(names)), rcodes, front_end._inflight, held
+                return len(set(names)), rcodes, held
 
-        distinct, rcodes, inflight, held = asyncio.run(run())
+        distinct, rcodes, held = asyncio.run(run())
         assert distinct == 200
         assert rcodes == {Rcode.NOERROR, Rcode.NXDOMAIN}
-        assert inflight == {}
         assert held == {}
-
-    def test_idle_client_budgets_are_released(self):
-        """The per-client budget map holds only clients with a
-        resolution in flight: N sequential one-query clients (UDP
-        sources are spoofable) leave it empty."""
-        import dataclasses
-
-        spec = dataclasses.replace(_SPEC, client_fetch_budget=2)
-
-        async def run():
-            async with _front_end(spec) as front_end:
-                query = self._query_for(front_end)
-                for index in range(50):
-                    reply = await front_end._resolve(
-                        query, client=f"10.1.0.{index}"
-                    )
-                    assert reply.rcode is Rcode.NOERROR
-                return dict(front_end._client_budgets)
-
-        assert asyncio.run(run()) == {}
-
-    def test_client_budget_rejects_concurrent_over_budget_queries(self):
-        """With a 1-unit client budget, a second *distinct* question from
-        the same client while the first is still resolving is refused
-        with SERVFAIL; other clients and post-release queries proceed."""
-        import dataclasses
-
-        from repro.serve.wire import decode_query
-
-        spec = dataclasses.replace(_SPEC, client_fetch_budget=1)
-
-        async def run():
-            async with _front_end(spec) as front_end:
-                names = front_end.sample_names(3)
-                queries = [
-                    decode_query(encode_query(Question(name, RRType.A), i + 1))
-                    for i, name in enumerate(names)
-                ]
-                gate = threading.Event()
-                front_end._jobs.put(gate.wait)
-                leader = asyncio.ensure_future(
-                    front_end._resolve(queries[0], client="10.9.9.9")
-                )
-                await asyncio.sleep(0.05)
-                # Distinct question (no singleflight), same client: the
-                # one-unit budget is spent, so this must fail *now*,
-                # without waiting on the stalled resolver thread.
-                rejected = await asyncio.wait_for(
-                    front_end._resolve(queries[1], client="10.9.9.9"),
-                    timeout=1.0,
-                )
-                rejections = front_end.metrics.budget_rejections
-                # A different client has its own untouched budget.
-                other = asyncio.ensure_future(
-                    front_end._resolve(queries[1], client="10.8.8.8")
-                )
-                await asyncio.sleep(0.05)
-                gate.set()
-                first = await leader
-                other_reply = await other
-                # The leader released its unit: the client may query again.
-                third = await front_end._resolve(
-                    queries[2], client="10.9.9.9"
-                )
-                return (rejected, rejections, first, other_reply, third,
-                        front_end.metrics.budget_rejections,
-                        front_end.metrics.render())
-
-        (rejected, rejections, first, other_reply, third,
-         final_rejections, rendered) = asyncio.run(run())
-        assert rejected.rcode is Rcode.SERVFAIL
-        assert rejected.answer == ()
-        assert rejections == 1
-        assert first.rcode is Rcode.NOERROR
-        assert other_reply.rcode is Rcode.NOERROR
-        assert third.rcode is Rcode.NOERROR
-        assert final_rejections == 1
-        assert "repro_serve_budget_rejections_total 1" in rendered
 
     def test_resolver_exception_answers_servfail_and_survives(self):
         """A resolution that raises is a SERVFAIL on the wire (not a
-        client timeout), is reported to the loop's exception handler,
-        leaves nothing in flight, and the resolver thread carries on."""
+        client timeout), is counted and reported to the loop's exception
+        handler, and the next query is answered."""
 
         async def run():
             async with _front_end() as front_end:
@@ -543,22 +448,20 @@ class TestFrontEndSemantics:
                     front_end.udp_address, packet, timeout=1.0
                 )
                 servfail = front_end.metrics.servfail
-                inflight = dict(front_end._inflight)
                 del front_end.server.handle_stub_query
                 answered = await _udp_query(front_end.udp_address, packet)
-                return failed, servfail, inflight, reported, answered
+                return failed, servfail, reported, answered
 
-        failed, servfail, inflight, reported, answered = asyncio.run(run())
+        failed, servfail, reported, answered = asyncio.run(run())
         assert decode_message(failed).message.rcode is Rcode.SERVFAIL
         assert decode_message(failed).message.message_id == 21
         assert servfail == 1
-        assert inflight == {}
         assert [type(c["exception"]) for c in reported] == [KeyError]
         assert decode_message(answered).message.rcode is Rcode.NOERROR
 
     def test_raising_timer_body_is_reported_not_swallowed(self):
-        """Renewal timer bodies reach the resolver thread through the
-        same mailbox and the same guard."""
+        """A renewal timer body runs on the loop, and one that raises
+        reaches the loop's exception handler; serving carries on."""
 
         async def run():
             async with _front_end() as front_end:
@@ -572,168 +475,80 @@ class TestFrontEndSemantics:
                     if reported:
                         break
                     await asyncio.sleep(0.005)
-                reply = await front_end._resolve(self._query_for(front_end))
+                reply = front_end._resolve(self._query_for(front_end))
                 return reported, reply
 
         reported, reply = asyncio.run(run())
         assert [type(c["exception"]) for c in reported] == [ValueError]
         assert reply.rcode is Rcode.NOERROR
 
-    def test_one_waiters_reply_failure_does_not_starve_the_others(self):
+    def test_one_waiters_reply_failure_does_not_starve_the_others(
+        self, monkeypatch
+    ):
+        """A datagram whose reply fails to go out is reported to the
+        loop's exception handler, and the next datagram is answered."""
+        import repro.serve.server as server_module
+
+        encode_response = server_module.encode_response
+        failures = [OSError("send failed")]
+
+        def fails_once(*args, **kwargs):
+            if failures:
+                raise failures.pop()
+            return encode_response(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "encode_response", fails_once)
+
         async def run():
             async with _front_end() as front_end:
                 reported = _collect_loop_errors()
-                query = self._query_for(front_end)
-                gate = threading.Event()
-                front_end._jobs.put(gate.wait)
+                name = front_end.sample_names(1)[0]
+                loop = asyncio.get_running_loop()
+                lost, _ = await loop.create_datagram_endpoint(
+                    asyncio.DatagramProtocol,
+                    remote_addr=front_end.udp_address,
+                )
+                lost.sendto(encode_query(Question(name, RRType.A), 40))
+                reply = await _udp_query(
+                    front_end.udp_address,
+                    encode_query(Question(name, RRType.A), 41),
+                )
+                lost.close()
+                return reported, reply, front_end.metrics.udp_queries
 
-                def broken(_message):
-                    raise OSError("send failed")
-
-                front_end._submit(query, "10.0.0.1", broken)
-                follower = asyncio.ensure_future(front_end._resolve(query))
-                await asyncio.sleep(0.05)
-                gate.set()
-                reply = await asyncio.wait_for(follower, timeout=2.0)
-                return reported, reply
-
-        reported, reply = asyncio.run(run())
+        reported, reply, received = asyncio.run(run())
         assert [type(c["exception"]) for c in reported] == [OSError]
-        assert reply.rcode is Rcode.NOERROR and reply.answer
+        assert received == 2
+        message = decode_message(reply).message
+        assert message.message_id == 41
+        assert message.rcode is Rcode.NOERROR and message.answer
 
-    def test_overload_sheds_new_questions_with_servfail(self):
-        """The in-flight table is bounded: with the resolver stalled,
-        questions beyond ``_MAX_INFLIGHT`` are refused at once on the
-        loop thread, followers of a flight are still admitted, and the
-        admitted ones are all answered once the resolver runs again."""
-        from repro.serve.server import _MAX_INFLIGHT
-        from repro.serve.wire import decode_query
-
-        extra = 50
+    def test_stop_cancels_every_pending_timer(self):
+        """Renewal timers armed by a resolution (the default
+        ``combination`` scheme) and a timer armed by hand are all
+        cancelled by stop(): none is pending and none fires after."""
 
         async def run():
-            async with _front_end() as front_end:
-                gate = threading.Event()
-                front_end._jobs.put(gate.wait)
-                queries = [
-                    decode_query(encode_query(
-                        Question(Name.from_text(f"q{i}.no.such.zz"), RRType.A),
-                        i & 0xFFFF,
-                    ))
-                    for i in range(_MAX_INFLIGHT + extra)
-                ]
-                replies = []
-                for query in queries:
-                    front_end._submit(query, "10.0.0.1", replies.append)
-                shed = list(replies)
-                held = len(front_end._inflight)
-                servfail = front_end.metrics.servfail
-                follower = asyncio.ensure_future(
-                    front_end._resolve(queries[0])
-                )
-                await asyncio.sleep(0.05)
-                joined = front_end.metrics.singleflight_hits
-                gate.set()
-                await asyncio.wait_for(follower, timeout=10.0)
-                for _ in range(1000):
-                    if not front_end._inflight:
-                        break
-                    await asyncio.sleep(0.01)
-                return (shed, held, servfail, joined, replies,
-                        dict(front_end._inflight))
-
-        shed, held, servfail, joined, replies, inflight = asyncio.run(run())
-        assert len(shed) == extra == servfail
-        assert {message.rcode for message in shed} == {Rcode.SERVFAIL}
-        assert held == _MAX_INFLIGHT
-        assert joined == 1
-        assert len(replies) == _MAX_INFLIGHT + extra
-        assert {m.rcode for m in replies[extra:]} == {Rcode.NXDOMAIN}
-        assert inflight == {}
-
-    def test_no_query_is_lost_under_thread_switch_pressure(self):
-        """Stress the loop<->resolver hand-off: 8 closed-loop clients
-        over 2 names with a 10 us switch interval.  Every query is
-        answered, each one either led a resolution (reached the core)
-        or followed one, and nothing is left in flight."""
-        import sys
-
-        from repro.serve.driver import run_load
-
-        async def run():
-            async with _front_end() as front_end:
-                report = await asyncio.wait_for(
-                    run_load(
-                        *front_end.udp_address,
-                        front_end.sample_names(2),
-                        queries=2000,
-                        clients=8,
-                    ),
-                    timeout=60.0,
-                )
-                return (report, front_end.metrics.singleflight_hits,
-                        front_end.server.metrics.sr_queries,
-                        dict(front_end._inflight))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            report, followers, leaders, inflight = asyncio.run(run())
-        finally:
-            sys.setswitchinterval(interval)
-        assert report.answered == report.queries == 2000
-        assert followers + leaders == 2000
-        assert inflight == {}
-
-    def test_stop_with_queries_in_flight(self):
-        """stop() with a stalled resolver and leaders pending: returns
-        once the running job does, leaves no resolver thread behind and
-        no _resolve() future pending."""
-        from repro.serve.wire import decode_query
-
-        async def run():
-            loop = asyncio.get_running_loop()
             front_end = DnsFrontEnd(_SPEC)
             await front_end.start()
-            serving = [
-                thread.name for thread in threading.enumerate()
-                if thread.name.startswith("repro-resolver")
-            ]
-            gate = threading.Event()
-            front_end._jobs.put(gate.wait)
-            leaders = [
-                asyncio.ensure_future(front_end._resolve(decode_query(
-                    encode_query(Question(name, RRType.A), index + 1)
-                )))
-                for index, name in enumerate(front_end.sample_names(3))
-            ]
-            await asyncio.sleep(0.05)
-            pending = len(front_end._inflight)
-            opener = threading.Timer(0.2, gate.set)
-            opener.start()
-            begun = loop.time()
+            clock = front_end.clock
+            front_end._resolve(self._query_for(front_end))
+            fired: list[float] = []
+            clock.schedule(0.05, fired.append)
+            armed = clock.pending_timers()
             await front_end.stop()
-            took = loop.time() - begun
-            opener.join()
-            await asyncio.wait(leaders, timeout=1.0)
-            return (serving, pending, took,
-                    [leader.cancelled() for leader in leaders],
-                    front_end._pending)
+            left = clock.pending_timers()
+            await asyncio.sleep(0.1)
+            return armed, left, fired
 
-        serving, pending, took, cancelled, left = asyncio.run(run())
-        assert serving == ["repro-resolver"]
-        assert pending == 3
-        assert took < 2.0
-        assert cancelled == [True, True, True]
-        assert left == set()
-        assert not [
-            thread for thread in threading.enumerate()
-            if thread.name.startswith("repro-resolver")
-        ]
+        armed, left, fired = asyncio.run(run())
+        assert armed > 1
+        assert left == 0
+        assert fired == []
 
     def test_failed_bind_unwinds_the_started_resolver_and_sockets(self):
-        """A TCP bind that fails after UDP bound and the resolver thread
-        started raises, and leaves neither behind."""
+        """A TCP bind that fails after UDP bound raises, and leaves no
+        socket behind."""
         import dataclasses
         import socket
 
@@ -747,28 +562,29 @@ class TestFrontEndSemantics:
                 )
                 with pytest.raises(OSError):
                     await front_end.start()
-            resolvers = [
-                thread for thread in threading.enumerate()
-                if thread.name.startswith("repro-resolver")
-            ]
             with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as probe:
                 probe.bind(("127.0.0.1", port))
-            return resolvers
 
-        assert asyncio.run(run()) == []
+        asyncio.run(run())
 
-    def test_default_spec_has_no_client_budget(self):
+    def test_scrape_names_are_pinned(self):
+        """The front end's scrape exposes exactly these counters; the
+        singleflight one reads 0 by construction."""
+
         async def run():
             async with _front_end() as front_end:
-                return front_end._client_budget("10.9.9.9")
+                return await _scrape(front_end.metrics_address)
 
-        assert asyncio.run(run()) is None
-
-    def test_negative_client_budget_rejected(self):
-        import dataclasses
-
-        with pytest.raises(ValueError):
-            dataclasses.replace(_SPEC, client_fetch_budget=-1)
+        body = asyncio.run(run())
+        assert set(re.findall(r"^(repro_serve_\w+)", body, re.MULTILINE)) == {
+            "repro_serve_queries_total",
+            "repro_serve_singleflight_hits_total",
+            "repro_serve_stale_served_total",
+            "repro_serve_truncated_total",
+            "repro_serve_formerr_total",
+            "repro_serve_servfail_total",
+        }
+        assert "\nrepro_serve_singleflight_hits_total 0\n" in body
 
     def test_metrics_endpoint_exposes_both_layers(self):
         async def run():

@@ -8,7 +8,6 @@ asserting wall-timer behaviour requires reading wall time.
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
@@ -129,78 +128,17 @@ class TestTimers:
         tokens = _run(check())
         assert len(set(tokens)) == len(tokens)
 
-
-class TestThreading:
-    def test_schedule_from_another_thread(self):
-        """The resolver thread arms timers while the loop thread owns the
-        handles — the exact shape RenewalManager exercises."""
-
+    def test_close_cancels_every_pending_timer(self):
         async def check():
-            loop = asyncio.get_running_loop()
-            clock = WallClock(loop)
-            fired = asyncio.Event()
-
-            def from_thread() -> None:
-                clock.schedule(0.01, lambda _now: loop.call_soon_threadsafe(fired.set))
-
-            worker = threading.Thread(target=from_thread)
-            worker.start()
-            worker.join()
-            await asyncio.wait_for(fired.wait(), timeout=2.0)
-            return True
-
-        assert _run(check())
-
-    def test_runner_receives_the_timer_body(self):
-        """Timer bodies execute wherever the runner puts them, not on the
-        loop thread."""
-
-        async def check():
-            loop = asyncio.get_running_loop()
-            clock_threads: list[str] = []
-            done = asyncio.Event()
-
-            def runner(body):
-                def labelled():
-                    clock_threads.append(threading.current_thread().name)
-                    body()
-                    loop.call_soon_threadsafe(done.set)
-
-                thread = threading.Thread(target=labelled, name="test-runner")
-                thread.start()
-                return thread
-
-            clock = WallClock(loop, runner=runner)
+            clock = WallClock(asyncio.get_running_loop())
             fired: list[float] = []
-            clock.schedule(0.0, fired.append)
-            await asyncio.wait_for(done.wait(), timeout=2.0)
-            return clock_threads, fired
-
-        clock_threads, fired = _run(check())
-        assert clock_threads == ["test-runner"]
-        assert len(fired) == 1
-
-    def test_cancel_from_another_thread_before_arming(self):
-        """schedule() immediately followed by cancel() on a non-loop
-        thread never fires — the arming callback sees the token gone."""
-
-        async def check():
-            loop = asyncio.get_running_loop()
-            clock = WallClock(loop)
-            fired: list[float] = []
-            outcomes: list[bool] = []
-
-            def from_thread() -> None:
-                token = clock.schedule(0.0, fired.append)
-                outcomes.append(clock.cancel(token))
-
-            worker = threading.Thread(target=from_thread)
-            worker.start()
-            worker.join()
+            for delay in (0.0, 0.01, 5.0):
+                clock.schedule(delay, fired.append)
+            clock.close()
+            pending = clock.pending_timers()
             await asyncio.sleep(0.05)
-            return fired, outcomes, clock.pending_timers()
+            return fired, pending
 
-        fired, outcomes, pending = _run(check())
+        fired, pending = _run(check())
         assert fired == []
-        assert outcomes == [True]
         assert pending == 0
