@@ -20,6 +20,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
+from repro.dns.errors import InvariantError
 from repro.dns.name import Name, name_for_id
 from repro.dns.ranking import Rank
 from repro.dns.records import RRset
@@ -392,22 +393,34 @@ class DnsCache:
         return entry.rrset
 
     def _observed_get(self, name: Name, rrtype: RRType, now: float) -> RRset | None:
-        """``get`` with event emission; bound in by :meth:`attach_observer`."""
+        """``get`` with event emission; bound in by :meth:`attach_observer`.
+
+        A quiet bus (no subscriber) only counts each lookup, so no
+        payload is built for an event nobody reads.
+        """
         key = (name.iid << RRTYPE_BITS) | rrtype
         entry = self._entries.get(key)
         obs = self._obs
+        if obs is None:
+            raise InvariantError("observed get without an observer")
         if entry is None:
-            if obs is not None:
+            if obs.quiet:
+                obs.count(EventKind.CACHE_MISS, now)
+            else:
                 obs.emit(EventKind.CACHE_MISS, now,
                          name=str(name), rrtype=rrtype.name)
             return None
         if entry.expires_at <= now:
-            if obs is not None:
+            if obs.quiet:
+                obs.count(EventKind.CACHE_EXPIRED, now)
+            else:
                 obs.emit(EventKind.CACHE_EXPIRED, now,
                          name=str(name), rrtype=rrtype.name,
                          expired_at=entry.expires_at)
             return None
-        if obs is not None:
+        if obs.quiet:
+            obs.count(EventKind.CACHE_HIT, now)
+        else:
             obs.emit(EventKind.CACHE_HIT, now,
                      name=str(name), rrtype=rrtype.name,
                      remaining=entry.expires_at - now)

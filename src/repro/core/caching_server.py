@@ -242,8 +242,11 @@ class CachingServer:
         """
         obs = self.observer
         if obs is not None:
-            obs.emit(EventKind.STUB_QUERY, now,
-                     name=str(qname), rrtype=rrtype.name)
+            if obs.quiet:
+                obs.count(EventKind.STUB_QUERY, now)
+            else:
+                obs.emit(EventKind.STUB_QUERY, now,
+                         name=str(qname), rrtype=rrtype.name)
         if self._fetch_budget is not None:
             self._fetch_budget.reset()
         resolution = self.resolve(qname, rrtype, now)
@@ -266,10 +269,13 @@ class CachingServer:
             outcome is _STALE_HIT,
         )
         if obs is not None:
-            obs.emit(EventKind.STUB_OUTCOME, now,
-                     name=str(qname), rrtype=rrtype.name,
-                     outcome=outcome.value,
-                     failed=failed)
+            if obs.quiet:
+                obs.count(EventKind.STUB_OUTCOME, now)
+            else:
+                obs.emit(EventKind.STUB_OUTCOME, now,
+                         name=str(qname), rrtype=rrtype.name,
+                         outcome=outcome.value,
+                         failed=failed)
         return resolution
 
     def handle_attack_query(

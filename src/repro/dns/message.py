@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.dns.name import Name
 from repro.dns.ranking import Rank, section_rank
@@ -43,9 +44,14 @@ class Rcode(enum.IntEnum):
     REFUSED = 5
 
 
-@dataclass(frozen=True, slots=True)
-class Question:
-    """The question section: one (name, type, class) triple."""
+class Question(NamedTuple):
+    """The question section: one (name, type, class) triple.
+
+    A ``NamedTuple``, like the resolver's other per-operation records:
+    renewal refetches build one per upstream query, and a tuple is
+    filled without a frozen dataclass's per-field ``__setattr__``.
+    Equality and hashing are the triple's, as before.
+    """
 
     name: Name
     rrtype: RRType

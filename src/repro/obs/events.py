@@ -160,10 +160,13 @@ class EventBus:
     kept on every ``emit``, before any :class:`Event` is built, so a
     consumer that only needs totals (the Prometheus scrape) reads
     :meth:`counts` / :attr:`last_time` instead of subscribing — and a
-    bus with no subscriber never builds an event at all.
+    bus with no subscriber never builds an event at all.  Hot call sites
+    go one step further: while :attr:`quiet` holds they call
+    :meth:`count`, which books exactly what ``emit`` would without the
+    caller building the payload.
     """
 
-    __slots__ = ("_seq", "_counts", "_last_time", "_all", "_by_kind")
+    __slots__ = ("_seq", "_counts", "_last_time", "_all", "_by_kind", "quiet")
 
     def __init__(self) -> None:
         self._seq = 0
@@ -171,6 +174,8 @@ class EventBus:
         self._last_time = 0.0
         self._all: list[EventHandler] = []
         self._by_kind: dict[EventKind, list[EventHandler]] = {}
+        self.quiet = True
+        """True until the first :meth:`subscribe`: no event has a reader."""
 
     def subscribe(
         self,
@@ -178,6 +183,7 @@ class EventBus:
         kinds: "Iterable[EventKind] | None" = None,
     ) -> None:
         """Deliver events to ``handler`` (all kinds, or only ``kinds``)."""
+        self.quiet = False
         if kinds is None:
             self._all.append(handler)
             return
@@ -212,6 +218,19 @@ class EventBus:
             for handler in targeted:
                 handler(event)
         return event
+
+    def count(self, kind: EventKind, time: float) -> None:
+        """Book one event nobody reads: ``emit`` minus the payload.
+
+        The sequence number, per-kind tally and :attr:`last_time` move
+        exactly as ``emit`` would move them; only call it while
+        :attr:`quiet` holds.
+        """
+        self._seq += 1
+        counts = self._counts
+        counts[kind] = counts.get(kind, 0) + 1
+        if time > self._last_time:
+            self._last_time = time
 
     @property
     def emitted(self) -> int:

@@ -18,6 +18,9 @@ Scope notes (the honest deltas from a full implementation):
   octets (self-consistent, and these types never leave the simulator).
 * TTLs are whole seconds on the wire (uint32); the simulator's float
   TTLs are truncated on encode.
+* Decoded labels must use the :class:`~repro.dns.name.Name` alphabet
+  (``[A-Za-z0-9_-]``).  Any other octet is a :class:`WireFormatError`,
+  which is what both decoders raise for every malformed packet.
 
 Query names preserve the client's octet case: :func:`decode_query`
 keeps the raw labels alongside the canonical lowercased
@@ -32,9 +35,10 @@ import ipaddress
 import socket
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from repro.dns.message import Message, Question, Rcode
-from repro.dns.name import Name
+from repro.dns.name import _INTERN, MAX_LABEL_LENGTH, MAX_NAME_LENGTH, Name
 from repro.dns.records import ResourceRecord, RRset
 from repro.dns.rrtypes import RRClass, RRType
 
@@ -76,32 +80,43 @@ class WireFormatError(ValueError):
 
 
 class _Writer:
-    """Accumulates one message, tracking name offsets for compression."""
+    """Accumulates one message, tracking name offsets for compression.
+
+    The offset table is keyed on interned suffix :class:`Name` objects
+    (the entries of :meth:`Name.ancestors`), so it hashes by identity
+    and a name is matched against every suffix already written without
+    building a key.  A label sequence that is not a ``Name`` (SOA text,
+    a foreign-case query echo) keys each suffix as the interned ``Name``
+    when the intern table holds one, else as its lowercased label tuple,
+    which only another text name can match.  Either way a suffix
+    compresses exactly when its lowercased labels were written before,
+    unless a record's owner interns that suffix as a new ancestor after
+    a text name wrote it.
+    """
 
     __slots__ = ("buf", "_offsets")
 
-    def __init__(self) -> None:
-        self.buf = bytearray()
-        # Canonical (lowercased) suffix -> offset of its first encoding.
-        self._offsets: dict[tuple[str, ...], int] = {}
+    def __init__(self, header: bytes) -> None:
+        self.buf = bytearray(header)
+        self._offsets: dict[Name | tuple[str, ...], int] = {}
 
-    def write_name(
-        self, labels: tuple[str, ...], canonical: bool = False
+    def write_name(self, name: Name) -> None:
+        self.write_labels(name.labels, name.ancestors())
+
+    def write_text_labels(self, labels: tuple[str, ...]) -> None:
+        lowered = tuple([label.lower() for label in labels])
+        tails = [lowered[index:] for index in range(len(lowered))]
+        self.write_labels(labels, [_INTERN.get(tail, tail) for tail in tails])
+
+    def write_labels(
+        self,
+        labels: tuple[str, ...],
+        suffixes: Sequence[Name | tuple[str, ...]],
     ) -> None:
-        """Write a (possibly mixed-case) label sequence, compressing
-        against every suffix already present in the message.
-
-        ``canonical`` promises the labels are already lowercase (a
-        :class:`~repro.dns.name.Name`'s are), so they key the suffix
-        table as they stand.
-        """
-        lowered = (
-            labels if canonical
-            else tuple([label.lower() for label in labels])
-        )
+        """Write ``labels``, ending in a pointer at the first suffix
+        already present; ``suffixes[i]`` keys ``labels[i:]``."""
         buf, offsets = self.buf, self._offsets
-        for index, label in enumerate(labels):
-            suffix = lowered[index:]
+        for label, suffix in zip(labels, suffixes):
             pointer = offsets.get(suffix)
             if pointer is not None:
                 buf += _U16.pack(0xC000 | pointer)
@@ -110,23 +125,29 @@ class _Writer:
             if here < _POINTER_LIMIT:
                 offsets[suffix] = here
             encoded = label.encode("ascii")
-            if not 0 < len(encoded) < 64:
+            size = len(encoded)
+            if not 0 < size <= MAX_LABEL_LENGTH:
                 raise WireFormatError(f"label {label!r} not encodable")
-            buf.append(len(encoded))
+            buf.append(size)
             buf += encoded
         buf.append(0)
 
     def write_question(
         self, question: Question, raw_labels: tuple[str, ...] | None = None
     ) -> None:
-        if raw_labels:
-            self.write_name(raw_labels)
+        """The question, echoing ``raw_labels`` (the client's octet case)
+        when given."""
+        name = question.name
+        if not raw_labels or raw_labels == name.labels:
+            self.write_name(name)
+        elif tuple([label.lower() for label in raw_labels]) == name.labels:
+            self.write_labels(raw_labels, name.ancestors())
         else:
-            self.write_name(question.name.labels, canonical=True)
+            self.write_text_labels(raw_labels)
         self.buf += _QUESTION_FIXED.pack(question.rrtype, question.rrclass)
 
     def write_record(self, record: ResourceRecord) -> None:
-        self.write_name(record.name.labels, canonical=True)
+        self.write_name(record.name)
         ttl = int(record.ttl)
         if not 0 <= ttl < 2**32:
             raise WireFormatError(f"TTL {record.ttl} not encodable")
@@ -142,7 +163,7 @@ class _Writer:
         if rrtype in _NAME_RDATA:
             if not isinstance(data, Name):  # pragma: no cover - typed upstream
                 raise WireFormatError(f"{rrtype.name} rdata must be a Name")
-            self.write_name(data.labels, canonical=True)
+            self.write_name(data)
         elif rrtype is RRType.A:
             try:
                 self.buf += socket.inet_pton(socket.AF_INET, str(data))
@@ -175,8 +196,8 @@ class _Writer:
         if len(tokens) != 4:
             raise WireFormatError(f"unencodable SOA rdata {text!r}")
         mname, rname, serial, minimum = tokens
-        self.write_name(_labels_from_text(mname))
-        self.write_name(_labels_from_text(rname))
+        self.write_text_labels(_labels_from_text(mname))
+        self.write_text_labels(_labels_from_text(rname))
         try:
             self.buf += _SOA_WIRE_TAIL.pack(int(serial), 0, 0, 0, int(minimum))
         except (ValueError, struct.error) as error:
@@ -197,9 +218,8 @@ def encode_query(
     raw_labels: tuple[str, ...] | None = None,
 ) -> bytes:
     """One query packet for ``question`` (header + question section)."""
-    writer = _Writer()
     flags = FLAG_RD if recursion_desired else 0
-    writer.buf += HEADER.pack(message_id & 0xFFFF, flags, 1, 0, 0, 0)
+    writer = _Writer(HEADER.pack(message_id & 0xFFFF, flags, 1, 0, 0, 0))
     writer.write_question(question, raw_labels)
     return bytes(writer.buf)
 
@@ -221,7 +241,6 @@ def encode_response(
     degrades to header + question with TC set — the classic signal to
     retry over TCP.
     """
-    writer = _Writer()
     flags = FLAG_QR
     if message.authoritative:
         flags |= FLAG_AA
@@ -233,23 +252,25 @@ def encode_response(
     mid = (message.message_id if message_id is None else message_id) & 0xFFFF
     # The counts are tallied while the records are written and filled
     # in afterwards.
-    writer.buf += HEADER.pack(mid, flags, 1, 0, 0, 0)
+    writer = _Writer(HEADER.pack(mid, flags, 1, 0, 0, 0))
     writer.write_question(message.question, raw_labels)
-    counts = [0, 0, 0]
-    for index, section in enumerate(
-        (message.answer, message.authority, message.additional)
-    ):
+    question_end = len(writer.buf)
+    counts = []
+    for section in (message.answer, message.authority, message.additional):
+        count = 0
         for rrset in section:
-            for record in rrset:
+            records = rrset.records
+            for record in records:
                 writer.write_record(record)
-                counts[index] += 1
-    if max_size is not None and len(writer.buf) > max_size:
-        truncated = _Writer()
-        truncated.buf += HEADER.pack(mid, flags | FLAG_TC, 1, 0, 0, 0)
-        truncated.write_question(message.question, raw_labels)
-        return bytes(truncated.buf)
-    HEADER.pack_into(writer.buf, 0, mid, flags, 1, *counts)
-    return bytes(writer.buf)
+            count += len(records)
+        counts.append(count)
+    buf = writer.buf
+    if max_size is not None and len(buf) > max_size:
+        del buf[question_end:]
+        HEADER.pack_into(buf, 0, mid, flags | FLAG_TC, 1, 0, 0, 0)
+    else:
+        HEADER.pack_into(buf, 0, mid, flags, 1, *counts)
+    return bytes(buf)
 
 
 def frame_tcp(payload: bytes) -> bytes:
@@ -264,8 +285,7 @@ def frame_tcp(payload: bytes) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedQuery:
+class DecodedQuery(NamedTuple):
     """One parsed query: the canonical question plus wire details."""
 
     message_id: int
@@ -285,26 +305,43 @@ class DecodedMessage:
     recursion_available: bool
 
 
+#: The octets a wire label may carry: the :class:`Name` alphabet in
+#: either case.  Anything else (``.``, spaces, non-ASCII) is a
+#: :class:`WireFormatError`, never a different name.
+_LABEL_OCTETS = (
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
+)
+
+_RRTYPES = {int(member): member for member in RRType}
+_RRCLASSES = {int(member): member for member in RRClass}
+_RCODES = {int(member): member for member in Rcode}
+
+
 def _read_name(data: bytes, offset: int) -> tuple[tuple[str, ...], int]:
     """Read one (possibly compressed) name.
 
     Returns ``(labels, next_offset)`` where labels keep their wire
     octet case and ``next_offset`` is the position after the name in
-    the *original* (unjumped) byte stream.
+    the *original* (unjumped) byte stream.  Every label's octets are
+    checked against the name alphabet and the whole name against the
+    255-octet limit here, so :func:`_name_for` never re-validates.
     """
     labels: list[str] = []
-    end: int | None = None
+    end = -1
     jumps = 0
-    total = 0
+    total = 1  # the root's terminating zero octet
+    size = len(data)
     while True:
-        if offset >= len(data):
+        if offset >= size:
             raise WireFormatError("name runs past the end of the packet")
         length = data[offset]
-        if length & _POINTER_TAG == _POINTER_TAG:
-            if offset + 1 >= len(data):
+        if length > MAX_LABEL_LENGTH:
+            if length & _POINTER_TAG != _POINTER_TAG:
+                raise WireFormatError(f"reserved label type 0x{length:02x}")
+            if offset + 1 >= size:
                 raise WireFormatError("dangling compression pointer")
             pointer = ((length & 0x3F) << 8) | data[offset + 1]
-            if end is None:
+            if end < 0:
                 end = offset + 2
             if pointer >= offset:
                 raise WireFormatError("forward compression pointer")
@@ -313,36 +350,47 @@ def _read_name(data: bytes, offset: int) -> tuple[tuple[str, ...], int]:
                 raise WireFormatError("compression pointer loop")
             offset = pointer
             continue
-        if length & _POINTER_TAG:
-            raise WireFormatError(f"reserved label type 0x{length:02x}")
         offset += 1
-        if length == 0:
-            return tuple(labels), end if end is not None else offset
-        if offset + length > len(data):
+        if not length:
+            return tuple(labels), end if end >= 0 else offset
+        stop = offset + length
+        if stop > size:
             raise WireFormatError("label runs past the end of the packet")
         total += length + 1
-        if total > 255:
+        if total > MAX_NAME_LENGTH:
             raise WireFormatError("name exceeds 255 octets")
-        try:
-            labels.append(data[offset:offset + length].decode("ascii"))
-        except UnicodeDecodeError as error:
-            raise WireFormatError("non-ASCII label") from error
-        offset += length
+        octets = data[offset:stop]
+        if octets.translate(None, _LABEL_OCTETS):
+            raise WireFormatError(f"bad octet in label {octets!r}")
+        labels.append(octets.decode("ascii"))
+        offset = stop
 
 
-def _canonical_name(labels: tuple[str, ...]) -> Name:
-    if not labels:
-        return Name.from_text(".")
-    return Name.from_text(".".join(labels) + ".")
+def _name_for(labels: tuple[str, ...]) -> Name:
+    """The interned :class:`Name` for labels :func:`_read_name` checked."""
+    lowered = tuple([label.lower() for label in labels])
+    return _INTERN.get(lowered) or Name(lowered)
 
 
-def _read_type_class(data: bytes, offset: int) -> tuple[int, int, int]:
-    """The question's fixed tail: ``(rrtype, rrclass, next_offset)``."""
+def _type_and_class(rrtype_value: int, rrclass_value: int) -> tuple[RRType, RRClass]:
+    """The members for two wire codes; an unknown code is a WireFormatError."""
+    rrtype = _RRTYPES.get(rrtype_value)
+    if rrtype is None:
+        raise WireFormatError(f"{rrtype_value} is not a valid RRType")
+    rrclass = _RRCLASSES.get(rrclass_value)
+    if rrclass is None:
+        raise WireFormatError(f"{rrclass_value} is not a valid RRClass")
+    return rrtype, rrclass
+
+
+def _read_question(data: bytes) -> tuple[Question, tuple[str, ...], int]:
+    """The question after the header: ``(question, raw_labels, next_offset)``."""
+    labels, offset = _read_name(data, HEADER.size)
     end = offset + _QUESTION_FIXED.size
     if end > len(data):
         raise WireFormatError("packet truncated mid-field")
-    rrtype_value, rrclass_value = _QUESTION_FIXED.unpack_from(data, offset)
-    return rrtype_value, rrclass_value, end
+    rrtype, rrclass = _type_and_class(*_QUESTION_FIXED.unpack_from(data, offset))
+    return Question(_name_for(labels), rrtype, rrclass), labels, end
 
 
 def decode_query(data: bytes) -> DecodedQuery:
@@ -359,22 +407,13 @@ def decode_query(data: bytes) -> DecodedQuery:
         raise WireFormatError("QR bit set on a query")
     if qdcount != 1:
         raise WireFormatError(f"expected exactly one question, got {qdcount}")
-    labels, offset = _read_name(data, HEADER.size)
-    rrtype_value, rrclass_value, offset = _read_type_class(data, offset)
-    try:
-        question = Question(
-            _canonical_name(labels),
-            RRType(rrtype_value),
-            RRClass(rrclass_value),
-        )
-    except ValueError as error:
-        raise WireFormatError(str(error)) from error
+    question, labels, _ = _read_question(data)
     return DecodedQuery(
-        message_id=message_id,
-        question=question,
-        raw_labels=labels,
-        recursion_desired=bool(flags & FLAG_RD),
-        opcode=(flags >> _OPCODE_SHIFT) & _OPCODE_MASK,
+        message_id,
+        question,
+        labels,
+        bool(flags & FLAG_RD),
+        (flags >> _OPCODE_SHIFT) & _OPCODE_MASK,
     )
 
 
@@ -386,7 +425,7 @@ def _decode_rdata(
         raise WireFormatError("rdata runs past the end of the packet")
     if rrtype in _NAME_RDATA:
         labels, _ = _read_name(data, start)
-        return _canonical_name(labels)
+        return _name_for(labels)
     raw = data[start:end]
     if rrtype is RRType.A:
         if rdlength != 4:
@@ -404,10 +443,7 @@ def _decode_rdata(
         serial, _refresh, _retry, _expire, minimum = _SOA_WIRE_TAIL.unpack_from(
             data, offset
         )
-        return (
-            f"{_canonical_name(mname)} {_canonical_name(rname)} "
-            f"{serial} {minimum}"
-        )
+        return f"{_name_for(mname)} {_name_for(rname)} {serial} {minimum}"
     if rrtype is RRType.TXT:
         chunks: list[bytes] = []
         offset = start
@@ -418,8 +454,11 @@ def _decode_rdata(
             offset += size
         if offset != end:
             raise WireFormatError("TXT rdata mis-framed")
-        return b"".join(chunks).decode("utf-8", errors="strict")
-    return raw.decode("utf-8", errors="strict")
+        raw = b"".join(chunks)
+    try:
+        return raw.decode("utf-8", errors="strict")
+    except UnicodeDecodeError as error:
+        raise WireFormatError(f"{rrtype.name} rdata is not UTF-8") from error
 
 
 def _read_records(
@@ -437,15 +476,11 @@ def _read_records(
             data, offset
         )
         offset += _RR_FIXED.size
-        try:
-            rrtype = RRType(rrtype_value)
-            rrclass = RRClass(rrclass_value)
-        except ValueError as error:
-            raise WireFormatError(str(error)) from error
+        rrtype, rrclass = _type_and_class(rrtype_value, rrclass_value)
         rdata = _decode_rdata(data, offset, rdlength, rrtype)
         offset += rdlength
         record = ResourceRecord(
-            name=_canonical_name(labels),
+            name=_name_for(labels),
             rrtype=rrtype,
             ttl=float(ttl),
             data=rdata,
@@ -484,17 +519,10 @@ def decode_message(data: bytes) -> DecodedMessage:
         raise WireFormatError("QR bit clear on a response")
     if qdcount != 1:
         raise WireFormatError(f"expected exactly one question, got {qdcount}")
-    labels, offset = _read_name(data, HEADER.size)
-    rrtype_value, rrclass_value, offset = _read_type_class(data, offset)
-    try:
-        question = Question(
-            _canonical_name(labels),
-            RRType(rrtype_value),
-            RRClass(rrclass_value),
-        )
-        rcode = Rcode(flags & _RCODE_MASK)
-    except ValueError as error:
-        raise WireFormatError(str(error)) from error
+    question, _, offset = _read_question(data)
+    rcode = _RCODES.get(flags & _RCODE_MASK)
+    if rcode is None:
+        raise WireFormatError(f"{flags & _RCODE_MASK} is not a valid Rcode")
     answer, offset = _read_records(data, offset, ancount)
     authority, offset = _read_records(data, offset, nscount)
     additional, offset = _read_records(data, offset, arcount)

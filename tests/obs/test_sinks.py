@@ -126,3 +126,66 @@ def test_all_sinks_satisfy_the_protocol():
     )
     for sink in sinks:
         assert isinstance(sink, MetricSink)
+
+
+class TestCountOnlyPath:
+    """A quiet bus books hot-path events with ``count``; a subscribed one
+    builds and delivers them.  The totals must not tell the two apart."""
+
+    def test_count_moves_what_emit_moves(self):
+        counted, emitted = EventBus(), EventBus()
+        emitted.subscribe(lambda event: None)
+        assert counted.quiet and not emitted.quiet
+        for bus in (counted, emitted):
+            for kind, time in ((EventKind.CACHE_HIT, 2.0),
+                               (EventKind.STUB_QUERY, 1.0),
+                               (EventKind.CACHE_HIT, 3.0)):
+                if bus.quiet:
+                    bus.count(kind, time)
+                else:
+                    bus.emit(kind, time, name="a.com.")
+        assert counted.counts() == emitted.counts()
+        assert counted.emitted == emitted.emitted == 3
+        assert counted.last_time == emitted.last_time == 3.0
+
+    def test_served_workload_scrapes_identically(self):
+        """The front end's resolver path (``handle_stub_query`` over the
+        simulated network, misses then hits, the clock moving) leaves an
+        unsubscribed bus and a subscribed one with the same totals and a
+        byte-identical scrape body."""
+        from repro.core.caching_server import CachingServer
+        from repro.dns.rrtypes import RRType
+        from repro.experiments.scenarios import Scale, make_scenario
+        from repro.simulation.engine import SimulationEngine
+        from repro.simulation.network import Network
+
+        built = make_scenario(Scale.TINY).built
+        names = [hosts[0] for _zone, hosts in sorted(built.catalog.items())
+                 if hosts][:12]
+        buses, bodies, delivered = [], [], []
+        for subscribed in (False, True):
+            bus = EventBus()
+            sink = PrometheusSink().attach(bus)
+            seen: list = []
+            if subscribed:
+                bus.subscribe(seen.append)
+            engine = SimulationEngine()
+            server = CachingServer(
+                root_hints=built.tree.root_hints(),
+                network=Network(built.tree),
+                clock=engine,
+                observer=bus,
+            )
+            for step, name in enumerate(names * 3):
+                engine.advance_to(step * 7.5)
+                server.handle_stub_query(name, RRType.A, engine.now)
+            buses.append(bus)
+            bodies.append(sink.render())
+            delivered.append(seen)
+        quiet, loud = buses
+        assert quiet.quiet and not loud.quiet
+        assert quiet.counts() == loud.counts()
+        assert quiet.counts()[EventKind.CACHE_HIT] > 0
+        assert quiet.emitted == loud.emitted == len(delivered[1])
+        assert quiet.last_time == loud.last_time > 0.0
+        assert bodies[0] == bodies[1]

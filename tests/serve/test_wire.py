@@ -1,7 +1,7 @@
 """Wire codec: golden vectors against the SNIPPETS layout + round trips.
 
-Two kinds of evidence that the codec speaks RFC 1035 and not a private
-dialect:
+Three kinds of evidence that the codec speaks RFC 1035 and not a private
+dialect, and survives packets that do not:
 
 * Golden vectors built with the exact ``struct`` layout the raw-socket
   resolvers in SNIPPETS.md use (``!HHHHHH`` header, length-prefixed
@@ -12,6 +12,9 @@ dialect:
 * Hypothesis round trips ``Message -> encode_response -> decode_message``
   over every rdata shape the simulator emits, including compressed
   names, mixed-case query echo and the TC/TCP fallback path.
+* Hostile bytes: hand-built bad labels and rdata, and a hypothesis fuzz
+  over arbitrary and mutated packets, each of which must decode or
+  raise :class:`WireFormatError` and nothing else.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from repro.serve.wire import (
     FLAG_TC,
     HEADER,
     UDP_PAYLOAD_MAX,
+    DecodedMessage,
+    DecodedQuery,
     WireFormatError,
     decode_message,
     decode_query,
@@ -268,6 +273,150 @@ class TestPinnedBytes:
             "777784830001000000010000046e6f70650362697a0000010001c01100060001"
             "000003840027036e7331c0110a686f73746d6173746572c01177a08b35000000"
             "0000000000000000000000012c"
+        )
+
+    def test_mixed_case_multi_record_answer(self):
+        message = Message(
+            question=Question(self.WWW, RRType.A),
+            answer=(RRset.from_records([
+                ResourceRecord(self.WWW, RRType.A, 300, f"10.0.1.{i}")
+                for i in (7, 8, 9)
+            ]),),
+            message_id=3,
+        )
+        packet = encode_response(
+            message,
+            message_id=0x0A0B,
+            raw_labels=("WWW", "z47", "BiZ"),
+            recursion_desired=True,
+            max_size=UDP_PAYLOAD_MAX,
+        )
+        assert packet.hex() == (
+            "0a0b8180000100030000000003575757037a34370342695a0000010001c00c00"
+            "0100010000012c00040a000107c00c000100010000012c00040a000108c00c00"
+            "0100010000012c00040a000109"
+        )
+
+    def test_cname_chain_compresses_rdata_against_the_answer(self):
+        alias = Name.from_text("alias.z47.biz.")
+        message = Message(
+            question=Question(alias, RRType.A),
+            authoritative=True,
+            answer=(
+                RRset.from_records(
+                    [ResourceRecord(alias, RRType.CNAME, 600, self.WWW)]
+                ),
+                RRset.from_records([
+                    ResourceRecord(self.WWW, RRType.A, 300, "10.0.1.7"),
+                    ResourceRecord(self.WWW, RRType.A, 300, "10.0.1.8"),
+                ]),
+            ),
+            message_id=0x4242,
+        )
+        assert encode_response(message).hex() == (
+            "42428480000100030000000005616c696173037a34370362697a0000010001c0"
+            "0c0005000100000258000603777777c012c02b000100010000012c00040a0001"
+            "07c02b000100010000012c00040a000108"
+        )
+
+    def test_ns_glue_and_soa_share_one_compression_table(self):
+        """Out-of-zone NS target, glue for both targets and an SOA whose
+        rname (``hostmaster.z47.biz.``) is text, not an interned name."""
+        zone = Name.from_text("z47.biz.")
+        ns1 = Name.from_text("ns1.z47.biz.")
+        ns2 = Name.from_text("ns2.other.net.")
+        message = Message(
+            question=Question(self.WWW, RRType.MX),
+            authoritative=True,
+            authority=(
+                RRset.from_records([
+                    ResourceRecord(zone, RRType.NS, 86400, ns1),
+                    ResourceRecord(zone, RRType.NS, 86400, ns2),
+                ]),
+                RRset.from_records([ResourceRecord(
+                    zone, RRType.SOA, 900,
+                    "ns1.z47.biz. hostmaster.z47.biz. 2007010101 300",
+                )]),
+            ),
+            additional=(
+                RRset.from_records(
+                    [ResourceRecord(ns1, RRType.A, 86400, "10.0.47.1")]
+                ),
+                RRset.from_records(
+                    [ResourceRecord(ns2, RRType.A, 86400, "10.9.9.2")]
+                ),
+                RRset.from_records(
+                    [ResourceRecord(ns2, RRType.AAAA, 86400, "2001:db8::2")]
+                ),
+            ),
+            message_id=0x1357,
+        )
+        packet = encode_response(message, raw_labels=("Www", "Z47", "biz"))
+        assert packet.hex() == (
+            "13578480000100000003000303577777035a34370362697a00000f0001c01000"
+            "020001000151800006036e7331c010c0100002000100015180000f036e733205"
+            "6f74686572036e657400c01000060001000003840023c0290a686f73746d6173"
+            "746572c01077a08b350000000000000000000000000000012cc0290001000100"
+            "01518000040a002f01c03b000100010001518000040a090902c03b001c000100"
+            "015180001020010db8000000000000000000000002"
+        )
+
+    def test_mixed_case_tc_fallback_keeps_only_the_question(self):
+        big = Name.from_text("big.z47.biz.")
+        message = Message(
+            question=Question(big, RRType.TXT),
+            answer=(RRset.from_records([
+                ResourceRecord(big, RRType.TXT, 60, f"row-{i:02d}-" + "y" * 50)
+                for i in range(12)
+            ]),),
+            message_id=9,
+        )
+        packet = encode_response(
+            message,
+            message_id=0xFFFE,
+            raw_labels=("bIg", "Z47", "BIZ"),
+            recursion_desired=True,
+            max_size=UDP_PAYLOAD_MAX,
+        )
+        assert packet.hex() == (
+            "fffe8380000100000000000003624967035a34370342495a0000100001"
+        )
+
+    def test_soa_text_names_compress_against_each_other(self):
+        """The rname reuses the mname's tail ``dns-host.example.``, a
+        name nothing has to have interned."""
+        message = Message(
+            question=Question(Name.from_text("nope.z48.biz."), RRType.A),
+            rcode=Rcode.NXDOMAIN,
+            authoritative=True,
+            authority=(RRset.from_records([ResourceRecord(
+                Name.from_text("z48.biz."), RRType.SOA, 900,
+                "ns.dns-host.example. hostmaster.dns-host.example. 42 300",
+            )]),),
+            message_id=0x2468,
+        )
+        assert encode_response(message).hex() == (
+            "246884830001000000010000046e6f7065037a34380362697a000001000"
+            "1c01100060001000003840036026e7308646e732d686f7374076578616d"
+            "706c65000a686f73746d6173746572c02d0000002a00000000000000000"
+            "00000000000012c"
+        )
+
+    def test_raw_labels_of_another_name_still_seed_compression(self):
+        """An echo that is not a case variant of the qname is written as
+        given; its interned suffix ``z47.biz.`` still compresses the
+        answer's owner."""
+        message = Message(
+            question=Question(self.WWW, RRType.A),
+            answer=(RRset.from_records(
+                [ResourceRecord(self.WWW, RRType.A, 60, "10.0.1.7")]
+            ),),
+            message_id=1,
+        )
+        packet = encode_response(message, raw_labels=("mail", "Z47", "biz"))
+        assert packet.hex() == (
+            "000180800001000100000000046d61696c035a34370362697a00000100010377"
+            "7777c011000100010000003c00040a000107"
         )
 
     @pytest.mark.parametrize(
@@ -551,3 +700,111 @@ class TestRoundTripProperties:
         for rrset in decoded.message.all_rrsets():
             for record in rrset:
                 assert record.rrclass is RRClass.IN
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes: every packet is a message or a WireFormatError
+# ---------------------------------------------------------------------------
+
+
+def _query_packet(qname_wire: bytes, rrtype: int = 1, flags: int = 0) -> bytes:
+    return (
+        struct.pack("!HHHHHH", 1, flags, 1, 0, 0, 0)
+        + qname_wire
+        + struct.pack("!HH", rrtype, 1)
+    )
+
+
+class TestHostileBytes:
+    @pytest.mark.parametrize(
+        "label",
+        [b"a.b", b"a b", b"a\xffb", b"a/b", b"*", b"\x00x"],
+        ids=["dot", "space", "non-ascii", "slash", "star", "nul"],
+    )
+    def test_label_octets_outside_the_name_alphabet_are_rejected(self, label):
+        """A wire label is one label: ``\\x03a.b\\x03com`` used to decode
+        as the three-label ``a.b.com.``."""
+        qname = bytes([len(label)]) + label + b"\x03com\x00"
+        with pytest.raises(WireFormatError, match="label"):
+            decode_query(_query_packet(qname))
+        with pytest.raises(WireFormatError, match="label"):
+            decode_message(_query_packet(qname, flags=FLAG_QR))
+
+    def test_mixed_case_label_is_one_lowercased_label(self):
+        decoded = decode_query(_query_packet(b"\x04Ab-_\x03COM\x00"))
+        assert decoded.raw_labels == ("Ab-_", "COM")
+        assert decoded.question.name is Name.from_text("ab-_.com.")
+
+    def test_name_length_limit_counts_the_root_octet(self):
+        fits = b"".join(b"\x3f" + b"a" * 63 for _ in range(3)) + b"\x3d" + b"b" * 61
+        decoded = decode_query(_query_packet(fits + b"\x00"))
+        assert decoded.question.name.wire_length() == 255
+        over = b"".join(b"\x3f" + b"c" * 63 for _ in range(3)) + b"\x3e" + b"d" * 62
+        with pytest.raises(WireFormatError, match="name exceeds 255 octets"):
+            decode_query(_query_packet(over + b"\x00"))
+
+    def test_unknown_type_is_a_wire_error(self):
+        with pytest.raises(WireFormatError, match="not a valid RRType"):
+            decode_query(_query_packet(b"\x01a\x00", rrtype=0xFFFF))
+
+    def test_non_utf8_rdata_is_a_wire_error(self):
+        packet = (
+            struct.pack("!HHHHHH", 1, FLAG_QR, 1, 1, 0, 0)
+            + b"\x01a\x00" + struct.pack("!HH", 16, 1)
+            + struct.pack("!H", 0xC00C) + struct.pack("!HHIH", 16, 1, 60, 3)
+            + b"\x02\xff\xfe"
+        )
+        with pytest.raises(WireFormatError, match="UTF-8"):
+            decode_message(packet)
+
+    def test_bad_label_behind_a_pointer_is_a_wire_error(self):
+        """NS rdata pointing back at a label the name alphabet refuses."""
+        packet = (
+            struct.pack("!HHHHHH", 1, FLAG_QR, 1, 1, 0, 0)
+            + b"\x01a\x00" + struct.pack("!HH", 2, 1)
+            + struct.pack("!H", 0xC00C) + struct.pack("!HHIH", 2, 1, 60, 6)
+            + b"\x03b c" + struct.pack("!H", 0xC00C)
+        )
+        with pytest.raises(WireFormatError, match="label"):
+            decode_message(packet)
+
+
+@st.composite
+def _mutated_packet(draw) -> bytes:
+    """A valid response, then a few overwritten octets and maybe a cut."""
+    message = draw(_message())
+    shout = tuple(label.upper() for label in message.question.name.labels)
+    packet = bytearray(encode_response(
+        message, raw_labels=shout if draw(st.booleans()) else None
+    ))
+    for _ in range(draw(st.integers(0, 4))):
+        packet[draw(st.integers(0, len(packet) - 1))] = draw(st.integers(0, 255))
+    cut = draw(st.one_of(st.none(), st.integers(0, len(packet))))
+    return bytes(packet[:cut])
+
+
+def _decoded_or_wire_error(decode, data: bytes):
+    try:
+        return decode(data)
+    except WireFormatError:
+        return None
+
+
+class TestDecoderProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=80), _mutated_packet()))
+    def test_any_bytes_decode_or_raise_wire_format_error(self, data: bytes):
+        """Neither decoder lets another exception out, and when both take
+        the packet (QR cleared for one, set for the other) they agree on
+        the question."""
+        head = bytearray(data)
+        if len(head) >= 3:
+            head[2] &= ~(FLAG_QR >> 8) & 0xFF
+        query = _decoded_or_wire_error(decode_query, bytes(head))
+        if len(head) >= 3:
+            head[2] |= FLAG_QR >> 8
+        response = _decoded_or_wire_error(decode_message, bytes(head))
+        assert query is None or isinstance(query, DecodedQuery)
+        assert response is None or isinstance(response, DecodedMessage)
+        if query is not None and response is not None:
+            assert response.message.question == query.question

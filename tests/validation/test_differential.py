@@ -221,6 +221,9 @@ class TestFuzzerCatchesReinjectedBugs:
 
 
 class _RecordingBus:
+    # A subscribed bus, as EventBus reports one: every event is emitted.
+    quiet = False
+
     def __init__(self):
         self.kinds = []
 
