@@ -90,17 +90,18 @@ class RRset:
     def __post_init__(self) -> None:
         if not self.records:
             raise ValueError("an RRset must contain at least one record")
+        # ``is``: names are interned, so equal names are one object.
+        data: list[Name | str] = []
         for record in self.records:
-            if record.name != self.name or record.rrtype != self.rrtype:
+            if record.name is not self.name or record.rrtype != self.rrtype:
                 raise ValueError(
                     f"record {record} does not belong in RRset "
                     f"({self.name}, {self.rrtype.name})"
                 )
+            data.append(record.data)
         # Precomputed so the cache's hot same-data comparison is O(1)-ish
         # and ``key()`` allocates no tuple on the put path.
-        object.__setattr__(
-            self, "_data_key", tuple(record.data for record in self.records)
-        )
+        object.__setattr__(self, "_data_key", tuple(data))
         object.__setattr__(self, "_key", (self.name, self.rrtype))
         object.__setattr__(
             self, "_ikey", (self.name.iid << RRTYPE_BITS) | int(self.rrtype)
@@ -111,11 +112,19 @@ class RRset:
         """Bundle records into an RRset, normalising TTLs to the minimum.
 
         RFC 2181 §5.2: records of one RRset should share a TTL; when they
-        do not, resolvers treat the set as having the lowest.
+        do not, resolvers treat the set as having the lowest.  A lone
+        record is already sorted and normalised, so it is the set's one
+        member as it stands: most sets a hierarchy build makes are a
+        host's single A record.
         """
-        record_list = sorted(records, key=lambda r: str(r.data))
+        record_list = list(records)
+        if len(record_list) == 1:
+            record = record_list[0]
+            return cls(name=record.name, rrtype=record.rrtype, ttl=record.ttl,
+                       records=(record,))
         if not record_list:
             raise ValueError("cannot build an RRset from no records")
+        record_list.sort(key=lambda r: str(r.data))
         ttl = min(record.ttl for record in record_list)
         name = record_list[0].name
         rrtype = record_list[0].rrtype

@@ -66,25 +66,28 @@ class Zone:
         self.soa_minimum = soa_minimum
         # Every name that exists in the zone (for NXDOMAIN decisions),
         # including empty non-terminals and delegation points.
-        self._existing_names: set[Name] = {name}
+        existing: set[Name] = {name}
         for owner, _ in rrsets:
-            self._add_existing(owner)
+            existing.update(self._names_down_to(owner))
         for child in delegations:
-            self._add_existing(child)
+            existing.update(self._names_down_to(child))
         for rrset in apex_irrs.glue:
-            self._add_existing(rrset.name)
+            existing.update(self._names_down_to(rrset.name))
+        self._existing_names = existing
+
+    def _names_down_to(self, owner: Name) -> tuple[Name, ...]:
+        """``owner`` and its ancestors strictly below the apex; none when
+        ``owner`` is not below the apex."""
+        chain = owner.ancestors()
+        cut = len(owner.labels) - len(self.name.labels)
+        if cut > 0 and chain[cut] is self.name:
+            return chain[:cut]
+        return ()
 
     def _add_existing(self, owner: Name) -> None:
-        for ancestor in owner.ancestors():
-            if not ancestor.is_subdomain_of(self.name):
-                break
-            if ancestor == self.name:
-                break
-            self._existing_names.add(ancestor)
-        self._existing_names.add(self.name)
+        self._existing_names.update(self._names_down_to(owner))
         # Memoized NXDOMAIN answers key off name existence; a name
-        # appearing after the fact (new glue) must drop them.  During
-        # __init__ the cache is empty, so the clear is a no-op there.
+        # appearing after the fact (new glue) must drop them.
         self._invalidate_response_cache()
 
     @invalidates("response")

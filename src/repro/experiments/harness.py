@@ -228,11 +228,14 @@ def _replay(
             if adv is not None else ()
         )
         if not injected:
-            # The pre-adversary loop, verbatim: an inert/absent
-            # adversary replays byte-identically to the main path.
+            # The pre-adversary loop: an inert/absent adversary replays
+            # byte-identically to the main path.  The time is read once:
+            # a row's fields are NamedTuple getters, which the
+            # interpreter does not specialise.
             for query in trace:
-                engine.advance_to(query.time)
-                server.handle_stub_query(query.qname, query.rrtype, query.time)
+                now = query.time
+                engine.advance_to(now)
+                server.handle_stub_query(query.qname, query.rrtype, now)
         else:
             _replay_with_injections(
                 engine, server, metrics, trace, injected
@@ -316,10 +319,11 @@ def _replay_with_injections(
     index = 0
     total = len(injected)
     for query in trace:
-        while index < total and injected[index][0] <= query.time:
+        now = query.time
+        while index < total and injected[index][0] <= now:
             index = _run_injection(engine, server, metrics, injected, index)
-        engine.advance_to(query.time)
-        server.handle_stub_query(query.qname, query.rrtype, query.time)
+        engine.advance_to(now)
+        server.handle_stub_query(query.qname, query.rrtype, now)
     while index < total and injected[index][0] < trace.duration:
         index = _run_injection(engine, server, metrics, injected, index)
 

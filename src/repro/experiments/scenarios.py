@@ -40,7 +40,10 @@ class Scale(enum.Enum):
     """Closer to the paper's trace sizes; tens of minutes."""
 
     PAPER = "paper"
-    """Table-1-sized traces (millions of queries); hours in pure Python."""
+    """Table-1-sized traces (millions of queries).  Set-up measured on a
+    2-core Xeon: the hierarchy builds in 15–17 s and one week trace
+    (6,301,445 queries) generates in 6.4–7.3 s, 1.9 GB peak RSS.  A
+    paper-scale replay is still unmeasured."""
 
     @classmethod
     def from_env(cls, default: "Scale | None" = None) -> "Scale":

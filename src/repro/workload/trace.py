@@ -14,15 +14,20 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
 
 
-@dataclass(frozen=True, slots=True)
-class TraceQuery:
-    """One stub-resolver query."""
+class TraceQuery(NamedTuple):
+    """One stub-resolver query.
+
+    A ``NamedTuple``: a generated trace holds one per query, millions at
+    paper scale, and a tuple row can be made by ``tuple.__new__`` with no
+    Python frame per row (see :meth:`~repro.workload.generator
+    .TraceGenerator.generate`).
+    """
 
     time: float
     client_id: int

@@ -307,7 +307,7 @@ def _assert_counts_match(cache: DnsCache, now: float):
     assert got == expected
 
 
-class TestIncrementalOccupancy:
+class TestOccupancyAgainstScan:
     """The occupancy contract: the live counts agree with a brute-force
     scan of the raw store at any probe time, probed in any order."""
 

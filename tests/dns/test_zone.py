@@ -103,6 +103,17 @@ class TestZoneLookup:
         assert zone.name_exists(name("ns1.example.test."))
         assert not zone.name_exists(name("nothere.example.test."))
 
+    def test_name_exists_includes_empty_non_terminals(self):
+        builder = simple_zone()
+        builder.add_address("a.b.c.example.test.", "10.0.0.20")
+        builder.delegate(_irrs("d.e.example.test.", [("ns.d.e.example.test.", "10.0.1.1")], 3600))
+        zone = builder.build()
+        for existing in ("a.b.c", "b.c", "c", "d.e", "e"):
+            assert zone.name_exists(name(f"{existing}.example.test."))
+        assert zone.name_exists(name("example.test."))
+        assert not zone.name_exists(name("ns.d.e.example.test."))
+        assert not zone.name_exists(name("test."))
+
     def test_delegation_covering(self):
         builder = simple_zone()
         child = _irrs("child.example.test.", [("ns1.child.example.test.", "10.0.1.1")], 3600)

@@ -71,7 +71,9 @@ class TestCallerFindsTheCollectorAsItWas:
 
     @pytest.mark.parametrize("was_enabled", [True, False])
     def test_generate_that_raises(self, monkeypatch, was_enabled):
-        monkeypatch.setattr(generator_module, "TraceQuery", explode)
+        monkeypatch.setattr(
+            generator_module.TraceGenerator, "_host_positions", explode
+        )
         (gc.enable if was_enabled else gc.disable)()
         with pytest.raises(Boom):
             generate()

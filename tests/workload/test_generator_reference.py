@@ -12,7 +12,7 @@ from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
 from repro.experiments.scenarios import Scale, make_scenario
 from repro.workload.generator import ROW_CHUNK, TraceGenerator, WorkloadConfig
-from repro.workload.trace import Trace
+from repro.workload.trace import Trace, TraceQuery
 
 from tests.workload.reference_generator import reference_generate
 
@@ -41,6 +41,7 @@ def assert_same_rows(got: Trace, want: Trace) -> None:
     for mine, theirs in zip(got.queries, want.queries):
         # No numpy scalar may leak into a row: metrics and JSON dumps
         # downstream expect plain Python numbers.
+        assert type(mine) is TraceQuery
         assert type(mine.time) is float
         assert type(mine.client_id) is int
         assert mine.time.hex() == theirs.time.hex()
