@@ -1,13 +1,13 @@
-"""Bench fixtures: the shared scenario and artifact recording.
+"""Bench fixtures: the shared scenario, timing and JSON recording.
 
-Every bench regenerates one paper artifact (table or figure), prints its
-text rendering, and writes it to ``benchmarks/results/<name>.txt`` so
-EXPERIMENTS.md can reference stable outputs.
+``bench_artifacts.py`` regenerates every paper table and figure into
+``benchmarks/results/<name>.txt``; the other benches time one subsystem
+and record ``benchmarks/BENCH_<name>.json``.
 
 Scale defaults to SMALL; override with ``REPRO_SCALE=tiny|small|medium``.
-Each bench runs its workload exactly once (``benchmark.pedantic`` with
-one round): the artifact is a simulation result, not a microbenchmark,
-so wall-clock is reported but repetition would only re-prove determinism.
+Each artifact runs exactly once (``benchmark.pedantic`` with one round):
+the artifact is a simulation result, not a microbenchmark, so wall-clock
+is reported but repetition would only re-prove determinism.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import pytest
 
 from repro.experiments.scenarios import Scale, make_scenario
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 #: Machine-readable bench outputs live next to the benches (committed, so
 #: the perf trajectory is visible across PRs).
 JSON_DIR = Path(__file__).parent
@@ -30,19 +28,6 @@ JSON_DIR = Path(__file__).parent
 def scenario():
     """The standard scenario at the env-selected scale."""
     return make_scenario(Scale.from_env(default=Scale.SMALL))
-
-
-@pytest.fixture
-def record_artifact():
-    """Callable(name, text): print and persist a rendered artifact."""
-
-    def _record(name: str, text: str) -> None:
-        RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{name}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
-        print(f"\n{text}\n[artifact written to {path}]")
-
-    return _record
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.gaps import GapSample, GapTracker
-from repro.analysis.overhead import MemoryOverheadSeries, MessageOverheadTable
+from repro.analysis.overhead import MemoryOverheadSeries
 from repro.analysis.report import format_table, render_series
 
 __all__ = [
@@ -10,7 +10,6 @@ __all__ = [
     "GapSample",
     "GapTracker",
     "MemoryOverheadSeries",
-    "MessageOverheadTable",
     "format_table",
     "render_series",
 ]

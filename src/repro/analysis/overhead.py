@@ -1,18 +1,16 @@
-"""Message and memory overhead accounting (Table 2 and Figure 12).
+"""Memory overhead accounting (Figure 12).
 
-* :class:`MessageOverheadTable` compares each scheme's outgoing message
-  count against the vanilla replay of the same trace (Table 2; negative
-  values mean the scheme *reduces* DNS traffic).
-* :class:`MemoryOverheadSeries` turns the replay's cache-size samples
-  into the zones/records-over-time series of Figure 12, plus the
-  "how many times vanilla" ratio the paper quotes (2–3x).
+:class:`MemoryOverheadSeries` turns the replay's cache-size samples into
+the zones/records-over-time series of Figure 12, plus the "how many
+times vanilla" ratio the paper quotes (2–3x).  Table 2's message
+overheads are ``ReplaySummary.message_overhead_vs`` per trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.simulation.metrics import MemorySample, ReplayMetrics
+from repro.simulation.metrics import MemorySample
 
 DAY = 86400.0
 
@@ -20,35 +18,6 @@ DAY = 86400.0
 #: Figure 12's "tens of MBytes" claim in absolute terms; the paper's own
 #: estimate is equally coarse.
 ESTIMATED_BYTES_PER_RECORD = 120
-
-
-@dataclass
-class MessageOverheadTable:
-    """Per-scheme message overhead vs a shared vanilla baseline.
-
-    ``baseline`` (and each recorded scheme) may be a full
-    :class:`ReplayMetrics` or the parallel runner's ``ReplaySummary`` —
-    anything exposing ``total_outgoing`` and ``message_overhead_vs``.
-    """
-
-    baseline: ReplayMetrics
-    rows: dict[str, float] = field(default_factory=dict)
-
-    def add_scheme(self, label: str, metrics: ReplayMetrics) -> float:
-        """Record a scheme; returns its overhead (e.g. +0.76 = +76 %)."""
-        overhead = metrics.message_overhead_vs(self.baseline)
-        self.rows[label] = overhead
-        return overhead
-
-    def overhead_of(self, label: str) -> float:
-        return self.rows[label]
-
-    def as_rows(self) -> list[tuple[str, str]]:
-        """(scheme, '+76.0 %') rows, insertion-ordered."""
-        return [
-            (label, f"{overhead * 100:+.1f} %")
-            for label, overhead in self.rows.items()
-        ]
 
 
 @dataclass

@@ -29,17 +29,21 @@ from repro.core.transport import Upstream
 from repro.experiments import EXPERIMENTS
 from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
 from repro.experiments.parallel import (
-    FleetMemberSummary,
     FleetSpec,
-    FleetSummary,
     ReplayExecutionError,
     ReplaySpec,
     run_replays,
+    run_rows,
+)
+from repro.experiments.registry import CommandDef, resolve_scale
+from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.summary import (
+    FleetMemberSummary,
+    FleetSummary,
+    ReplaySummary,
     summarize_replay,
 )
-from repro.experiments.registry import CommandDef, ExperimentDef, resolve_scale
-from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import ReplaySummary
+from repro.experiments.table import ResultTable
 from repro.obs import (
     Event,
     EventBus,
@@ -84,7 +88,6 @@ __all__ = [
     "Event",
     "EventBus",
     "EventKind",
-    "ExperimentDef",
     "FaultInjector",
     "FaultSpec",
     "FetchBudget",
@@ -107,6 +110,7 @@ __all__ = [
     "ReplaySpec",
     "ReplaySummary",
     "ResilienceConfig",
+    "ResultTable",
     "RetryPolicy",
     "Scale",
     "Scenario",
@@ -125,6 +129,7 @@ __all__ = [
     "run_fuzz",
     "run_replay",
     "run_replays",
+    "run_rows",
     "scheme_syntax",
     "serve",
     "summarize_replay",

@@ -53,11 +53,11 @@ from repro import __version__
 from repro.analysis import export as csv_export
 from repro.core.config import RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
-from repro.experiments import EXPERIMENTS, ExperimentDef, figures
+from repro.experiments import EXPERIMENTS, figures
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.registry import (
     CommandDef,
-    Renderable,
+    add_scale_argument,
     add_spec_arguments,
     resolve_scale,
     spec_from_args,
@@ -95,21 +95,6 @@ _TABLES: dict[int, Callable] = {
 __all__ = ["build_parser", "main", "parse_scheme"]
 
 
-def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--scale",
-        choices=[scale.value for scale in Scale],
-        default=None,
-        help="experiment scale (default: $REPRO_SCALE or tiny)",
-    )
-
-
-def _resolve_scale(args: argparse.Namespace) -> Scale:
-    if args.scale:
-        return Scale(args.scale)
-    return Scale.from_env(default=Scale.TINY)
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {__version__} — DNS resilience reproduction (DSN 2007)")
     print(f"scales: {', '.join(scale.value for scale in Scale)}")
@@ -134,7 +119,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             fetch_budget=args.fetch_budget if args.fetch_budget > 0 else None,
             nxns_cap=args.nxns_cap if args.nxns_cap > 0 else None,
         )
-    scenario = make_scenario(_resolve_scale(args), seed=args.seed)
+    scenario = make_scenario(resolve_scale(args.scale), seed=args.seed)
     if args.trace_file:
         trace = read_trace(args.trace_file)
     else:
@@ -230,7 +215,7 @@ def _cmd_figure(args: argparse.Namespace) -> int:
         print(f"no figure {args.number}; choose from "
               f"{sorted(_FIGURES)}", file=sys.stderr)
         return 2
-    scenario = make_scenario(_resolve_scale(args), seed=args.seed)
+    scenario = make_scenario(resolve_scale(args.scale), seed=args.seed)
     kwargs: dict[str, Any] = {}
     if args.traces is not None and args.number != 12:
         kwargs["trace_limit"] = args.traces
@@ -248,7 +233,7 @@ def _export_figure_csv(number: int, result: Any, path: str) -> None:
             result.cdf_days, figures.GAP_DAY_POINTS
         )
     elif number == 12:
-        headers, rows = csv_export.memory_series_rows(result.series)
+        headers, rows = csv_export.memory_series_rows(result.rows)
     else:
         headers, rows = csv_export.failure_grid_rows(result)
     csv_export.write_csv(path, headers, rows)
@@ -261,13 +246,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
         print(f"no table {args.number}; choose from {sorted(_TABLES)}",
               file=sys.stderr)
         return 2
-    scenario = make_scenario(_resolve_scale(args), seed=args.seed)
+    scenario = make_scenario(resolve_scale(args.scale), seed=args.seed)
     print(func(scenario).render())
     return 0
 
 
 def _cmd_trace_generate(args: argparse.Namespace) -> int:
-    scenario = make_scenario(_resolve_scale(args), seed=args.seed)
+    scenario = make_scenario(resolve_scale(args.scale), seed=args.seed)
     config = WorkloadConfig(
         duration_days=args.days,
         queries_per_day=args.queries_per_day,
@@ -291,23 +276,6 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _experiment_command(
-    definition: ExperimentDef,
-) -> Callable[[argparse.Namespace], int]:
-    """One CLI handler per registry entry: args -> spec -> run -> print."""
-
-    def handler(args: argparse.Namespace) -> int:
-        spec = spec_from_args(definition.spec_type, args)
-        result = definition.run(spec)
-        if isinstance(result, Renderable):
-            print(result.render())
-        else:  # pragma: no cover - all current experiments render
-            print(result)
-        return 0
-
-    return handler
-
-
 def _commands() -> "tuple[CommandDef, ...]":
     """Non-experiment subcommands, registered like experiments are.
 
@@ -321,7 +289,7 @@ def _commands() -> "tuple[CommandDef, ...]":
             name="events",
             help="replay with the flight recorder and print the event stream",
             spec_type=EventsSpec,
-            handler=_cmd_events,
+            runner=_cmd_events,
         ),
         SERVE_COMMAND,
     )
@@ -330,11 +298,18 @@ def _commands() -> "tuple[CommandDef, ...]":
 def _command_handler(
     definition: CommandDef,
 ) -> Callable[[argparse.Namespace], int]:
-    """One CLI handler per command entry: args -> spec -> run."""
+    """One CLI handler per registry entry: args -> spec -> run.
+
+    A command returns its exit status; an experiment returns a table,
+    which is printed.
+    """
 
     def handler(args: argparse.Namespace) -> int:
-        spec = spec_from_args(definition.spec_type, args)
-        return definition.run(spec)
+        result = definition.run(spec_from_args(definition.spec_type, args))
+        if isinstance(result, int):
+            return result
+        print(result.render())
+        return 0
 
     return handler
 
@@ -380,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shadow the cache with the naive oracle and "
                              "check invariants (slow; results unchanged)")
     replay.add_argument("--seed", type=int, default=7)
-    _add_scale_argument(replay)
+    add_scale_argument(replay)
     replay.set_defaults(func=_cmd_replay)
 
     figure = subparsers.add_parser("figure", help="regenerate a paper figure")
@@ -390,13 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--seed", type=int, default=7)
     figure.add_argument("--csv", default=None,
                         help="also write the figure's data as CSV")
-    _add_scale_argument(figure)
+    add_scale_argument(figure)
     figure.set_defaults(func=_cmd_figure)
 
     table = subparsers.add_parser("table", help="regenerate a paper table")
     table.add_argument("number", type=int)
     table.add_argument("--seed", type=int, default=7)
-    _add_scale_argument(table)
+    add_scale_argument(table)
     table.set_defaults(func=_cmd_table)
 
     trace = subparsers.add_parser("trace", help="trace utilities")
@@ -409,18 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--clients", type=int, default=50)
     generate.add_argument("--stream", type=int, default=99)
     generate.add_argument("--seed", type=int, default=7)
-    _add_scale_argument(generate)
+    add_scale_argument(generate)
     generate.set_defaults(func=_cmd_trace_generate)
     stats = trace_sub.add_parser("stats", help="summarise a trace file")
     stats.add_argument("file")
     stats.set_defaults(func=_cmd_trace_stats)
 
-    for name, definition in EXPERIMENTS.items():
-        experiment = subparsers.add_parser(name, help=definition.help)
-        add_spec_arguments(experiment, definition.spec_type)
-        experiment.set_defaults(func=_experiment_command(definition))
-
-    for command in _commands():
+    for command in (*EXPERIMENTS.values(), *_commands()):
         sub = subparsers.add_parser(command.name, help=command.help)
         add_spec_arguments(sub, command.spec_type)
         sub.set_defaults(func=_command_handler(command))

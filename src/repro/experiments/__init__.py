@@ -1,18 +1,23 @@
-"""Experiment harness: scenarios, replays, and one module per paper artifact.
+"""Experiment harness: scenarios, replays, and one module per artifact.
 
 * :mod:`repro.experiments.scenarios` -- scale presets and the standard
   setup (hierarchy + TRC1..TRC6 traces) shared by every experiment.
 * :mod:`repro.experiments.harness` -- trace replay with optional attack,
   gap tracking, memory sampling and observability hooks.
-* :mod:`repro.experiments.attack_grid` -- the Figures 4-11 grids.
-* :mod:`repro.experiments.table1` / :mod:`~repro.experiments.table2` /
-  :mod:`~repro.experiments.figure3` / :mod:`~repro.experiments.figure12`
-  -- the remaining artifacts.
-* :mod:`repro.experiments.max_damage` -- the paper §6 maximum-damage
-  attack explorer (extension).
+* :mod:`repro.experiments.parallel` -- the batch runner every
+  experiment goes through: ``(row key, ReplaySpec)`` pairs in, rows of
+  :class:`~repro.experiments.summary.ReplaySummary` out.
+* :mod:`repro.experiments.table` -- :class:`~repro.experiments.table.
+  ResultTable`, the one result shape: declared columns, text rendering
+  and the row/cell/column-mean lookups.
+* :mod:`repro.experiments.figures` -- Tables 1-2 and Figures 3-12;
+  :mod:`~repro.experiments.attack_grid` holds the Figures 4-11 grids.
+* :mod:`repro.experiments.ablations`, :mod:`~repro.experiments.fleet`,
+  :mod:`~repro.experiments.model_validation` and the registry modules
+  below -- the extension experiments (DESIGN.md §7).
 
 The ``EXPERIMENTS`` table is the registry of extension experiments: one
-:class:`~repro.experiments.registry.ExperimentDef` per experiment, each
+:class:`~repro.experiments.registry.CommandDef` per experiment, each
 pairing a frozen spec dataclass with its ``run(spec)`` function.  The
 CLI generates its subcommands from this table; programmatic callers use
 ``EXPERIMENTS["churn"].run(ChurnSpec(...))``.
@@ -29,69 +34,66 @@ from repro.experiments import (
     multiseed as _multiseed,
     poisoning as _poisoning,
 )
-from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
-from repro.experiments.registry import ExperimentDef
-from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import ReplaySummary
+from repro.experiments.registry import CommandDef
 
-EXPERIMENTS: dict[str, ExperimentDef] = {
+EXPERIMENTS: dict[str, CommandDef] = {
     definition.name: definition
     for definition in (
-        ExperimentDef(
+        CommandDef(
             name="churn",
             help="IRR-churn cost experiment (long-TTL inconsistency)",
             spec_type=_churn.ChurnSpec,
             runner=_churn.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="latency",
             help="response-time experiment (no attack)",
             spec_type=_latency.LatencySpec,
             runner=_latency.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="dnssec",
             help="DNSSEC amplification experiment (paper §6)",
             spec_type=_dnssec.DnssecSpec,
             runner=_dnssec.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="maxdamage",
             help="maximum-damage exploration",
             spec_type=_max_damage.MaxDamageSpec,
             runner=_max_damage.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="attack-grid",
             help="failure grid of one scheme over attack durations",
             spec_type=_attack_grid.AttackGridSpec,
             runner=_attack_grid.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="renewal2",
             help="swr/decoupled vs credit renewal at equal upstream budget",
             spec_type=_attack_grid.Renewal2Spec,
             runner=_attack_grid.run_renewal2,
         ),
-        ExperimentDef(
+        CommandDef(
             name="multiseed",
             help="multi-seed replication of the headline failure rates",
             spec_type=_multiseed.MultiSeedSpec,
             runner=_multiseed.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="degradation",
             help="attack intensity × retry policy degradation sweep",
             spec_type=_degradation.DegradationSpec,
             runner=_degradation.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="amplification",
             help="NXNS amplification sweep: fan-out × fetch budget",
             spec_type=_amplification.AmplificationSpec,
             runner=_amplification.run,
         ),
-        ExperimentDef(
+        CommandDef(
             name="poisoning",
             help="cache-poisoning sweep: injection rate × scheme (+guard)",
             spec_type=_poisoning.PoisoningSpec,
@@ -100,14 +102,4 @@ EXPERIMENTS: dict[str, ExperimentDef] = {
     )
 }
 
-__all__ = [
-    "EXPERIMENTS",
-    "AttackSpec",
-    "ExperimentDef",
-    "ReplayResult",
-    "ReplaySummary",
-    "Scale",
-    "Scenario",
-    "make_scenario",
-    "run_replay",
-]
+__all__ = ["EXPERIMENTS", "CommandDef"]

@@ -14,70 +14,48 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
-from repro.experiments.harness import AttackSpec, run_replay
+from repro.experiments.harness import AttackSpec
 from repro.experiments.max_damage import upcoming_query_counts
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.table import CS, SR, ResultTable, percent
 
 HOUR = 3600.0
 
-
-@dataclass
-class AblationResult:
-    """Rows of (label, SR failure, CS failure, message count)."""
-
-    title: str
-    rows: list[tuple[str, float, float, int]]
-
-    def render(self) -> str:
-        body = [
-            (label, f"{sr * 100:.2f} %", f"{cs * 100:.2f} %", f"{messages:,}")
-            for label, sr, cs, messages in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR failures", "CS failures", "Messages out"),
-            body,
-            title=self.title,
-        )
-
-    def sr_rate(self, label: str) -> float:
-        for row_label, sr, _, _ in self.rows:
-            if row_label == label:
-                return sr
-        raise KeyError(label)
+#: The columns every ablation table shows, one replay per row.
+ABLATION_COLUMNS = (
+    ("SR failures", percent(SR)),
+    ("CS failures", percent(CS)),
+    ("Messages out", lambda summary: f"{summary.total_outgoing:,}"),
+)
 
 
 def _run_schemes(
     scenario: Scenario,
     schemes: list[tuple[str, ResilienceConfig]],
     title: str,
-    attack: AttackSpec | None,
+    attack_hours: float,
     trace_name: str = "TRC1",
     seed: int = 0,
-) -> AblationResult:
-    trace = scenario.trace(trace_name)
-    rows = []
-    for label, config in schemes:
-        result = run_replay(scenario.built, trace, config, attack=attack,
-                            seed=seed)
-        rows.append(
-            (
-                label,
-                result.sr_attack_failure_rate,
-                result.cs_attack_failure_rate,
-                result.metrics.total_outgoing,
-            )
-        )
-    return AblationResult(title=title, rows=rows)
+) -> ResultTable:
+    """One replay per scheme under the standard root+TLD attack."""
+    attack = AttackSpec(start=scenario.attack_start,
+                        duration=attack_hours * HOUR)
+    pairs = [
+        (label, ReplaySpec.for_scenario(scenario, trace_name, config,
+                                        attack=attack, seed=seed))
+        for label, config in schemes
+    ]
+    return ResultTable(title, ("Scheme",), ABLATION_COLUMNS, run_rows(pairs))
 
 
 def mechanism_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> ResultTable:
     """Each mechanism in isolation, then stacked."""
     renew_only = ResilienceConfig(
         ttl_refresh=False,
@@ -93,18 +71,16 @@ def mechanism_ablation(
                                      ttl_refresh=False, label="ttl3d-only")),
         ("combination", ResilienceConfig.combination()),
     ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
         scenario, schemes,
-        "Ablation — mechanisms in isolation (6 h root+TLD attack)", attack,
-        seed=seed,
+        "Ablation — mechanisms in isolation (6 h root+TLD attack)",
+        attack_hours, seed=seed,
     )
 
 
 def stale_comparison(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> ResultTable:
     """Serve-stale (related-work comparator) vs the paper's schemes."""
     schemes = [
         ("vanilla", ResilienceConfig.vanilla()),
@@ -112,18 +88,16 @@ def stale_comparison(
         ("refresh + A-LFU 3", ResilienceConfig.refresh_renew("a-lfu", 3)),
         ("combination", ResilienceConfig.combination()),
     ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
         scenario, schemes,
-        "Comparator — serve-stale (Ballani'06) vs paper schemes", attack,
-        seed=seed,
+        "Comparator — serve-stale (Ballani'06) vs paper schemes",
+        attack_hours, seed=seed,
     )
 
 
 def other_attack_classes(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> ResultTable:
     """§6's other attacks: one popular SLD; one DNS-hosting provider."""
     trace = scenario.trace("TRC1")
     start = scenario.attack_start
@@ -142,36 +116,30 @@ def other_attack_classes(
     target_sld = busiest(slds)
     target_provider = busiest(scenario.built.provider_zones)
 
-    rows = []
-    for label, targets in (
-        (f"popular SLD ({target_sld})", (target_sld,)),
-        (f"provider ({target_provider})", (target_provider,)),
-    ):
-        spec = AttackSpec(start=start, duration=attack_hours * HOUR,
-                          targets=targets)
+    pairs = [
+        (f"{label} / {scheme_label}", ReplaySpec.for_scenario(
+            scenario, "TRC1", config, seed=seed,
+            attack=AttackSpec(start=start, duration=attack_hours * HOUR,
+                              targets=targets),
+        ))
+        for label, targets in (
+            (f"popular SLD ({target_sld})", (target_sld,)),
+            (f"provider ({target_provider})", (target_provider,)),
+        )
         for scheme_label, config in (
             ("vanilla", ResilienceConfig.vanilla()),
             ("combination", ResilienceConfig.combination()),
-        ):
-            result = run_replay(scenario.built, trace, config, attack=spec,
-                                seed=seed)
-            rows.append(
-                (
-                    f"{label} / {scheme_label}",
-                    result.sr_attack_failure_rate,
-                    result.cs_attack_failure_rate,
-                    result.metrics.total_outgoing,
-                )
-            )
-    return AblationResult(
-        title="Other attack classes (paper §6): single SLD / provider",
-        rows=rows,
+        )
+    ]
+    return ResultTable(
+        "Other attack classes (paper §6): single SLD / provider",
+        ("Scheme",), ABLATION_COLUMNS, run_rows(pairs),
     )
 
 
 def capacity_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> ResultTable:
     """Bounded-cache sensitivity: how much memory do the schemes need?
 
     The paper (§5.2.2) argues the memory overhead is negligible for
@@ -194,18 +162,16 @@ def capacity_ablation(
                  label="combo-cap025x")),
         ("vanilla / unbounded", ResilienceConfig.vanilla()),
     ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
         scenario, schemes,
-        "Ablation — cache capacity vs resilience (6 h attack)", attack,
-        seed=seed,
+        "Ablation — cache capacity vs resilience (6 h attack)",
+        attack_hours, seed=seed,
     )
 
 
 def holddown_ablation(
     scenario: Scenario, attack_hours: float = 6.0, seed: int = 0
-) -> AblationResult:
+) -> ResultTable:
     """Dead-server hold-down: timeout-storm damping during the attack.
 
     Hold-down does not change *whether* a lookup can succeed (the data
@@ -224,59 +190,40 @@ def holddown_ablation(
          replace(ResilienceConfig.refresh(), prefer_fast_servers=True,
                  label="refresh+fastselect")),
     ]
-    attack = AttackSpec(start=scenario.attack_start,
-                        duration=attack_hours * HOUR)
     return _run_schemes(
         scenario, schemes,
         "Ablation — dead-server hold-down & RTT selection (6 h attack)",
-        attack, seed=seed,
+        attack_hours, seed=seed,
     )
-
-
-@dataclass
-class ScaleSensitivityResult:
-    """Failure rates for the same scheme at two scales."""
-
-    rows: list[tuple[str, str, float, float]]
-
-    def render(self) -> str:
-        body = [
-            (scale, scheme, f"{sr * 100:.2f} %", f"{cs * 100:.2f} %")
-            for scale, scheme, sr, cs in self.rows
-        ]
-        return format_table(
-            ("Scale", "Scheme", "SR failures", "CS failures"),
-            body,
-            title="Scale sensitivity — failure rates across scales",
-        )
 
 
 def scale_sensitivity(
     scales: tuple[Scale, ...] = (Scale.TINY, Scale.SMALL),
     attack_hours: float = 6.0,
     seed: int = 0,
-) -> ScaleSensitivityResult:
-    """The same schemes at multiple scales; rates should be comparable."""
+) -> ResultTable:
+    """The same schemes at multiple scales; rates should be comparable.
+
+    Rows are keyed ``(scale, scheme)``.
+    """
     schemes = [
         ("vanilla", ResilienceConfig.vanilla()),
         ("refresh", ResilienceConfig.refresh()),
         ("combination", ResilienceConfig.combination()),
     ]
-    rows = []
+    pairs: list[tuple[tuple[str, str], ReplaySpec]] = []
     for scale in scales:
         scenario = make_scenario(scale)
-        trace = scenario.trace("TRC1")
         attack = AttackSpec(start=scenario.attack_start,
                             duration=attack_hours * HOUR)
-        for label, config in schemes:
-            result = run_replay(scenario.built, trace, config, attack=attack,
-                                seed=seed)
-            rows.append(
-                (
-                    scale.value,
-                    label,
-                    result.sr_attack_failure_rate,
-                    result.cs_attack_failure_rate,
-                )
-            )
-    return ScaleSensitivityResult(rows=rows)
+        pairs.extend(
+            ((scale.value, label),
+             ReplaySpec.for_scenario(scenario, "TRC1", config, attack=attack,
+                                     seed=seed))
+            for label, config in schemes
+        )
+    return ResultTable(
+        "Scale sensitivity — failure rates across scales", ("Scale", "Scheme"),
+        (("SR failures", percent(SR)), ("CS failures", percent(CS))),
+        run_rows(pairs),
+    )

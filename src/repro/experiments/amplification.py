@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.core.schemes import parse_scheme
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.table import ResultTable, grid_columns
 from repro.simulation.adversary import AdversarySpec, NxnsAttackSpec
 
 HOUR = 3600.0
@@ -61,55 +61,6 @@ class AmplificationSpec:
     row; 0 leaves it off (the fetch budget is the swept defense)."""
 
 
-@dataclass(frozen=True)
-class AmplificationCell:
-    """One (budget, fan-out) replay outcome."""
-
-    budget: int
-    fan_out: int
-    amplification: float
-    sr_rate: float
-    attack_cs_queries: int
-    budget_exhaustions: int
-
-
-@dataclass
-class AmplificationResult:
-    """The sweep's cells, renderable as the survival grid."""
-
-    scheme: str
-    fan_outs: tuple[int, ...]
-    budgets: tuple[int, ...]
-    cells: list[AmplificationCell]
-
-    def cell(self, budget: int, fan_out: int) -> AmplificationCell:
-        for entry in self.cells:
-            if entry.budget == budget and entry.fan_out == fan_out:
-                return entry
-        raise KeyError((budget, fan_out))
-
-    def render(self) -> str:
-        headers = ["Budget"] + [f"fan={fan}" for fan in self.fan_outs]
-        body = []
-        for budget in self.budgets:
-            row = ["off" if budget == 0 else f"b={budget}"]
-            for fan in self.fan_outs:
-                cell = self.cell(budget, fan)
-                row.append(
-                    f"{cell.amplification:.1f}x"
-                    f" {cell.sr_rate * 100:.2f}%"
-                )
-            body.append(row)
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"NXNS amplification factor / SR failure rate"
-                f" ({self.scheme})"
-            ),
-        )
-
-
 def _defended(
     base: ResilienceConfig, budget: int, nxns_cap: int
 ) -> ResilienceConfig:
@@ -122,7 +73,7 @@ def _defended(
     )
 
 
-def run(spec: AmplificationSpec) -> AmplificationResult:
+def run(spec: AmplificationSpec) -> ResultTable:
     """Registry entry point: sweep fan-out × fetch budget.
 
     Raises:
@@ -145,8 +96,8 @@ def run(spec: AmplificationSpec) -> AmplificationResult:
         _defended(base, budget, spec.nxns_cap)
         for budget in spec.fetch_budgets
     ]
-    specs = [
-        ReplaySpec.for_scenario(
+    pairs = [
+        ("off" if budget == 0 else f"b={budget}", ReplaySpec.for_scenario(
             scenario,
             spec.trace_name,
             config,
@@ -160,28 +111,17 @@ def run(spec: AmplificationSpec) -> AmplificationResult:
                     delegations=spec.delegations,
                 )
             ),
-        )
-        for config in configs
+        ))
+        for budget, config in zip(spec.fetch_budgets, configs)
         for fan in spec.fan_outs
     ]
-    summaries = iter(run_replays(specs))
-    cells = []
-    for budget in spec.fetch_budgets:
-        for fan in spec.fan_outs:
-            summary = next(summaries)
-            cells.append(
-                AmplificationCell(
-                    budget=budget,
-                    fan_out=fan,
-                    amplification=summary.amplification_factor,
-                    sr_rate=summary.sr_failure_rate,
-                    attack_cs_queries=summary.attack_cs_queries,
-                    budget_exhaustions=summary.budget_exhaustions,
-                )
-            )
-    return AmplificationResult(
-        scheme=spec.scheme,
-        fan_outs=spec.fan_outs,
-        budgets=spec.fetch_budgets,
-        cells=cells,
+    return ResultTable(
+        f"NXNS amplification factor / SR failure rate ({spec.scheme})",
+        ("Budget",),
+        grid_columns(
+            (f"fan={fan}" for fan in spec.fan_outs),
+            lambda summary: f"{summary.amplification_factor:.1f}x"
+                            f" {summary.sr_failure_rate * 100:.2f}%",
+        ),
+        run_rows(pairs, grouped=True),
     )

@@ -8,15 +8,25 @@ root+TLD attack starting at day 7.  Columns are attack durations
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.report import format_table, render_failure_block
 from repro.core.config import ResilienceConfig
 from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.summary import ReplaySummary
+from repro.experiments.table import (
+    CS,
+    FAILURE_PANELS,
+    SR,
+    Metric,
+    ResultTable,
+    grid_columns,
+    percent,
+)
 
 HOUR = 3600.0
 
@@ -30,55 +40,36 @@ CREDITS = (1, 3, 5)
 LONG_TTL_DAYS = (1, 3, 5, 7)
 
 
-@dataclass
-class FailureGrid:
-    """One figure's data: failure rates per (trace, column), SR and CS."""
-
-    title: str
-    columns: tuple[str, ...]
-    sr: dict[str, dict[str, float]] = field(default_factory=dict)
-    cs: dict[str, dict[str, float]] = field(default_factory=dict)
-
-    def record(self, trace: str, column: str, sr_rate: float, cs_rate: float) -> None:
-        self.sr.setdefault(trace, {})[column] = sr_rate
-        self.cs.setdefault(trace, {})[column] = cs_rate
-
-    def sr_value(self, trace: str, column: str) -> float:
-        return self.sr[trace][column]
-
-    def cs_value(self, trace: str, column: str) -> float:
-        return self.cs[trace][column]
-
-    def column_mean_sr(self, column: str) -> float:
-        """Mean SR failure rate for a column across traces."""
-        values = [cells[column] for cells in self.sr.values() if column in cells]
-        if not values:
-            raise KeyError(f"no data for column {column!r}")
-        return sum(values) / len(values)
-
-    def column_mean_cs(self, column: str) -> float:
-        values = [cells[column] for cells in self.cs.values() if column in cells]
-        if not values:
-            raise KeyError(f"no data for column {column!r}")
-        return sum(values) / len(values)
-
-    def render(self) -> str:
-        """Both panels (SR on top, CS below) as text, like the paper's plots."""
-        top = render_failure_block(
-            f"{self.title} — failed queries from stub resolvers",
-            self.sr,
-            self.columns,
-        )
-        bottom = render_failure_block(
-            f"{self.title} — failed queries from caching servers",
-            self.cs,
-            self.columns,
-        )
-        return f"{top}\n\n{bottom}"
-
-
-def _week_trace_names(scenario: Scenario, limit: int | None) -> tuple[str, ...]:
+def week_trace_names(scenario: Scenario, limit: int | None) -> tuple[str, ...]:
+    """TRC1..TRC5 at this scale (or the first ``limit`` of them)."""
     return Scenario.WEEK_TRACES[: limit or scenario.parameters.week_trace_count]
+
+
+def run_grid(
+    scenario: Scenario,
+    title: str,
+    columns: Sequence[tuple[str, ResilienceConfig, AttackSpec]],
+    trace_limit: int | None = None,
+    seed: int = 0,
+    workers: int | None = None,
+) -> ResultTable:
+    """One replay per (week trace × ``(label, config, attack)`` column).
+
+    Rows are traces, rendered as the two-panel SR/CS figure; ``workers``
+    (default ``$REPRO_WORKERS``) fans the cells out over processes.
+    """
+    pairs = [
+        (trace_name, ReplaySpec.for_scenario(scenario, trace_name, config,
+                                             attack=attack, seed=seed))
+        for trace_name in week_trace_names(scenario, trace_limit)
+        for _, config, attack in columns
+    ]
+    return ResultTable(
+        title, ("trace",),
+        grid_columns((label for label, _, _ in columns), percent(SR, 1)),
+        run_rows(pairs, grouped=True, workers=workers),
+        panels=FAILURE_PANELS,
+    )
 
 
 @dataclass(frozen=True)
@@ -92,7 +83,7 @@ class AttackGridSpec:
     durations_hours: tuple[int, ...] = DURATIONS_HOURS
 
 
-def run(spec: AttackGridSpec) -> FailureGrid:
+def run(spec: AttackGridSpec) -> ResultTable:
     """Registry entry point: one scheme's failure grid over durations."""
     config = parse_scheme(spec.scheme)
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
@@ -113,74 +104,33 @@ def run_duration_grid(
     trace_limit: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-) -> FailureGrid:
-    """Figures 4 and 5: one scheme, attack durations as columns.
-
-    The (trace × duration) cells are independent replays and go through
-    the batch runner; ``workers`` (default ``$REPRO_WORKERS``) fans them
-    out over processes.
-    """
-    columns = tuple(f"{hours} h" for hours in durations_hours)
-    grid = FailureGrid(title=title, columns=columns)
-    cells = [
-        (trace_name, column,
+) -> ResultTable:
+    """Figures 4 and 5: one scheme, attack durations as columns."""
+    columns = [
+        (f"{hours} h", config,
          AttackSpec(start=scenario.attack_start, duration=hours * HOUR))
-        for trace_name in _week_trace_names(scenario, trace_limit)
-        for hours, column in zip(durations_hours, columns)
+        for hours in durations_hours
     ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
-        for trace_name, _, attack in cells
-    ]
-    for (trace_name, column, _), summary in zip(cells,
-                                                run_replays(specs, workers)):
-        grid.record(
-            trace_name,
-            column,
-            summary.sr_attack_failure_rate,
-            summary.cs_attack_failure_rate,
-        )
-    return grid
+    return run_grid(scenario, title, columns, trace_limit, seed, workers)
 
 
 def run_scheme_grid(
     scenario: Scenario,
-    schemes: list[tuple[str, ResilienceConfig]],
+    variants: list[tuple[str, ResilienceConfig]],
     title: str,
     attack_hours: float = 6.0,
     trace_limit: int | None = None,
     seed: int = 0,
     workers: int | None = None,
-) -> FailureGrid:
-    """Figures 6-11: fixed 6-hour attack, scheme variants as columns."""
-    columns = tuple(label for label, _ in schemes)
-    grid = FailureGrid(title=title, columns=columns)
+) -> ResultTable:
+    """Figures 6-11: fixed 6-hour attack; the scheme variants as columns,
+    after the "DNS" (vanilla) contrast column the paper includes."""
     attack = AttackSpec(start=scenario.attack_start, duration=attack_hours * HOUR)
-    cells = [
-        (trace_name, label, config)
-        for trace_name in _week_trace_names(scenario, trace_limit)
-        for label, config in schemes
+    columns = [
+        (label, config, attack)
+        for label, config in (("DNS", ResilienceConfig.vanilla()), *variants)
     ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
-        for trace_name, _, config in cells
-    ]
-    for (trace_name, label, _), summary in zip(cells,
-                                               run_replays(specs, workers)):
-        grid.record(
-            trace_name,
-            label,
-            summary.sr_attack_failure_rate,
-            summary.cs_attack_failure_rate,
-        )
-    return grid
-
-
-def vanilla_column() -> tuple[str, ResilienceConfig]:
-    """The "DNS" contrast column the paper includes in Figures 6-11."""
-    return ("DNS", ResilienceConfig.vanilla())
+    return run_grid(scenario, title, columns, trace_limit, seed, workers)
 
 
 # ---------------------------------------------------------------------------
@@ -192,52 +142,33 @@ def vanilla_column() -> tuple[str, ResilienceConfig]:
 RENEWAL2_SCHEMES = ("a-lru:3", "a-lfu:3", "swr", "decoupled:7")
 
 
-@dataclass(frozen=True)
-class Renewal2Row:
-    """One scheme's attack-survival vs upstream-spend numbers."""
-
-    label: str
-    sr_attack_failure_rate: float
-    cs_attack_failure_rate: float
-    stale_answer_rate: float
-    upstream_queries: int
-    upstream_per_stub: float
+def mean_rate(summaries: Sequence[ReplaySummary], metric: Metric = SR) -> float:
+    """A failure rate averaged over a row's traces."""
+    rates = [metric(summary) for summary in summaries]
+    return sum(rates) / len(rates)
 
 
-@dataclass
-class Renewal2Result:
-    """The equal-upstream-budget comparison (the Renewal 2.0 figure)."""
+def per_stub(summaries: Sequence[ReplaySummary], count: Metric) -> float:
+    """``count`` summed over a row's traces, per stub query."""
+    stub = sum(summary.sr_queries for summary in summaries)
+    return sum(count(summary) for summary in summaries) / stub if stub else 0.0
 
-    attack_hours: float
-    rows: list[Renewal2Row]
 
-    def row(self, label: str) -> Renewal2Row:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
+def upstream(summaries: Sequence[ReplaySummary]) -> int:
+    """Demand + renewal queries over a row's traces: the equal-budget
+    currency the comparison normalises schemes by."""
+    return sum(summary.total_outgoing for summary in summaries)
 
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.sr_attack_failure_rate * 100:.2f} %",
-                f"{row.cs_attack_failure_rate * 100:.2f} %",
-                f"{row.stale_answer_rate * 100:.2f} %",
-                row.upstream_queries,
-                f"{row.upstream_per_stub:.3f}",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR fail (attack)", "CS fail (attack)",
-             "Stale answers", "Upstream queries", "Upstream/stub"),
-            body,
-            title=(
-                f"Renewal 2.0 — {self.attack_hours:g} h attack, schemes "
-                "compared at equal upstream query budget (demand + renewal)"
-            ),
-        )
+
+RENEWAL2_COLUMNS = (
+    ("SR fail (attack)", lambda row: f"{mean_rate(row, SR) * 100:.2f} %"),
+    ("CS fail (attack)", lambda row: f"{mean_rate(row, CS) * 100:.2f} %"),
+    ("Stale answers",
+     lambda row: f"{per_stub(row, lambda s: s.sr_stale_hits) * 100:.2f} %"),
+    ("Upstream queries", upstream),
+    ("Upstream/stub",
+     lambda row: f"{per_stub(row, lambda s: s.total_outgoing):.3f}"),
+)
 
 
 @dataclass(frozen=True)
@@ -251,44 +182,26 @@ class Renewal2Spec:
     schemes: tuple[str, ...] = RENEWAL2_SCHEMES
 
 
-def run_renewal2(spec: Renewal2Spec) -> Renewal2Result:
+def run_renewal2(spec: Renewal2Spec) -> ResultTable:
     """Registry entry point: replay every scheme over the week traces.
 
-    All schemes replay the same traces, seed and attack; the table
-    reports failure rates side by side with the upstream-query spend so
-    the comparison is read at equal budget (the ``upstream_queries``
-    column normalises the figure).
+    All schemes replay the same traces, seed and attack; a row holds one
+    summary per trace, and the table reports failure rates side by side
+    with the upstream-query spend so the comparison is read at equal
+    budget (the ``Upstream queries`` column normalises the figure).
     """
     configs = [parse_scheme(scheme) for scheme in spec.schemes]
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     attack = AttackSpec(start=scenario.attack_start,
                         duration=spec.attack_hours * HOUR)
-    trace_names = _week_trace_names(scenario, spec.trace_limit)
-    cells = [
-        (config, trace_name)
+    pairs = [
+        (config.label,
+         ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack))
         for config in configs
-        for trace_name in trace_names
+        for trace_name in week_trace_names(scenario, spec.trace_limit)
     ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack)
-        for config, trace_name in cells
-    ]
-    summaries = run_replays(specs)
-    rows = []
-    per_scheme = len(trace_names)
-    for index, config in enumerate(configs):
-        chunk = summaries[index * per_scheme:(index + 1) * per_scheme]
-        sr_rates = [s.sr_attack_failure_rate for s in chunk]
-        cs_rates = [s.cs_attack_failure_rate for s in chunk]
-        stale = sum(s.sr_stale_hits for s in chunk)
-        stub = sum(s.sr_queries for s in chunk)
-        upstream = sum(s.upstream_queries for s in chunk)
-        rows.append(Renewal2Row(
-            label=config.label,
-            sr_attack_failure_rate=sum(sr_rates) / len(sr_rates),
-            cs_attack_failure_rate=sum(cs_rates) / len(cs_rates),
-            stale_answer_rate=stale / stub if stub else 0.0,
-            upstream_queries=upstream,
-            upstream_per_stub=upstream / stub if stub else 0.0,
-        ))
-    return Renewal2Result(attack_hours=spec.attack_hours, rows=rows)
+    return ResultTable(
+        f"Renewal 2.0 — {spec.attack_hours:g} h attack, schemes compared at "
+        "equal upstream query budget (demand + renewal)",
+        ("Scheme",), RENEWAL2_COLUMNS, run_rows(pairs, grouped=True),
+    )

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.report import format_table
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
+from repro.experiments.table import ResultTable, percent
 from repro.hierarchy.builder import BuiltHierarchy, HierarchyConfig, build_hierarchy
 from repro.hierarchy.churn import ChurnSchedule, apply_churn_event, generate_churn
 from repro.simulation.engine import SimulationEngine
@@ -48,8 +48,6 @@ class ChurnReplayResult:
     stale_touches: int
     """CS queries answered by nobody because the target was obsolete."""
 
-    total_queries: int
-
     stale_answer_rate: float = 0.0
     """Fraction of stub answers served from lapsed records (SWR/serve-
     stale staleness actually handed to clients)."""
@@ -62,40 +60,14 @@ class ChurnReplayResult:
     """Update-channel invalidations applied (``decoupled`` only)."""
 
 
-@dataclass
-class ChurnExperimentResult:
-    """Latency/consistency cost of long TTLs under server churn."""
-
-    churned_zones: int
-    rows: list[ChurnReplayResult]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.sr_failure_rate * 100:.2f} %",
-                f"{row.mean_latency * 1000:.1f} ms",
-                row.stale_touches,
-                f"{row.stale_answer_rate * 100:.2f} %",
-                row.upstream_queries,
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "SR failures", "Mean latency", "Obsolete-server hits",
-             "Stale answers", "Upstream queries"),
-            body,
-            title=(
-                f"IRR churn — {self.churned_zones} zones migrate servers "
-                "mid-trace (paper §4 long-TTL inconsistency cost)"
-            ),
-        )
-
-    def row(self, label: str) -> ChurnReplayResult:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
+#: The churn table's columns; a row is one :class:`ChurnReplayResult`.
+CHURN_COLUMNS = (
+    ("SR failures", percent(lambda row: row.sr_failure_rate)),
+    ("Mean latency", lambda row: f"{row.mean_latency * 1000:.1f} ms"),
+    ("Obsolete-server hits", lambda row: row.stale_touches),
+    ("Stale answers", percent(lambda row: row.stale_answer_rate)),
+    ("Upstream queries", lambda row: row.upstream_queries),
+)
 
 
 def run_churn_replay(
@@ -145,7 +117,6 @@ def run_churn_replay(
         sr_failure_rate=metrics.sr_failure_rate,
         mean_latency=metrics.mean_latency,
         stale_touches=network.queries_lost - lost_before,
-        total_queries=metrics.sr_queries,
         stale_answer_rate=metrics.stale_answer_rate,
         upstream_queries=metrics.total_outgoing,
         invalidations=metrics.invalidations,
@@ -167,7 +138,7 @@ class ChurnSpec:
     )
 
 
-def run(spec: ChurnSpec) -> ChurnExperimentResult:
+def run(spec: ChurnSpec) -> ResultTable:
     """Compare IRR TTL settings under mid-trace server migrations.
 
     Each scheme gets a freshly built (identical-seed) hierarchy because
@@ -188,7 +159,7 @@ def run(spec: ChurnSpec) -> ChurnExperimentResult:
         ResilienceConfig.swr(),
         ResilienceConfig.decoupled(7),
     ]
-    rows = []
+    rows: dict[str, ChurnReplayResult] = {}
     churned = 0
     for config in schemes:
         built = build_hierarchy(hierarchy_config, seed=spec.seed)
@@ -204,9 +175,13 @@ def run(spec: ChurnSpec) -> ChurnExperimentResult:
             decommission_old=spec.decommission_old,
         )
         churned = len(churn)
-        rows.append(run_churn_replay(built, trace, config, churn,
-                                     seed=spec.seed))
-    return ChurnExperimentResult(churned_zones=churned, rows=rows)
+        rows[config.label] = run_churn_replay(built, trace, config, churn,
+                                              seed=spec.seed)
+    return ResultTable(
+        f"IRR churn — {churned} zones migrate servers mid-trace "
+        "(paper §4 long-TTL inconsistency cost)",
+        ("Scheme",), CHURN_COLUMNS, rows,
+    )
 
 
 def _eligible_zone_count(built: BuiltHierarchy) -> int:

@@ -20,14 +20,16 @@ byte-identical at any worker count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.summary import ReplaySummary
+from repro.experiments.table import ResultTable, grid_columns
 from repro.simulation.faults import FaultSpec
 
 HOUR = 3600.0
@@ -64,63 +66,15 @@ class DegradationSpec:
     """Per-zone-visit NS sub-resolution cap (DESIGN.md §16); 0 = off."""
 
 
-@dataclass(frozen=True)
-class DegradationCell:
-    """One (policy, intensity) replay outcome."""
-
-    policy: str
-    intensity: float
-    sr_rate: float
-    cs_rate: float
-
-
-@dataclass
-class DegradationResult:
-    """The sweep's cells plus the per-policy knee summary."""
-
-    scheme: str
-    threshold: float
-    intensities: tuple[float, ...]
-    policies: tuple[str, ...]
-    cells: list[DegradationCell]
-
-    def cell(self, policy: str, intensity: float) -> DegradationCell:
-        for entry in self.cells:
-            if entry.policy == policy and entry.intensity == intensity:
-                return entry
-        raise KeyError((policy, intensity))
-
-    def knee(self, policy: str) -> float | None:
-        """Smallest swept intensity whose SR rate exceeds the threshold
-        (None when the policy stays under it across the whole sweep)."""
-        for intensity in self.intensities:
-            if self.cell(policy, intensity).sr_rate > self.threshold:
-                return intensity
-        return None
-
-    def render(self) -> str:
-        headers = ["Policy"] + [
-            f"i={intensity:g}" for intensity in self.intensities
-        ] + ["knee"]
-        body = []
-        for policy in self.policies:
-            knee = self.knee(policy)
-            body.append(
-                [policy]
-                + [
-                    f"{self.cell(policy, intensity).sr_rate * 100:.2f}%"
-                    for intensity in self.intensities
-                ]
-                + ["-" if knee is None else f"{knee:g}"]
-            )
-        return format_table(
-            headers,
-            body,
-            title=(
-                f"SR failure rate vs attack intensity ({self.scheme}; "
-                f"knee = first intensity > {self.threshold * 100:g}%)"
-            ),
-        )
+def knee(
+    row: Sequence[ReplaySummary], intensities: Sequence[float], threshold: float
+) -> float | None:
+    """Smallest swept intensity whose SR rate exceeds ``threshold`` (None
+    when the policy row stays under it across the whole sweep)."""
+    for intensity, summary in zip(intensities, row):
+        if summary.sr_attack_failure_rate > threshold:
+            return intensity
+    return None
 
 
 def _policy_config(
@@ -136,7 +90,7 @@ def _policy_config(
     return base.with_retries(policy)
 
 
-def run(spec: DegradationSpec) -> DegradationResult:
+def run(spec: DegradationSpec) -> ResultTable:
     """Registry entry point: sweep intensity × retry policy.
 
     Raises:
@@ -164,8 +118,8 @@ def run(spec: DegradationSpec) -> DegradationResult:
         _policy_config(base, tries, spec.holddown)
         for tries in spec.retry_tries
     ]
-    specs = [
-        ReplaySpec.for_scenario(
+    pairs = [
+        (config.label, ReplaySpec.for_scenario(
             scenario,
             spec.trace_name,
             config,
@@ -175,27 +129,22 @@ def run(spec: DegradationSpec) -> DegradationResult:
                 intensity=intensity,
             ),
             faults=faults,
-        )
+        ))
         for config in configs
         for intensity in spec.intensities
     ]
-    summaries = iter(run_replays(specs))
-    cells = []
-    for config in configs:
-        for intensity in spec.intensities:
-            summary = next(summaries)
-            cells.append(
-                DegradationCell(
-                    policy=config.label,
-                    intensity=intensity,
-                    sr_rate=summary.sr_attack_failure_rate,
-                    cs_rate=summary.cs_attack_failure_rate,
-                )
-            )
-    return DegradationResult(
-        scheme=spec.scheme,
-        threshold=spec.knee_threshold,
-        intensities=spec.intensities,
-        policies=tuple(config.label for config in configs),
-        cells=cells,
+
+    def knee_text(row: Sequence[ReplaySummary]) -> str:
+        value = knee(row, spec.intensities, spec.knee_threshold)
+        return "-" if value is None else f"{value:g}"
+
+    return ResultTable(
+        f"SR failure rate vs attack intensity ({spec.scheme}; "
+        f"knee = first intensity > {spec.knee_threshold * 100:g}%)",
+        ("Policy",),
+        grid_columns(
+            (f"i={intensity:g}" for intensity in spec.intensities),
+            lambda summary: f"{summary.sr_attack_failure_rate * 100:.2f}%",
+        ) + (("knee", knee_text),),
+        run_rows(pairs, grouped=True),
     )

@@ -1,31 +1,32 @@
 """One function per paper figure/table (the per-experiment index of
-DESIGN.md §4 maps each to its bench target).
+DESIGN.md §4 maps each to its row of the artifact bench).
 
-Each function returns a result object with the raw numbers plus a
-``render()`` text form; benches print that text and EXPERIMENTS.md
-records it against the paper.
+Each function runs its replays as one batch and returns a
+:class:`~repro.experiments.table.ResultTable` (Figure 3, two CDFs, is
+the exception); the bench prints its ``render()`` text and
+EXPERIMENTS.md records it against the paper.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 from repro.analysis.cdf import Cdf
-from repro.analysis.overhead import MemoryOverheadSeries, MessageOverheadTable
-from repro.analysis.report import format_table, render_series
+from repro.analysis.overhead import MemoryOverheadSeries
+from repro.analysis.report import render_series
 from repro.core.config import ResilienceConfig
 from repro.experiments.attack_grid import (
     CREDITS,
     LONG_TTL_DAYS,
-    FailureGrid,
     run_duration_grid,
     run_scheme_grid,
-    vanilla_column,
+    week_trace_names,
 )
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.scenarios import Scenario
-from repro.workload.stats import TraceStatistics, compute_statistics
+from repro.experiments.table import ResultTable
+from repro.workload.stats import compute_statistics
 
 DAY = 86400.0
 
@@ -38,45 +39,45 @@ GAP_FRACTION_POINTS = (0.5, 1, 2, 5, 10, 20, 50, 100)
 # Table 1
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Table1Result:
-    """Trace statistics, one row per TRC."""
-
-    rows: list[TraceStatistics]
-
-    def render(self) -> str:
-        headers = (
-            "Trace", "Duration", "Clients", "Requests In",
-            "Requests Out", "Names", "Zones",
-        )
-        return format_table(
-            headers,
-            [row.as_row() for row in self.rows],
-            title="Table 1 — DNS trace statistics (synthetic workload)",
-        )
+#: Table 1's cells after the trace name, as ``TraceStatistics.as_row``
+#: lays them out.
+TABLE1_HEADERS = (
+    "Duration", "Clients", "Requests In", "Requests Out", "Names", "Zones",
+)
 
 
 def table1(scenario: Scenario, include_month: bool = True,
            measure_requests_out: bool = True,
-           workers: int | None = None) -> Table1Result:
-    """Table 1: per-trace statistics; requests-out measured by vanilla replay."""
+           workers: int | None = None) -> ResultTable:
+    """Table 1: per-trace statistics; requests-out measured by vanilla replay.
+
+    A row is the trace's :class:`~repro.workload.stats.TraceStatistics`.
+    """
     names = list(Scenario.WEEK_TRACES)
     if include_month:
         names.append(Scenario.MONTH_TRACE)
-    requests_out: dict[str, int | None] = {name: None for name in names}
-    if measure_requests_out:
-        specs = [
-            ReplaySpec.for_scenario(scenario, name, ResilienceConfig.vanilla())
-            for name in names
-        ]
-        for name, summary in zip(names, run_replays(specs, workers)):
-            requests_out[name] = summary.total_outgoing
-    rows = [
-        compute_statistics(scenario.trace(name), tree=scenario.built.tree,
-                           requests_out=requests_out[name])
+    replays = run_rows(
+        ((name, ReplaySpec.for_scenario(scenario, name,
+                                        ResilienceConfig.vanilla()))
+         for name in names if measure_requests_out),
+        workers=workers,
+    )
+    rows = {
+        name: compute_statistics(
+            scenario.trace(name), tree=scenario.built.tree,
+            requests_out=(replays[name].total_outgoing if name in replays
+                          else None),
+        )
         for name in names
-    ]
-    return Table1Result(rows=rows)
+    }
+    columns = tuple(
+        (header, lambda row, index=index: row.as_row()[index])
+        for index, header in enumerate(TABLE1_HEADERS, start=1)
+    )
+    return ResultTable(
+        "Table 1 — DNS trace statistics (synthetic workload)",
+        ("Trace",), columns, rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +85,20 @@ def table1(scenario: Scenario, include_month: bool = True,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Figure3Result:
-    """Gap CDFs, aggregated over the week traces (paper Figure 3)."""
+class GapCdfs:
+    """Figure 3's two CDFs over the gap samples of the week traces.
+
+    The one artifact that is not rows: its replays run like every
+    other's, but it reads as two distributions.
+    """
 
     sample_count: int
     cdf_days: Cdf
     cdf_fraction: Cdf
-    fraction_under_5_days: float
+
+    @property
+    def fraction_under_5_days(self) -> float:
+        return self.cdf_days.probability_at_or_below(5.0)
 
     def render(self) -> str:
         days = render_series(
@@ -113,28 +121,25 @@ class Figure3Result:
 
 
 def figure3(scenario: Scenario, trace_limit: int | None = None,
-            workers: int | None = None) -> Figure3Result:
+            workers: int | None = None) -> GapCdfs:
     """Figure 3: expiry-to-next-query gap CDFs from vanilla replays."""
-    day_samples: list[float] = []
-    fraction_samples: list[float] = []
-    names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
+    replays = run_rows(
+        ((name, ReplaySpec.for_scenario(scenario, name,
+                                        ResilienceConfig.vanilla(),
+                                        track_gaps=True))
+         for name in week_trace_names(scenario, trace_limit)),
+        workers=workers,
+    )
+    samples = [
+        sample for summary in replays.values()
+        for sample in summary.gap_samples
     ]
-    specs = [
-        ReplaySpec.for_scenario(scenario, name, ResilienceConfig.vanilla(),
-                                track_gaps=True)
-        for name in names
-    ]
-    for summary in run_replays(specs, workers):
-        for sample in summary.gap_samples:
-            day_samples.append(sample.gap_days)
-            fraction_samples.append(sample.gap_as_ttl_fraction)
-    cdf_days = Cdf.from_samples(day_samples)
-    return Figure3Result(
-        sample_count=len(day_samples),
-        cdf_days=cdf_days,
-        cdf_fraction=Cdf.from_samples(fraction_samples),
-        fraction_under_5_days=cdf_days.probability_at_or_below(5.0),
+    return GapCdfs(
+        sample_count=len(samples),
+        cdf_days=Cdf.from_samples(sample.gap_days for sample in samples),
+        cdf_fraction=Cdf.from_samples(
+            sample.gap_as_ttl_fraction for sample in samples
+        ),
     )
 
 
@@ -143,7 +148,7 @@ def figure3(scenario: Scenario, trace_limit: int | None = None,
 # ---------------------------------------------------------------------------
 
 def figure4(scenario: Scenario, trace_limit: int | None = None,
-            seed: int = 0) -> FailureGrid:
+            seed: int = 0) -> ResultTable:
     """Figure 4: vanilla DNS under 3/6/12/24 h root+TLD attacks."""
     return run_duration_grid(
         scenario, ResilienceConfig.vanilla(), "Figure 4 — Vanilla DNS",
@@ -152,7 +157,7 @@ def figure4(scenario: Scenario, trace_limit: int | None = None,
 
 
 def figure5(scenario: Scenario, trace_limit: int | None = None,
-            seed: int = 0) -> FailureGrid:
+            seed: int = 0) -> ResultTable:
     """Figure 5: TTL refresh under 3/6/12/24 h attacks."""
     return run_duration_grid(
         scenario, ResilienceConfig.refresh(), "Figure 5 — TTL Refresh",
@@ -174,34 +179,33 @@ def renewal_figure(
     credits: tuple[int, ...] = CREDITS,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> ResultTable:
     """Figures 6-9: refresh + one renewal policy at credits 1/3/5, 6 h attack."""
     title, short = _POLICY_FIGURES[policy]
-    schemes = [vanilla_column()]
-    for credit in credits:
-        schemes.append(
-            (f"{short} {credit}", ResilienceConfig.refresh_renew(policy, credit))
-        )
-    return run_scheme_grid(scenario, schemes, title, trace_limit=trace_limit,
+    variants = [
+        (f"{short} {credit}", ResilienceConfig.refresh_renew(policy, credit))
+        for credit in credits
+    ]
+    return run_scheme_grid(scenario, variants, title, trace_limit=trace_limit,
                            seed=seed)
 
 
-def figure6(scenario: Scenario, **kwargs: Any) -> FailureGrid:
+def figure6(scenario: Scenario, **kwargs: Any) -> ResultTable:
     """Figure 6: refresh + LRU renewal."""
     return renewal_figure(scenario, "lru", **kwargs)
 
 
-def figure7(scenario: Scenario, **kwargs: Any) -> FailureGrid:
+def figure7(scenario: Scenario, **kwargs: Any) -> ResultTable:
     """Figure 7: refresh + LFU renewal."""
     return renewal_figure(scenario, "lfu", **kwargs)
 
 
-def figure8(scenario: Scenario, **kwargs: Any) -> FailureGrid:
+def figure8(scenario: Scenario, **kwargs: Any) -> ResultTable:
     """Figure 8: refresh + A-LRU renewal."""
     return renewal_figure(scenario, "a-lru", **kwargs)
 
 
-def figure9(scenario: Scenario, **kwargs: Any) -> FailureGrid:
+def figure9(scenario: Scenario, **kwargs: Any) -> ResultTable:
     """Figure 9: refresh + A-LFU renewal."""
     return renewal_figure(scenario, "a-lfu", **kwargs)
 
@@ -211,15 +215,14 @@ def figure10(
     days: tuple[int, ...] = LONG_TTL_DAYS,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> ResultTable:
     """Figure 10: refresh + long IRR TTLs of 1/3/5/7 days, 6 h attack."""
-    schemes = [vanilla_column()]
-    for value in days:
-        schemes.append(
-            (f"{value} Day TTL", ResilienceConfig.refresh_long_ttl(value))
-        )
+    variants = [
+        (f"{value} Day TTL", ResilienceConfig.refresh_long_ttl(value))
+        for value in days
+    ]
     return run_scheme_grid(
-        scenario, schemes, "Figure 10 — TTL Refresh + Long-TTL",
+        scenario, variants, "Figure 10 — TTL Refresh + Long-TTL",
         trace_limit=trace_limit, seed=seed,
     )
 
@@ -231,19 +234,15 @@ def figure11(
     credit: float = 3.0,
     trace_limit: int | None = None,
     seed: int = 0,
-) -> FailureGrid:
+) -> ResultTable:
     """Figure 11: refresh + A-LFU renewal + long TTLs of 1/3/5/7 days."""
-    schemes = [vanilla_column()]
-    for value in days:
-        schemes.append(
-            (
-                f"{value} Day TTL",
-                ResilienceConfig.combination(days=value, policy=policy,
-                                             credit=credit),
-            )
-        )
+    variants = [
+        (f"{value} Day TTL",
+         ResilienceConfig.combination(days=value, policy=policy, credit=credit))
+        for value in days
+    ]
     return run_scheme_grid(
-        scenario, schemes, "Figure 11 — TTL Refresh + Renew + Long-TTL",
+        scenario, variants, "Figure 11 — TTL Refresh + Renew + Long-TTL",
         trace_limit=trace_limit, seed=seed,
     )
 
@@ -264,67 +263,45 @@ TABLE2_SCHEMES: tuple[tuple[str, ResilienceConfig], ...] = (
 )
 
 
-@dataclass
-class Table2Result:
-    """Message and byte overhead per scheme vs vanilla, over traces."""
-
-    per_trace: dict[str, MessageOverheadTable]
-    mean_overhead: dict[str, float]
-    mean_byte_overhead: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = [
-            (
-                label,
-                f"{overhead * 100:+.1f} %",
-                f"{self.mean_byte_overhead.get(label, 0.0) * 100:+.1f} %",
-            )
-            for label, overhead in self.mean_overhead.items()
-        ]
-        return format_table(
-            ("Scheme", "Message overhead", "Byte overhead"),
-            rows,
-            title="Table 2 — traffic overhead vs vanilla (no attack)",
-        )
-
-
 def table2(
     scenario: Scenario,
     schemes: tuple[tuple[str, ResilienceConfig], ...] = TABLE2_SCHEMES,
     trace_limit: int | None = 3,
     seed: int = 0,
     workers: int | None = None,
-) -> Table2Result:
+) -> ResultTable:
     """Table 2: outgoing-message overhead of every scheme vs vanilla.
 
-    The (trace × scheme) replays — baseline included — form one batch;
-    summaries stand in for metrics in the overhead tables.
+    The (trace × scheme) replays — baseline included — form one batch.
+    A row is the pair (mean message overhead, mean byte overhead) over
+    the traces, each trace's scheme measured against its own baseline.
     """
-    per_trace: dict[str, MessageOverheadTable] = {}
-    sums: dict[str, float] = {label: 0.0 for label, _ in schemes}
-    byte_sums: dict[str, float] = {label: 0.0 for label, _ in schemes}
-    names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
-    ]
+    names = week_trace_names(scenario, trace_limit)
     columns = (("__baseline__", ResilienceConfig.vanilla()), *schemes)
-    specs = [
-        ReplaySpec.for_scenario(scenario, name, config, seed=seed)
-        for name in names
-        for _, config in columns
-    ]
-    summaries = iter(run_replays(specs, workers))
-    for name in names:
-        baseline = next(summaries)
-        table = MessageOverheadTable(baseline=baseline)
-        for label, _ in schemes:
-            summary = next(summaries)
-            sums[label] += table.add_scheme(label, summary)
-            byte_sums[label] += summary.byte_overhead_vs(baseline)
-        per_trace[name] = table
-    mean = {label: total / len(names) for label, total in sums.items()}
-    byte_mean = {label: total / len(names) for label, total in byte_sums.items()}
-    return Table2Result(per_trace=per_trace, mean_overhead=mean,
-                        mean_byte_overhead=byte_mean)
+    replays = run_rows(
+        ((label, ReplaySpec.for_scenario(scenario, name, config, seed=seed))
+         for name in names
+         for label, config in columns),
+        grouped=True, workers=workers,
+    )
+    baseline = replays.pop("__baseline__")
+
+    def mean(overheads: Iterable[float]) -> float:
+        return sum(overheads) / len(names)
+
+    rows = {
+        label: (
+            mean(s.message_overhead_vs(b) for s, b in zip(row, baseline)),
+            mean(s.byte_overhead_vs(b) for s, b in zip(row, baseline)),
+        )
+        for label, row in replays.items()
+    }
+    return ResultTable(
+        "Table 2 — traffic overhead vs vanilla (no attack)", ("Scheme",),
+        (("Message overhead", lambda row: f"{row[0] * 100:+.1f} %"),
+         ("Byte overhead", lambda row: f"{row[1] * 100:+.1f} %")),
+        rows,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -343,57 +320,47 @@ FIGURE12_SCHEMES: tuple[tuple[str, ResilienceConfig], ...] = (
 )
 
 
-@dataclass
-class Figure12Result:
-    """Cache-occupancy series over the month trace, per scheme."""
-
-    series: dict[str, MemoryOverheadSeries]
-    occupancy_ratios: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        rows = []
-        for label, series in self.series.items():
-            rows.append(
-                (
-                    label,
-                    series.peak_zones(),
-                    series.peak_records(),
-                    f"{series.steady_state_mean_records():,.0f}",
-                    f"{self.occupancy_ratios.get(label, 1.0):.2f}x",
-                    f"{series.estimated_peak_bytes() / 1e6:.1f} MB",
-                )
-            )
-        return format_table(
-            ("Scheme", "Peak zones", "Peak records", "Steady records",
-             "vs DNS", "Est. peak mem"),
-            rows,
-            title="Figure 12 — memory overhead over the one-month trace (TRC6)",
-        )
-
-
 def figure12(
     scenario: Scenario,
     schemes: tuple[tuple[str, ResilienceConfig], ...] = FIGURE12_SCHEMES,
     sample_interval: float = 6 * 3600.0,
     seed: int = 0,
     workers: int | None = None,
-) -> Figure12Result:
-    """Figure 12: cached zones/records over time for each scheme (TRC6)."""
-    specs = [
-        ReplaySpec.for_scenario(
+) -> ResultTable:
+    """Figure 12: cached zones/records over time for each scheme (TRC6).
+
+    A row is the scheme's :class:`MemoryOverheadSeries`; the "vs DNS"
+    column is its steady-state occupancy over the DNS row's.
+    """
+    replays = run_rows(
+        ((label, ReplaySpec.for_scenario(
             scenario, Scenario.MONTH_TRACE, config,
             memory_sample_interval=sample_interval, seed=seed,
-        )
-        for _, config in schemes
-    ]
-    series: dict[str, MemoryOverheadSeries] = {}
-    for (label, _), summary in zip(schemes, run_replays(specs, workers)):
-        series[label] = MemoryOverheadSeries(
-            label=label, samples=list(summary.memory_samples)
-        )
-    outcome = Figure12Result(series=series)
-    baseline = series.get("DNS")
-    if baseline is not None:
-        for label, entry in series.items():
-            outcome.occupancy_ratios[label] = entry.occupancy_ratio_vs(baseline)
-    return outcome
+        )) for label, config in schemes),
+        workers=workers,
+    )
+    rows = {
+        label: MemoryOverheadSeries(label=label,
+                                    samples=list(summary.memory_samples))
+        for label, summary in replays.items()
+    }
+    baseline = rows.get("DNS")
+
+    def ratio(series: MemoryOverheadSeries) -> str:
+        value = 1.0 if baseline is None else series.occupancy_ratio_vs(baseline)
+        return f"{value:.2f}x"
+
+    return ResultTable(
+        "Figure 12 — memory overhead over the one-month trace (TRC6)",
+        ("Scheme",),
+        (
+            ("Peak zones", lambda series: series.peak_zones()),
+            ("Peak records", lambda series: series.peak_records()),
+            ("Steady records",
+             lambda series: f"{series.steady_state_mean_records():,.0f}"),
+            ("vs DNS", ratio),
+            ("Est. peak mem",
+             lambda series: f"{series.estimated_peak_bytes() / 1e6:.1f} MB"),
+        ),
+        rows,
+    )

@@ -15,19 +15,15 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from repro.analysis.report import format_table
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
+from repro.experiments.attack_grid import week_trace_names
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import (
-    FleetMemberSummary,
-    FleetSpec,
-    FleetSummary,
-    run_replays,
-)
+from repro.experiments.parallel import FleetSpec, run_rows
 from repro.experiments.scenarios import Scenario
+from repro.experiments.summary import FleetRates, FleetSummary
 from repro.hierarchy.builder import BuiltHierarchy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import ReplayMetrics, WindowCounters
@@ -49,80 +45,12 @@ class FleetMemberResult:
         return self.metrics.sr_queries
 
 
-def render_fleet_table(
-    label: str,
-    members: "Sequence[FleetMemberResult | FleetMemberSummary]",
-    aggregate_rate: float,
-) -> str:
-    """The fleet table shared by full results and picklable summaries.
-
-    ``members`` need ``trace_name``, ``sr_queries`` and ``window``.
-    """
-    body = []
-    for member in members:
-        window = member.window
-        body.append(
-            (
-                member.trace_name,
-                member.sr_queries,
-                f"{window.sr_failure_rate * 100:.1f} %" if window else "-",
-                f"{window.cs_failure_rate * 100:.1f} %" if window else "-",
-            )
-        )
-    body.append(
-        (
-            "fleet",
-            sum(member.sr_queries for member in members),
-            f"{aggregate_rate * 100:.1f} %",
-            "-",
-        )
-    )
-    return format_table(
-        ("Organisation", "Lookups", "SR failures (attack)",
-         "CS failures (attack)"),
-        body,
-        title=f"Fleet replay — scheme: {label}",
-    )
-
-
 @dataclass
-class FleetReplayResult:
+class FleetReplayResult(FleetRates):
     """Per-member results plus fleet-wide aggregates."""
 
     label: str
     members: list[FleetMemberResult]
-
-    def aggregate_sr_failure_rate(self) -> float:
-        """Fleet-wide SR failure fraction inside the attack window."""
-        queries = sum(
-            member.window.sr_queries for member in self.members
-            if member.window is not None
-        )
-        failures = sum(
-            member.window.sr_failures for member in self.members
-            if member.window is not None
-        )
-        if queries == 0:
-            return 0.0
-        return failures / queries
-
-    def total_failed_lookups(self) -> int:
-        """The §6 damage currency: failed lookups across the fleet."""
-        return sum(
-            member.window.sr_failures for member in self.members
-            if member.window is not None
-        )
-
-    def member(self, trace_name: str) -> FleetMemberResult:
-        for entry in self.members:
-            if entry.trace_name == trace_name:
-                return entry
-        raise KeyError(trace_name)
-
-    def render(self) -> str:
-        return render_fleet_table(
-            self.label, self.members, self.aggregate_sr_failure_rate()
-        )
 
 
 def run_fleet_replay(
@@ -222,17 +150,12 @@ def fleet_attack_comparison(
         ResilienceConfig.refresh(),
         ResilienceConfig.combination(),
     ]
-    trace_names = Scenario.WEEK_TRACES[
-        : trace_limit or scenario.parameters.week_trace_count
-    ]
+    trace_names = week_trace_names(scenario, trace_limit)
     attack = AttackSpec(start=scenario.attack_start,
                         duration=attack_hours * 3600.0)
-    specs = [
-        FleetSpec.for_scenario(scenario, trace_names, config, attack=attack,
-                               seed=seed)
-        for config in schemes
-    ]
-    summaries = run_replays(specs, workers=workers)
-    return {
-        summary.label: summary for summary in summaries
-    }
+    return run_rows(
+        ((config.label, FleetSpec.for_scenario(
+            scenario, trace_names, config, attack=attack, seed=seed,
+        )) for config in schemes),
+        workers=workers,
+    )

@@ -12,49 +12,11 @@ other: fewer tree walks ⇒ fewer round trips ⇒ lower latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
-from repro.experiments.harness import run_replay
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
-from repro.experiments.scenarios import Scale, Scenario, make_scenario
-
-
-@dataclass
-class LatencyRow:
-    label: str
-    mean_latency: float
-    cache_hit_rate: float
-    cs_queries_per_lookup: float
-
-
-@dataclass
-class LatencyResult:
-    rows: list[LatencyRow]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.label,
-                f"{row.mean_latency * 1000:.1f} ms",
-                f"{row.cache_hit_rate * 100:.1f} %",
-                f"{row.cs_queries_per_lookup:.3f}",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "Mean wait / lookup", "SR cache hits", "CS queries / lookup"),
-            body,
-            title="Response time — normal operation (no attack)",
-        )
-
-    def row(self, label: str) -> LatencyRow:
-        for entry in self.rows:
-            if entry.label == label:
-                return entry
-        raise KeyError(label)
-
+from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.table import ResultTable
 
 DEFAULT_SCHEMES = (
     ("vanilla", ResilienceConfig.vanilla()),
@@ -74,36 +36,19 @@ class LatencySpec:
     trace_name: str = "TRC1"
 
 
-def run(spec: LatencySpec) -> LatencyResult:
-    """Registry entry point: build the scenario, run the comparison."""
-    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    return _latency_experiment(scenario, trace_name=spec.trace_name)
-
-
-def _latency_experiment(
-    scenario: Scenario,
-    schemes: Sequence[tuple[str, ResilienceConfig]] = DEFAULT_SCHEMES,
-    trace_name: str = "TRC1",
-    seed: int = 0,
-) -> LatencyResult:
+def run(spec: LatencySpec) -> ResultTable:
     """Mean response time per scheme over a full no-attack replay."""
-    trace = scenario.trace(trace_name)
-    rows = []
-    for label, config in schemes:
-        result = run_replay(scenario.built, trace, config, seed=seed)
-        metrics = result.metrics
-        rows.append(
-            LatencyRow(
-                label=label,
-                mean_latency=metrics.mean_latency,
-                cache_hit_rate=(
-                    metrics.sr_cache_hits / metrics.sr_queries
-                    if metrics.sr_queries else 0.0
-                ),
-                cs_queries_per_lookup=(
-                    metrics.cs_demand_queries / metrics.sr_queries
-                    if metrics.sr_queries else 0.0
-                ),
-            )
-        )
-    return LatencyResult(rows=rows)
+    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
+    pairs = [
+        (label, ReplaySpec.for_scenario(scenario, spec.trace_name, config))
+        for label, config in DEFAULT_SCHEMES
+    ]
+    return ResultTable(
+        "Response time — normal operation (no attack)", ("Scheme",),
+        (
+            ("Mean wait / lookup", lambda s: f"{s.mean_latency * 1000:.1f} ms"),
+            ("SR cache hits", lambda s: f"{s.cache_hit_rate * 100:.1f} %"),
+            ("CS queries / lookup", lambda s: f"{s.cs_queries_per_lookup:.3f}"),
+        ),
+        run_rows(pairs),
+    )

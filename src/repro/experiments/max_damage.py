@@ -17,12 +17,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name, root_name
-from repro.experiments.harness import AttackSpec, run_replay
+from repro.experiments.harness import AttackSpec
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.table import CS, SR, ResultTable, percent
 from repro.workload.trace import Trace
 
 HOUR = 3600.0
@@ -87,32 +88,6 @@ def random_targets(
     return rng.sample(names, min(budget, len(names)))
 
 
-@dataclass
-class MaxDamageResult:
-    """Damage comparison across target-selection strategies."""
-
-    budget: int
-    rows: list[tuple[str, str, float, float]]
-    """(strategy, scheme, SR failure rate, CS failure rate)."""
-
-    def render(self) -> str:
-        body = [
-            (strategy, scheme, f"{sr * 100:.1f} %", f"{cs * 100:.1f} %")
-            for strategy, scheme, sr, cs in self.rows
-        ]
-        return format_table(
-            ("Targets", "Scheme", "SR failures", "CS failures"),
-            body,
-            title=f"Maximum-damage exploration (budget = {self.budget} zones)",
-        )
-
-    def rate_of(self, strategy: str, scheme: str) -> float:
-        for row_strategy, row_scheme, sr, _ in self.rows:
-            if row_strategy == strategy and row_scheme == scheme:
-                return sr
-        raise KeyError(f"no row for ({strategy!r}, {scheme!r})")
-
-
 @dataclass(frozen=True)
 class MaxDamageSpec:
     """Declarative max-damage request (the registry's spec)."""
@@ -124,59 +99,42 @@ class MaxDamageSpec:
     trace_name: str = "TRC1"
 
 
-def run(spec: MaxDamageSpec) -> MaxDamageResult:
-    """Registry entry point: build the scenario, run the exploration."""
-    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    return _max_damage_experiment(
-        scenario,
-        budget=spec.budget,
-        attack_hours=spec.attack_hours,
-        trace_name=spec.trace_name,
-    )
-
-
-def _max_damage_experiment(
-    scenario: Scenario,
-    budget: int | None = None,
-    attack_hours: float = 6.0,
-    trace_name: str = "TRC1",
-    seed: int = 0,
-) -> MaxDamageResult:
+def run(spec: MaxDamageSpec) -> ResultTable:
     """Compare greedy / root+TLD / random targets, vanilla vs combination.
 
     ``budget`` defaults to the root+TLD set size so strategies compete on
-    equal footing.
+    equal footing.  Rows are keyed ``(strategy, scheme)``.
     """
-    trace = scenario.trace(trace_name)
+    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
+    trace = scenario.trace(spec.trace_name)
     start = scenario.attack_start
-    end = start + attack_hours * HOUR
+    end = start + spec.attack_hours * HOUR
     tree = scenario.built.tree
+    budget = spec.budget
     if budget is None:
         budget = 1 + len(tree.tld_names())
 
     strategies = {
         "greedy (oracle)": greedy_targets(trace, scenario, budget, start, end),
         "root+TLDs": [root_name(), *tree.tld_names()][:budget],
-        "random": random_targets(scenario, budget, seed=seed),
+        "random": random_targets(scenario, budget),
     }
     schemes = [
         ("vanilla", ResilienceConfig.vanilla()),
         ("combination", ResilienceConfig.combination()),
     ]
-    rows = []
-    for strategy_name, targets in strategies.items():
-        spec = AttackSpec(
-            start=start, duration=attack_hours * HOUR, targets=tuple(targets)
-        )
-        for scheme_name, config in schemes:
-            result = run_replay(scenario.built, trace, config, attack=spec,
-                                seed=seed)
-            rows.append(
-                (
-                    strategy_name,
-                    scheme_name,
-                    result.sr_attack_failure_rate,
-                    result.cs_attack_failure_rate,
-                )
-            )
-    return MaxDamageResult(budget=budget, rows=rows)
+    pairs = [
+        ((strategy_name, scheme_name), ReplaySpec.for_scenario(
+            scenario, spec.trace_name, config,
+            attack=AttackSpec(start=start, duration=spec.attack_hours * HOUR,
+                              targets=tuple(targets)),
+        ))
+        for strategy_name, targets in strategies.items()
+        for scheme_name, config in schemes
+    ]
+    return ResultTable(
+        f"Maximum-damage exploration (budget = {budget} zones)",
+        ("Targets", "Scheme"),
+        (("SR failures", percent(SR, 1)), ("CS failures", percent(CS, 1))),
+        run_rows(pairs),
+    )

@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.model import SchemeModel, predict_cached_zone_count
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
 from repro.experiments.harness import run_replay
 from repro.experiments.scenarios import Scenario
+from repro.experiments.table import ResultTable
 
 DAY = 86400.0
 
@@ -36,36 +36,6 @@ class ModelValidationRow:
         if self.measured == 0:
             return float("inf") if self.predicted > 0 else 0.0
         return abs(self.predicted - self.measured) / self.measured
-
-
-@dataclass
-class ModelValidationResult:
-    rows: list[ModelValidationRow]
-
-    def render(self) -> str:
-        body = [
-            (
-                row.scheme,
-                f"{row.predicted:.1f}",
-                row.measured,
-                f"{row.relative_error * 100:.0f} %",
-            )
-            for row in self.rows
-        ]
-        return format_table(
-            ("Scheme", "Model: E[zones cached]", "Simulated", "Rel. error"),
-            body,
-            title=(
-                "Analytical model vs simulation — zones with live IRRs at "
-                "the attack instant (day 7)"
-            ),
-        )
-
-    def row(self, scheme: str) -> ModelValidationRow:
-        for entry in self.rows:
-            if entry.scheme == scheme:
-                return entry
-        raise KeyError(scheme)
 
 
 _SCHEMES: tuple[tuple[ResilienceConfig, SchemeModel], ...] = (
@@ -87,7 +57,7 @@ def model_validation(
     trace_name: str = "TRC1",
     instant: float | None = None,
     seed: int = 0,
-) -> ModelValidationResult:
+) -> ResultTable:
     """Model-vs-simulation comparison at ``instant`` (default day 6)."""
     trace = scenario.trace(trace_name)
     probe_time = 6 * DAY if instant is None else instant
@@ -95,7 +65,7 @@ def model_validation(
         zone.name: zone.infrastructure_records.ns.ttl
         for zone in scenario.built.tree.zones()
     }
-    rows = []
+    rows: dict[str, ModelValidationRow] = {}
     for config, model in _SCHEMES:
         # Sample cache occupancy during the replay so the measurement is
         # a true snapshot at the probe instant (the end-state cache would
@@ -121,11 +91,17 @@ def model_validation(
             result.metrics.memory_samples,
             key=lambda sample: abs(sample.time - probe_time),
         )
-        rows.append(
-            ModelValidationRow(
-                scheme=model.name,
-                predicted=predicted,
-                measured=probe_sample.zones_cached,
-            )
+        rows[model.name] = ModelValidationRow(
+            scheme=model.name,
+            predicted=predicted,
+            measured=probe_sample.zones_cached,
         )
-    return ModelValidationResult(rows=rows)
+    return ResultTable(
+        "Analytical model vs simulation — zones with live IRRs at the "
+        "attack instant (day 7)",
+        ("Scheme",),
+        (("Model: E[zones cached]", lambda row: f"{row.predicted:.1f}"),
+         ("Simulated", lambda row: row.measured),
+         ("Rel. error", lambda row: f"{row.relative_error * 100:.0f} %")),
+        rows,
+    )

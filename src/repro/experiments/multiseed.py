@@ -14,12 +14,13 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
+from repro.experiments.summary import ReplaySummary
+from repro.experiments.table import CS, SR, Metric, ResultTable
 
 HOUR = 3600.0
 
@@ -48,34 +49,11 @@ class SeedStatistics:
         return f"{self.mean * 100:.2f} ± {self.std * 100:.2f} %"
 
 
-@dataclass
-class MultiSeedRow:
-    scheme: str
-    sr: SeedStatistics
-    cs: SeedStatistics
-
-
-@dataclass
-class MultiSeedResult:
-    seeds: tuple[int, ...]
-    rows: list[MultiSeedRow]
-
-    def render(self) -> str:
-        body = [(row.scheme, str(row.sr), str(row.cs)) for row in self.rows]
-        return format_table(
-            ("Scheme", "SR failures (mean ± std)", "CS failures (mean ± std)"),
-            body,
-            title=(
-                f"Multi-seed replication over seeds {list(self.seeds)} "
-                "(6 h root+TLD attack)"
-            ),
-        )
-
-    def row(self, scheme: str) -> MultiSeedRow:
-        for entry in self.rows:
-            if entry.scheme == scheme:
-                return entry
-        raise KeyError(scheme)
+def seed_spread(
+    summaries: Sequence[ReplaySummary], metric: Metric = SR
+) -> SeedStatistics:
+    """Mean ± std of ``metric`` over one row's per-seed summaries."""
+    return SeedStatistics.from_samples([metric(s) for s in summaries])
 
 
 DEFAULT_SCHEMES = (
@@ -97,7 +75,7 @@ class MultiSeedSpec:
     attack_hours: float = 6.0
 
 
-def run(spec: MultiSeedSpec) -> MultiSeedResult:
+def run(spec: MultiSeedSpec) -> ResultTable:
     """Registry entry point: replicate the headline rates across seeds."""
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     return _multiseed_experiment(
@@ -115,35 +93,28 @@ def _multiseed_experiment(
     trace_name: str = "TRC1",
     attack_hours: float = 6.0,
     workers: int | None = None,
-) -> MultiSeedResult:
+) -> ResultTable:
     """Replay one trace per scheme across several resolver seeds.
 
     The scheme × seed replays are independent and run through the batch
-    runner (``workers`` defaults to ``$REPRO_WORKERS``).
+    runner (``workers`` defaults to ``$REPRO_WORKERS``); a row holds one
+    summary per seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
     attack = AttackSpec(start=scenario.attack_start,
                         duration=attack_hours * HOUR)
-    specs = [
-        ReplaySpec.for_scenario(scenario, trace_name, config, attack=attack,
-                                seed=seed)
+    pairs = [
+        (config.label, ReplaySpec.for_scenario(scenario, trace_name, config,
+                                               attack=attack, seed=seed))
         for config in schemes
         for seed in seeds
     ]
-    summaries = iter(run_replays(specs, workers))
-    rows = []
-    for config in schemes:
-        per_seed = [next(summaries) for _ in seeds]
-        rows.append(
-            MultiSeedRow(
-                scheme=config.label,
-                sr=SeedStatistics.from_samples(
-                    [s.sr_attack_failure_rate for s in per_seed]
-                ),
-                cs=SeedStatistics.from_samples(
-                    [s.cs_attack_failure_rate for s in per_seed]
-                ),
-            )
-        )
-    return MultiSeedResult(seeds=tuple(seeds), rows=rows)
+    return ResultTable(
+        f"Multi-seed replication over seeds {list(seeds)} "
+        "(6 h root+TLD attack)",
+        ("Scheme",),
+        (("SR failures (mean ± std)", lambda row: str(seed_spread(row, SR))),
+         ("CS failures (mean ± std)", lambda row: str(seed_spread(row, CS)))),
+        run_rows(pairs, grouped=True, workers=workers),
+    )

@@ -42,7 +42,7 @@ from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec, run_replay
@@ -50,26 +50,20 @@ from repro.experiments.scenarios import Scale, Scenario, make_scenario
 from repro.experiments.summary import (
     FleetMemberSummary,
     FleetSummary,
-    OverheadComparable,
     ReplaySummary,
-    summarize_replay,
 )
 from repro.obs.spec import ObservationSpec
 from repro.simulation.adversary import AdversarySpec
 from repro.simulation.faults import FaultSpec
 
 __all__ = [
-    "FleetMemberSummary",
     "FleetSpec",
-    "FleetSummary",
-    "OverheadComparable",
     "ReplayExecutionError",
     "ReplaySpec",
-    "ReplaySummary",
     "WORKERS_ENV_VAR",
     "default_worker_count",
     "run_replays",
-    "summarize_replay",
+    "run_rows",
     "usable_cpu_count",
 ]
 
@@ -135,31 +129,12 @@ class ReplaySpec:
         scenario: Scenario,
         trace_name: str,
         config: ResilienceConfig,
-        *,
-        attack: AttackSpec | None = None,
-        seed: int = 0,
-        track_gaps: bool = False,
-        memory_sample_interval: float | None = None,
-        observe: ObservationSpec | None = None,
-        faults: FaultSpec | None = None,
-        adversary: AdversarySpec | None = None,
-        validation: bool = False,
+        **options: Any,
     ) -> "ReplaySpec":
-        """A spec that replays ``trace_name`` of an existing scenario."""
-        return cls(
-            scale=scenario.scale,
-            scenario_seed=scenario.seed,
-            trace_name=trace_name,
-            config=config,
-            attack=attack,
-            seed=seed,
-            track_gaps=track_gaps,
-            memory_sample_interval=memory_sample_interval,
-            observe=observe,
-            faults=faults,
-            adversary=adversary,
-            validation=validation,
-        )
+        """A spec that replays ``trace_name`` of an existing scenario;
+        ``options`` set the optional fields above by name."""
+        return cls(scenario.scale, scenario.seed, trace_name, config,
+                   **options)
 
     def describe(self) -> str:
         return (
@@ -187,30 +162,16 @@ class FleetSpec:
         scenario: Scenario,
         trace_names: Sequence[str],
         config: ResilienceConfig,
-        *,
-        attack: AttackSpec | None = None,
-        seed: int = 0,
+        **options: Any,
     ) -> "FleetSpec":
-        return cls(
-            scale=scenario.scale,
-            scenario_seed=scenario.seed,
-            trace_names=tuple(trace_names),
-            config=config,
-            attack=attack,
-            seed=seed,
-        )
+        return cls(scenario.scale, scenario.seed, tuple(trace_names), config,
+                   **options)
 
     def describe(self) -> str:
         return (
             f"fleet[{','.join(self.trace_names)}]/{self.config.label}"
             f" (scale={self.scale.value}, seed={self.seed})"
         )
-
-
-# The summary shapes themselves live in repro.experiments.summary (one
-# definition shared with the serial runner); this module re-exports them
-# so historical `from repro.experiments.parallel import ReplaySummary`
-# imports keep working.
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +310,26 @@ def run_replays(
         raise
     pool.shutdown()
     return results
+
+
+def run_rows(
+    pairs: Iterable[tuple[Any, ReplaySpec | FleetSpec]],
+    grouped: bool = False,
+    workers: int | None = None,
+) -> dict[Any, Any]:
+    """Run every ``(row key, spec)`` pair in one batch, keyed by row.
+
+    A key holds its spec's summary; with ``grouped`` it holds the tuple
+    of every summary filed under it, in spec order (one per column of a
+    grid row, one per seed of a multi-seed row).  This is the runner
+    every experiment's table goes through.
+    """
+    pair_list = list(pairs)
+    summaries = run_replays([spec for _, spec in pair_list], workers)
+    rows: dict[Any, Any] = {}
+    for (key, _), summary in zip(pair_list, summaries):
+        rows[key] = (*rows.get(key, ()), summary) if grouped else summary
+    return rows
 
 
 def _abort_pool(pool: ProcessPoolExecutor, futures: list[Future]) -> None:

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.analysis.report import format_table
 from repro.core.config import ResilienceConfig
 from repro.core.schemes import parse_scheme
-from repro.experiments.parallel import ReplaySpec, run_replays
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.summary import ReplaySummary
+from repro.experiments.table import ResultTable, grid_columns
 from repro.simulation.adversary import AdversarySpec, PoisonAttackSpec
 
 
@@ -58,61 +59,16 @@ class PoisoningSpec:
     forger's race odds (20 bits ~ random port + ID)."""
 
 
-@dataclass(frozen=True)
-class PoisoningCell:
-    """One (scheme row, rate) replay outcome."""
-
-    scheme: str
-    rate: float
-    attempts: int
-    stored: int
-    cured: int
-    dwells: tuple[float, ...]
-
-    @property
-    def dwell_p50(self) -> float:
-        return _percentile(self.dwells, 0.50)
-
-    @property
-    def dwell_p90(self) -> float:
-        return _percentile(self.dwells, 0.90)
-
-
-@dataclass
-class PoisoningResult:
-    """The sweep's cells, renderable as the dwell-time grid."""
-
-    rates: tuple[float, ...]
-    schemes: tuple[str, ...]
-    cells: list[PoisoningCell]
-
-    def cell(self, scheme: str, rate: float) -> PoisoningCell:
-        for entry in self.cells:
-            if entry.scheme == scheme and entry.rate == rate:
-                return entry
-        raise KeyError((scheme, rate))
-
-    def render(self) -> str:
-        headers = ["Scheme"] + [f"rate={rate:g}" for rate in self.rates]
-        body = []
-        for scheme in self.schemes:
-            row = [scheme]
-            for rate in self.rates:
-                cell = self.cell(scheme, rate)
-                if not cell.dwells:
-                    row.append(f"{cell.stored} stuck")
-                else:
-                    row.append(
-                        f"{cell.stored} stuck"
-                        f" p50={_fmt_secs(cell.dwell_p50)}"
-                        f" p90={_fmt_secs(cell.dwell_p90)}"
-                    )
-            body.append(row)
-        return format_table(
-            headers,
-            body,
-            title="Poisoned entries stored / dwell time before cure",
-        )
+def _cell_text(summary: ReplaySummary) -> str:
+    """``'N stuck'``, plus the dwell-time p50/p90 when anything stuck."""
+    dwells = summary.poison_dwells
+    if not dwells:
+        return f"{summary.poison_stored} stuck"
+    return (
+        f"{summary.poison_stored} stuck"
+        f" p50={_fmt_secs(_percentile(dwells, 0.50))}"
+        f" p90={_fmt_secs(_percentile(dwells, 0.90))}"
+    )
 
 
 def _percentile(values: tuple[float, ...], q: float) -> float:
@@ -143,7 +99,7 @@ def _guarded(base: ResilienceConfig, entropy_bits: int) -> ResilienceConfig:
     )
 
 
-def run(spec: PoisoningSpec) -> PoisoningResult:
+def run(spec: PoisoningSpec) -> ResultTable:
     """Registry entry point: sweep injection rate × scheme (+guard).
 
     Raises:
@@ -168,8 +124,8 @@ def run(spec: PoisoningSpec) -> PoisoningResult:
         base = parse_scheme(name)
         configs.append(base)
         configs.append(_guarded(base, spec.entropy_bits))
-    specs = [
-        ReplaySpec.for_scenario(
+    pairs = [
+        (config.label, ReplaySpec.for_scenario(
             scenario,
             spec.trace_name,
             config,
@@ -179,27 +135,13 @@ def run(spec: PoisoningSpec) -> PoisoningResult:
                     rate=rate, success=spec.success, ttl=spec.ttl,
                 )
             ),
-        )
+        ))
         for config in configs
         for rate in spec.rates
     ]
-    summaries = iter(run_replays(specs))
-    cells = []
-    for config in configs:
-        for rate in spec.rates:
-            summary = next(summaries)
-            cells.append(
-                PoisoningCell(
-                    scheme=config.label,
-                    rate=rate,
-                    attempts=summary.poison_attempts,
-                    stored=summary.poison_stored,
-                    cured=summary.poison_cured,
-                    dwells=tuple(summary.poison_dwells),
-                )
-            )
-    return PoisoningResult(
-        rates=spec.rates,
-        schemes=tuple(config.label for config in configs),
-        cells=cells,
+    return ResultTable(
+        "Poisoned entries stored / dwell time before cure",
+        ("Scheme",),
+        grid_columns((f"rate={rate:g}" for rate in spec.rates), _cell_text),
+        run_rows(pairs, grouped=True),
     )

@@ -2,7 +2,7 @@
 
 Every extension experiment follows the same shape — a frozen, picklable
 ``*Spec`` dataclass describing *what* to run, and a module-level
-``run(spec)`` returning a renderable summary.  :class:`ExperimentDef`
+``run(spec)`` returning a renderable table.  :class:`CommandDef`
 binds the two together with a CLI name and help line; the
 ``EXPERIMENTS`` table in :mod:`repro.experiments` is the registry the
 CLI generates its subcommands from (and the stable lookup surface for
@@ -21,21 +21,20 @@ import argparse
 import dataclasses
 import types
 import typing
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
 from repro.experiments.scenarios import Scale
 
 
-@runtime_checkable
-class Renderable(Protocol):
-    """What every experiment's summary must provide."""
-
-    def render(self) -> str: ...
-
-
 @dataclasses.dataclass(frozen=True)
-class ExperimentDef:
-    """One registry entry: a spec shape plus its runner.
+class CommandDef:
+    """One registry entry: a CLI subcommand's spec shape plus its runner.
+
+    Experiments (the ``EXPERIMENTS`` table) return a
+    :class:`~repro.experiments.table.ResultTable`; commands (serve, events) own their output and return a
+    process exit status.  Both generate their flags from the frozen spec
+    dataclass via :func:`add_spec_arguments`, so there is exactly one way
+    a subcommand's surface is defined in this repo.
 
     (Deliberately *not* named ``*Spec`` — the runner is a callable,
     which spec dataclasses are statically forbidden to carry.)
@@ -44,46 +43,18 @@ class ExperimentDef:
     name: str
     help: str
     spec_type: type
-    runner: Callable[[Any], Renderable]
+    runner: Callable[[Any], Any]
 
-    def run(self, spec: Any = None) -> Renderable:
+    def run(self, spec: Any = None) -> Any:
         """Execute with ``spec`` (or the spec type's defaults)."""
         if spec is None:
             spec = self.spec_type()
         if not isinstance(spec, self.spec_type):
             raise TypeError(
-                f"experiment {self.name!r} expects "
-                f"{self.spec_type.__name__}, got {type(spec).__name__}"
+                f"{self.name!r} expects {self.spec_type.__name__}, "
+                f"got {type(spec).__name__}"
             )
         return self.runner(spec)
-
-
-@dataclasses.dataclass(frozen=True)
-class CommandDef:
-    """A non-experiment CLI subcommand built on the same spec machinery.
-
-    Experiments return a :class:`Renderable` summary; commands (serve,
-    events) own their output and return a process exit status.
-    Both generate their flags from a frozen spec dataclass via
-    :func:`add_spec_arguments`, so there is exactly one way a
-    subcommand's surface is defined in this repo.
-    """
-
-    name: str
-    help: str
-    spec_type: type
-    handler: Callable[[Any], int]
-
-    def run(self, spec: Any = None) -> int:
-        """Execute with ``spec`` (or the spec type's defaults)."""
-        if spec is None:
-            spec = self.spec_type()
-        if not isinstance(spec, self.spec_type):
-            raise TypeError(
-                f"command {self.name!r} expects "
-                f"{self.spec_type.__name__}, got {type(spec).__name__}"
-            )
-        return self.handler(spec)
 
 
 def _cli_fields(spec_type: type) -> "list[tuple[dataclasses.Field, Any]]":
@@ -97,14 +68,14 @@ def _cli_fields(spec_type: type) -> "list[tuple[dataclasses.Field, Any]]":
     return pairs
 
 
-def _unwrap_optional(hint: Any) -> tuple[Any, bool]:
-    """``(inner, optional)`` — collapses ``X | None`` to ``(X, True)``."""
+def _unwrap_optional(hint: Any) -> Any:
+    """Collapses ``X | None`` to ``X``."""
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
         members = [arg for arg in typing.get_args(hint) if arg is not type(None)]
         if len(members) == 1:
-            return members[0], True
-    return hint, False
+            return members[0]
+    return hint
 
 
 def add_spec_arguments(
@@ -119,7 +90,7 @@ def add_spec_arguments(
     """
     for spec_field, hint in _cli_fields(spec_type):
         flag = "--" + spec_field.name.replace("_", "-")
-        inner, _ = _unwrap_optional(hint)
+        inner = _unwrap_optional(hint)
         default = spec_field.default
         helptext = str(spec_field.metadata.get("help", ""))
         if inner is bool:
@@ -128,10 +99,7 @@ def add_spec_arguments(
                 default=default, help=helptext or f"(default: {default})",
             )
         elif inner is Scale:
-            parser.add_argument(
-                flag, choices=[scale.value for scale in Scale], default=None,
-                help=helptext or "experiment scale (default: $REPRO_SCALE or tiny)",
-            )
+            add_scale_argument(parser, flag, helptext)
         elif typing.get_origin(inner) is tuple:
             element = typing.get_args(inner)[0]
             parser.add_argument(
@@ -151,12 +119,23 @@ def add_spec_arguments(
             )
 
 
+def add_scale_argument(
+    parser: argparse.ArgumentParser, flag: str = "--scale", helptext: str = ""
+) -> None:
+    """A ``--scale`` flag: value choices, default None (see
+    :func:`resolve_scale`)."""
+    parser.add_argument(
+        flag, choices=[scale.value for scale in Scale], default=None,
+        help=helptext or "experiment scale (default: $REPRO_SCALE or tiny)",
+    )
+
+
 def spec_from_args(spec_type: type, args: argparse.Namespace) -> Any:
     """Build a spec instance back out of parsed CLI arguments."""
     kwargs: dict[str, Any] = {}
     for spec_field, hint in _cli_fields(spec_type):
         value = getattr(args, spec_field.name)
-        inner, _ = _unwrap_optional(hint)
+        inner = _unwrap_optional(hint)
         if inner is Scale:
             kwargs[spec_field.name] = Scale(value) if value else None
         elif typing.get_origin(inner) is tuple:
@@ -172,8 +151,8 @@ def spec_from_args(spec_type: type, args: argparse.Namespace) -> Any:
     return spec_type(**kwargs)
 
 
-def resolve_scale(scale: "Scale | None") -> Scale:
-    """A spec's scale field: explicit value, else $REPRO_SCALE, else TINY."""
-    if scale is not None:
-        return scale
+def resolve_scale(scale: "Scale | str | None") -> Scale:
+    """A scale field or flag: explicit value, else $REPRO_SCALE, else TINY."""
+    if scale:
+        return Scale(scale)
     return Scale.from_env(default=Scale.TINY)

@@ -11,28 +11,17 @@ mixin.  ``repro.api`` re-exports everything here as the stable surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
+from typing import TYPE_CHECKING, Any, Sequence
 
 from repro.analysis.gaps import GapSample
+from repro.analysis.report import format_percent
+from repro.experiments.table import ResultTable
 from repro.simulation.metrics import MemorySample, WindowCounters
 
 if TYPE_CHECKING:
     from repro.experiments.harness import ReplayResult
-
-
-class OverheadComparable(Protocol):
-    """Anything the overhead tables can baseline against.
-
-    Satisfied by both :class:`~repro.simulation.metrics.ReplayMetrics`
-    and :class:`ReplaySummary`, so tables treat them interchangeably.
-    """
-
-    @property
-    def total_outgoing(self) -> int: ...
-
-    @property
-    def total_bytes(self) -> int: ...
 
 
 class AttackWindowRates:
@@ -115,44 +104,29 @@ class ReplaySummary(AttackWindowRates):
 
     @classmethod
     def from_result(cls, result: "ReplayResult") -> "ReplaySummary":
-        """Reduce a full replay result to its picklable summary."""
-        metrics = result.metrics
+        """Reduce a full replay result to its picklable summary.
+
+        The result itself supplies the label, trace, window, gap samples
+        and event count; every other field copies the
+        :class:`~repro.simulation.metrics.ReplayMetrics` counter of the
+        same name, lists frozen into tuples.
+        """
+        own = {"label", "trace_name", "window", "gap_samples", "event_count"}
+        counters = {
+            spec_field.name: getattr(result.metrics, spec_field.name)
+            for spec_field in fields(cls) if spec_field.name not in own
+        }
         return cls(
             label=result.label,
             trace_name=result.trace_name,
-            sr_queries=metrics.sr_queries,
-            sr_failures=metrics.sr_failures,
-            sr_cache_hits=metrics.sr_cache_hits,
-            sr_nxdomain=metrics.sr_nxdomain,
-            sr_validation_failures=metrics.sr_validation_failures,
-            cs_demand_queries=metrics.cs_demand_queries,
-            cs_demand_failures=metrics.cs_demand_failures,
-            cs_renewal_queries=metrics.cs_renewal_queries,
-            cs_renewal_failures=metrics.cs_renewal_failures,
-            total_latency=metrics.total_latency,
-            bytes_out=metrics.bytes_out,
-            bytes_in=metrics.bytes_in,
             window=result.window,
             gap_samples=(
                 tuple(result.gap_tracker.samples)
                 if result.gap_tracker is not None else ()
             ),
-            memory_samples=tuple(metrics.memory_samples),
             event_count=result.event_count,
-            attack_stub_queries=metrics.attack_stub_queries,
-            attack_cs_queries=metrics.attack_cs_queries,
-            attack_failures=metrics.attack_failures,
-            flash_queries=metrics.flash_queries,
-            budget_exhaustions=metrics.budget_exhaustions,
-            nxns_capped=metrics.nxns_capped,
-            poison_attempts=metrics.poison_attempts,
-            poison_wins=metrics.poison_wins,
-            poison_stored=metrics.poison_stored,
-            poison_cured=metrics.poison_cured,
-            poison_dwells=tuple(metrics.poison_dwells),
-            sr_stale_hits=metrics.sr_stale_hits,
-            swr_refreshes=metrics.swr_refreshes,
-            invalidations=metrics.invalidations,
+            **{name: tuple(value) if isinstance(value, list) else value
+               for name, value in counters.items()},
         )
 
     # -- failure rates ------------------------------------------------------
@@ -184,12 +158,6 @@ class ReplaySummary(AttackWindowRates):
         return self.cs_demand_queries + self.cs_renewal_queries
 
     @property
-    def upstream_queries(self) -> int:
-        """Alias of :attr:`total_outgoing` — the equal-budget currency
-        the Renewal 2.0 comparison normalises schemes by."""
-        return self.total_outgoing
-
-    @property
     def stale_answer_rate(self) -> float:
         """Fraction of stub answers served from lapsed records."""
         if self.sr_queries == 0:
@@ -206,9 +174,22 @@ class ReplaySummary(AttackWindowRates):
             return 0.0
         return self.total_latency / self.sr_queries
 
-    def message_overhead_vs(self, baseline: OverheadComparable) -> float:
-        """Relative change in outgoing messages vs ``baseline`` (summary
-        or :class:`ReplayMetrics` — anything with ``total_outgoing``).
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of stub lookups answered from the cache."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.sr_cache_hits / self.sr_queries
+
+    @property
+    def cs_queries_per_lookup(self) -> float:
+        """Demand CS -> AN queries per stub lookup (tree-walk cost)."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.cs_demand_queries / self.sr_queries
+
+    def message_overhead_vs(self, baseline: "ReplaySummary") -> float:
+        """Relative change in outgoing messages vs ``baseline``.
         An empty baseline (no messages) reads as zero overhead, matching
         the ``<= 0.0`` convention in ``analysis/``.
         """
@@ -219,7 +200,7 @@ class ReplaySummary(AttackWindowRates):
             / baseline.total_outgoing
         )
 
-    def byte_overhead_vs(self, baseline: OverheadComparable) -> float:
+    def byte_overhead_vs(self, baseline: "ReplaySummary") -> float:
         """Relative change in total traffic bytes vs ``baseline``.
         Zero when the baseline moved no bytes."""
         if baseline.total_bytes <= 0:
@@ -236,28 +217,22 @@ class FleetMemberSummary:
     window: "WindowCounters | None" = None
 
 
-@dataclass
-class FleetSummary:
-    """Picklable fleet outcome: per-member windows plus aggregates."""
-
-    # repro: pickled-boundary
+class FleetRates:
+    """Fleet-wide aggregates and the fleet table, shared by the live
+    :class:`~repro.experiments.fleet.FleetReplayResult` and the picklable
+    :class:`FleetSummary`: each member has ``trace_name``,
+    ``sr_queries`` and ``window``."""
 
     label: str
-    members: list[FleetMemberSummary] = field(default_factory=list)
+    members: "Sequence[Any]"
 
     def aggregate_sr_failure_rate(self) -> float:
         """Fleet-wide SR failure fraction inside the attack window."""
-        queries = sum(
-            member.window.sr_queries for member in self.members
-            if member.window is not None
-        )
-        failures = sum(
-            member.window.sr_failures for member in self.members
-            if member.window is not None
-        )
+        windows = [m.window for m in self.members if m.window is not None]
+        queries = sum(window.sr_queries for window in windows)
         if queries == 0:
             return 0.0
-        return failures / queries
+        return self.total_failed_lookups() / queries
 
     def total_failed_lookups(self) -> int:
         """The §6 damage currency: failed lookups across the fleet."""
@@ -266,17 +241,48 @@ class FleetSummary:
             if member.window is not None
         )
 
-    def member(self, trace_name: str) -> FleetMemberSummary:
+    def member(self, trace_name: str) -> Any:
         for entry in self.members:
             if entry.trace_name == trace_name:
                 return entry
         raise KeyError(trace_name)
 
     def render(self) -> str:
-        from repro.experiments.fleet import render_fleet_table
+        def rate(window: "WindowCounters | None", metric: str) -> str:
+            if window is None:
+                return "-"
+            return format_percent(getattr(window, metric))
 
-        return render_fleet_table(self.label, self.members,
-                                  self.aggregate_sr_failure_rate())
+        rows = {
+            member.trace_name: (
+                member.sr_queries,
+                rate(member.window, "sr_failure_rate"),
+                rate(member.window, "cs_failure_rate"),
+            )
+            for member in self.members
+        }
+        rows["fleet"] = (
+            sum(member.sr_queries for member in self.members),
+            format_percent(self.aggregate_sr_failure_rate()),
+            "-",
+        )
+        headers = ("Lookups", "SR failures (attack)", "CS failures (attack)")
+        return ResultTable(
+            f"Fleet replay — scheme: {self.label}", ("Organisation",),
+            tuple((header, itemgetter(index))
+                  for index, header in enumerate(headers)),
+            rows,
+        ).render()
+
+
+@dataclass
+class FleetSummary(FleetRates):
+    """Picklable fleet outcome: per-member windows plus aggregates."""
+
+    # repro: pickled-boundary
+
+    label: str
+    members: list[FleetMemberSummary] = field(default_factory=list)
 
 
 def summarize_replay(result: "ReplayResult") -> ReplaySummary:

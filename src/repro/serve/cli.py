@@ -66,5 +66,5 @@ SERVE_COMMAND = CommandDef(
     name="serve",
     help="answer real DNS queries (UDP+TCP) from the simulated hierarchy",
     spec_type=ServeSpec,
-    handler=run_serve,
+    runner=run_serve,
 )

@@ -1,6 +1,7 @@
 """Tests for CSV export of experiment artifacts."""
 
 import csv
+from types import SimpleNamespace
 
 from repro.analysis.cdf import Cdf
 from repro.analysis.export import (
@@ -12,16 +13,20 @@ from repro.analysis.export import (
     write_csv,
 )
 from repro.analysis.overhead import MemoryOverheadSeries
-from repro.experiments.attack_grid import FailureGrid
+from repro.experiments.table import ResultTable
 from repro.simulation.metrics import MemorySample
 
 
+def cell(sr, cs):
+    return SimpleNamespace(sr_attack_failure_rate=sr, cs_attack_failure_rate=cs)
+
+
 def make_grid():
-    grid = FailureGrid(title="T", columns=("3 h", "6 h"))
-    grid.record("TRC1", "3 h", 0.5, 0.9)
-    grid.record("TRC1", "6 h", 0.6, 0.95)
-    grid.record("TRC2", "3 h", 0.4, 0.85)
-    return grid
+    # TRC2's row stops short: it has no 6 h cell.
+    return ResultTable("T", ("trace",), (("3 h", str), ("6 h", str)), {
+        "TRC1": (cell(0.5, 0.9), cell(0.6, 0.95)),
+        "TRC2": (cell(0.4, 0.85),),
+    })
 
 
 class TestExport:

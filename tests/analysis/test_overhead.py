@@ -5,39 +5,10 @@ import pytest
 from repro.analysis.overhead import (
     ESTIMATED_BYTES_PER_RECORD,
     MemoryOverheadSeries,
-    MessageOverheadTable,
 )
-from repro.simulation.metrics import MemorySample, ReplayMetrics
+from repro.simulation.metrics import MemorySample
 
 DAY = 86400.0
-
-
-def metrics_with_queries(count):
-    metrics = ReplayMetrics()
-    for _ in range(count):
-        metrics.record_cs_query(0.0, failed=False)
-    return metrics
-
-
-class TestMessageOverheadTable:
-    def test_add_and_read(self):
-        table = MessageOverheadTable(baseline=metrics_with_queries(100))
-        overhead = table.add_scheme("renewal", metrics_with_queries(176))
-        assert overhead == pytest.approx(0.76)
-        assert table.overhead_of("renewal") == pytest.approx(0.76)
-
-    def test_negative_overhead_for_fewer_messages(self):
-        table = MessageOverheadTable(baseline=metrics_with_queries(100))
-        assert table.add_scheme("long-ttl", metrics_with_queries(90)) == \
-            pytest.approx(-0.10)
-
-    def test_as_rows_formats_signs(self):
-        table = MessageOverheadTable(baseline=metrics_with_queries(100))
-        table.add_scheme("up", metrics_with_queries(150))
-        table.add_scheme("down", metrics_with_queries(50))
-        rows = dict(table.as_rows())
-        assert rows["up"] == "+50.0 %"
-        assert rows["down"] == "-50.0 %"
 
 
 def series(label, values, spacing=DAY / 4):

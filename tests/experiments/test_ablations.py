@@ -11,6 +11,7 @@ from repro.experiments.ablations import (
     stale_comparison,
 )
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.table import SR
 
 
 @pytest.fixture(scope="module")
@@ -21,27 +22,27 @@ def scenario():
 class TestMechanismAblation:
     def test_rows_and_ordering(self, scenario):
         result = mechanism_ablation(scenario)
-        labels = [row[0] for row in result.rows]
+        labels = list(result.rows)
         assert labels[0] == "vanilla"
         assert "combination" in labels
         # Stacked mechanisms never do worse than vanilla.
-        vanilla = result.sr_rate("vanilla")
-        assert result.sr_rate("refresh only") <= vanilla
-        assert result.sr_rate("refresh + renew") <= vanilla
-        assert result.sr_rate("combination") <= vanilla
+        vanilla = SR(result.row("vanilla"))
+        assert SR(result.row("refresh only")) <= vanilla
+        assert SR(result.row("refresh + renew")) <= vanilla
+        assert SR(result.row("combination")) <= vanilla
 
     def test_render(self, scenario):
         assert "Ablation" in mechanism_ablation(scenario).render()
 
     def test_unknown_label_raises(self, scenario):
         with pytest.raises(KeyError):
-            mechanism_ablation(scenario).sr_rate("nope")
+            mechanism_ablation(scenario).row("nope")
 
 
 class TestStaleComparison:
     def test_stale_beats_vanilla(self, scenario):
         result = stale_comparison(scenario)
-        assert result.sr_rate("serve-stale") <= result.sr_rate("vanilla")
+        assert SR(result.row("serve-stale")) <= SR(result.row("vanilla"))
 
 
 class TestOtherAttackClasses:
@@ -49,8 +50,8 @@ class TestOtherAttackClasses:
         result = other_attack_classes(scenario)
         # An attack on one SLD/provider hurts far fewer queries than the
         # root+TLD attack does (which is >30% SR failures at this scale).
-        for label, sr, _, _ in result.rows:
-            assert sr < 0.30, label
+        for label, summary in result.rows.items():
+            assert SR(summary) < 0.30, label
 
     def test_render(self, scenario):
         assert "attack classes" in other_attack_classes(scenario).render()
@@ -62,17 +63,17 @@ class TestHolddownAblation:
         return holddown_ablation(scenario)
 
     def test_holddown_does_not_change_sr_outcome(self, result):
-        assert result.sr_rate("vanilla + holddown 10m") == pytest.approx(
-            result.sr_rate("vanilla"), abs=0.05
+        assert SR(result.row("vanilla + holddown 10m")) == pytest.approx(
+            SR(result.row("vanilla")), abs=0.05
         )
 
     def test_holddown_reduces_message_volume(self, result):
-        rows = {label: messages for label, _, _, messages in result.rows}
+        rows = {label: s.total_outgoing for label, s in result.rows.items()}
         assert rows["vanilla + holddown 10m"] < rows["vanilla"]
 
     def test_fast_select_preserves_availability(self, result):
-        assert result.sr_rate("refresh + fast-select") == pytest.approx(
-            result.sr_rate("refresh + holddown 10m"), abs=0.10
+        assert SR(result.row("refresh + fast-select")) == pytest.approx(
+            SR(result.row("refresh + holddown 10m")), abs=0.10
         )
 
 
@@ -82,13 +83,13 @@ class TestCapacityAblation:
         return capacity_ablation(scenario)
 
     def test_generous_capacity_matches_unbounded(self, result):
-        assert result.sr_rate("combination / 4x zones") == pytest.approx(
-            result.sr_rate("combination / unbounded"), abs=0.02
+        assert SR(result.row("combination / 4x zones")) == pytest.approx(
+            SR(result.row("combination / unbounded")), abs=0.02
         )
 
     def test_starved_cache_degrades(self, result):
-        assert result.sr_rate("combination / 0.25x zones") > \
-            result.sr_rate("combination / 4x zones")
+        assert SR(result.row("combination / 0.25x zones")) > \
+            SR(result.row("combination / 4x zones"))
 
     def test_render(self, result):
         assert "cache capacity" in result.render()
@@ -100,7 +101,7 @@ class TestScaleSensitivity:
         # claim is exercised by the dedicated bench.
         result = scale_sensitivity(scales=(Scale.TINY,))
         assert len(result.rows) == 3
-        assert {row[1] for row in result.rows} == {
+        assert {scheme for _, scheme in result.rows} == {
             "vanilla", "refresh", "combination"
         }
         assert "Scale sensitivity" in result.render()

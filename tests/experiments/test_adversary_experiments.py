@@ -31,24 +31,24 @@ class TestAmplification:
         ))
 
     def test_grid_shape(self, result):
-        assert result.fan_outs == (2, 6)
-        assert result.budgets == (0, 2)
-        assert len(result.cells) == 4
+        assert result.headers == ("fan=2", "fan=6")
+        assert tuple(result.rows) == ("off", "b=2")
+        assert sum(len(row) for row in result.rows.values()) == 4
 
     def test_undefended_amplification_scales_with_fan_out(self, result):
-        narrow = result.cell(budget=0, fan_out=2)
-        wide = result.cell(budget=0, fan_out=6)
-        assert 1.0 < narrow.amplification < wide.amplification
+        narrow = result.cell("off", "fan=2")
+        wide = result.cell("off", "fan=6")
+        assert 1.0 < narrow.amplification_factor < wide.amplification_factor
         assert narrow.budget_exhaustions == 0
 
     def test_budget_clamps_with_bounded_collateral(self, result):
-        open_cell = result.cell(budget=0, fan_out=6)
-        capped = result.cell(budget=2, fan_out=6)
-        assert capped.amplification < open_cell.amplification
+        open_cell = result.cell("off", "fan=6")
+        capped = result.cell("b=2", "fan=6")
+        assert capped.amplification_factor < open_cell.amplification_factor
         assert capped.budget_exhaustions > 0
         # The clamp must not torch legitimate traffic: collateral SR
         # failure stays within a point of the undefended run.
-        assert abs(capped.sr_rate - open_cell.sr_rate) < 0.01
+        assert abs(capped.sr_failure_rate - open_cell.sr_failure_rate) < 0.01
 
     def test_render_is_a_grid(self, result):
         table = result.render()
@@ -90,20 +90,21 @@ class TestPoisoning:
         ))
 
     def test_rows_pair_each_scheme_with_a_guard(self, result):
-        assert result.schemes == ("vanilla", "vanilla+guard")
-        assert len(result.cells) == 2
+        assert tuple(result.rows) == ("vanilla", "vanilla+guard")
+        assert sum(len(row) for row in result.rows.values()) == 2
 
     def test_guard_cuts_stuck_forgeries(self, result):
-        base = result.cell("vanilla", 0.2)
-        guarded = result.cell("vanilla+guard", 0.2)
-        assert base.stored > 0
-        assert guarded.stored < base.stored
-        assert base.stored >= base.cured
-        assert all(dwell >= 0.0 for dwell in base.dwells)
+        base = result.cell("vanilla", "rate=0.2")
+        guarded = result.cell("vanilla+guard", "rate=0.2")
+        assert base.poison_stored > 0
+        assert guarded.poison_stored < base.poison_stored
+        assert base.poison_stored >= base.poison_cured
+        assert all(dwell >= 0.0 for dwell in base.poison_dwells)
 
     def test_dwell_percentiles_are_ordered(self, result):
-        base = result.cell("vanilla", 0.2)
-        assert base.dwell_p50 <= base.dwell_p90
+        base = result.cell("vanilla", "rate=0.2")
+        dwells = base.poison_dwells
+        assert _percentile(dwells, 0.50) <= _percentile(dwells, 0.90)
 
     def test_render_reports_dwells(self, result):
         table = result.render()

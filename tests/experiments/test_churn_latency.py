@@ -24,7 +24,7 @@ class TestChurnExperiment:
     def test_availability_unharmed_by_churn(self, churn_result):
         # Paper §4: the long-TTL downside is latency, not correctness —
         # the parent fallback resets obsolete IRRs.
-        for row in churn_result.rows:
+        for row in churn_result.rows.values():
             assert row.sr_failure_rate < 0.005, row.label
 
     def test_longer_ttls_touch_more_obsolete_servers(self, churn_result):
@@ -47,7 +47,7 @@ class TestChurnExperiment:
         assert churn_result.row("refresh+ttl7d").invalidations == 0
 
     def test_upstream_queries_accounted_for_every_row(self, churn_result):
-        for row in churn_result.rows:
+        for row in churn_result.rows.values():
             assert row.upstream_queries > 0, row.label
 
     def test_swr_row_present_with_bounded_staleness(self, churn_result):
@@ -79,7 +79,7 @@ class TestLatencyExperiment:
             result.row("vanilla").cs_queries_per_lookup
 
     def test_hit_rates_sane(self, result):
-        for row in result.rows:
+        for row in result.rows.values():
             assert 0.0 <= row.cache_hit_rate <= 1.0
             assert row.cs_queries_per_lookup >= 0.0
 

@@ -12,6 +12,7 @@ from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.experiments import EXPERIMENTS
 from repro.experiments.degradation import (
     DegradationSpec,
+    knee,
     run as run_degradation,
 )
 from repro.experiments.harness import AttackSpec, run_replay
@@ -40,15 +41,15 @@ class TestDegradationExperiment:
             knee_threshold=0.02,
         )
         result = run_degradation(spec)
-        assert result.policies == ("refresh+noretry", "refresh+retry2")
-        assert len(result.cells) == 4
-        for policy in result.policies:
+        assert tuple(result.rows) == ("refresh+noretry", "refresh+retry2")
+        assert sum(len(row) for row in result.rows.values()) == 4
+        for policy, row in result.rows.items():
             # No attack traffic is dropped at intensity 0.
-            assert result.cell(policy, 0.0).sr_rate == 0.0
+            assert result.cell(policy, "i=0").sr_attack_failure_rate == 0.0
             # The blackout column reproduces the paper's regime, so the
             # knee exists and sits at the blackout end of this sweep.
-            assert result.cell(policy, 1.0).sr_rate > 0.02
-            assert result.knee(policy) == 1.0
+            assert result.cell(policy, "i=1").sr_attack_failure_rate > 0.02
+            assert knee(row, spec.intensities, spec.knee_threshold) == 1.0
         rendered = result.render()
         assert "i=1" in rendered and "knee" in rendered
 

@@ -4,12 +4,14 @@ import pytest
 
 from repro.dns.name import root_name
 from repro.experiments.max_damage import (
-    _max_damage_experiment,
+    MaxDamageSpec,
     greedy_targets,
     random_targets,
+    run,
     upcoming_query_counts,
 )
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.table import SR
 
 DAY = 86400.0
 HOUR = 3600.0
@@ -69,24 +71,24 @@ class TestTargetSelection:
 
 class TestExperiment:
     def test_greedy_beats_random(self, scenario):
-        result = _max_damage_experiment(scenario, budget=4)
-        greedy = result.rate_of("greedy (oracle)", "vanilla")
-        random_rate = result.rate_of("random", "vanilla")
+        result = run(MaxDamageSpec(scale=Scale.TINY, budget=4))
+        greedy = SR(result.row(("greedy (oracle)", "vanilla")))
+        random_rate = SR(result.row(("random", "vanilla")))
         assert greedy >= random_rate
 
     def test_combination_blunts_every_strategy(self, scenario):
-        result = _max_damage_experiment(scenario, budget=4)
+        result = run(MaxDamageSpec(scale=Scale.TINY, budget=4))
         for strategy in ("greedy (oracle)", "root+TLDs", "random"):
-            assert result.rate_of(strategy, "combination") <= \
-                result.rate_of(strategy, "vanilla") + 1e-9
+            assert SR(result.row((strategy, "combination"))) <= \
+                SR(result.row((strategy, "vanilla"))) + 1e-9
 
     def test_render(self, scenario):
-        result = _max_damage_experiment(scenario, budget=3)
+        result = run(MaxDamageSpec(scale=Scale.TINY, budget=3))
         text = result.render()
         assert "budget = 3" in text
         assert "greedy (oracle)" in text
 
     def test_unknown_row_raises(self, scenario):
-        result = _max_damage_experiment(scenario, budget=3)
+        result = run(MaxDamageSpec(scale=Scale.TINY, budget=3))
         with pytest.raises(KeyError):
-            result.rate_of("nonexistent", "vanilla")
+            result.row(("nonexistent", "vanilla"))

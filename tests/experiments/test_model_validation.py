@@ -14,12 +14,12 @@ def result():
 class TestModelValidation:
     def test_reasonable_agreement(self, result):
         # Steady-state Poisson model vs diurnal simulation: within 35 %.
-        for row in result.rows:
+        for row in result.rows.values():
             assert row.relative_error < 0.35, row.scheme
 
     def test_model_reproduces_scheme_ordering(self, result):
-        predicted = [row.predicted for row in result.rows]
-        measured = [row.measured for row in result.rows]
+        predicted = [row.predicted for row in result.rows.values()]
+        measured = [row.measured for row in result.rows.values()]
         # vanilla < refresh < renewal <= long-ttl in both columns.
         assert predicted == sorted(predicted)
         assert measured == sorted(measured)

@@ -22,13 +22,12 @@ from repro.experiments.parallel import (
     FleetSpec,
     ReplayExecutionError,
     ReplaySpec,
-    ReplaySummary,
     WORKERS_ENV_VAR,
     default_worker_count,
     run_replays,
-    summarize_replay,
 )
 from repro.experiments.scenarios import Scale, make_scenario
+from repro.experiments.summary import ReplaySummary, summarize_replay
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ from repro.experiments.attack_grid import AttackGridSpec, run_duration_grid
 from repro.experiments.churn import ChurnSpec
 from repro.experiments.latency import LatencySpec
 from repro.experiments.registry import (
-    ExperimentDef,
+    CommandDef,
     add_spec_arguments,
     resolve_scale,
     spec_from_args,
@@ -114,12 +114,12 @@ class TestRunEquivalence:
             title=f"Attack durations — {config.label}",
             durations_hours=(3,), trace_limit=1,
         )
-        assert via_registry.sr == legacy.sr
-        assert via_registry.cs == legacy.cs
-        assert via_registry.columns == legacy.columns
+        assert via_registry.rows == legacy.rows
+        assert via_registry.render() == legacy.render()
+        assert via_registry.headers == legacy.headers
 
     def test_default_run_builds_default_spec(self):
-        definition = ExperimentDef(
+        definition = CommandDef(
             name="probe", help="probe", spec_type=ChurnSpec,
             runner=lambda spec: spec,
         )

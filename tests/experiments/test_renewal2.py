@@ -1,14 +1,27 @@
 """The Renewal 2.0 comparison experiment (`repro renewal2`)."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.experiments.attack_grid import (
-    Renewal2Result,
-    Renewal2Row,
+    RENEWAL2_COLUMNS,
     Renewal2Spec,
+    mean_rate,
+    per_stub,
     run_renewal2,
+    upstream,
 )
 from repro.experiments.scenarios import Scale
+from repro.experiments.table import ResultTable
+
+
+def stale_hits(summary):
+    return summary.sr_stale_hits
+
+
+def upstream_queries(summary):
+    return summary.total_outgoing
 
 
 @pytest.fixture(scope="module")
@@ -18,28 +31,28 @@ def result():
 
 class TestRenewal2Experiment:
     def test_all_requested_schemes_have_rows(self, result):
-        labels = [row.label for row in result.rows]
+        labels = list(result.rows)
         assert labels == ["refresh+a-lru3", "refresh+a-lfu3",
                           "swr3600s", "decoupled7d"]
 
     def test_upstream_budget_accounted_for_every_scheme(self, result):
         # The whole point of the table: every scheme's refreshes are
         # renewal-tagged, so upstream_queries is comparable across rows.
-        for row in result.rows:
-            assert row.upstream_queries > 0, row.label
-            assert row.upstream_per_stub > 0.0, row.label
+        for label, row in result.rows.items():
+            assert upstream(row) > 0, label
+            assert per_stub(row, upstream_queries) > 0.0, label
 
     def test_decoupled_survives_on_smallest_budget(self, result):
         decoupled = result.row("decoupled7d")
-        assert decoupled.sr_attack_failure_rate == 0.0
-        assert decoupled.upstream_queries == min(
-            row.upstream_queries for row in result.rows
+        assert mean_rate(decoupled) == 0.0
+        assert upstream(decoupled) == min(
+            upstream(row) for row in result.rows.values()
         )
 
     def test_only_swr_serves_stale(self, result):
-        assert result.row("swr3600s").stale_answer_rate > 0.0
+        assert per_stub(result.row("swr3600s"), stale_hits) > 0.0
         for label in ("refresh+a-lru3", "refresh+a-lfu3", "decoupled7d"):
-            assert result.row(label).stale_answer_rate == 0.0
+            assert per_stub(result.row(label), stale_hits) == 0.0
 
     def test_render_and_row_lookup(self, result):
         text = result.render()
@@ -51,11 +64,11 @@ class TestRenewal2Experiment:
 
 class TestRenewal2Shapes:
     def test_result_renders_from_hand_built_rows(self):
-        row = Renewal2Row(
-            label="x", sr_attack_failure_rate=0.5,
-            cs_attack_failure_rate=0.25, stale_answer_rate=0.1,
-            upstream_queries=100, upstream_per_stub=1.5,
-        )
-        result = Renewal2Result(attack_hours=6.0, rows=(row,))
+        row = (SimpleNamespace(
+            sr_attack_failure_rate=0.5, cs_attack_failure_rate=0.25,
+            sr_stale_hits=10, sr_queries=100, total_outgoing=150,
+        ),)
+        result = ResultTable("Renewal 2.0", ("Scheme",), RENEWAL2_COLUMNS,
+                             {"x": row})
         assert "50.00 %" in result.render()
         assert result.row("x") is row

@@ -45,7 +45,7 @@ class TestHeadlineClaims:
         # 2006 university traces, and with RFC 2308 negative answers
         # (SOA-only authority) fewer responses carry refresh vehicles,
         # so we require a solid cut rather than a full halving; the
-        # 24 h column of bench_figure5 shows the gap widening with
+        # 24 h column of the figure5 artifact shows the gap widening with
         # duration exactly as the paper's figures do.
         vanilla = sr_rate(scenario, trace, ResilienceConfig.vanilla())
         refresh = sr_rate(scenario, trace, ResilienceConfig.refresh())
