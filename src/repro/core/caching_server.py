@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 from repro.core.budget import FetchBudget
 from repro.core.cache import DnsCache, NegativeVerdict
 from repro.core.clock import Clock, as_clock
-from repro.core.config import ResilienceConfig
+from repro.core.config import DAY, ResilienceConfig, RetryPolicy
 from repro.core.renewal import RenewalManager
 from repro.core.transport import Upstream
 from repro.dns.errors import InvariantError
@@ -42,6 +42,32 @@ from repro.simulation.metrics import ReplayMetrics
 
 if TYPE_CHECKING:
     from repro.simulation.engine import SimulationEngine
+
+# Resolver limits: fixed properties of every caching server, not choices
+# that distinguish one scheme from another.
+MAX_EFFECTIVE_TTL = 7 * DAY
+"""Cap on any cached TTL — caching servers "do not accept arbitrary
+large TTL values (more than 7 days)" (paper §6)."""
+
+NEGATIVE_TTL = 3600.0
+"""How long a negative answer is cached when its response carries no SOA."""
+
+RENEWAL_JITTER = 0.05
+"""Renewal refetches fire up to this fraction of the remaining TTL early
+(seeded, deterministic), desynchronising renewal phases the way real
+caches' uncorrelated learn times do."""
+
+MAX_CNAME_CHAIN = 8
+"""CNAME links one lookup follows before it fails."""
+
+MAX_REFERRALS = 30
+"""Referral steps one iterative fetch takes before it fails."""
+
+MAX_FETCH_DEPTH = 6
+"""Recursion limit for resolving out-of-bailiwick NS addresses."""
+
+MAX_SERVERS_PER_ZONE = 3
+"""Servers of one zone tried per referral step."""
 
 GapObserver = Callable[[Name, float, float], None]
 """Called as ``observer(zone, gap_seconds, published_ttl)`` when a zone's
@@ -107,7 +133,6 @@ class CachingServer:
         config: ResilienceConfig | None = None,
         metrics: ReplayMetrics | None = None,
         gap_observer: GapObserver | None = None,
-        max_servers_per_zone: int = 3,
         seed: int = 0,
         observer: EventBus | None = None,
         validation: bool = False,
@@ -121,6 +146,7 @@ class CachingServer:
         self.network = network
         self.clock = as_clock(clock)
         self.metrics = metrics or ReplayMetrics()
+        cache_type: type[DnsCache] = DnsCache
         if validation:
             # Shadow every cache operation with the naive oracle model
             # (DESIGN.md §12).  Imported lazily: the validation package
@@ -128,24 +154,17 @@ class CachingServer:
             # server must not pay the import.
             from repro.validation.differential import DifferentialCache
 
-            self.cache: DnsCache = DifferentialCache(
-                max_effective_ttl=self.config.max_effective_ttl,
-                max_entries=self.config.cache_capacity,
-                harden_ranking=self.config.harden_ranking,
-                protect_irrs=self.config.protect_irrs,
-            )
-        else:
-            self.cache = DnsCache(
-                max_effective_ttl=self.config.max_effective_ttl,
-                max_entries=self.config.cache_capacity,
-                harden_ranking=self.config.harden_ranking,
-                protect_irrs=self.config.protect_irrs,
-            )
+            cache_type = DifferentialCache
+        self.cache = cache_type(
+            max_effective_ttl=MAX_EFFECTIVE_TTL,
+            max_entries=self.config.cache_capacity,
+            harden_ranking=self.config.harden_ranking,
+            protect_irrs=self.config.protect_irrs,
+        )
         self.observer = observer
         if observer is not None:
             self.cache.attach_observer(observer)
         self.gap_observer = gap_observer
-        self.max_servers_per_zone = max_servers_per_zone
         self._rng = random.Random(seed)
 
         self._root = root_name()
@@ -174,7 +193,7 @@ class CachingServer:
                 clock=self.clock,
                 cache=self.cache,
                 refetch=self._renewal_refetch,
-                jitter_fraction=self.config.renewal_jitter,
+                jitter_fraction=RENEWAL_JITTER,
                 rng=random.Random(seed + 0x5EED),
                 observer=observer,
             )
@@ -325,7 +344,7 @@ class CachingServer:
         NODATA, never NXDOMAIN (RFC 2308 §2.2).
         """
         fetched = False
-        for _ in range(self.config.max_cname_chain):
+        for _ in range(MAX_CNAME_CHAIN):
             cached = self.cache.get(qname, rrtype, now)
             if cached is not None:
                 return Resolution(_ANSWERED if fetched else _CACHE_HIT, cached)
@@ -369,10 +388,7 @@ class CachingServer:
             if verdict is _FAILURE and self.config.serve_stale:
                 verdict = self._fetch(question, now, depth, stack, stale=True)
                 if verdict is _FAILURE:
-                    stale = self.cache.get_stale(
-                        qname, rrtype, now,
-                        max_stale=self.config.serve_stale_max_age,
-                    )
+                    stale = self.cache.get_stale(qname, rrtype, now)
                     if stale is not None:
                         return Resolution(_STALE_HIT, stale)
             if verdict is not _ANSWERED:
@@ -401,13 +417,13 @@ class CachingServer:
         SWR refetch path), keeping demand-side failure and latency
         statistics clean.
         """
-        if depth > self.config.max_fetch_depth:
+        if depth > MAX_FETCH_DEPTH:
             return _FAILURE
         failed_zones: set[Name] = set()
         visited: set[Name] = set()
         retried_after_failure: set[Name] = set()
         zone = self._starting_zone(question.name, now, failed_zones, stale)
-        for _ in range(self.config.max_referrals):
+        for _ in range(MAX_REFERRALS):
             response = self._query_zone(
                 zone, question, now, depth, stack,
                 renewal=renewal, stale=stale,
@@ -466,7 +482,8 @@ class CachingServer:
                     if child in retried_after_failure:
                         return _FAILURE
                     retried_after_failure.add(child)
-                    self._reset_zone_irrs(child, response, now)
+                    self._evict_zone_irrs(child)
+                    self._ingest(response, now)
                     failed_zones.discard(child)
                 visited.add(child)
                 zone = child
@@ -482,8 +499,8 @@ class CachingServer:
     def _negative_ttl(self, response: Message) -> float:
         """RFC 2308: negative TTL = min(SOA TTL, SOA minimum).
 
-        Falls back to the configured default when the authority carries
-        no SOA (legacy zones).
+        Falls back to :data:`NEGATIVE_TTL` when the authority carries no
+        SOA (legacy zones).
         """
         for rrset in response.authority:
             if rrset.rrtype != RRType.SOA:
@@ -494,7 +511,7 @@ class CachingServer:
             except ValueError:
                 break
             return min(rrset.ttl, minimum)
-        return self.config.negative_ttl
+        return NEGATIVE_TTL
 
     def _starting_zone(
         self,
@@ -574,7 +591,8 @@ class CachingServer:
         send = self.network.query
         record_exchange = self.metrics.record_exchange
         question_size = question.wire_size()
-        for address, aid in candidates[: self.max_servers_per_zone]:
+        srtt = self._srtt
+        for address, aid in candidates[:MAX_SERVERS_PER_ZONE]:
             for attempt in range(max_tries):
                 if obs is not None:
                     if attempt == 0:
@@ -590,7 +608,7 @@ class CachingServer:
                 message = result.message
                 if message is None and result.timed_out and retry is not None:
                     # The timeout actually paid follows the retransmit
-                    # schedule: try n waits try_timeout * backoff**n.
+                    # schedule: try n waits timeout * RETRY_BACKOFF**n.
                     latency = retry.try_cost(self.network.query_timeout, attempt)
                 # Renewal refetches run in the background; only demand
                 # traffic sits on a lookup's critical path (latency is
@@ -603,16 +621,20 @@ class CachingServer:
                     message.wire_size() if message is not None else 0,
                     latency,
                 )
+                if message is not None or retry is not None:
+                    # Answers feed the smoothed RTT; under a RetryPolicy
+                    # so do the timeouts paid, so lossy or flapping
+                    # servers lose their `prefer_fast_servers` preference.
+                    previous = srtt.get(aid)
+                    srtt[aid] = (
+                        latency if previous is None
+                        else 0.7 * previous + 0.3 * latency
+                    )
                 if message is not None:
                     if obs is not None:
                         obs.emit(EventKind.QUERY_ANSWERED, now,
                                  zone=str(zone), server=address,
                                  latency=latency, renewal=renewal)
-                    previous = self._srtt.get(aid)
-                    self._srtt[aid] = (
-                        latency if previous is None
-                        else 0.7 * previous + 0.3 * latency
-                    )
                     self._held_down.pop(aid, None)
                     self._consecutive_failures.pop(aid, None)
                     if not renewal:
@@ -626,7 +648,9 @@ class CachingServer:
                         obs.emit(EventKind.FAULT_DROP, now,
                                  server=address, reason=result.dropped_by,
                                  renewal=renewal)
-                held_down = self._note_server_failure(address, aid, latency, now)
+                held_down = retry is not None and self._note_server_failure(
+                    retry, address, aid, now
+                )
                 if held_down or not result.timed_out:
                     # Sidelined, or a fast negative (lame delegation):
                     # retransmitting to this server cannot help.
@@ -634,27 +658,15 @@ class CachingServer:
         return None
 
     def _note_server_failure(
-        self, address: str, aid: int, cost: float, now: float
+        self, retry: RetryPolicy, address: str, aid: int, now: float
     ) -> bool:
-        """Failure bookkeeping for one query attempt.
+        """Hold-down bookkeeping for one failed query attempt.
 
-        Returns whether the address was just placed in hold-down.  With
-        a :class:`RetryPolicy` the timeout paid also feeds the smoothed
-        RTT, so lossy/flapping servers lose their selection preference
-        under ``prefer_fast_servers``; without one, behaviour is exactly
-        the legacy single-failure ``server_holddown`` rule.  ``aid`` is
-        the address's dense id (`_addr_ids`); ``address`` is only for
-        event payloads.
+        Returns whether the address was just placed in hold-down: after
+        ``retry.holddown_failures`` consecutive failures.  ``aid`` is the
+        address's dense id (`_addr_ids`); ``address`` is only for event
+        payloads.
         """
-        retry = self.config.retry_policy
-        if retry is None:
-            if self.config.server_holddown is not None:
-                self._held_down[aid] = now + self.config.server_holddown
-            return False
-        previous = self._srtt.get(aid)
-        self._srtt[aid] = (
-            cost if previous is None else 0.7 * previous + 0.3 * cost
-        )
         count = self._consecutive_failures.get(aid, 0) + 1
         self._consecutive_failures[aid] = count
         if retry.holddown is not None and count >= retry.holddown_failures:
@@ -668,8 +680,6 @@ class CachingServer:
                                    server=address, until=until,
                                    failures=count)
             return True
-        if self.config.server_holddown is not None:
-            self._held_down[aid] = now + self.config.server_holddown
         return False
 
     def _zone_ns(
@@ -713,13 +723,10 @@ class CachingServer:
         if cached is not None:
             return str(cached.records[0].data)
         if stale:
-            stale_set = self.cache.get_stale(
-                server_name, RRType.A, now,
-                max_stale=self.config.serve_stale_max_age,
-            )
+            stale_set = self.cache.get_stale(server_name, RRType.A, now)
             if stale_set is not None:
                 return str(stale_set.records[0].data)
-        if server_name in stack or depth >= self.config.max_fetch_depth:
+        if server_name in stack or depth >= MAX_FETCH_DEPTH:
             return None
         if server_name.is_subdomain_of(zone):
             # In-bailiwick name with no glue in cache: resolving it would
@@ -841,21 +848,17 @@ class CachingServer:
                 return False
         return True
 
-    def _reset_zone_irrs(self, zone: Name, referral: Message, now: float) -> None:
-        """Replace a failed zone's cached IRRs with a fresh referral's.
-
-        Evicts the stale NS set (and the addresses of the servers it
-        named) so the lower-ranked parent-side copy can take effect.
-        """
-        stale_entry = self.cache.entry(zone, RRType.NS)
-        if stale_entry is not None:
-            for record in stale_entry.rrset:
+    def _evict_zone_irrs(self, zone: Name) -> None:
+        """Evict a zone's cached NS set and its servers' addresses, and
+        stop renewing the zone."""
+        entry = self.cache.entry(zone, RRType.NS)
+        if entry is not None:
+            for record in entry.rrset:
                 if isinstance(record.data, Name):
                     self.cache.remove(record.data, RRType.A)
             self.cache.remove(zone, RRType.NS)
         if self.renewal is not None:
             self.renewal.forget_zone(zone)
-        self._ingest(referral, now)
 
     def _note_zone_use(self, zone: Name, published_ttl: float, now: float) -> None:
         self.zone_contact_counts[zone] = (
@@ -907,17 +910,12 @@ class CachingServer:
         queues one deduplicated background re-learn through the parent,
         so long effective TTLs never pin lookups to dead servers.
         """
-        if not self.config.update_channel:
+        if (
+            not self.config.update_channel
+            or self.cache.entry(zone, RRType.NS) is None
+        ):
             return
-        entry = self.cache.entry(zone, RRType.NS)
-        if entry is None:
-            return
-        for record in entry.rrset:
-            if isinstance(record.data, Name):
-                self.cache.remove(record.data, RRType.A)
-        self.cache.remove(zone, RRType.NS)
-        if self.renewal is not None:
-            self.renewal.forget_zone(zone)
+        self._evict_zone_irrs(zone)
         self.metrics.invalidations += 1
         if self.observer is not None:
             self.observer.emit(EventKind.CACHE_INVALIDATED, now,

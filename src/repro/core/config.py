@@ -30,28 +30,24 @@ DAY = 86400.0
 PolicyFactory = Callable[[], RenewalPolicy]
 
 
+RETRY_BACKOFF = 2.0
+"""Multiplier between a server's successive retransmit timeouts."""
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Resolver-side retransmit behaviour for one server (frozen, picklable).
 
     BIND-flavoured: up to ``max_tries`` transmissions per server per
-    resolution attempt, each failed try costing ``try_timeout`` (or the
-    network's timeout when None) scaled by ``backoff ** attempt`` — the
-    real retransmit schedule, which latency accounting sums.  A server
-    that fails ``holddown_failures`` consecutive times is sidelined for
-    ``holddown`` seconds (the dead-server hold-down), after which it is
-    eligible again.
+    resolution attempt, failed try ``n`` costing the network's timeout
+    times ``RETRY_BACKOFF ** n`` — the real retransmit schedule, which
+    latency accounting sums.  A server that fails ``holddown_failures``
+    consecutive times is sidelined for ``holddown`` seconds (the
+    dead-server hold-down), after which it is eligible again.
     """
 
     max_tries: int = 2
     """Transmissions per server before moving to the next candidate."""
-
-    try_timeout: Optional[float] = None
-    """Per-try timeout in seconds; None uses the network latency
-    model's timeout as the base."""
-
-    backoff: float = 2.0
-    """Exponential multiplier between successive tries (>= 1)."""
 
     holddown_failures: int = 3
     """Consecutive failures before the server is sidelined."""
@@ -62,12 +58,6 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_tries < 1:
             raise ValueError(f"max_tries must be >= 1, got {self.max_tries}")
-        if self.try_timeout is not None and self.try_timeout <= 0.0:
-            raise ValueError(
-                f"try_timeout must be positive, got {self.try_timeout}"
-            )
-        if self.backoff < 1.0:
-            raise ValueError(f"backoff must be >= 1, got {self.backoff}")
         if self.holddown_failures < 1:
             raise ValueError(
                 f"holddown_failures must be >= 1, got {self.holddown_failures}"
@@ -77,8 +67,7 @@ class RetryPolicy:
 
     def try_cost(self, base_timeout: float, attempt: int) -> float:
         """The timeout paid for failed try number ``attempt`` (0-based)."""
-        base = self.try_timeout if self.try_timeout is not None else base_timeout
-        return base * self.backoff**attempt
+        return base_timeout * RETRY_BACKOFF**attempt
 
 
 @dataclass(frozen=True)
@@ -95,21 +84,10 @@ class ResilienceConfig:
     long_ttl: Optional[float] = None
     """Authoritative-side IRR TTL override in seconds, or None."""
 
-    max_effective_ttl: float = 7 * DAY
-    """Cap on any cached TTL — caching servers "do not accept arbitrary
-    large TTL values (more than 7 days)" (paper §6)."""
-
-    negative_ttl: float = 3600.0
-    """How long NXDOMAIN results are cached."""
-
     serve_stale: bool = False
     """Ballani-style comparator: keep expired records and fall back to
-    them when authoritative servers are unreachable (related work §7)."""
-
-    serve_stale_max_age: Optional[float] = None
-    """Bound (seconds past expiry) on how stale a record may still be
-    served under ``serve_stale``; None serves arbitrarily stale data,
-    the related-work comparator's assumption."""
+    them, however stale, when authoritative servers are unreachable
+    (related work §7)."""
 
     swr_grace: Optional[float] = None
     """Stale-while-revalidate grace window in seconds: a lookup that
@@ -142,31 +120,16 @@ class ResilienceConfig:
     unbounded, the paper's assumption.  The bounded-cache ablation
     studies how eviction pressure interacts with IRR renewal."""
 
-    server_holddown: Optional[float] = None
-    """After a server fails to respond, skip it for this many seconds
-    (BIND-style dead-server hold-down).  Cuts repeated timeout storms
-    during an attack; None disables (the paper's baseline behaviour)."""
-
     prefer_fast_servers: bool = False
     """Order a zone's servers by smoothed observed RTT instead of
     rotating through them (BIND-style server selection)."""
 
     retry_policy: Optional[RetryPolicy] = None
-    """Retransmit schedule + consecutive-failure hold-down per server;
-    None (the paper's baseline) sends exactly one query per server.
-    When set, it supersedes ``server_holddown``'s single-failure rule
-    and failed tries feed the smoothed-RTT estimate, so lossy servers
-    lose their selection preference."""
-
-    renewal_jitter: float = 0.05
-    """Renewal refetches fire up to this fraction of the remaining TTL
-    early (seeded, deterministic).  Desynchronises renewal phases the
-    way real caches' uncorrelated learn times do; 0 disables."""
-
-    max_cname_chain: int = 8
-    max_referrals: int = 30
-    max_fetch_depth: int = 6
-    """Recursion limit for resolving out-of-bailiwick NS addresses."""
+    """Retransmit schedule + consecutive-failure hold-down per server,
+    the resolver's only dead-server hold-down; None (the paper's
+    baseline) sends exactly one query per server and sidelines none.
+    When set, failed tries feed the smoothed-RTT estimate, so lossy
+    servers lose their selection preference."""
 
     fetch_budget: Optional[int] = None
     """Upper bound on NS-address sub-resolutions one stub query may
@@ -369,7 +332,7 @@ class ResilienceConfig:
         if self.retry_policy is not None:
             parts.append(
                 f"retries({self.retry_policy.max_tries}"
-                f"x{self.retry_policy.backoff:g})"
+                f"x{RETRY_BACKOFF:g})"
             )
         if self.fetch_budget is not None:
             parts.append(f"fetch-budget({self.fetch_budget})")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.config import ResilienceConfig
+from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.dns.name import Name
 from repro.experiments.harness import AttackSpec
 from repro.experiments.max_damage import upcoming_query_counts
@@ -177,14 +177,16 @@ def holddown_ablation(
     Hold-down does not change *whether* a lookup can succeed (the data
     is still unreachable), but it stops the resolver from re-timing-out
     on known-dead servers — visible as far fewer failed CS queries.
+    One try per server, sidelined for 10 minutes after its first failure.
     """
+    holddown = RetryPolicy(max_tries=1, holddown_failures=1, holddown=600.0)
     schemes = [
         ("vanilla", ResilienceConfig.vanilla()),
         ("vanilla + holddown 10m",
-         replace(ResilienceConfig.vanilla(), server_holddown=600.0,
+         replace(ResilienceConfig.vanilla(), retry_policy=holddown,
                  label="vanilla+holddown")),
         ("refresh + holddown 10m",
-         replace(ResilienceConfig.refresh(), server_holddown=600.0,
+         replace(ResilienceConfig.refresh(), retry_policy=holddown,
                  label="refresh+holddown")),
         ("refresh + fast-select",
          replace(ResilienceConfig.refresh(), prefer_fast_servers=True,

@@ -4,9 +4,11 @@ Historically the serial runner returned :class:`~repro.experiments.
 harness.ReplayResult` (live objects) while the parallel runner returned
 a separate ``ReplaySummary`` with re-implemented accessors.  This module
 is the single home of the summary shape: results adapt into it via
-``ReplayResult.to_summary()`` / :meth:`ReplaySummary.from_result`, and
-the attack-window failure-rate properties both shapes need live in one
-mixin.  ``repro.api`` re-exports everything here as the stable surface.
+``ReplayResult.to_summary()`` / :meth:`ReplaySummary.from_result`; the
+attack-window failure-rate properties both shapes need live in one
+mixin, and the rates it shares with ``ReplayMetrics`` in
+:class:`~repro.simulation.metrics.ReplayRates`.  ``repro.api``
+re-exports everything here as the stable surface.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 from repro.analysis.gaps import GapSample
 from repro.analysis.report import format_percent
 from repro.experiments.table import ResultTable
-from repro.simulation.metrics import MemorySample, WindowCounters
+from repro.simulation.metrics import MemorySample, ReplayRates, WindowCounters
 
 if TYPE_CHECKING:
     from repro.experiments.harness import ReplayResult
@@ -45,12 +47,13 @@ class AttackWindowRates:
 
 
 @dataclass(frozen=True)
-class ReplaySummary(AttackWindowRates):
+class ReplaySummary(AttackWindowRates, ReplayRates):
     """The picklable extract of one :class:`ReplayResult`.
 
-    Carries every number the figures/tables consume; mirrors the metric
-    accessors of :class:`~repro.simulation.metrics.ReplayMetrics` so the
-    overhead tables can treat summaries and metrics interchangeably.
+    Carries every number the figures/tables consume; shares the derived
+    rates of :class:`~repro.simulation.metrics.ReplayMetrics` through
+    :class:`~repro.simulation.metrics.ReplayRates`, so the overhead
+    tables can treat summaries and metrics interchangeably.
     """
 
     # Returned from worker processes by pickle; `repro audit` (REP012)
@@ -129,51 +132,6 @@ class ReplaySummary(AttackWindowRates):
                for name, value in counters.items()},
         )
 
-    # -- failure rates ------------------------------------------------------
-
-    @property
-    def sr_failure_rate(self) -> float:
-        if self.sr_queries == 0:
-            return 0.0
-        return self.sr_failures / self.sr_queries
-
-    @property
-    def cs_failure_rate(self) -> float:
-        if self.cs_demand_queries == 0:
-            return 0.0
-        return self.cs_demand_failures / self.cs_demand_queries
-
-    @property
-    def amplification_factor(self) -> float:
-        """CS-side queries per injected attack query (the NXNS payoff)."""
-        if self.attack_stub_queries == 0:
-            return 0.0
-        return self.attack_cs_queries / self.attack_stub_queries
-
-    # -- traffic ------------------------------------------------------------
-
-    @property
-    def total_outgoing(self) -> int:
-        """All CS -> AN messages (demand + renewal): Table 2's currency."""
-        return self.cs_demand_queries + self.cs_renewal_queries
-
-    @property
-    def stale_answer_rate(self) -> float:
-        """Fraction of stub answers served from lapsed records."""
-        if self.sr_queries == 0:
-            return 0.0
-        return self.sr_stale_hits / self.sr_queries
-
-    @property
-    def total_bytes(self) -> int:
-        return self.bytes_out + self.bytes_in
-
-    @property
-    def mean_latency(self) -> float:
-        if self.sr_queries == 0:
-            return 0.0
-        return self.total_latency / self.sr_queries
-
     @property
     def cache_hit_rate(self) -> float:
         """Fraction of stub lookups answered from the cache."""
@@ -187,25 +145,6 @@ class ReplaySummary(AttackWindowRates):
         if self.sr_queries == 0:
             return 0.0
         return self.cs_demand_queries / self.sr_queries
-
-    def message_overhead_vs(self, baseline: "ReplaySummary") -> float:
-        """Relative change in outgoing messages vs ``baseline``.
-        An empty baseline (no messages) reads as zero overhead, matching
-        the ``<= 0.0`` convention in ``analysis/``.
-        """
-        if baseline.total_outgoing <= 0:
-            return 0.0
-        return (
-            (self.total_outgoing - baseline.total_outgoing)
-            / baseline.total_outgoing
-        )
-
-    def byte_overhead_vs(self, baseline: "ReplaySummary") -> float:
-        """Relative change in total traffic bytes vs ``baseline``.
-        Zero when the baseline moved no bytes."""
-        if baseline.total_bytes <= 0:
-            return 0.0
-        return (self.total_bytes - baseline.total_bytes) / baseline.total_bytes
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,87 @@ class WindowCounters:
         return self.cs_failures / self.cs_queries
 
 
+class ReplayRates:
+    """The rates and totals derived from a replay's counters, shared by
+    the live :class:`ReplayMetrics` and the picklable
+    :class:`~repro.experiments.summary.ReplaySummary`."""
+
+    sr_queries: int
+    sr_failures: int
+    sr_stale_hits: int
+    cs_demand_queries: int
+    cs_demand_failures: int
+    cs_renewal_queries: int
+    total_latency: float
+    bytes_out: int
+    bytes_in: int
+    attack_stub_queries: int
+    attack_cs_queries: int
+
+    @property
+    def sr_failure_rate(self) -> float:
+        if self.sr_queries == 0:
+            return 0.0
+        return self.sr_failures / self.sr_queries
+
+    @property
+    def cs_failure_rate(self) -> float:
+        if self.cs_demand_queries == 0:
+            return 0.0
+        return self.cs_demand_failures / self.cs_demand_queries
+
+    @property
+    def amplification_factor(self) -> float:
+        """CS-side queries per injected attack query (the NXNS payoff)."""
+        if self.attack_stub_queries == 0:
+            return 0.0
+        return self.attack_cs_queries / self.attack_stub_queries
+
+    @property
+    def total_outgoing(self) -> int:
+        """All CS -> AN messages (demand + renewal): Table 2's currency."""
+        return self.cs_demand_queries + self.cs_renewal_queries
+
+    @property
+    def stale_answer_rate(self) -> float:
+        """Fraction of stub answers served from lapsed records."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.sr_stale_hits / self.sr_queries
+
+    @property
+    def total_bytes(self) -> int:
+        """Total traffic (both directions) in octets."""
+        return self.bytes_out + self.bytes_in
+
+    @property
+    def mean_latency(self) -> float:
+        """Average network wait per stub query (virtual seconds)."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.total_latency / self.sr_queries
+
+    def message_overhead_vs(self, baseline: "ReplayRates") -> float:
+        """Relative change in outgoing messages vs ``baseline``.
+
+        +0.76 means 76 % more messages; -0.1 means 10 % fewer (the paper's
+        Table 2 convention).  An empty baseline reads as zero overhead,
+        matching the ``<= 0.0`` convention in ``analysis/``.
+        """
+        if baseline.total_outgoing <= 0:
+            return 0.0
+        return (self.total_outgoing - baseline.total_outgoing) / baseline.total_outgoing
+
+    def byte_overhead_vs(self, baseline: "ReplayRates") -> float:
+        """Relative change in total traffic bytes vs ``baseline``; zero
+        when the baseline moved no bytes."""
+        if baseline.total_bytes <= 0:
+            return 0.0
+        return (self.total_bytes - baseline.total_bytes) / baseline.total_bytes
+
+
 @dataclass
-class ReplayMetrics:
+class ReplayMetrics(ReplayRates):
     """Everything one trace replay measures.
 
     CS ("requests out") counters distinguish *demand* queries — those
@@ -144,28 +223,6 @@ class ReplayMetrics:
                 if failed:
                     window.sr_failures += 1
 
-    def record_cs_query(self, now: float, failed: bool, renewal: bool = False) -> None:
-        if renewal:
-            self.cs_renewal_queries += 1
-            if failed:
-                self.cs_renewal_failures += 1
-            return
-        self.cs_demand_queries += 1
-        if failed:
-            self.cs_demand_failures += 1
-        for window in self.windows:
-            if window.contains(now):
-                window.cs_queries += 1
-                if failed:
-                    window.cs_failures += 1
-
-    def record_latency(self, seconds: float) -> None:
-        self.total_latency += seconds
-
-    def record_traffic(self, bytes_out: int, bytes_in: int) -> None:
-        self.bytes_out += bytes_out
-        self.bytes_in += bytes_in
-
     def record_exchange(
         self,
         now: float,
@@ -175,12 +232,9 @@ class ReplayMetrics:
         bytes_in: int,
         latency: float,
     ) -> None:
-        """One CS query attempt's full bookkeeping in a single call.
-
-        Equivalent to ``record_cs_query`` + ``record_traffic`` (+
-        ``record_latency`` for demand traffic); fused because the trio
-        runs for every query the resolver sends.
-        """
+        """One CS query attempt's full bookkeeping: its traffic, its
+        demand/renewal count and, for demand traffic only, its latency
+        and attack-window tally."""
         self.bytes_out += bytes_out
         self.bytes_in += bytes_in
         if renewal:
@@ -198,77 +252,5 @@ class ReplayMetrics:
                 if failed:
                     window.cs_failures += 1
 
-    @property
-    def total_bytes(self) -> int:
-        """Total traffic (both directions) in octets."""
-        return self.bytes_out + self.bytes_in
-
-    def byte_overhead_vs(self, baseline: "ReplayMetrics") -> float:
-        """Relative change in total traffic bytes vs ``baseline``.
-
-        An empty baseline (no bytes moved — e.g. an empty trace) reads
-        as zero overhead, matching the ``<= 0.0`` convention in
-        ``analysis/``.
-        """
-        if baseline.total_bytes <= 0:
-            return 0.0
-        return (self.total_bytes - baseline.total_bytes) / baseline.total_bytes
-
     def record_memory(self, sample: MemorySample) -> None:
         self.memory_samples.append(sample)
-
-    # -- reads ----------------------------------------------------------------
-
-    @property
-    def total_outgoing(self) -> int:
-        """All CS -> AN messages (demand + renewal): Table 2's currency."""
-        return self.cs_demand_queries + self.cs_renewal_queries
-
-    @property
-    def upstream_queries(self) -> int:
-        """Alias of :attr:`total_outgoing` — the equal-budget currency
-        the Renewal 2.0 comparison normalises schemes by."""
-        return self.total_outgoing
-
-    @property
-    def stale_answer_rate(self) -> float:
-        """Fraction of stub answers served from lapsed records."""
-        if self.sr_queries == 0:
-            return 0.0
-        return self.sr_stale_hits / self.sr_queries
-
-    @property
-    def sr_failure_rate(self) -> float:
-        if self.sr_queries == 0:
-            return 0.0
-        return self.sr_failures / self.sr_queries
-
-    @property
-    def cs_failure_rate(self) -> float:
-        if self.cs_demand_queries == 0:
-            return 0.0
-        return self.cs_demand_failures / self.cs_demand_queries
-
-    @property
-    def amplification_factor(self) -> float:
-        """CS-side queries per injected attack query (the NXNS payoff)."""
-        if self.attack_stub_queries == 0:
-            return 0.0
-        return self.attack_cs_queries / self.attack_stub_queries
-
-    @property
-    def mean_latency(self) -> float:
-        """Average network wait per stub query (virtual seconds)."""
-        if self.sr_queries == 0:
-            return 0.0
-        return self.total_latency / self.sr_queries
-
-    def message_overhead_vs(self, baseline: "ReplayMetrics") -> float:
-        """Relative change in outgoing messages vs ``baseline``.
-
-        +0.76 means 76 % more messages; -0.1 means 10 % fewer (the paper's
-        Table 2 convention).  An empty baseline reads as zero overhead.
-        """
-        if baseline.total_outgoing <= 0:
-            return 0.0
-        return (self.total_outgoing - baseline.total_outgoing) / baseline.total_outgoing

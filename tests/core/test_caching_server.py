@@ -5,7 +5,7 @@ hand-built mini internet."""
 import pytest
 
 from repro.core.config import ResilienceConfig
-from repro.core.caching_server import ResolutionOutcome
+from repro.core.caching_server import NEGATIVE_TTL, ResolutionOutcome
 from repro.dns.rrtypes import RRType
 from repro.simulation.attack import attack_on_root_and_tlds, attack_on_zones
 
@@ -87,7 +87,7 @@ class TestIterativeResolution:
         server.handle_stub_query(www, RRType.TXT, 0.0)
         server.handle_stub_query(ghost, RRType.A, 0.0)
         before = metrics.cs_demand_queries
-        last = config.negative_ttl - 1.0
+        last = NEGATIVE_TTL - 1.0
         assert server.handle_stub_query(www, RRType.TXT, last).outcome \
             is ResolutionOutcome.NODATA
         assert server.handle_stub_query(ghost, RRType.A, last).outcome \
@@ -95,7 +95,7 @@ class TestIterativeResolution:
         assert metrics.cs_demand_queries == before
         assert metrics.sr_nxdomain == 2  # the ghost, fresh and replayed
         # At the TTL both entries are dead: each verdict is fetched anew.
-        lapsed = config.negative_ttl
+        lapsed = NEGATIVE_TTL
         assert server.handle_stub_query(www, RRType.TXT, lapsed).outcome \
             is ResolutionOutcome.NODATA
         assert server.handle_stub_query(ghost, RRType.A, lapsed).outcome \

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.caching_server import MAX_EFFECTIVE_TTL
 from repro.core.config import DAY, ResilienceConfig
 from repro.core.policies import AdaptiveLFUPolicy, LRUPolicy
+
+from tests.conftest import make_stack
+from tests.helpers import build_mini_internet
 
 
 class TestFactories:
@@ -60,4 +64,7 @@ class TestFactories:
         assert "long-ttl" in text
 
     def test_default_max_effective_ttl_is_seven_days(self):
-        assert ResilienceConfig.vanilla().max_effective_ttl == 7 * DAY
+        assert MAX_EFFECTIVE_TTL == 7 * DAY
+        server, *_ = make_stack(build_mini_internet(),
+                                ResilienceConfig.vanilla())
+        assert server.cache.max_effective_ttl == 7 * DAY

@@ -4,9 +4,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig, RetryPolicy
+from repro.obs import EventBus, EventKind
 from repro.simulation.attack import attack_on_zones
+from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import FaultSpec
+from repro.simulation.network import Network
 from repro.dns.rrtypes import RRType
 
 from tests.conftest import make_stack
@@ -18,11 +22,20 @@ def mini():
     return build_mini_internet()
 
 
+def holddown_config(seconds):
+    """Vanilla with one try per server, sidelined after its first failure."""
+    return replace(
+        ResilienceConfig.vanilla(),
+        retry_policy=RetryPolicy(max_tries=1, holddown_failures=1,
+                                 holddown=seconds),
+    )
+
+
 class TestHolddown:
     def test_failed_server_not_retried_within_holddown(self, mini):
         attacks = attack_on_zones(mini.tree, [name("example.test.")],
                                   start=0.0, duration=10 * HOUR)
-        config = replace(ResilienceConfig.vanilla(), server_holddown=600.0)
+        config = holddown_config(600.0)
         server, engine, network, metrics = make_stack(mini, config,
                                                       attacks=attacks)
         server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
@@ -38,7 +51,7 @@ class TestHolddown:
         # Attack ends at 1 h; after hold-down expiry the server works.
         attacks = attack_on_zones(mini.tree, [name("example.test.")],
                                   start=0.0, duration=HOUR)
-        config = replace(ResilienceConfig.vanilla(), server_holddown=600.0)
+        config = holddown_config(600.0)
         server, *_ = make_stack(mini, config, attacks=attacks)
         server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
         late = server.handle_stub_query(name("www.example.test."), RRType.A,
@@ -48,7 +61,7 @@ class TestHolddown:
     def test_success_clears_holddown(self, mini):
         attacks = attack_on_zones(mini.tree, [name("example.test.")],
                                   start=0.0, duration=100.0)
-        config = replace(ResilienceConfig.vanilla(), server_holddown=50.0)
+        config = holddown_config(50.0)
         server, *_ = make_stack(mini, config, attacks=attacks)
         server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
         # Attack over at 100; hold-down (till ~50-150) may still apply,
@@ -114,21 +127,38 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_tries=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(try_timeout=0.0)
-        with pytest.raises(ValueError):
             RetryPolicy(holddown_failures=0)
         with pytest.raises(ValueError):
             RetryPolicy(holddown=-1.0)
 
-    def test_try_cost_follows_backoff(self):
-        policy = RetryPolicy(max_tries=3, try_timeout=1.0, backoff=3.0)
-        assert policy.try_cost(2.0, 0) == 1.0
-        assert policy.try_cost(2.0, 1) == 3.0
-        assert policy.try_cost(2.0, 2) == 9.0
-        # try_timeout=None falls back to the network's base timeout.
-        assert RetryPolicy().try_cost(2.0, 1) == 4.0
+    def test_paid_latency_doubles_per_try(self, mini):
+        assert [RetryPolicy().try_cost(2.0, n) for n in range(3)] == [
+            2.0, 4.0, 8.0,
+        ]
+        attacks = attack_on_zones(mini.tree, [name("example.test.")],
+                                  start=0.0, duration=HOUR)
+        network = Network(mini.tree, attacks=attacks)
+        bus = EventBus()
+        failed = []
+        bus.subscribe(lambda event: failed.append(event.get("latency")),
+                      kinds=(EventKind.QUERY_FAILED,))
+        server = CachingServer(
+            root_hints=mini.tree.root_hints(),
+            network=network,
+            clock=SimulationEngine(),
+            config=ResilienceConfig.vanilla().with_retries(
+                RetryPolicy(max_tries=3, holddown=None)
+            ),
+            observer=bus,
+        )
+        server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
+        # Every dead SLD server is tried three times, try n paying the
+        # network timeout * 2**n, and the metrics sum what was paid.
+        timeout = network.query_timeout
+        schedule = [timeout, 2 * timeout, 4 * timeout]
+        assert len(failed) >= 6
+        assert failed == schedule * (len(failed) // 3)
+        assert server.metrics.total_latency >= sum(failed)
 
     def test_with_retries_label(self):
         config = ResilienceConfig.refresh().with_retries(
@@ -162,22 +192,6 @@ class TestRetryPolicy:
         retried = make_stack(mini, config)
         retried[0].handle_stub_query(name("www.unrelated.alt."), RRType.A, 0.0)
         assert retried[2].queries_sent == plain[2].queries_sent
-
-    def test_backoff_inflates_recorded_latency(self, mini):
-        attacks = attack_on_zones(mini.tree, [name("example.test.")],
-                                  start=0.0, duration=HOUR)
-
-        def total_latency(backoff):
-            config = ResilienceConfig.vanilla().with_retries(
-                RetryPolicy(max_tries=3, backoff=backoff, holddown=None)
-            )
-            server, engine, network, metrics = make_stack(
-                mini, config, attacks=attacks
-            )
-            server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
-            return metrics.total_latency
-
-        assert total_latency(3.0) > total_latency(1.0)
 
     def test_consecutive_failures_trigger_holddown(self, mini):
         attacks = attack_on_zones(mini.tree, [name("example.test.")],

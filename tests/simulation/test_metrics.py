@@ -5,6 +5,11 @@ import pytest
 from repro.simulation.metrics import MemorySample, ReplayMetrics
 
 
+def send_cs_query(metrics, now, failed, renewal=False, latency=0.0):
+    """One CS query attempt through the resolver's `record_exchange`."""
+    metrics.record_exchange(now, failed, renewal, 0, 0, latency)
+
+
 class TestSrAccounting:
     def test_failure_rate(self):
         metrics = ReplayMetrics()
@@ -29,9 +34,9 @@ class TestSrAccounting:
 class TestCsAccounting:
     def test_demand_vs_renewal_separation(self):
         metrics = ReplayMetrics()
-        metrics.record_cs_query(0.0, failed=True)
-        metrics.record_cs_query(0.0, failed=False)
-        metrics.record_cs_query(0.0, failed=True, renewal=True)
+        send_cs_query(metrics, 0.0, failed=True)
+        send_cs_query(metrics, 0.0, failed=False)
+        send_cs_query(metrics, 0.0, failed=True, renewal=True)
         assert metrics.cs_demand_queries == 2
         assert metrics.cs_demand_failures == 1
         assert metrics.cs_renewal_queries == 1
@@ -56,8 +61,8 @@ class TestWindows:
     def test_window_cs_ignores_renewal(self):
         metrics = ReplayMetrics()
         window = metrics.watch_window(0.0, 10.0)
-        metrics.record_cs_query(5.0, failed=True)
-        metrics.record_cs_query(5.0, failed=True, renewal=True)
+        send_cs_query(metrics, 5.0, failed=True)
+        send_cs_query(metrics, 5.0, failed=True, renewal=True)
         assert window.cs_queries == 1
         assert window.cs_failures == 1
 
@@ -80,10 +85,10 @@ class TestOverheadAndLatency:
     def test_message_overhead(self):
         baseline = ReplayMetrics()
         for _ in range(100):
-            baseline.record_cs_query(0.0, failed=False)
+            send_cs_query(baseline, 0.0, failed=False)
         scheme = ReplayMetrics()
         for _ in range(176):
-            scheme.record_cs_query(0.0, failed=False)
+            send_cs_query(scheme, 0.0, failed=False)
         assert scheme.message_overhead_vs(baseline) == pytest.approx(0.76)
 
     def test_overhead_against_empty_baseline_is_zero(self):
@@ -94,8 +99,8 @@ class TestOverheadAndLatency:
         metrics = ReplayMetrics()
         metrics.record_sr_query(0.0, failed=False)
         metrics.record_sr_query(1.0, failed=False)
-        metrics.record_latency(0.2)
-        metrics.record_latency(0.4)
+        send_cs_query(metrics, 1.0, failed=False, latency=0.2)
+        send_cs_query(metrics, 1.0, failed=False, latency=0.4)
         assert metrics.mean_latency == pytest.approx(0.3)
 
     def test_memory_samples_accumulate(self):
