@@ -395,12 +395,10 @@ def build_parser() -> argparse.ArgumentParser:
         add_spec_arguments(sub, command.spec_type)
         sub.set_defaults(func=_command_handler(command))
 
-    from repro.devtools.audit.cli import add_audit_parser
     from repro.devtools.cli import add_check_parser
     from repro.validation.cli import add_validate_parser
 
     add_check_parser(subparsers)
-    add_audit_parser(subparsers)
     add_validate_parser(subparsers)
 
     return parser

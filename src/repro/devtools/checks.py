@@ -25,7 +25,7 @@ import fnmatch
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 _SUPPRESS_RE = re.compile(
     r"#\s*repro:\s*ignore(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
@@ -34,11 +34,11 @@ _SUPPRESS_RE = re.compile(
 #: Sentinel stored in a suppression map for "every rule on this line".
 SUPPRESS_ALL = "*"
 
-#: Version tag of the shared machine-readable findings shape emitted by
-#: both ``repro check --json`` and ``repro audit --json``.  Bump when a
-#: field changes meaning or is removed; adding optional fields is
-#: backwards-compatible within a version.
-FINDINGS_SCHEMA = "repro-findings/2"
+#: Version tag of the machine-readable findings shape emitted by
+#: ``repro check --json``.  Bump when a field changes meaning or is
+#: removed; adding optional fields is backwards-compatible within a
+#: version.
+FINDINGS_SCHEMA = "repro-findings/3"
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,19 @@ class Violation:
     path: str
     line: int
     message: str
-    fix_hint: str | None = None
 
     def format(self) -> str:
         """Render as the conventional ``path:line: RULE message`` line."""
-        rendered = f"{self.path}:{self.line}: {self.rule} {self.message}"
-        if self.fix_hint:
-            rendered += f"\n    fix: {self.fix_hint}"
-        return rendered
+        return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
     def as_dict(self) -> dict[str, object]:
         """One finding in the ``repro-findings`` schema (see
-        :data:`FINDINGS_SCHEMA`), shared by ``check`` and ``audit``."""
+        :data:`FINDINGS_SCHEMA`)."""
         return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "fix_hint": self.fix_hint,
         }
 
 
@@ -137,11 +132,7 @@ class Rule:
         raise NotImplementedError
 
     def violation(
-        self,
-        module: ModuleSource,
-        node: ast.AST,
-        message: str,
-        fix_hint: str | None = None,
+        self, module: ModuleSource, node: ast.AST, message: str
     ) -> Violation:
         """Build a :class:`Violation` anchored at ``node``'s line."""
         return Violation(
@@ -149,7 +140,6 @@ class Rule:
             path=module.display_path,
             line=getattr(node, "lineno", 0),
             message=message,
-            fix_hint=fix_hint,
         )
 
 
@@ -200,6 +190,8 @@ class CheckReport:
     violations: tuple[Violation, ...]
     files_checked: int
     suppressed_count: int
+    rules_applied: tuple[str, ...]
+    """Ids of the rules that ran on at least one file, sorted."""
 
     @property
     def clean(self) -> bool:
@@ -240,23 +232,27 @@ def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
         yield from sorted(root.rglob("*.py"))
 
 
+def _every_rule(_path: Path) -> Sequence[Rule]:
+    """The whole registry, whatever the file (:func:`run_checks`' default)."""
+    from repro.devtools.rules import ALL_RULES
+
+    return ALL_RULES
+
+
 def run_checks(
     paths: Sequence[Path],
-    rules: Iterable[Rule] | None = None,
+    rules_for: Callable[[Path], Sequence[Rule]] = _every_rule,
     exclude: Sequence[str] = (),
 ) -> CheckReport:
-    """Run ``rules`` (default: all registered) over every file in ``paths``.
+    """Run the gate over every file in ``paths``.
 
-    ``exclude`` is a list of fnmatch globs matched against each file's
-    posix display path; matching files are skipped entirely (they count
-    neither as checked nor as suppressed).
+    ``rules_for`` maps each file to the rule set it is held to; each
+    rule's :meth:`Rule.applies_to` narrows that further.  ``exclude`` is a list of fnmatch globs matched against
+    each file's posix display path; matching files are skipped entirely
+    (they count neither as checked nor as suppressed).
     """
-    if rules is None:
-        from repro.devtools.rules import ALL_RULES
-
-        rules = ALL_RULES
-    rule_list = list(rules)
     violations: list[Violation] = []
+    applied: set[str] = set()
     suppressed = 0
     files = 0
     for file_path in iter_python_files(paths):
@@ -265,9 +261,10 @@ def run_checks(
             continue
         module = load_module(file_path)
         files += 1
-        for rule in rule_list:
+        for rule in rules_for(file_path):
             if not rule.applies_to(module.display_path):
                 continue
+            applied.add(rule.rule_id)
             for violation in rule.check(module):
                 if module.is_suppressed(violation.line, violation.rule):
                     suppressed += 1
@@ -278,4 +275,5 @@ def run_checks(
         violations=tuple(violations),
         files_checked=files,
         suppressed_count=suppressed,
+        rules_applied=tuple(sorted(applied)),
     )

@@ -3,13 +3,14 @@
 Default targets are ``src/repro``, ``benchmarks`` and ``tests`` relative
 to the current directory when they exist, falling back to the installed
 package location — so the command works both from a checkout and against
-an installed wheel.  Test files are held to a *scoped* rule set
-(:data:`TEST_RULE_IDS`): wall-clock and unseeded-randomness reads are
-still banned there (a test that reads real time is flaky by
-construction), but structural rules about caches, specs and name
-hygiene only apply to shipped code.  ``--strict`` additionally shells
-out to ``mypy`` and ``ruff`` when they are installed (CI installs them
-via the ``dev`` extra; the gate itself has zero dependencies).
+an installed wheel.  Every file under a ``tests`` directory is held to a
+*scoped* rule set (:data:`TEST_RULE_IDS`), whatever path was passed on
+the command line: wall-clock and unseeded-randomness reads are still
+banned there (a test that reads real time is flaky by construction), but
+structural rules about caches, specs and name hygiene only apply to
+shipped code.  ``--strict`` additionally shells out to ``mypy`` and
+``ruff`` when they are installed (CI installs them via the ``dev``
+extra; the gate itself has zero dependencies).
 """
 
 from __future__ import annotations
@@ -21,18 +22,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.devtools.checks import (
-    FINDINGS_SCHEMA,
-    CheckReport,
-    Rule,
-    run_checks,
-)
+from repro.devtools.checks import FINDINGS_SCHEMA, CheckReport, Rule, run_checks
 from repro.devtools.rules import ALL_RULES
 
 #: The rules test files are held to.  Determinism of *inputs* (time,
 #: randomness) matters everywhere; the structural rules (REP003+) encode
 #: contracts of shipped code that tests legitimately poke at.
 TEST_RULE_IDS = ("REP001", "REP002")
+_TEST_RULES = tuple(rule for rule in ALL_RULES if rule.rule_id in TEST_RULE_IDS)
 
 #: Files the gate never checks, as fnmatch globs over posix paths.
 #: Scoped and rare by design: prefer a per-line ``# repro: ignore[...]``
@@ -68,9 +65,7 @@ def is_test_path(path: Path) -> bool:
 
 def scoped_rules_for(path: Path) -> tuple[Rule, ...]:
     """The rule set ``path`` is held to (scoped down for test files)."""
-    if is_test_path(path):
-        return tuple(r for r in ALL_RULES if r.rule_id in TEST_RULE_IDS)
-    return ALL_RULES
+    return _TEST_RULES if is_test_path(path) else ALL_RULES
 
 
 def add_check_parser(
@@ -163,45 +158,20 @@ def run_check_command(args: argparse.Namespace) -> int:
 def check_paths(
     paths: list[Path], exclude: tuple[str, ...] = ()
 ) -> CheckReport:
-    """Run the gate over ``paths``, scoping rules per path.
-
-    Paths under a ``tests`` directory get :data:`TEST_RULE_IDS` only;
-    everything else gets the full registry.  Results merge into one
-    report so callers and output formats see a single run.
-    """
-    full_scope = [p for p in paths if not is_test_path(p)]
-    test_scope = [p for p in paths if is_test_path(p)]
-    reports = []
-    if full_scope:
-        reports.append(run_checks(full_scope, exclude=exclude))
-    if test_scope:
-        reports.append(run_checks(
-            test_scope,
-            rules=scoped_rules_for(test_scope[0]),
-            exclude=exclude,
-        ))
-    if len(reports) == 1:
-        return reports[0]
-    violations = sorted(
-        (v for r in reports for v in r.violations),
-        key=lambda v: (v.path, v.line, v.rule),
-    )
-    return CheckReport(
-        violations=tuple(violations),
-        files_checked=sum(r.files_checked for r in reports),
-        suppressed_count=sum(r.suppressed_count for r in reports),
-    )
+    """Run the gate over ``paths``, choosing each file's rule set by the
+    file's own path (:func:`scoped_rules_for`)."""
+    return run_checks(paths, rules_for=scoped_rules_for, exclude=exclude)
 
 
 def _json_payload(report: CheckReport) -> dict[str, object]:
-    """The shared ``repro-findings`` envelope (same shape as audit)."""
+    """The ``repro-findings`` envelope."""
     return {
         "schema": FINDINGS_SCHEMA,
         "tool": "repro-check",
         "findings": [violation.as_dict() for violation in report.violations],
         "summary": {
             "files": report.files_checked,
-            "rules": len(ALL_RULES),
+            "rules": len(report.rules_applied),
             "suppressed": report.suppressed_count,
         },
     }
@@ -216,7 +186,7 @@ def _print_report(report: CheckReport) -> None:
     )
     if report.clean:
         print(f"repro check: {report.files_checked} files clean "
-              f"({len(ALL_RULES)} rules{suppressed})")
+              f"({len(report.rules_applied)} rules{suppressed})")
     else:
         print(
             f"repro check: {len(report.violations)} violation(s) in "

@@ -58,7 +58,10 @@ class PicklableSpecRule(Rule):
     )
 
     def applies_to(self, display_path: str) -> bool:
-        return "experiments/" in display_path
+        # Every package: specs nest (AdversarySpec lives in simulation/,
+        # FaultSpec beside it) and a bad field one hop from ReplaySpec
+        # breaks the pool just the same.
+        return "repro/" in display_path
 
     def check(self, module: ModuleSource) -> Iterator[Violation]:
         for node in module.tree.body:

@@ -1,10 +1,17 @@
-"""REP008 — no reaching into the cache's private storage.
+"""REP008 — no reaching into another module's private storage.
 
-``cache._entries`` / ``cache._negative`` bypass the cache API, so code
-built on them silently drifts from the documented semantics (and from
-what the differential oracle validates).  The cache's own package and
-the validation layer are exempt: the first owns the representation, the
-second audits it by design.
+Each private field below belongs to the module that keeps its
+invariants, and only that module may touch it:
+
+* ``cache._entries`` / ``cache._negative`` bypass the cache API, so code
+  built on them silently drifts from the documented semantics (and from
+  what the differential oracle validates).  The cache's own package and
+  the validation layer are exempt: the first owns the representation,
+  the second audits it by design.
+* ``Zone``'s content fields and its response memo live in
+  ``dns/zone.py``.  Every operator action there clears the memo after
+  changing the content; a write from anywhere else would leave memoized
+  answers stale.
 """
 
 from __future__ import annotations
@@ -14,35 +21,46 @@ from typing import Iterator
 
 from repro.devtools.checks import ModuleSource, Rule, Violation
 
-_PRIVATE_FIELDS = frozenset(("_entries", "_negative"))
+_CACHE_OWNERS = ("repro/core/", "repro/validation/")
+_ZONE_OWNER = ("repro/dns/zone.py",)
 
-#: Path fragments whose modules legitimately touch the raw storage.
-_EXEMPT_FRAGMENTS = ("repro/core/", "repro/validation/")
+#: Private field -> (owning class, path fragments of the modules that
+#: may touch it).
+_OWNERS: dict[str, tuple[str, tuple[str, ...]]] = {
+    "_entries": ("DnsCache", _CACHE_OWNERS),
+    "_negative": ("DnsCache", _CACHE_OWNERS),
+    "_rrsets": ("Zone", _ZONE_OWNER),
+    "_delegations": ("Zone", _ZONE_OWNER),
+    "_apex_irrs": ("Zone", _ZONE_OWNER),
+    "_existing_names": ("Zone", _ZONE_OWNER),
+    "_response_cache": ("Zone", _ZONE_OWNER),
+}
 
 
 class PrivateCacheAccessRule(Rule):
     rule_id = "REP008"
-    title = "no direct access to the cache's private storage"
+    title = "no direct access to the cache's or a zone's private storage"
     rationale = (
         "cache._entries/_negative bypass the cache API and the "
-        "differential oracle; use the public accessors (entry, "
-        "get_stale, total_entry_count, ...) or move the code into "
-        "core/ or validation/"
+        "differential oracle, and zone._rrsets and friends bypass the "
+        "response-memo invalidation; use the public accessors and "
+        "operator actions, or move the code into the owning module"
     )
 
-    def applies_to(self, display_path: str) -> bool:
-        path = display_path.replace("\\", "/")
-        return not any(fragment in path for fragment in _EXEMPT_FRAGMENTS)
-
     def check(self, module: ModuleSource) -> Iterator[Violation]:
+        path = module.display_path.replace("\\", "/")
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Attribute):
                 continue
-            if node.attr not in _PRIVATE_FIELDS:
+            owner = _OWNERS.get(node.attr)
+            if owner is None:
+                continue
+            owner_class, owner_paths = owner
+            if any(fragment in path for fragment in owner_paths):
                 continue
             yield self.violation(
                 module,
                 node,
-                f"direct access to DnsCache.{node.attr}; go through the "
-                f"cache API (or a validation helper) instead",
+                f"direct access to {owner_class}.{node.attr}; go through "
+                f"the {owner_class} API instead",
             )

@@ -10,7 +10,8 @@ benchmark harnesses (``benchmarks/bench_*.py``) and the serve front end
 satisfies the same ``Clock`` protocol the simulation's virtual clock
 does, so the core underneath it stays in scope.  The exemption is the
 path prefix only: core/ and simulation/ code stays banned even when
-serve/ calls into it (``repro audit`` REP013 guards that direction).
+serve/ calls into it, and those two packages never import serve/
+(``tests/devtools/test_layering.py`` holds that direction).
 """
 
 from __future__ import annotations

@@ -88,15 +88,9 @@ class Message:
     # Memo slots: responses are immutable, and with authoritative-side
     # response caching the same Message object is served (and ingested)
     # many times, so size/section walks are paid once per object.
-    # Both are fill-only memos on a frozen class — `repro audit`
-    # (REP010) proves no code mutates their dependency fields.
-    # repro: memo(wire_size: field=_wire_size,
-    #   depends=[question, answer, authority, additional],
-    #   invalidator=none)
+    # Both are fill-only: the class is frozen, so assigning a section
+    # raises, and REP006 bans the object.__setattr__ way round that.
     _wire_size: int = field(default=-1, init=False, repr=False, compare=False)
-    # repro: memo(plan: field=_plan,
-    #   depends=[answer, authority, additional, authoritative],
-    #   invalidator=none)
     _plan: IngestPlan | None = field(
         default=None, init=False, repr=False, compare=False
     )

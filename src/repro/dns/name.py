@@ -44,15 +44,9 @@ class Name:
 
     __slots__ = ("labels", "iid", "_ancestors", "_wire_length", "_ns_chain")
 
-    # Fill-only memos on an interned immutable class; `repro audit`
-    # (REP010) proves nothing outside __new__ writes the label data
-    # they are derived from.
-    # repro: memo(ancestors: field=_ancestors, depends=[labels],
-    #   invalidator=none)
-    # repro: memo(ns_chain: field=_ns_chain, depends=[labels, iid],
-    #   invalidator=none)
-    # repro: memo(wire_length: field=_wire_length, depends=[labels],
-    #   invalidator=none)
+    # _ancestors, _ns_chain and _wire_length are fill-only memos: the
+    # labels and iid they derive from are set once in __new__, after
+    # which __setattr__ raises and REP006 bans object.__setattr__.
 
     labels: tuple[str, ...]
     iid: int

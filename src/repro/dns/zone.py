@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.annotations import invalidates
 from repro.dns.errors import ZoneConfigError
 from repro.dns.name import Name
 from repro.dns.records import InfrastructureRecordSet, ResourceRecord, RRset
@@ -36,13 +35,6 @@ class Zone:
     :meth:`set_infrastructure_ttl`, which models the zone operator
     raising the TTL of the zone's own IRRs (the paper's "long TTL" knob).
     """
-
-    # The audited memo contract (enforced by `repro audit`, REP010):
-    # every method that mutates a dependency field must reach the
-    # declared invalidator, or the memoized responses go stale.
-    # repro: memo(response: field=_response_cache,
-    #   depends=[_apex_irrs, _rrsets, _delegations, _existing_names,
-    #   soa_minimum], invalidator=_invalidate_response_cache)
 
     def __init__(
         self,
@@ -90,12 +82,14 @@ class Zone:
         # appearing after the fact (new glue) must drop them.
         self._invalidate_response_cache()
 
-    @invalidates("response")
     def _invalidate_response_cache(self) -> None:
         """Drop every memoized response.
 
-        The single funnel all operator actions go through; `repro audit`
-        proves each dependency-field mutator reaches it.
+        The single funnel all operator actions go through.  The private
+        fields a response depends on are written only in this module
+        (REP008), and ``tests/dns/test_zone.py`` checks that every
+        operator action leaves the zone answering like a freshly built
+        one.
         """
         self._response_cache.clear()
 

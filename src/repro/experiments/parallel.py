@@ -89,9 +89,9 @@ class ReplaySpec:
     carrying the built hierarchy.
     """
 
-    # Crosses the worker process boundary; `repro audit` (REP012)
-    # walks every transitively reachable field type for picklability.
-    # repro: pickled-boundary
+    # Crosses the worker process boundary: REP004 keeps Callable fields
+    # and lambdas out, and tests/experiments/test_parallel.py round-trips
+    # a spec with every optional part set.
 
     scale: Scale
     scenario_seed: int
@@ -146,8 +146,6 @@ class ReplaySpec:
 @dataclass(frozen=True)
 class FleetSpec:
     """One fleet replay (several traces over shared virtual time)."""
-
-    # repro: pickled-boundary
 
     scale: Scale
     scenario_seed: int

@@ -119,7 +119,7 @@ def _parameters_for(scale: Scale) -> ScenarioParameters:
     return ScenarioParameters(hierarchy=hierarchy, workload=week, month_workload=month)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A built hierarchy plus its trace set."""
 
@@ -127,8 +127,7 @@ class Scenario:
     seed: int
     built: BuiltHierarchy
     parameters: ScenarioParameters
-    # repro: memo(traces: field=_traces,
-    #   depends=[scale, seed, built, parameters], invalidator=none)
+    # Fill-only trace memo: the fields a trace derives from are frozen.
     _traces: dict[str, Trace] = field(default_factory=dict, repr=False)
 
     WEEK_TRACES = ("TRC1", "TRC2", "TRC3", "TRC4", "TRC5")

@@ -56,9 +56,9 @@ class ReplaySummary(AttackWindowRates, ReplayRates):
     tables can treat summaries and metrics interchangeably.
     """
 
-    # Returned from worker processes by pickle; `repro audit` (REP012)
-    # walks every transitively reachable field type for picklability.
-    # repro: pickled-boundary
+    # Returned from worker processes by pickle: REP004 keeps Callable
+    # fields and lambdas out, and tests/experiments/test_parallel.py
+    # round-trips a filled-in summary.
 
     label: str
     trace_name: str
@@ -217,8 +217,6 @@ class FleetRates:
 @dataclass
 class FleetSummary(FleetRates):
     """Picklable fleet outcome: per-member windows plus aggregates."""
-
-    # repro: pickled-boundary
 
     label: str
     members: list[FleetMemberSummary] = field(default_factory=list)

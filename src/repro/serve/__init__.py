@@ -12,9 +12,9 @@ protocol over a real socket for callers that want live upstreams.
 
 Because wall-clock reads are the point here, ``serve/`` is the one
 sanctioned allowlist in the REP001 determinism gate; the simulated core
-(``core/``, ``simulation/``) stays under the full gate, and ``repro
-audit`` (REP013) still flags any call chain that would let these
-modules' time reads taint it.
+(``core/``, ``simulation/``) stays under the full gate and never imports
+this package (``tests/devtools/test_layering.py`` holds that), so a
+replay cannot reach these modules' time reads.
 """
 
 from repro.serve.driver import LoadReport, run_load

@@ -10,9 +10,9 @@ raises reaches the loop's exception handler like any other callback.
 fires after the front end stops.
 
 This module reads the wall clock on purpose: it lives under the
-``serve/`` REP001 allowlist (DESIGN.md §15), and ``repro audit``
-(REP013) still rejects any call path from the deterministic core into
-it.
+``serve/`` REP001 allowlist (DESIGN.md §15).  The deterministic core
+never imports it: ``tests/devtools/test_layering.py`` fails on any
+import of ``repro.serve`` from ``core/`` or ``simulation/``.
 """
 
 from __future__ import annotations

@@ -47,8 +47,6 @@ MINUTE = 60.0
 class NxnsAttackSpec:
     """One NXNS amplification campaign (frozen, picklable)."""
 
-    # repro: pickled-boundary
-
     start: float = 6 * DAY
     """Virtual time the attack query stream begins."""
 
@@ -99,8 +97,6 @@ class NxnsAttackSpec:
 class PoisonAttackSpec:
     """An off-path forger racing CS→AN answers (frozen, picklable)."""
 
-    # repro: pickled-boundary
-
     rate: float = 0.05
     """Probability an answered A-query exchange is raced at all."""
 
@@ -136,8 +132,6 @@ class PoisonAttackSpec:
 @dataclass(frozen=True)
 class FlashCrowdSpec:
     """A scheduled legitimate-traffic surge on a few hot names."""
-
-    # repro: pickled-boundary
 
     start: float = 6 * DAY
     """Virtual time the crowd arrives."""
@@ -181,8 +175,6 @@ class AdversarySpec:
     :class:`Adversary` from it, so nothing unpicklable crosses the
     process boundary.
     """
-
-    # repro: pickled-boundary
 
     nxns: "NxnsAttackSpec | None" = None
     poison: "PoisonAttackSpec | None" = None

@@ -19,12 +19,6 @@ def mini() -> MiniInternet:
     return build_mini_internet()
 
 
-@pytest.fixture
-def resolver_stack(mini):
-    """(server, engine, network, metrics) running the vanilla config."""
-    return make_stack(mini, ResilienceConfig.vanilla())
-
-
 def make_stack(
     mini: MiniInternet,
     config: ResilienceConfig,

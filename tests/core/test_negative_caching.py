@@ -28,11 +28,10 @@ def mini_with_soa():
     zone = soa_zone()
     server = AuthoritativeServer(name("ns1.soa.test."), "10.8.0.1")
     mini.tree.add_zone(zone, [server])
-    # Delegate soa.test. from the TLD (test-only surgery: the TLD was
-    # built before this zone existed).
+    # Delegate soa.test. from the TLD, which was built before this zone
+    # existed.
     tld = mini.tree.zone(name("test."))
-    tld._delegations[name("soa.test.")] = zone.infrastructure_records
-    tld._add_existing(name("soa.test."))
+    tld.add_delegation(zone.infrastructure_records)
     return mini
 
 

@@ -14,6 +14,7 @@ import pytest
 
 import repro
 from repro.cli import main
+from repro.devtools.cli import check_paths
 from repro.devtools.checks import (
     FINDINGS_SCHEMA,
     CheckReport,
@@ -24,12 +25,20 @@ from repro.devtools.checks import (
 REPO_ROOT = Path(repro.__file__).resolve().parents[2]
 
 
-def check_snippet(tmp_path: Path, relpath: str, source: str) -> CheckReport:
-    """Write ``source`` at ``relpath`` under ``tmp_path`` and lint it."""
+def write_snippet(tmp_path: Path, relpath: str, source: str) -> Path:
+    """Write ``source`` (dedented) at ``relpath`` under ``tmp_path``."""
     target = tmp_path / relpath
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
-    return run_checks([target])
+    return target
+
+
+def check_snippet(tmp_path: Path, relpath: str, source: str) -> CheckReport:
+    """Write ``source`` at ``relpath`` under ``tmp_path`` and lint it."""
+    return run_checks([write_snippet(tmp_path, relpath, source)])
+
+
+FLOAT_EQUALITY = "def at_zero(rate: float) -> bool:\n    return rate == 0.0\n"
 
 
 def rule_ids(report: CheckReport) -> list[str]:
@@ -256,7 +265,7 @@ class TestSetIterationRule:
 
 class TestPicklableSpecRule:
     def test_flags_callable_field(self, tmp_path):
-        report = check_snippet(tmp_path, "experiments/jobs.py", """\
+        report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             from dataclasses import dataclass
             from typing import Callable
 
@@ -267,7 +276,7 @@ class TestPicklableSpecRule:
         assert "REP004" in rule_ids(report)
 
     def test_flags_lambda_in_spec(self, tmp_path):
-        report = check_snippet(tmp_path, "experiments/jobs.py", """\
+        report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             from dataclasses import dataclass
 
             @dataclass(frozen=True)
@@ -277,14 +286,14 @@ class TestPicklableSpecRule:
         assert "REP004" in rule_ids(report)
 
     def test_flags_non_dataclass_spec(self, tmp_path):
-        report = check_snippet(tmp_path, "experiments/jobs.py", """\
+        report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             class JobSpec:
                 pass
             """)
         assert "REP004" in rule_ids(report)
 
     def test_plain_dataclass_spec_is_clean(self, tmp_path):
-        report = check_snippet(tmp_path, "experiments/jobs.py", """\
+        report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             from dataclasses import dataclass
 
             @dataclass(frozen=True)
@@ -294,15 +303,15 @@ class TestPicklableSpecRule:
             """)
         assert report.clean
 
-    def test_rule_is_scoped_to_experiments(self, tmp_path):
-        report = check_snippet(tmp_path, "analysis/jobs.py", """\
-            class JobSpec:
-                pass
-            """)
-        assert "REP004" not in rule_ids(report)
+    def test_rule_covers_the_package_only(self, tmp_path):
+        """Specs nest: a bad FaultSpec in simulation/ breaks ReplaySpec too."""
+        source = "class FaultSpec:\n    pass\n"
+        assert rule_ids(check_snippet(
+            tmp_path, "repro/simulation/faults.py", source)) == ["REP004"]
+        assert check_snippet(tmp_path, "benchmarks/jobs.py", source).clean
 
     def test_suppression(self, tmp_path):
-        report = check_snippet(tmp_path, "experiments/jobs.py", """\
+        report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             from dataclasses import dataclass
             from typing import Callable
 
@@ -468,6 +477,19 @@ class TestPrivateCacheAccessRule:
             """)
         assert rule_ids(report) == []
 
+    @pytest.mark.parametrize(("relpath", "access"), [
+        ("repro/experiments/graft.py", "zone._rrsets[key] = None"),
+        ("repro/core/peek.py", "zone._response_cache.clear()"),
+        ("repro/dns/zone.py", "len(cache._entries)"),
+    ])
+    def test_flags_access_outside_the_owner(self, tmp_path, relpath, access):
+        source = f"def poke(zone, cache, key):\n    {access}\n"
+        assert rule_ids(check_snippet(tmp_path, relpath, source)) == ["REP008"]
+
+    def test_zone_module_owns_zone_fields(self, tmp_path):
+        source = "def clear(zone):\n    zone._rrsets.clear()\n"
+        assert check_snippet(tmp_path, "repro/dns/zone.py", source).clean
+
     def test_suppression(self, tmp_path):
         report = check_snippet(tmp_path, "analysis/peek.py", """\
             def occupancy(cache) -> int:
@@ -505,7 +527,7 @@ class TestFramework:
                 return rate == 0.0
             """)
         entry = report.violations[0].as_dict()
-        assert set(entry) == {"rule", "path", "line", "message", "fix_hint"}
+        assert set(entry) == {"rule", "path", "line", "message"}
         assert entry["rule"] == "REP005"
         assert entry["line"] == 2
 
@@ -516,11 +538,9 @@ class TestCheckCommand:
         assert main(["check"]) == 0
 
     def test_seeded_violation_exits_nonzero(self, tmp_path, capsys):
-        bad = tmp_path / "simulation" / "clock.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
+        bad = write_snippet(
+            tmp_path, "simulation/clock.py",
             "import time\n\n\ndef stamp() -> float:\n    return time.time()\n",
-            encoding="utf-8",
         )
         assert main(["check", str(bad)]) == 1
         out = capsys.readouterr().out
@@ -528,12 +548,7 @@ class TestCheckCommand:
         assert "clock.py:5" in out
 
     def test_json_output(self, tmp_path, capsys):
-        bad = tmp_path / "analysis" / "rates.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "def at_zero(rate: float) -> bool:\n    return rate == 0.0\n",
-            encoding="utf-8",
-        )
+        bad = write_snippet(tmp_path, "analysis/rates.py", FLOAT_EQUALITY)
         assert main(["check", str(bad), "--json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == FINDINGS_SCHEMA
@@ -554,30 +569,42 @@ class TestCheckCommand:
         assert payload["findings"] == []
 
     def test_ignore_glob_skips_file(self, tmp_path, capsys):
-        bad = tmp_path / "analysis" / "rates.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text(
-            "def at_zero(rate: float) -> bool:\n    return rate == 0.0\n",
-            encoding="utf-8",
-        )
+        bad = write_snippet(tmp_path, "analysis/rates.py", FLOAT_EQUALITY)
         assert main(["check", str(bad), "--ignore", "*/rates.py"]) == 0
         assert "0 files clean" in capsys.readouterr().out
 
     def test_tests_are_held_to_scoped_rules_only(self, tmp_path, capsys):
         """Wall-clock reads flag in tests; structural rules do not."""
-        test_file = tmp_path / "tests" / "analysis" / "test_rates.py"
-        test_file.parent.mkdir(parents=True)
-        test_file.write_text(
+        test_file = write_snippet(
+            tmp_path, "tests/analysis/test_rates.py",
             "import time\n\n\n"
             "def test_rates() -> None:\n"
             "    assert time.time() > 0  # REP001 applies\n"
             "    assert 0.5 == 0.5  # REP005 would fire in src, not here\n",
-            encoding="utf-8",
         )
         assert main(["check", str(test_file)]) == 1
         out = capsys.readouterr().out
         assert "REP001" in out
         assert "REP005" not in out
+
+    def test_rule_set_is_chosen_per_file(self, tmp_path, capsys):
+        """A directory argument above tests/ still scopes each test file."""
+        for relpath in ("tests/test_x.py", "pkg/mod.py"):
+            write_snippet(tmp_path, relpath, """\
+                def check(rate: float, values: set[int]) -> None:
+                    assert rate == 0.5
+                    for value in values:
+                        print(value)
+                """)
+        report = check_paths([tmp_path])
+        assert report.files_checked == 2
+        assert report.violations
+        assert {v.path.rsplit("/", 2)[-2] for v in report.violations} == {"pkg"}
+        # The summary counts the rules that ran, not the registry.
+        assert main(["check", str(tmp_path / "tests")]) == 0
+        assert "(2 rules)" in capsys.readouterr().out
+        assert main(["check", str(tmp_path / "tests"), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["rules"] == 2
 
     def test_missing_path_is_usage_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "nope")]) == 2

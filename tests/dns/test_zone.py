@@ -1,14 +1,18 @@
 """Tests for zone data and the zone builder."""
 
+from functools import partial
+
 import pytest
 
 from repro.dns.errors import ZoneConfigError
+from repro.dns.message import Question
 from repro.dns.name import Name
 from repro.dns.records import ResourceRecord
 from repro.dns.rrtypes import RRType
-from repro.dns.zone import ZoneBuilder
+from repro.dns.server import AuthoritativeServer
+from repro.dns.zone import Zone, ZoneBuilder
 
-from tests.helpers import _irrs, name
+from tests.helpers import _irrs, _ns_only_irrs, name
 
 
 def simple_zone():
@@ -180,3 +184,69 @@ class TestZoneOperatorActions:
         zone.set_infrastructure_ttl(999999)
         zone.restore_irr_snapshot(snapshot)
         assert zone.infrastructure_records.ns.ttl == 3600
+
+
+CHILD = "child.example.test."
+
+
+def rebuilt(zone: Zone) -> Zone:
+    """A zone built from scratch with ``zone``'s current content."""
+    return Zone(zone.name, zone.infrastructure_records,
+                {(rrset.name, rrset.rrtype): rrset for rrset in zone.rrsets()},
+                {irrs.zone: irrs for irrs in zone.delegations()},
+                soa_minimum=zone.soa_minimum)
+
+
+def answer(zone: Zone, question: Question) -> tuple:
+    """Everything in ``zone``'s response but the message id."""
+    server = AuthoritativeServer(name("ns1.example.test."), "10.0.0.1")
+    server.serve_zone(zone)
+    response = server.respond(question)
+    return (response.rcode, response.authoritative, response.answer,
+            response.authority, response.additional)
+
+
+def restore_after_ttl_raise(zone: Zone):
+    snapshot = zone.irr_snapshot()
+    zone.set_infrastructure_ttl(86400)
+    return partial(zone.restore_irr_snapshot, snapshot)
+
+
+#: Operator action -> (a question whose answer it changes, a function that
+#: sets the zone up and returns the action).
+OPERATOR_ACTIONS = {
+    "set_infrastructure_ttl": ("www.example.test.", RRType.A,
+        lambda zone: partial(zone.set_infrastructure_ttl, 86400)),
+    "replace_infrastructure_records-glue": ("ns9.example.test.", RRType.A,
+        lambda zone: partial(zone.replace_infrastructure_records, _irrs(
+            "example.test.", [("ns9.example.test.", "10.0.0.9")], 3600))),
+    "replace_infrastructure_records-no-glue": ("example.test.", RRType.NS,
+        lambda zone: partial(zone.replace_infrastructure_records, _ns_only_irrs(
+            "example.test.", ["ns1.provider.test."], 3600))),
+    "set_delegation_ttl": (CHILD, RRType.NS,
+        lambda zone: partial(zone.set_delegation_ttl, name(CHILD), 7200)),
+    "restore_irr_snapshot": ("www.example.test.", RRType.A, restore_after_ttl_raise),
+    "replace_delegation": (CHILD, RRType.NS,
+        lambda zone: partial(zone.replace_delegation, _irrs(
+            CHILD, [("ns9.child.example.test.", "10.0.9.9")], 3600))),
+    "add_delegation": ("new.example.test.", RRType.A,
+        lambda zone: partial(zone.add_delegation, _irrs(
+            "new.example.test.", [("ns1.new.example.test.", "10.0.2.1")], 3600))),
+    "remove_delegation": (CHILD, RRType.NS,
+        lambda zone: partial(zone.remove_delegation, name(CHILD))),
+}
+
+
+@pytest.mark.parametrize("action", OPERATOR_ACTIONS)
+def test_operator_action_answers_like_a_fresh_zone(action):
+    """Every operator action drops the memoized responses it outdates."""
+    qname, rrtype, arrange = OPERATOR_ACTIONS[action]
+    zone = simple_zone().delegate(
+        _irrs(CHILD, [("ns1.child.example.test.", "10.0.1.1")], 3600)).build()
+    apply_action = arrange(zone)
+    question = Question(name(qname), rrtype)
+    before = answer(zone, question)  # fills the memo
+    apply_action()
+    expected = answer(rebuilt(zone), question)
+    assert expected != before, "the action must change this answer"
+    assert answer(zone, question) == expected

@@ -27,7 +27,10 @@ from repro.experiments.parallel import (
     run_replays,
 )
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.experiments.summary import ReplaySummary, summarize_replay
+from repro.experiments.summary import FleetSummary, ReplaySummary, summarize_replay
+from repro.obs.spec import ObservationSpec
+from repro.simulation import adversary
+from repro.simulation.faults import FaultSpec
 
 
 @pytest.fixture(scope="module")
@@ -51,17 +54,33 @@ class TestSpecs:
         assert spec.scale is scenario.scale
         assert spec.scenario_seed == scenario.seed
 
-    def test_specs_and_summaries_are_picklable(self, scenario):
+    def test_specs_and_summaries_are_picklable(self, scenario, tmp_path):
         spec = _sweep_specs(scenario)[0]
-        restored = pickle.loads(pickle.dumps(spec))
-        assert restored == spec
+        # Every optional part set, so each nested spec type crosses too.
+        loaded = ReplaySpec.for_scenario(
+            scenario, "TRC1", ResilienceConfig.refresh_renew("a-lfu", 5),
+            attack=spec.attack,
+            faults=FaultSpec(background_loss=0.01, jitter=0.1, flap_period=600.0,
+                             flap_duty=0.5, flap_addresses=("10.0.0.1",)),
+            adversary=adversary.AdversarySpec(
+                nxns=adversary.NxnsAttackSpec(), poison=adversary.PoisonAttackSpec(),
+                flash=adversary.FlashCrowdSpec()),
+            observe=ObservationSpec(events_path=str(tmp_path / "events.jsonl"),
+                                    metrics_path=str(tmp_path / "metrics.prom")),
+            track_gaps=True, memory_sample_interval=3600.0, validation=True,
+        )
+        fleet = FleetSpec.for_scenario(scenario, ("TRC1",), ResilienceConfig.vanilla(),
+                                       attack=spec.attack)
+        for picklable in (spec, loaded, fleet):
+            assert pickle.loads(pickle.dumps(picklable)) == picklable
         # The config's renewal-policy factory must survive the trip too.
-        renewing = ResilienceConfig.refresh_renew("a-lfu", 5)
-        revived = pickle.loads(pickle.dumps(renewing))
+        revived = pickle.loads(pickle.dumps(loaded.config))
         assert revived.renewal_policy() is not None
 
-        summary = run_replays([spec], workers=1)[0]
-        assert pickle.loads(pickle.dumps(summary)) == summary
+        summary, fleet_summary = run_replays([spec, fleet], workers=1)
+        assert isinstance(fleet_summary, FleetSummary)
+        for result in (summary, fleet_summary):
+            assert pickle.loads(pickle.dumps(result)) == result
 
     def test_describe_names_the_work(self, scenario):
         spec = _sweep_specs(scenario)[0]
