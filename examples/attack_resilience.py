@@ -42,8 +42,8 @@ def main() -> None:
                 attack = AttackSpec(start=scenario.attack_start,
                                     duration=hours * HOUR)
                 result = run_replay(scenario.built, trace, config, attack=attack)
-                rate = (result.sr_attack_failure_rate if metric == "SR"
-                        else result.cs_attack_failure_rate)
+                rate = (result.metrics.sr_attack_failure_rate if metric == "SR"
+                        else result.metrics.cs_attack_failure_rate)
                 cells.append(f"{rate:>10.1%}")
             print(f"{label:<20}" + "  ".join(cells))
         print()

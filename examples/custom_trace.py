@@ -69,7 +69,7 @@ def main() -> None:
         )
         print(
             f"replayed {trace.name:>11}: {result.metrics.sr_queries:,} queries, "
-            f"{result.sr_attack_failure_rate:.1%} failed during the attack"
+            f"{result.metrics.sr_attack_failure_rate:.1%} failed during the attack"
         )
 
     print("\nTo use a real trace: convert your resolver log to")

@@ -35,7 +35,7 @@ def main() -> None:
                           attack=attack, memory_sample_interval=6 * HOUR)
     base_messages = baseline.metrics.total_outgoing
     base_memory = steady_records(baseline)
-    print(f"vanilla: {baseline.sr_attack_failure_rate:.1%} SR failures, "
+    print(f"vanilla: {baseline.metrics.sr_attack_failure_rate:.1%} SR failures, "
           f"{base_messages:,} messages\n")
 
     print(f"{'policy':<8} {'credit':>6} {'SR failures':>12} "
@@ -50,7 +50,7 @@ def main() -> None:
                             if base_memory else float("nan"))
             print(
                 f"{policy:<8} {credit:>6} "
-                f"{result.sr_attack_failure_rate:>11.2%} "
+                f"{result.metrics.sr_attack_failure_rate:>11.2%} "
                 f"{overhead:>+12.1%} {memory_ratio:>10.2f}x"
             )
         print()

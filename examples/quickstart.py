@@ -30,7 +30,7 @@ def explore_resolution() -> None:
     server = CachingServer(
         root_hints=tree.root_hints(),
         network=Network(tree),
-        engine=engine,
+        clock=engine,
         config=ResilienceConfig.refresh(),
         metrics=ReplayMetrics(),
     )
@@ -71,8 +71,8 @@ def compare_schemes_under_attack() -> None:
     for label, config in schemes:
         result = run_replay(scenario.built, trace, config, attack=attack)
         print(
-            f"  {label:<28} {result.sr_attack_failure_rate:>11.1%} "
-            f"{result.cs_attack_failure_rate:>11.1%}"
+            f"  {label:<28} {result.metrics.sr_attack_failure_rate:>11.1%} "
+            f"{result.metrics.cs_attack_failure_rate:>11.1%}"
         )
     print()
     print("  The paper's claim: refresh+renewal (or long TTLs) improve")

@@ -20,7 +20,7 @@ Quickstart::
         ResilienceConfig.refresh_renew("a-lfu", credit=5),
         attack=AttackSpec(),   # root + TLDs blocked for 6 h on day 7
     )
-    print(result.sr_attack_failure_rate)
+    print(result.metrics.sr_attack_failure_rate)
 """
 
 from repro.core.cache import DnsCache

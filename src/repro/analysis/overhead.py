@@ -3,7 +3,7 @@
 :class:`MemoryOverheadSeries` turns the replay's cache-size samples into
 the zones/records-over-time series of Figure 12, plus the "how many
 times vanilla" ratio the paper quotes (2–3x).  Table 2's message
-overheads are ``ReplaySummary.message_overhead_vs`` per trace.
+overheads are ``ReplayMetrics.message_overhead_vs`` per trace.
 """
 
 from __future__ import annotations

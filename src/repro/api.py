@@ -10,7 +10,7 @@ Typical use::
 
     from repro.api import EXPERIMENTS, ObservationSpec, ReplaySpec, run_replays
 
-    summary, = run_replays([
+    record, = run_replays([
         ReplaySpec.for_scenario(
             scenario, "TRC1", config,
             observe=ObservationSpec(events_path="events.jsonl"),
@@ -27,6 +27,7 @@ from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
 from repro.core.transport import Upstream
 from repro.experiments import EXPERIMENTS
+from repro.experiments.fleet import FleetSummary
 from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
 from repro.experiments.parallel import (
     FleetSpec,
@@ -37,12 +38,6 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.registry import CommandDef, resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import (
-    FleetMemberSummary,
-    FleetSummary,
-    ReplaySummary,
-    summarize_replay,
-)
 from repro.experiments.table import ResultTable
 from repro.obs import (
     Event,
@@ -66,6 +61,7 @@ from repro.simulation.adversary import (
     PoisonAttackSpec,
 )
 from repro.simulation.faults import FaultInjector, FaultSpec
+from repro.simulation.metrics import ReplayMetrics
 from repro.validation import (
     DifferentialCache,
     DivergenceError,
@@ -92,7 +88,6 @@ __all__ = [
     "FaultSpec",
     "FetchBudget",
     "FlashCrowdSpec",
-    "FleetMemberSummary",
     "FleetSpec",
     "FleetSummary",
     "FlightRecorder",
@@ -106,9 +101,9 @@ __all__ = [
     "PoisonAttackSpec",
     "PrometheusSink",
     "ReplayExecutionError",
+    "ReplayMetrics",
     "ReplayResult",
     "ReplaySpec",
-    "ReplaySummary",
     "ResilienceConfig",
     "ResultTable",
     "RetryPolicy",
@@ -132,5 +127,4 @@ __all__ = [
     "run_rows",
     "scheme_syntax",
     "serve",
-    "summarize_replay",
 ]

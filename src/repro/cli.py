@@ -142,12 +142,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print(f"trace {trace.name}: {metrics.sr_queries:,} stub queries, "
           f"{metrics.total_outgoing:,} outgoing messages")
     print(f"scheme: {config.describe()}")
-    print(f"cache hit rate: {metrics.sr_cache_hits / max(1, metrics.sr_queries):.1%}")
+    print(f"cache hit rate: {metrics.cache_hit_rate:.1%}")
     print(f"mean wait per lookup: {metrics.mean_latency * 1000:.1f} ms")
     if attack is not None:
         print(f"attack ({args.attack_hours:g} h on root+TLDs):")
-        print(f"  SR failures: {result.sr_attack_failure_rate:.2%}")
-        print(f"  CS failures: {result.cs_attack_failure_rate:.2%}")
+        print(f"  SR failures: {metrics.sr_attack_failure_rate:.2%}")
+        print(f"  CS failures: {metrics.cs_attack_failure_rate:.2%}")
     else:
         print(f"overall SR failures: {metrics.sr_failure_rate:.2%}")
     if observe is not None:

@@ -1,7 +1,7 @@
-"""REP004 — spec/summary dataclasses must be picklable by construction.
+"""REP004 — spec/metrics/summary dataclasses must be picklable by construction.
 
 :func:`repro.experiments.parallel.run_replays` ships ``*Spec`` objects to
-worker processes and ``*Summary`` objects back.  Pickle failures there
+worker processes and ``*Metrics`` / ``*Summary`` records back.  Pickle failures there
 surface as opaque ``BrokenProcessPool`` errors at fan-out time, so the
 classes are constrained statically instead: module-level ``@dataclass``
 definitions, no lambdas anywhere in the class body (default factories
@@ -15,7 +15,7 @@ from typing import Iterator
 
 from repro.devtools.checks import ModuleSource, Rule, Violation
 
-_SUFFIXES = ("Spec", "Summary")
+_SUFFIXES = ("Spec", "Metrics", "Summary")
 
 
 def _is_spec_like(name: str) -> bool:
@@ -50,11 +50,12 @@ def _annotation_names(annotation: ast.expr) -> Iterator[str]:
 
 class PicklableSpecRule(Rule):
     rule_id = "REP004"
-    title = "spec/summary dataclasses picklable by construction"
+    title = "spec/metrics/summary dataclasses picklable by construction"
     rationale = (
-        "ReplaySpec/FleetSpec/summaries cross process boundaries; lambdas, "
-        "local classes and Callable fields fail to pickle only at fan-out "
-        "time, so they are banned statically"
+        "ReplaySpec/FleetSpec go to worker processes and ReplayMetrics/"
+        "FleetSummary records come back; lambdas, local classes and "
+        "Callable fields fail to pickle only at fan-out time, so they are "
+        "banned statically"
     )
 
     def applies_to(self, display_path: str) -> bool:
@@ -67,7 +68,7 @@ class PicklableSpecRule(Rule):
         for node in module.tree.body:
             if isinstance(node, ast.ClassDef) and _is_spec_like(node.name):
                 yield from self._check_class(module, node)
-        # Any *Spec/*Summary class not at module level cannot be pickled
+        # Any *Spec/*Metrics/*Summary class not at module level cannot be pickled
         # at all (pickle resolves classes by qualified module attribute).
         for node in ast.walk(module.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -6,7 +6,7 @@
   gap tracking, memory sampling and observability hooks.
 * :mod:`repro.experiments.parallel` -- the batch runner every
   experiment goes through: ``(row key, ReplaySpec)`` pairs in, rows of
-  :class:`~repro.experiments.summary.ReplaySummary` out.
+  :class:`~repro.simulation.metrics.ReplayMetrics` out.
 * :mod:`repro.experiments.table` -- :class:`~repro.experiments.table.
   ResultTable`, the one result shape: declared columns, text rendering
   and the row/cell/column-mean lookups.

@@ -30,7 +30,7 @@ HOUR = 3600.0
 ABLATION_COLUMNS = (
     ("SR failures", percent(SR)),
     ("CS failures", percent(CS)),
-    ("Messages out", lambda summary: f"{summary.total_outgoing:,}"),
+    ("Messages out", lambda record: f"{record.total_outgoing:,}"),
 )
 
 

@@ -120,8 +120,8 @@ def run(spec: AmplificationSpec) -> ResultTable:
         ("Budget",),
         grid_columns(
             (f"fan={fan}" for fan in spec.fan_outs),
-            lambda summary: f"{summary.amplification_factor:.1f}x"
-                            f" {summary.sr_failure_rate * 100:.2f}%",
+            lambda record: f"{record.amplification_factor:.1f}x"
+                           f" {record.sr_failure_rate * 100:.2f}%",
         ),
         run_rows(pairs, grouped=True),
     )

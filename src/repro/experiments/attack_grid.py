@@ -17,7 +17,6 @@ from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import ReplaySummary
 from repro.experiments.table import (
     CS,
     FAILURE_PANELS,
@@ -27,6 +26,7 @@ from repro.experiments.table import (
     grid_columns,
     percent,
 )
+from repro.simulation.metrics import ReplayMetrics
 
 HOUR = 3600.0
 
@@ -142,22 +142,22 @@ def run_scheme_grid(
 RENEWAL2_SCHEMES = ("a-lru:3", "a-lfu:3", "swr", "decoupled:7")
 
 
-def mean_rate(summaries: Sequence[ReplaySummary], metric: Metric = SR) -> float:
+def mean_rate(records: Sequence[ReplayMetrics], metric: Metric = SR) -> float:
     """A failure rate averaged over a row's traces."""
-    rates = [metric(summary) for summary in summaries]
+    rates = [metric(record) for record in records]
     return sum(rates) / len(rates)
 
 
-def per_stub(summaries: Sequence[ReplaySummary], count: Metric) -> float:
+def per_stub(records: Sequence[ReplayMetrics], count: Metric) -> float:
     """``count`` summed over a row's traces, per stub query."""
-    stub = sum(summary.sr_queries for summary in summaries)
-    return sum(count(summary) for summary in summaries) / stub if stub else 0.0
+    stub = sum(record.sr_queries for record in records)
+    return sum(count(record) for record in records) / stub if stub else 0.0
 
 
-def upstream(summaries: Sequence[ReplaySummary]) -> int:
+def upstream(records: Sequence[ReplayMetrics]) -> int:
     """Demand + renewal queries over a row's traces: the equal-budget
     currency the comparison normalises schemes by."""
-    return sum(summary.total_outgoing for summary in summaries)
+    return sum(record.total_outgoing for record in records)
 
 
 RENEWAL2_COLUMNS = (
@@ -186,7 +186,7 @@ def run_renewal2(spec: Renewal2Spec) -> ResultTable:
     """Registry entry point: replay every scheme over the week traces.
 
     All schemes replay the same traces, seed and attack; a row holds one
-    summary per trace, and the table reports failure rates side by side
+    record per trace, and the table reports failure rates side by side
     with the upstream-query spend so the comparison is read at equal
     budget (the ``Upstream queries`` column normalises the figure).
     """

@@ -28,9 +28,9 @@ from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.experiments.summary import ReplaySummary
 from repro.experiments.table import ResultTable, grid_columns
 from repro.simulation.faults import FaultSpec
+from repro.simulation.metrics import ReplayMetrics
 
 HOUR = 3600.0
 
@@ -67,12 +67,12 @@ class DegradationSpec:
 
 
 def knee(
-    row: Sequence[ReplaySummary], intensities: Sequence[float], threshold: float
+    row: Sequence[ReplayMetrics], intensities: Sequence[float], threshold: float
 ) -> float | None:
     """Smallest swept intensity whose SR rate exceeds ``threshold`` (None
     when the policy row stays under it across the whole sweep)."""
-    for intensity, summary in zip(intensities, row):
-        if summary.sr_attack_failure_rate > threshold:
+    for intensity, record in zip(intensities, row):
+        if record.sr_attack_failure_rate > threshold:
             return intensity
     return None
 
@@ -134,7 +134,7 @@ def run(spec: DegradationSpec) -> ResultTable:
         for intensity in spec.intensities
     ]
 
-    def knee_text(row: Sequence[ReplaySummary]) -> str:
+    def knee_text(row: Sequence[ReplayMetrics]) -> str:
         value = knee(row, spec.intensities, spec.knee_threshold)
         return "-" if value is None else f"{value:g}"
 
@@ -144,7 +144,7 @@ def run(spec: DegradationSpec) -> ResultTable:
         ("Policy",),
         grid_columns(
             (f"i={intensity:g}" for intensity in spec.intensities),
-            lambda summary: f"{summary.sr_attack_failure_rate * 100:.2f}%",
+            lambda record: f"{record.sr_attack_failure_rate * 100:.2f}%",
         ) + (("knee", knee_text),),
         run_rows(pairs, grouped=True),
     )

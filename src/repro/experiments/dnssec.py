@@ -65,7 +65,7 @@ def run(spec: DnssecSpec) -> ResultTable:
     ]
     rows = {
         config.label: run_replay(built, trace, config, attack=attack,
-                                 seed=spec.seed).to_summary()
+                                 seed=spec.seed).metrics
         for config in schemes
     }
     return ResultTable(

@@ -131,8 +131,8 @@ def figure3(scenario: Scenario, trace_limit: int | None = None,
         workers=workers,
     )
     samples = [
-        sample for summary in replays.values()
-        for sample in summary.gap_samples
+        sample for record in replays.values()
+        for sample in record.gap_samples
     ]
     return GapCdfs(
         sample_count=len(samples),
@@ -341,8 +341,8 @@ def figure12(
     )
     rows = {
         label: MemoryOverheadSeries(label=label,
-                                    samples=list(summary.memory_samples))
-        for label, summary in replays.items()
+                                    samples=list(record.memory_samples))
+        for label, record in replays.items()
     }
     baseline = rows.get("DNS")
 

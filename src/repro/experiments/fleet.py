@@ -15,15 +15,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
+from repro.analysis.report import format_percent
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
 from repro.experiments.attack_grid import week_trace_names
 from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import FleetSpec, run_rows
 from repro.experiments.scenarios import Scenario
-from repro.experiments.summary import FleetRates, FleetSummary
+from repro.experiments.table import ResultTable
 from repro.hierarchy.builder import BuiltHierarchy
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.metrics import ReplayMetrics, WindowCounters
@@ -32,25 +34,54 @@ from repro.workload.trace import Trace, TraceQuery
 
 
 @dataclass
-class FleetMemberResult:
-    """One organisation's replay outcome."""
-
-    trace_name: str
-    metrics: ReplayMetrics
-    window: WindowCounters | None
-    server: CachingServer
-
-    @property
-    def sr_queries(self) -> int:
-        return self.metrics.sr_queries
-
-
-@dataclass
-class FleetReplayResult(FleetRates):
-    """Per-member results plus fleet-wide aggregates."""
+class FleetSummary:
+    """One fleet replay: each organisation's record, keyed by trace name,
+    plus the fleet-wide aggregates."""
 
     label: str
-    members: list[FleetMemberResult]
+    members: dict[str, ReplayMetrics]
+
+    def aggregate_sr_failure_rate(self) -> float:
+        """Fleet-wide SR failure fraction inside the attack window."""
+        windows = [m.window for m in self.members.values() if m.window is not None]
+        queries = sum(window.sr_queries for window in windows)
+        if queries == 0:
+            return 0.0
+        return self.total_failed_lookups() / queries
+
+    def total_failed_lookups(self) -> int:
+        """The §6 damage currency: failed lookups across the fleet."""
+        return sum(
+            member.window.sr_failures for member in self.members.values()
+            if member.window is not None
+        )
+
+    def render(self) -> str:
+        def rate(window: WindowCounters | None, metric: str) -> str:
+            if window is None:
+                return "-"
+            return format_percent(getattr(window, metric))
+
+        rows = {
+            trace_name: (
+                member.sr_queries,
+                rate(member.window, "sr_failure_rate"),
+                rate(member.window, "cs_failure_rate"),
+            )
+            for trace_name, member in self.members.items()
+        }
+        rows["fleet"] = (
+            sum(member.sr_queries for member in self.members.values()),
+            format_percent(self.aggregate_sr_failure_rate()),
+            "-",
+        )
+        headers = ("Lookups", "SR failures (attack)", "CS failures (attack)")
+        return ResultTable(
+            f"Fleet replay — scheme: {self.label}", ("Organisation",),
+            tuple((header, itemgetter(index))
+                  for index, header in enumerate(headers)),
+            rows,
+        ).render()
 
 
 def run_fleet_replay(
@@ -59,7 +90,7 @@ def run_fleet_replay(
     config: ResilienceConfig,
     attack: AttackSpec | None = None,
     seed: int = 0,
-) -> FleetReplayResult:
+) -> FleetSummary:
     """Replay each trace through its own caching server, time-interleaved.
 
     All servers share the engine (so renewal timers and trace queries
@@ -69,6 +100,8 @@ def run_fleet_replay(
     """
     if not traces:
         raise ValueError("a fleet needs at least one trace")
+    if len({trace.name for trace in traces}) < len(traces):
+        raise ValueError("fleet traces must have distinct names")
     tree = built.tree
     saved_state = None
     if config.long_ttl is not None:
@@ -87,33 +120,26 @@ def _run(
     config: ResilienceConfig,
     attack: AttackSpec | None,
     seed: int,
-) -> FleetReplayResult:
+) -> FleetSummary:
     engine = SimulationEngine()
     schedule = attack.build_schedule(built) if attack is not None else None
     network = Network(built.tree, attacks=schedule)
 
-    members: list[FleetMemberResult] = []
+    members: dict[str, ReplayMetrics] = {}
     servers: list[CachingServer] = []
     for index, trace in enumerate(traces):
-        metrics = ReplayMetrics()
-        window = None
-        if attack is not None:
-            window = metrics.watch_window(attack.start, attack.end)
-        server = CachingServer(
+        metrics = members[trace.name] = ReplayMetrics(
+            window=WindowCounters(attack.start, attack.end)
+            if attack is not None else None
+        )
+        servers.append(CachingServer(
             root_hints=built.tree.root_hints(),
             network=network,
             clock=engine,
             config=config,
             metrics=metrics,
             seed=seed + index,
-        )
-        members.append(
-            FleetMemberResult(
-                trace_name=trace.name, metrics=metrics, window=window,
-                server=server,
-            )
-        )
-        servers.append(server)
+        ))
 
     # Interleave all traces by timestamp; each query goes to its owner.
     def tagged(
@@ -128,7 +154,7 @@ def _run(
         servers[index].handle_stub_query(query.qname, query.rrtype, time)
     engine.advance_to(max(trace.duration for trace in traces))
 
-    return FleetReplayResult(label=config.label, members=members)
+    return FleetSummary(label=config.label, members=members)
 
 
 def fleet_attack_comparison(

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.gaps import GapTracker
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
-from repro.experiments.summary import AttackWindowRates, ReplaySummary
 from repro.hierarchy.builder import (
     AttackerZoneGraft,
     BuiltHierarchy,
@@ -80,14 +78,13 @@ class AttackSpec:
 
 
 @dataclass
-class ReplayResult(AttackWindowRates):
-    """Everything one replay produced."""
+class ReplayResult:
+    """Everything one replay produced: its record plus the live objects
+    (server, recorder) that only an in-process caller can use."""
 
     label: str
     trace_name: str
     metrics: ReplayMetrics
-    window: WindowCounters | None
-    gap_tracker: GapTracker | None
     server: CachingServer
     recorder: "FlightRecorder | None" = None
     """The flight recorder, when the replay ran observed with a ring."""
@@ -100,9 +97,10 @@ class ReplayResult(AttackWindowRates):
 
     timings: "StageTimings | None" = field(default=None, repr=False)
 
-    def to_summary(self) -> ReplaySummary:
-        """The picklable :class:`ReplaySummary` extract of this result."""
-        return ReplaySummary.from_result(self)
+    @property
+    def window(self) -> WindowCounters | None:
+        """The attack-window counters (None without an attack)."""
+        return self.metrics.window
 
 
 def run_replay(
@@ -198,11 +196,10 @@ def _replay(
             built.tree, attacks=schedule, faults=injector,
             poisoner=adv.poisoner if adv is not None else None,
         )
-        metrics = ReplayMetrics()
-        window = None
-        if attack is not None:
-            window = metrics.watch_window(attack.start, attack.end)
-        gap_tracker = GapTracker() if track_gaps else None
+        metrics = ReplayMetrics(
+            window=WindowCounters(attack.start, attack.end)
+            if attack is not None else None
+        )
 
         server = CachingServer(
             root_hints=built.tree.root_hints(),
@@ -210,7 +207,7 @@ def _replay(
             clock=engine,
             config=config,
             metrics=metrics,
-            gap_observer=gap_tracker,
+            gap_observer=metrics.record_gap if track_gaps else None,
             seed=seed,
             observer=context.bus if context is not None else None,
             validation=validation,
@@ -259,8 +256,6 @@ def _replay(
             label=config.label,
             trace_name=trace.name,
             metrics=metrics,
-            window=window,
-            gap_tracker=gap_tracker,
             server=server,
             recorder=context.recorder if context is not None else None,
             timeseries=context.timeseries if context is not None else None,

@@ -19,8 +19,8 @@ from repro.experiments.harness import AttackSpec
 from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import ReplaySummary
 from repro.experiments.table import CS, SR, Metric, ResultTable
+from repro.simulation.metrics import ReplayMetrics
 
 HOUR = 3600.0
 
@@ -50,10 +50,10 @@ class SeedStatistics:
 
 
 def seed_spread(
-    summaries: Sequence[ReplaySummary], metric: Metric = SR
+    records: Sequence[ReplayMetrics], metric: Metric = SR
 ) -> SeedStatistics:
-    """Mean ± std of ``metric`` over one row's per-seed summaries."""
-    return SeedStatistics.from_samples([metric(s) for s in summaries])
+    """Mean ± std of ``metric`` over one row's per-seed records."""
+    return SeedStatistics.from_samples([metric(s) for s in records])
 
 
 DEFAULT_SCHEMES = (
@@ -98,7 +98,7 @@ def _multiseed_experiment(
 
     The scheme × seed replays are independent and run through the batch
     runner (``workers`` defaults to ``$REPRO_WORKERS``); a row holds one
-    summary per seed.
+    record per seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")

@@ -16,11 +16,11 @@ Three design rules keep this correct:
   already built; otherwise it builds the scenario on first use and
   reuses it for the rest of the call.  The multi-MB ``BuiltHierarchy``
   is never pickled.
-* **Summaries, not servers, come back.**  A replay's
+* **Records, not servers, come back.**  A replay's
   :class:`CachingServer`/engine graph is full of closures and timers;
-  workers reduce it to a picklable :class:`ReplaySummary` holding the
-  numbers the figures need (failure rates, window counters, traffic,
-  gap and memory samples).
+  workers return only the :class:`~repro.simulation.metrics.ReplayMetrics`
+  the resolver filled (failure counts, the attack window, traffic, gap
+  and memory samples), which is plain data and pickles as it is.
 * **Determinism is untouched.**  A replay's outcome depends only on its
   spec; the serial and parallel paths run the identical code, so a sweep
   produces bitwise-identical numbers at any worker count (covered by
@@ -42,19 +42,18 @@ from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
-from repro.experiments.summary import (
-    FleetMemberSummary,
-    FleetSummary,
-    ReplaySummary,
-)
 from repro.obs.spec import ObservationSpec
 from repro.simulation.adversary import AdversarySpec
 from repro.simulation.faults import FaultSpec
+from repro.simulation.metrics import ReplayMetrics
+
+if TYPE_CHECKING:
+    from repro.experiments.fleet import FleetSummary
 
 __all__ = [
     "FleetSpec",
@@ -64,7 +63,6 @@ __all__ = [
     "default_worker_count",
     "run_replays",
     "run_rows",
-    "usable_cpu_count",
 ]
 
 #: Environment variable selecting the default worker count.
@@ -197,48 +195,20 @@ def default_worker_count() -> int:
     return value
 
 
-def usable_cpu_count() -> int:
-    """CPU cores this process may actually be scheduled on.
-
-    ``os.cpu_count`` reports the whole machine; inside a container or
-    under ``taskset`` the affinity mask is often smaller, and worker
-    processes beyond it just time-slice one another.  Falls back to
-    ``os.cpu_count`` on platforms without ``sched_getaffinity``.
-    """
-    getaffinity = getattr(os, "sched_getaffinity", None)
-    if getaffinity is not None:
-        return len(getaffinity(0)) or 1
-    return os.cpu_count() or 1  # pragma: no cover - non-Linux
-
-
-def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplaySummary | FleetSummary":
-    """Run one spec in this process and summarise the outcome."""
+def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplayMetrics | FleetSummary":
+    """Run one spec in this process and return its record."""
+    scenario = make_scenario(spec.scale, spec.scenario_seed)
     if isinstance(spec, FleetSpec):
         # Imported lazily: fleet.py builds on this module's batch API.
         from repro.experiments.fleet import run_fleet_replay
 
-        scenario = make_scenario(spec.scale, spec.scenario_seed)
-        traces = [scenario.trace(name) for name in spec.trace_names]
-        result = run_fleet_replay(
-            scenario.built, traces, spec.config, attack=spec.attack,
-            seed=spec.seed,
+        return run_fleet_replay(
+            scenario.built, [scenario.trace(name) for name in spec.trace_names],
+            spec.config, attack=spec.attack, seed=spec.seed,
         )
-        return FleetSummary(
-            label=result.label,
-            members=[
-                FleetMemberSummary(
-                    trace_name=member.trace_name,
-                    sr_queries=member.metrics.sr_queries,
-                    window=member.window,
-                )
-                for member in result.members
-            ],
-        )
-    scenario = make_scenario(spec.scale, spec.scenario_seed)
-    trace = scenario.trace(spec.trace_name)
-    result = run_replay(
+    return run_replay(
         scenario.built,
-        trace,
+        scenario.trace(spec.trace_name),
         spec.config,
         attack=spec.attack,
         track_gaps=spec.track_gaps,
@@ -248,15 +218,14 @@ def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplaySummary | FleetSummary
         faults=spec.faults,
         adversary=spec.adversary,
         validation=spec.validation,
-    )
-    return result.to_summary()
+    ).metrics
 
 
 def run_replays(
     specs: Iterable[ReplaySpec | FleetSpec],
     workers: int | None = None,
     timeout: float | None = None,
-) -> "list[ReplaySummary | FleetSummary]":
+) -> "list[ReplayMetrics | FleetSummary]":
     """Execute every spec; results come back in spec order.
 
     Args:
@@ -317,16 +286,16 @@ def run_rows(
 ) -> dict[Any, Any]:
     """Run every ``(row key, spec)`` pair in one batch, keyed by row.
 
-    A key holds its spec's summary; with ``grouped`` it holds the tuple
-    of every summary filed under it, in spec order (one per column of a
+    A key holds its spec's record; with ``grouped`` it holds the tuple
+    of every record filed under it, in spec order (one per column of a
     grid row, one per seed of a multi-seed row).  This is the runner
     every experiment's table goes through.
     """
     pair_list = list(pairs)
-    summaries = run_replays([spec for _, spec in pair_list], workers)
+    records = run_replays([spec for _, spec in pair_list], workers)
     rows: dict[Any, Any] = {}
-    for (key, _), summary in zip(pair_list, summaries):
-        rows[key] = (*rows.get(key, ()), summary) if grouped else summary
+    for (key, _), record in zip(pair_list, records):
+        rows[key] = (*rows.get(key, ()), record) if grouped else record
     return rows
 
 

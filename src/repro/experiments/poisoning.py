@@ -28,9 +28,9 @@ from repro.core.schemes import parse_scheme
 from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.experiments.summary import ReplaySummary
 from repro.experiments.table import ResultTable, grid_columns
 from repro.simulation.adversary import AdversarySpec, PoisonAttackSpec
+from repro.simulation.metrics import ReplayMetrics
 
 
 @dataclass(frozen=True)
@@ -59,19 +59,19 @@ class PoisoningSpec:
     forger's race odds (20 bits ~ random port + ID)."""
 
 
-def _cell_text(summary: ReplaySummary) -> str:
+def _cell_text(record: ReplayMetrics) -> str:
     """``'N stuck'``, plus the dwell-time p50/p90 when anything stuck."""
-    dwells = summary.poison_dwells
+    dwells = record.poison_dwells
     if not dwells:
-        return f"{summary.poison_stored} stuck"
+        return f"{record.poison_stored} stuck"
     return (
-        f"{summary.poison_stored} stuck"
+        f"{record.poison_stored} stuck"
         f" p50={_fmt_secs(_percentile(dwells, 0.50))}"
         f" p90={_fmt_secs(_percentile(dwells, 0.90))}"
     )
 
 
-def _percentile(values: tuple[float, ...], q: float) -> float:
+def _percentile(values: list[float], q: float) -> float:
     """Nearest-rank percentile; 0.0 for an empty sample."""
     if not values:
         return 0.0

@@ -3,9 +3,9 @@
 An experiment is a list of ``(row key, ReplaySpec)`` pairs run through
 one :func:`~repro.experiments.parallel.run_rows` call, plus the columns
 it shows, declared as ``(header, row -> cell text)`` pairs.  A row is
-one replay's :class:`~repro.experiments.summary.ReplaySummary`, or, when
-several specs share a key, the tuple of their summaries in spec order
-(a grid row holds one summary per column).  :class:`ResultTable` renders
+one replay's :class:`~repro.simulation.metrics.ReplayMetrics`, or, when
+several specs share a key, the tuple of their records in spec order
+(a grid row holds one record per column).  :class:`ResultTable` renders
 the rows and answers the row/cell/column-mean lookups benches and tests
 make, so no experiment carries its own result class.
 """
@@ -21,7 +21,7 @@ from repro.analysis.report import format_table, render_failure_block
 #: A declared column: its header and the function that renders one row.
 Column = tuple[str, Callable[[Any], object]]
 
-#: A number read off one summary (or one row).
+#: A number read off one record (or one row).
 Metric = Callable[[Any], float]
 
 #: Attack-window failure rates, the currency of the attack experiments.
@@ -75,7 +75,7 @@ class ResultTable:
         return self.rows[key]
 
     def cell(self, key: Any, column: str) -> Any:
-        """The summary behind one grid cell."""
+        """The record behind one grid cell."""
         if column not in self.headers:
             raise KeyError(f"no column {column!r}")
         return self.rows[key][self.headers.index(column)]

@@ -66,17 +66,6 @@ class StageTimings:
         """Stages seen so far, in first-use order."""
         return tuple(self._stats)
 
-    def as_dict(self) -> dict[str, dict[str, float]]:
-        """JSON-friendly dump, suitable for ``BENCH_*.json`` payloads."""
-        return {
-            name: {
-                "wall_seconds": stats.wall_seconds,
-                "cpu_seconds": stats.cpu_seconds,
-                "count": float(stats.count),
-            }
-            for name, stats in self._stats.items()
-        }
-
     def render(self) -> str:
         """A small human-readable table (used by ``--timings``)."""
         lines = [f"{'stage':<12} {'wall (s)':>10} {'cpu (s)':>10} {'count':>6}"]

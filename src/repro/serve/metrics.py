@@ -10,28 +10,24 @@ transport layer and the simulation-grade event taxonomy underneath it.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import dataclass
 
 from repro.obs.sinks import PrometheusSink
 
 
+@dataclass(slots=True)
 class ServeMetrics:
     """Plain counters for the wall-clock front end.
 
     Mutated and scraped on the loop thread, the front end's only thread.
     """
 
-    __slots__ = (
-        "udp_queries", "tcp_queries", "stale_served", "truncated", "formerr",
-        "servfail",
-    )
-
-    def __init__(self) -> None:
-        self.udp_queries = 0
-        self.tcp_queries = 0
-        self.stale_served = 0
-        self.truncated = 0
-        self.formerr = 0
-        self.servfail = 0
+    udp_queries: int = 0
+    tcp_queries: int = 0
+    stale_served: int = 0
+    truncated: int = 0
+    formerr: int = 0
+    servfail: int = 0
 
     @property
     def queries_total(self) -> int:

@@ -1,16 +1,21 @@
 """Counters and samplers behind every figure and table.
 
-Two granularities:
+:class:`ReplayMetrics` is the one record of a replay: the resolver fills
+it, and the batch runner returns it as is.  It holds
 
 * whole-run totals (Table 1 "requests out", Table 2 message overhead);
-* per-window totals (the attack-period failure rates of Figures 4–11).
-
-Memory samples (Figure 12) are a time series of cache sizes.
+* the attack-window totals (the failure rates of Figures 4–11);
+* expiry-to-use gap samples (Figure 3);
+* a time series of cache sizes (Figure 12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+from repro.dns.name import Name
+
+DAY = 86400.0
 
 
 @dataclass(frozen=True)
@@ -22,9 +27,34 @@ class MemorySample:
     records_cached: int
 
 
+@dataclass(frozen=True, slots=True)
+class GapSample:
+    """One expiry-to-next-use gap for one zone (Figure 3).
+
+    The paper: "we used these traces to measure the time duration
+    between the expiration of a zone's IRR and the time the next query
+    was sent to the zone."
+    """
+
+    zone: Name
+    gap_seconds: float
+    published_ttl: float
+
+    @property
+    def gap_days(self) -> float:
+        return self.gap_seconds / DAY
+
+    @property
+    def gap_as_ttl_fraction(self) -> float:
+        """Gap normalised by the lapsed copy's TTL (Figure 3, lower plot)."""
+        if self.published_ttl <= 0:
+            return float("inf")
+        return self.gap_seconds / self.published_ttl
+
+
 @dataclass
 class WindowCounters:
-    """Failure accounting restricted to one time window."""
+    """Failure accounting restricted to the window ``[start, end)``."""
 
     start: float
     end: float
@@ -32,9 +62,6 @@ class WindowCounters:
     sr_failures: int = 0
     cs_queries: int = 0
     cs_failures: int = 0
-
-    def contains(self, now: float) -> bool:
-        return self.start <= now < self.end
 
     @property
     def sr_failure_rate(self) -> float:
@@ -51,22 +78,139 @@ class WindowCounters:
         return self.cs_failures / self.cs_queries
 
 
-class ReplayRates:
-    """The rates and totals derived from a replay's counters, shared by
-    the live :class:`ReplayMetrics` and the picklable
-    :class:`~repro.experiments.summary.ReplaySummary`."""
+@dataclass
+class ReplayMetrics:
+    """Everything one trace replay measures.
 
-    sr_queries: int
-    sr_failures: int
-    sr_stale_hits: int
-    cs_demand_queries: int
-    cs_demand_failures: int
-    cs_renewal_queries: int
-    total_latency: float
-    bytes_out: int
-    bytes_in: int
-    attack_stub_queries: int
-    attack_cs_queries: int
+    CS ("requests out") counters distinguish *demand* queries — those
+    triggered by resolving a stub query — from *renewal* queries issued
+    proactively by a renewal policy.  Failure rates use demand queries
+    (the paper's "queries from the CSes"); message overhead uses the sum.
+
+    Returned from worker processes by pickle: REP004 keeps Callable
+    fields and lambdas out, and tests/experiments/test_parallel.py
+    round-trips a record with every sample list filled.
+    """
+
+    # Stub-resolver side.
+    sr_queries: int = 0
+    sr_failures: int = 0
+    sr_cache_hits: int = 0
+    sr_nxdomain: int = 0
+    sr_validation_failures: int = 0
+    sr_stale_hits: int = 0
+
+    # Renewal 2.0 accounting (zero unless `swr` / `decoupled` is armed).
+    swr_refreshes: int = 0
+    invalidations: int = 0
+
+    # Caching-server side.
+    cs_demand_queries: int = 0
+    cs_demand_failures: int = 0
+    cs_renewal_queries: int = 0
+    cs_renewal_failures: int = 0
+
+    # Latency (virtual seconds spent waiting on the network).
+    total_latency: float = 0.0
+
+    # Traffic in octets (approximate wire sizes; see Message.wire_size).
+    bytes_out: int = 0
+    bytes_in: int = 0
+
+    # The attack window, counted separately when the replay has one.
+    window: WindowCounters | None = None
+
+    # Expiry-to-use gaps (Figure 3), filled through `record_gap`.
+    gap_samples: list[GapSample] = field(default_factory=list)
+
+    # Cache-size time series (Figure 12).
+    memory_samples: list[MemorySample] = field(default_factory=list)
+
+    # Adversary accounting (all zero without an AdversarySpec; attack
+    # stub queries are counted here and NOT in sr_queries, so the
+    # availability figures stay legitimate-traffic-only and collateral
+    # damage remains measurable).
+    attack_stub_queries: int = 0
+    attack_cs_queries: int = 0
+    attack_failures: int = 0
+    flash_queries: int = 0
+
+    # Defense accounting.
+    budget_exhaustions: int = 0
+    nxns_capped: int = 0
+
+    # Poisoning accounting (copied from the poisoner and the cache's
+    # taint registry when the replay finalises).
+    poison_attempts: int = 0
+    poison_wins: int = 0
+    poison_stored: int = 0
+    poison_cured: int = 0
+    poison_dwells: list[float] = field(default_factory=list)
+
+    # -- recording ------------------------------------------------------------
+
+    def record_sr_query(self, now: float, failed: bool, cache_hit: bool = False,
+                        nxdomain: bool = False,
+                        validation_failed: bool = False,
+                        stale: bool = False) -> None:
+        self.sr_queries += 1
+        if failed:
+            self.sr_failures += 1
+        if cache_hit:
+            self.sr_cache_hits += 1
+        if nxdomain:
+            self.sr_nxdomain += 1
+        if validation_failed:
+            self.sr_validation_failures += 1
+        if stale:
+            self.sr_stale_hits += 1
+        window = self.window
+        if window is not None and window.start <= now < window.end:
+            window.sr_queries += 1
+            if failed:
+                window.sr_failures += 1
+
+    def record_exchange(
+        self,
+        now: float,
+        failed: bool,
+        renewal: bool,
+        bytes_out: int,
+        bytes_in: int,
+        latency: float,
+    ) -> None:
+        """One CS query attempt's full bookkeeping: its traffic, its
+        demand/renewal count and, for demand traffic only, its latency
+        and attack-window tally."""
+        self.bytes_out += bytes_out
+        self.bytes_in += bytes_in
+        if renewal:
+            self.cs_renewal_queries += 1
+            if failed:
+                self.cs_renewal_failures += 1
+            return
+        self.total_latency += latency
+        self.cs_demand_queries += 1
+        if failed:
+            self.cs_demand_failures += 1
+        window = self.window
+        if window is not None and window.start <= now < window.end:
+            window.cs_queries += 1
+            if failed:
+                window.cs_failures += 1
+
+    def record_gap(self, zone: Name, gap_seconds: float,
+                   published_ttl: float) -> None:
+        """The caching server's ``gap_observer``: a zone's NS set was
+        re-learned ``gap_seconds`` after it lapsed."""
+        if gap_seconds < 0:
+            raise ValueError(f"negative gap {gap_seconds} for {zone}")
+        self.gap_samples.append(GapSample(zone, gap_seconds, published_ttl))
+
+    def record_memory(self, sample: MemorySample) -> None:
+        self.memory_samples.append(sample)
+
+    # -- derived rates --------------------------------------------------------
 
     @property
     def sr_failure_rate(self) -> float:
@@ -79,6 +223,34 @@ class ReplayRates:
         if self.cs_demand_queries == 0:
             return 0.0
         return self.cs_demand_failures / self.cs_demand_queries
+
+    @property
+    def sr_attack_failure_rate(self) -> float:
+        """SR failure fraction during the attack (0 without an attack)."""
+        if self.window is None:
+            return 0.0
+        return self.window.sr_failure_rate
+
+    @property
+    def cs_attack_failure_rate(self) -> float:
+        """CS failure fraction during the attack (0 without an attack)."""
+        if self.window is None:
+            return 0.0
+        return self.window.cs_failure_rate
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of stub lookups answered from the cache."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.sr_cache_hits / self.sr_queries
+
+    @property
+    def cs_queries_per_lookup(self) -> float:
+        """Demand CS -> AN queries per stub lookup (tree-walk cost)."""
+        if self.sr_queries == 0:
+            return 0.0
+        return self.cs_demand_queries / self.sr_queries
 
     @property
     def amplification_factor(self) -> float:
@@ -111,7 +283,7 @@ class ReplayRates:
             return 0.0
         return self.total_latency / self.sr_queries
 
-    def message_overhead_vs(self, baseline: "ReplayRates") -> float:
+    def message_overhead_vs(self, baseline: ReplayMetrics) -> float:
         """Relative change in outgoing messages vs ``baseline``.
 
         +0.76 means 76 % more messages; -0.1 means 10 % fewer (the paper's
@@ -122,135 +294,9 @@ class ReplayRates:
             return 0.0
         return (self.total_outgoing - baseline.total_outgoing) / baseline.total_outgoing
 
-    def byte_overhead_vs(self, baseline: "ReplayRates") -> float:
+    def byte_overhead_vs(self, baseline: ReplayMetrics) -> float:
         """Relative change in total traffic bytes vs ``baseline``; zero
         when the baseline moved no bytes."""
         if baseline.total_bytes <= 0:
             return 0.0
         return (self.total_bytes - baseline.total_bytes) / baseline.total_bytes
-
-
-@dataclass
-class ReplayMetrics(ReplayRates):
-    """Everything one trace replay measures.
-
-    CS ("requests out") counters distinguish *demand* queries — those
-    triggered by resolving a stub query — from *renewal* queries issued
-    proactively by a renewal policy.  Failure rates use demand queries
-    (the paper's "queries from the CSes"); message overhead uses the sum.
-    """
-
-    # Stub-resolver side.
-    sr_queries: int = 0
-    sr_failures: int = 0
-    sr_cache_hits: int = 0
-    sr_nxdomain: int = 0
-    sr_validation_failures: int = 0
-    sr_stale_hits: int = 0
-
-    # Renewal 2.0 accounting (zero unless `swr` / `decoupled` is armed).
-    swr_refreshes: int = 0
-    invalidations: int = 0
-
-    # Caching-server side.
-    cs_demand_queries: int = 0
-    cs_demand_failures: int = 0
-    cs_renewal_queries: int = 0
-    cs_renewal_failures: int = 0
-
-    # Latency (virtual seconds spent waiting on the network).
-    total_latency: float = 0.0
-
-    # Traffic in octets (approximate wire sizes; see Message.wire_size).
-    bytes_out: int = 0
-    bytes_in: int = 0
-
-    # Optional attack-window accounting.
-    windows: list[WindowCounters] = field(default_factory=list)
-
-    # Cache-size time series (Figure 12).
-    memory_samples: list[MemorySample] = field(default_factory=list)
-
-    # Adversary accounting (all zero without an AdversarySpec; attack
-    # stub queries are counted here and NOT in sr_queries, so the
-    # availability figures stay legitimate-traffic-only and collateral
-    # damage remains measurable).
-    attack_stub_queries: int = 0
-    attack_cs_queries: int = 0
-    attack_failures: int = 0
-    flash_queries: int = 0
-
-    # Defense accounting.
-    budget_exhaustions: int = 0
-    nxns_capped: int = 0
-
-    # Poisoning accounting (copied from the poisoner and the cache's
-    # taint registry when the replay finalises).
-    poison_attempts: int = 0
-    poison_wins: int = 0
-    poison_stored: int = 0
-    poison_cured: int = 0
-    poison_dwells: list[float] = field(default_factory=list)
-
-    # -- configuration -------------------------------------------------------
-
-    def watch_window(self, start: float, end: float) -> WindowCounters:
-        """Track failures separately inside [start, end)."""
-        window = WindowCounters(start=start, end=end)
-        self.windows.append(window)
-        return window
-
-    # -- recording ------------------------------------------------------------
-
-    def record_sr_query(self, now: float, failed: bool, cache_hit: bool = False,
-                        nxdomain: bool = False,
-                        validation_failed: bool = False,
-                        stale: bool = False) -> None:
-        self.sr_queries += 1
-        if failed:
-            self.sr_failures += 1
-        if cache_hit:
-            self.sr_cache_hits += 1
-        if nxdomain:
-            self.sr_nxdomain += 1
-        if validation_failed:
-            self.sr_validation_failures += 1
-        if stale:
-            self.sr_stale_hits += 1
-        for window in self.windows:
-            if window.contains(now):
-                window.sr_queries += 1
-                if failed:
-                    window.sr_failures += 1
-
-    def record_exchange(
-        self,
-        now: float,
-        failed: bool,
-        renewal: bool,
-        bytes_out: int,
-        bytes_in: int,
-        latency: float,
-    ) -> None:
-        """One CS query attempt's full bookkeeping: its traffic, its
-        demand/renewal count and, for demand traffic only, its latency
-        and attack-window tally."""
-        self.bytes_out += bytes_out
-        self.bytes_in += bytes_in
-        if renewal:
-            self.cs_renewal_queries += 1
-            if failed:
-                self.cs_renewal_failures += 1
-            return
-        self.total_latency += latency
-        self.cs_demand_queries += 1
-        if failed:
-            self.cs_demand_failures += 1
-        for window in self.windows:
-            if window.contains(now):
-                window.cs_queries += 1
-                if failed:
-                    window.cs_failures += 1
-
-    def record_memory(self, sample: MemorySample) -> None:
-        self.memory_samples.append(sample)

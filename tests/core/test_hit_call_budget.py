@@ -51,11 +51,11 @@ class TestHitCallBudget:
         assert seen.count(DnsCache.get.__code__) == 1
         assert all(code.co_name != "__init__" for code in seen)
 
-    def test_a_watched_window_costs_exactly_its_contains(self, mini):
+    def test_a_watched_window_costs_no_call(self, mini):
         server, engine, _, metrics = make_stack(mini, ResilienceConfig.vanilla())
         server.handle_stub_query(WWW, RRType.A, 0.0)
         baseline = _calls_of_one_hit(engine, server, 1.0)
-        metrics.watch_window(0.0, 10.0)
+        metrics.window = WindowCounters(0.0, 10.0)
         watched = _calls_of_one_hit(engine, server, 2.0)
-        assert len(watched) == len(baseline) + 1
-        assert watched.count(WindowCounters.contains.__code__) == 1
+        assert len(watched) == len(baseline)
+        assert metrics.window.sr_queries == 1

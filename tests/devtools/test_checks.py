@@ -292,6 +292,17 @@ class TestPicklableSpecRule:
             """)
         assert "REP004" in rule_ids(report)
 
+    def test_flags_lambda_factory_in_metrics_record(self, tmp_path):
+        """Replay records come back from workers: `*Metrics` is covered."""
+        report = check_snippet(tmp_path, "repro/simulation/metrics.py", """\
+            from dataclasses import dataclass, field
+
+            @dataclass
+            class FooMetrics:
+                samples: list = field(default_factory=lambda: [])
+            """)
+        assert "REP004" in rule_ids(report)
+
     def test_plain_dataclass_spec_is_clean(self, tmp_path):
         report = check_snippet(tmp_path, "repro/experiments/jobs.py", """\
             from dataclasses import dataclass

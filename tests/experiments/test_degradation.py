@@ -72,7 +72,6 @@ class TestFaultsDisabledIdentity:
                            faults=FaultSpec())
         assert inert.metrics == plain.metrics
         assert inert.window == plain.window
-        assert inert.to_summary() == plain.to_summary()
 
     def test_full_intensity_attack_matches_pre_fault_blackout(self, scenario):
         # intensity=1.0 is the default: the injector-free fast path.
@@ -84,7 +83,7 @@ class TestFaultsDisabledIdentity:
                        ResilienceConfig.combination(), attack=baseline)
         b = run_replay(scenario.built, scenario.trace("TRC1"),
                        ResilienceConfig.combination(), attack=explicit)
-        assert a.to_summary() == b.to_summary()
+        assert a.metrics == b.metrics
 
     def test_partial_attack_hurts_less_than_blackout(self, scenario):
         def rate(intensity):
@@ -94,7 +93,7 @@ class TestFaultsDisabledIdentity:
                 attack=AttackSpec(start=scenario.attack_start,
                                   duration=6 * HOUR, intensity=intensity),
             )
-            return result.sr_attack_failure_rate
+            return result.metrics.sr_attack_failure_rate
 
         blackout = rate(1.0)
         partial = rate(0.5)
@@ -133,7 +132,7 @@ class TestFaultsEnabledDeterminism:
             assert b"fault.drop" in serial_log
 
     def test_different_seed_changes_fault_draws(self, scenario):
-        def summary(seed):
+        def record(seed):
             return run_replay(
                 scenario.built, scenario.trace("TRC1"),
                 ResilienceConfig.refresh(),
@@ -141,7 +140,7 @@ class TestFaultsEnabledDeterminism:
                                   duration=6 * HOUR, intensity=0.5),
                 faults=FaultSpec(background_loss=0.1),
                 seed=seed,
-            ).to_summary()
+            ).metrics
 
-        assert summary(0) == summary(0)
-        assert summary(0) != summary(1)
+        assert record(0) == record(0)
+        assert record(0) != record(1)

@@ -18,18 +18,20 @@ class TestFleetReplay:
         traces = scenario.week_traces(3)
         result = run_fleet_replay(scenario.built, traces,
                                   ResilienceConfig.vanilla())
-        assert len(result.members) == 3
-        for trace, member in zip(traces, result.members):
-            assert member.metrics.sr_queries == len(trace)
+        assert list(result.members) == [trace.name for trace in traces]
+        for trace in traces:
+            assert result.members[trace.name].sr_queries == len(trace)
 
     def test_caches_are_independent(self, scenario):
-        traces = scenario.week_traces(2)
-        result = run_fleet_replay(scenario.built, traces,
-                                  ResilienceConfig.vanilla())
-        first = result.member("TRC1").server
-        second = result.member("TRC2").server
-        assert first is not second
-        assert first.cache is not second.cache
+        # With no attack the member's only tie to the rest of the fleet
+        # would be a shared cache, which would make it hit more often.
+        trace = scenario.trace("TRC1")
+        solo = run_replay(scenario.built, trace, ResilienceConfig.vanilla(),
+                          seed=0)
+        fleet = run_fleet_replay(scenario.built, scenario.week_traces(2),
+                                 ResilienceConfig.vanilla(), seed=0)
+        member = fleet.members["TRC1"]
+        assert member.sr_cache_hits == solo.metrics.sr_cache_hits
 
     def test_aggregate_matches_members(self, scenario):
         traces = scenario.week_traces(2)
@@ -37,8 +39,9 @@ class TestFleetReplay:
             scenario.built, traces, ResilienceConfig.vanilla(),
             attack=AttackSpec(),
         )
-        total_queries = sum(m.window.sr_queries for m in result.members)
-        total_failures = sum(m.window.sr_failures for m in result.members)
+        windows = [member.window for member in result.members.values()]
+        total_queries = sum(window.sr_queries for window in windows)
+        total_failures = sum(window.sr_failures for window in windows)
         assert result.total_failed_lookups() == total_failures
         assert result.aggregate_sr_failure_rate() == pytest.approx(
             total_failures / total_queries
@@ -55,8 +58,8 @@ class TestFleetReplay:
             scenario.built, [trace], ResilienceConfig.vanilla(),
             attack=AttackSpec(), seed=0,
         )
-        assert fleet.member("TRC1").window.sr_failure_rate == pytest.approx(
-            solo.sr_attack_failure_rate, abs=0.05
+        assert fleet.members["TRC1"].sr_attack_failure_rate == pytest.approx(
+            solo.metrics.sr_attack_failure_rate, abs=0.05
         )
 
     def test_empty_fleet_rejected(self, scenario):
@@ -77,7 +80,13 @@ class TestFleetReplay:
         result = run_fleet_replay(scenario.built, scenario.week_traces(1),
                                   ResilienceConfig.vanilla())
         with pytest.raises(KeyError):
-            result.member("TRC9")
+            result.members["TRC9"]
+
+    def test_duplicate_trace_names_rejected(self, scenario):
+        trace = scenario.trace("TRC1")
+        with pytest.raises(ValueError, match="distinct"):
+            run_fleet_replay(scenario.built, [trace, trace],
+                             ResilienceConfig.vanilla())
 
     def test_render(self, scenario):
         result = run_fleet_replay(

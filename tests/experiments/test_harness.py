@@ -40,7 +40,7 @@ class TestRunReplay:
         assert result.metrics.sr_queries == len(trace)
         assert result.metrics.cs_demand_queries > 0
         assert result.window is None
-        assert result.sr_attack_failure_rate == 0.0
+        assert result.metrics.sr_attack_failure_rate == 0.0
 
     def test_attack_window_populated(self, scenario):
         result = run_replay(
@@ -49,7 +49,8 @@ class TestRunReplay:
         )
         assert result.window is not None
         assert result.window.sr_queries > 0
-        assert 0.0 < result.sr_attack_failure_rate <= 1.0
+        assert result.window is result.metrics.window
+        assert 0.0 < result.metrics.sr_attack_failure_rate <= 1.0
 
     def test_no_failures_without_attack(self, scenario):
         result = run_replay(scenario.built, scenario.trace("TRC1"),
@@ -59,11 +60,10 @@ class TestRunReplay:
     def test_gap_tracking_optional(self, scenario):
         without = run_replay(scenario.built, scenario.trace("TRC1"),
                              ResilienceConfig.vanilla())
-        assert without.gap_tracker is None
+        assert without.metrics.gap_samples == []
         with_gaps = run_replay(scenario.built, scenario.trace("TRC1"),
                                ResilienceConfig.vanilla(), track_gaps=True)
-        assert with_gaps.gap_tracker is not None
-        assert len(with_gaps.gap_tracker) > 0
+        assert len(with_gaps.metrics.gap_samples) > 0
 
     def test_memory_sampling(self, scenario):
         result = run_replay(
@@ -89,7 +89,7 @@ class TestRunReplay:
         first = run_replay(*args, attack=AttackSpec(), seed=3)
         second = run_replay(*args, attack=AttackSpec(), seed=3)
         assert first.metrics.cs_demand_queries == second.metrics.cs_demand_queries
-        assert first.sr_attack_failure_rate == second.sr_attack_failure_rate
+        assert first.metrics == second.metrics
 
     def test_result_labels(self, scenario):
         result = run_replay(scenario.built, scenario.trace("TRC1"),

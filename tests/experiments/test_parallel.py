@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.config import ResilienceConfig
 from repro.experiments import parallel
+from repro.experiments.fleet import FleetSummary
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.parallel import (
     FleetSpec,
@@ -27,10 +28,17 @@ from repro.experiments.parallel import (
     run_replays,
 )
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.experiments.summary import FleetSummary, ReplaySummary, summarize_replay
 from repro.obs.spec import ObservationSpec
 from repro.simulation import adversary
 from repro.simulation.faults import FaultSpec
+from repro.simulation.metrics import (
+    GapSample,
+    MemorySample,
+    ReplayMetrics,
+    WindowCounters,
+)
+
+from tests.helpers import name
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +85,19 @@ class TestSpecs:
         revived = pickle.loads(pickle.dumps(loaded.config))
         assert revived.renewal_policy() is not None
 
-        summary, fleet_summary = run_replays([spec, fleet], workers=1)
-        assert isinstance(fleet_summary, FleetSummary)
-        for result in (summary, fleet_summary):
+        record, fleet_record = run_replays([spec, fleet], workers=1)
+        assert isinstance(record, ReplayMetrics)
+        assert isinstance(fleet_record, FleetSummary)
+        # A record with every optional part and sample list filled.
+        sampled = ReplayMetrics(
+            sr_queries=3, sr_failures=1,
+            window=WindowCounters(0.0, 10.0, sr_queries=2, sr_failures=1),
+            gap_samples=[GapSample(name("example.test."), 90.0, 60.0)],
+            memory_samples=[MemorySample(3600.0, 4, 12)],
+            poison_dwells=[30.0, 45.5],
+        )
+        for result in (record, fleet_record, sampled,
+                       FleetSummary("vanilla", {"TRC1": sampled})):
             assert pickle.loads(pickle.dumps(result)) == result
 
     def test_describe_names_the_work(self, scenario):
@@ -101,21 +119,15 @@ class TestSerialPath:
             attack=spec.attack,
             seed=spec.seed,
         )
-        summary = run_replays([spec], workers=1)[0]
-        assert summary == summarize_replay(direct)
-        assert summary.sr_attack_failure_rate == pytest.approx(
-            direct.sr_attack_failure_rate
-        )
+        assert run_replays([spec], workers=1) == [direct.metrics]
 
     def test_results_in_spec_order(self, scenario):
         specs = _sweep_specs(scenario)
-        summaries = run_replays(specs, workers=1)
-        assert [s.trace_name for s in summaries] == [
-            spec.trace_name for spec in specs
+        records = run_replays(specs, workers=1)
+        assert [r.sr_queries for r in records] == [
+            len(scenario.trace(spec.trace_name)) for spec in specs
         ]
-        assert [s.label for s in summaries] == [
-            spec.config.label for spec in specs
-        ]
+        assert run_replays(specs[::-1], workers=1) == records[::-1]
 
     def test_rejects_nonpositive_workers(self, scenario):
         with pytest.raises(ValueError):
@@ -130,12 +142,24 @@ class TestDeterminism:
         fanned = run_replays(specs, workers=2)
         assert fanned == serial  # full dataclass equality, every counter
 
+    def test_sampled_records_identical_at_any_worker_count(self, scenario):
+        """Gap and memory samples cross the process boundary unchanged."""
+        spec = ReplaySpec.for_scenario(
+            scenario, "TRC1", ResilienceConfig.vanilla(),
+            track_gaps=True, memory_sample_interval=12 * 3600.0,
+        )
+        # Two copies, so the parallel path actually engages.
+        serial = run_replays([spec, spec], workers=1)
+        fanned = run_replays([spec, spec], workers=2)
+        assert fanned == serial
+        assert serial[0].gap_samples and serial[0].memory_samples
+
     def test_swr_and_decoupled_identical_at_any_worker_count(
         self, scenario, tmp_path
     ):
         # Renewal 2.0 (DESIGN.md §17): the background-refetch scheduling
         # and the invalidation channel must not leak worker-count
-        # nondeterminism — summaries equal AND event logs byte-identical.
+        # nondeterminism — records equal AND event logs byte-identical.
         import filecmp
 
         from repro.obs.spec import ObservationSpec
@@ -221,15 +245,6 @@ class TestPoolLifetime:
         specs = _sweep_specs(scenario)[:2]
         assert run_replays(specs, workers=4) == run_replays(specs, workers=1)
         assert sizes == [2]
-
-
-class TestUsableCpuCount:
-    def test_positive_and_bounded_by_machine(self):
-        usable = parallel.usable_cpu_count()
-        assert usable >= 1
-        cpus = os.cpu_count()
-        if cpus is not None:
-            assert usable <= cpus
 
 
 class TestWorkersEnvVar:

@@ -31,7 +31,7 @@ def attack(hours=6.0):
 
 def sr_rate(scenario, trace, config, hours=6.0):
     result = run_replay(scenario.built, trace, config, attack=attack(hours))
-    return result.sr_attack_failure_rate
+    return result.metrics.sr_attack_failure_rate
 
 
 class TestHeadlineClaims:
@@ -81,7 +81,8 @@ class TestHeadlineClaims:
         # every CS query must touch the infrastructure (paper §5.1.1).
         result = run_replay(scenario.built, trace, ResilienceConfig.vanilla(),
                             attack=attack())
-        assert result.cs_attack_failure_rate > result.sr_attack_failure_rate
+        metrics = result.metrics
+        assert metrics.cs_attack_failure_rate > metrics.sr_attack_failure_rate
 
 
 class TestPolicyOrdering:

@@ -94,11 +94,7 @@ class TestZeroPerturbation:
         observed = run_replay(scenario.built, scenario.trace("TRC1"),
                               ResilienceConfig.vanilla(),
                               observe=ObservationSpec())
-        plain_summary = plain.to_summary()
-        observed_summary = observed.to_summary()
-        assert plain_summary.sr_failure_rate == observed_summary.sr_failure_rate
-        assert plain_summary.total_outgoing == observed_summary.total_outgoing
-        assert plain_summary.total_bytes == observed_summary.total_bytes
+        assert plain.metrics == observed.metrics
 
 
 class TestObservationArtifacts:

@@ -2,7 +2,17 @@
 
 import pytest
 
-from repro.simulation.metrics import MemorySample, ReplayMetrics
+from repro.simulation.metrics import (
+    DAY,
+    GapSample,
+    MemorySample,
+    ReplayMetrics,
+    WindowCounters,
+)
+
+from tests.helpers import name
+
+ZONE = name("example.test.")
 
 
 def send_cs_query(metrics, now, failed, renewal=False, latency=0.0):
@@ -48,8 +58,8 @@ class TestCsAccounting:
 
 class TestWindows:
     def test_window_only_counts_inside(self):
-        metrics = ReplayMetrics()
-        window = metrics.watch_window(10.0, 20.0)
+        window = WindowCounters(10.0, 20.0)
+        metrics = ReplayMetrics(window=window)
         metrics.record_sr_query(5.0, failed=True)
         metrics.record_sr_query(15.0, failed=True)
         metrics.record_sr_query(15.0, failed=False)
@@ -59,26 +69,19 @@ class TestWindows:
         assert window.sr_failure_rate == pytest.approx(0.5)
 
     def test_window_cs_ignores_renewal(self):
-        metrics = ReplayMetrics()
-        window = metrics.watch_window(0.0, 10.0)
+        window = WindowCounters(0.0, 10.0)
+        metrics = ReplayMetrics(window=window)
         send_cs_query(metrics, 5.0, failed=True)
         send_cs_query(metrics, 5.0, failed=True, renewal=True)
         assert window.cs_queries == 1
         assert window.cs_failures == 1
 
-    def test_multiple_windows(self):
-        metrics = ReplayMetrics()
-        first = metrics.watch_window(0.0, 10.0)
-        second = metrics.watch_window(5.0, 15.0)
-        metrics.record_sr_query(7.0, failed=False)
-        assert first.sr_queries == 1
-        assert second.sr_queries == 1
-
     def test_empty_window_rates(self):
-        metrics = ReplayMetrics()
-        window = metrics.watch_window(0.0, 10.0)
-        assert window.sr_failure_rate == 0.0
-        assert window.cs_failure_rate == 0.0
+        metrics = ReplayMetrics(window=WindowCounters(0.0, 10.0))
+        assert metrics.window.sr_failure_rate == 0.0
+        assert metrics.window.cs_failure_rate == 0.0
+        assert metrics.sr_attack_failure_rate == 0.0
+        assert ReplayMetrics().cs_attack_failure_rate == 0.0
 
 
 class TestOverheadAndLatency:
@@ -108,3 +111,31 @@ class TestOverheadAndLatency:
         metrics.record_memory(MemorySample(0.0, 1, 10))
         metrics.record_memory(MemorySample(1.0, 2, 20))
         assert [s.records_cached for s in metrics.memory_samples] == [10, 20]
+
+
+class TestGapSample:
+    def test_day_conversion(self):
+        sample = GapSample(ZONE, gap_seconds=2 * DAY, published_ttl=3600.0)
+        assert sample.gap_days == 2.0
+
+    def test_ttl_fraction(self):
+        sample = GapSample(ZONE, gap_seconds=7200.0, published_ttl=3600.0)
+        assert sample.gap_as_ttl_fraction == 2.0
+
+    def test_zero_ttl_gives_infinite_fraction(self):
+        sample = GapSample(ZONE, gap_seconds=10.0, published_ttl=0.0)
+        assert sample.gap_as_ttl_fraction == float("inf")
+
+
+class TestGapRecording:
+    def test_record_gap_collects_samples(self):
+        metrics = ReplayMetrics()
+        metrics.record_gap(ZONE, 100.0, 3600.0)
+        metrics.record_gap(ZONE, 200.0, 3600.0)
+        assert metrics.gap_samples == [
+            GapSample(ZONE, 100.0, 3600.0), GapSample(ZONE, 200.0, 3600.0),
+        ]
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError):
+            ReplayMetrics().record_gap(ZONE, -1.0, 3600.0)

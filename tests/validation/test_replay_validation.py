@@ -24,7 +24,6 @@ class TestValidatedReplay:
                                ResilienceConfig.vanilla(), validation=True)
         assert validated.metrics == plain.metrics
         assert validated.window == plain.window
-        assert validated.to_summary() == plain.to_summary()
 
     def test_validated_event_log_byte_identical(self, scenario, tmp_path):
         def events(tag, validation):
