@@ -43,14 +43,11 @@ from repro.obs import (
     Event,
     EventBus,
     EventKind,
-    FlightRecorder,
     JsonlSink,
-    MetricSink,
     ObservationContext,
     ObservationSpec,
-    PrometheusSink,
     StageTimings,
-    TimeSeriesSink,
+    render_prometheus,
 )
 from repro.serve import ServeSpec, serve
 from repro.serve.clock import WallClock
@@ -90,16 +87,13 @@ __all__ = [
     "FlashCrowdSpec",
     "FleetSpec",
     "FleetSummary",
-    "FlightRecorder",
     "InvariantViolation",
     "JsonlSink",
-    "MetricSink",
     "NxnsAttackSpec",
     "ObservationContext",
     "ObservationSpec",
     "OracleCache",
     "PoisonAttackSpec",
-    "PrometheusSink",
     "ReplayExecutionError",
     "ReplayMetrics",
     "ReplayResult",
@@ -111,7 +105,6 @@ __all__ = [
     "Scenario",
     "ServeSpec",
     "StageTimings",
-    "TimeSeriesSink",
     "Upstream",
     "ValidationError",
     "VirtualClock",
@@ -120,6 +113,7 @@ __all__ = [
     "check_renewal_invariants",
     "make_scenario",
     "parse_scheme",
+    "render_prometheus",
     "resolve_scale",
     "run_fuzz",
     "run_replay",

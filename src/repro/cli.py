@@ -18,8 +18,8 @@ Commands
     generated from the ``repro.experiments.EXPERIMENTS`` registry: each
     spec-dataclass field becomes one ``--flag``.
 ``events``
-    Replay a trace with the flight recorder attached and print the
-    event counts plus the tail of the event stream.
+    Replay a trace observed and print the event counts plus the tail
+    of the event stream.
 ``serve``
     Answer real DNS queries (UDP + TCP + a Prometheus endpoint) from
     the simulated hierarchy via an asyncio front end over the same
@@ -163,7 +163,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class EventsSpec:
-    """Flags for ``repro events`` (flight-recorder replay)."""
+    """Flags for ``repro events`` (observed replay)."""
 
     scheme: str = field(default="vanilla", metadata={
         "help": "e.g. vanilla, refresh, a-lfu:5, long-ttl:7, swr, decoupled:7"})
@@ -172,7 +172,7 @@ class EventsSpec:
     attack_hours: float = field(default=6.0, metadata={
         "help": "root+TLD attack duration; 0 disables"})
     last: int = field(default=20, metadata={
-        "help": "flight-recorder ring size / tail length"})
+        "help": "event ring size / tail length"})
     out: str | None = field(default=None, metadata={
         "help": "also stream every event to this JSONL file"})
     seed: int = field(default=7, metadata={"help": "scenario seed"})
@@ -181,7 +181,7 @@ class EventsSpec:
 
 
 def _cmd_events(spec: EventsSpec) -> int:
-    """Replay with the flight recorder on and show the event stream."""
+    """Replay with an event ring on and show the event stream."""
     config = parse_scheme(spec.scheme)
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     trace = scenario.trace(spec.trace)
@@ -192,16 +192,18 @@ def _cmd_events(spec: EventsSpec) -> int:
     observe = ObservationSpec(events_path=spec.out, ring_size=spec.last)
     result = run_replay(scenario.built, trace, config, attack=attack,
                         seed=spec.seed, observe=observe)
-    recorder = result.recorder
-    if recorder is None:  # pragma: no cover - ring_size >= 1 is enforced
-        print("error: flight recorder was not attached", file=sys.stderr)
+    bus, recent = result.bus, result.recent
+    if bus is None:  # pragma: no cover - run_replay was given a spec
+        print("error: the replay ran unobserved", file=sys.stderr)
         return 1
     print(f"trace {trace.name}: {result.event_count:,} events "
-          f"({recorder.dropped:,} beyond the {spec.last}-event ring)")
-    for kind_value, count in recorder.counts_by_kind().items():
-        print(f"  {kind_value:<16} {count:,}")
-    print(f"last {len(recorder.last(spec.last))} events:")
-    for event in recorder.last(spec.last):
+          f"({result.event_count - len(recent):,} beyond the "
+          f"{spec.last}-event ring)")
+    counts = bus.counts()
+    for kind in sorted(counts, key=lambda k: k.value):
+        print(f"  {kind.value:<16} {counts[kind]:,}")
+    print(f"last {len(recent)} events:")
+    for event in recent:
         print(f"  {event.to_json()}")
     if spec.out:
         print(f"event log written to {spec.out}")
@@ -287,7 +289,7 @@ def _commands() -> "tuple[CommandDef, ...]":
     return (
         CommandDef(
             name="events",
-            help="replay with the flight recorder and print the event stream",
+            help="replay observed and print the event counts and stream tail",
             spec_type=EventsSpec,
             runner=_cmd_events,
         ),

@@ -4,11 +4,10 @@
 authoritative servers through exactly two members: ``query`` (send one
 question to one address, get a :class:`QueryResult`) and
 ``query_timeout`` (the per-attempt timeout its retry policy charges).
-:class:`Upstream` names that contract so the simulated
-:class:`~repro.simulation.network.Network` and a real UDP socket
-(:class:`repro.serve.upstream.UdpUpstream`) are interchangeable behind
-one interface — the same resolver walks a modelled delegation tree in a
-replay and the real Internet under ``repro serve``.
+:class:`Upstream` names that contract; the simulated
+:class:`~repro.simulation.network.Network` satisfies it, in a replay
+and under ``repro serve`` alike, and any other transport that keeps
+those two members can stand in for it.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ figures/tables need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.caching_server import CachingServer
 from repro.core.config import ResilienceConfig
@@ -22,9 +22,7 @@ from repro.hierarchy.builder import (
     graft_attacker_zone,
     ungraft_attacker_zone,
 )
-from repro.obs.events import EventKind
-from repro.obs.recorder import FlightRecorder
-from repro.obs.sinks import TimeSeriesSink
+from repro.obs.events import Event, EventBus, EventKind
 from repro.obs.spec import ObservationContext, ObservationSpec
 from repro.obs.timing import StageTimings, maybe_stage
 from repro.simulation.adversary import Adversary, AdversarySpec
@@ -80,22 +78,22 @@ class AttackSpec:
 @dataclass
 class ReplayResult:
     """Everything one replay produced: its record plus the live objects
-    (server, recorder) that only an in-process caller can use."""
+    (server, bus) that only an in-process caller can use."""
 
     label: str
     trace_name: str
     metrics: ReplayMetrics
     server: CachingServer
-    recorder: "FlightRecorder | None" = None
-    """The flight recorder, when the replay ran observed with a ring."""
+    bus: "EventBus | None" = None
+    """The observation bus with its per-kind tally (None when unobserved)."""
 
-    timeseries: "TimeSeriesSink | None" = None
-    """The binned time-series sink, when one was requested."""
+    recent: "tuple[Event, ...]" = ()
+    """The last ``ring_size`` events, oldest first (empty without a ring)."""
 
-    event_count: int = 0
-    """Events emitted on the observation bus (0 when unobserved)."""
-
-    timings: "StageTimings | None" = field(default=None, repr=False)
+    @property
+    def event_count(self) -> int:
+        """Events emitted on the observation bus (0 when unobserved)."""
+        return self.bus.emitted if self.bus is not None else 0
 
     @property
     def window(self) -> WindowCounters | None:
@@ -214,7 +212,7 @@ def _replay(
         )
 
         if context is not None and attack is not None:
-            _arm_attack_markers(engine, context, attack, trace.duration)
+            _arm_attack_markers(engine, context.bus, attack, trace.duration)
         if memory_sample_interval is not None:
             _arm_memory_sampler(engine, server, metrics, memory_sample_interval,
                                 trace.duration)
@@ -257,10 +255,8 @@ def _replay(
             trace_name=trace.name,
             metrics=metrics,
             server=server,
-            recorder=context.recorder if context is not None else None,
-            timeseries=context.timeseries if context is not None else None,
-            event_count=context.event_count if context is not None else 0,
-            timings=timings,
+            bus=context.bus if context is not None else None,
+            recent=tuple(context.ring or ()) if context is not None else (),
         )
 
 
@@ -372,7 +368,7 @@ def _validate_final_state(
 
 def _arm_attack_markers(
     engine: SimulationEngine,
-    context: ObservationContext,
+    bus: EventBus,
     attack: AttackSpec,
     horizon: float,
 ) -> None:
@@ -382,7 +378,6 @@ def _arm_attack_markers(
     stops first) — the log then simply has no ``attack.end``, which is
     itself informative.
     """
-    bus = context.bus
     targets = "root+tlds" if attack.targets is None else str(len(attack.targets))
 
     def mark_start(now: float) -> None:

@@ -1,4 +1,4 @@
-"""Observability subsystem: event bus, flight recorder, sinks, timers.
+"""Observability subsystem: event bus and its tally, sinks, timers.
 
 Zero-cost when disabled (no bus ⇒ the simulator runs its original
 bytecode), deterministic when enabled (virtual-clock times + per-bus
@@ -7,31 +7,20 @@ See DESIGN.md §10.
 """
 
 from repro.obs.events import Event, EventBus, EventHandler, EventKind
-from repro.obs.recorder import FlightRecorder
-from repro.obs.sinks import JsonlSink, MetricSink, PrometheusSink, TimeSeriesSink
-from repro.obs.spec import (
-    DEFAULT_BIN_WIDTH,
-    DEFAULT_RING_SIZE,
-    ObservationContext,
-    ObservationSpec,
-)
+from repro.obs.sinks import JsonlSink, render_prometheus
+from repro.obs.spec import ObservationContext, ObservationSpec
 from repro.obs.timing import PhaseStats, StageTimings, maybe_stage
 
 __all__ = [
-    "DEFAULT_BIN_WIDTH",
-    "DEFAULT_RING_SIZE",
     "Event",
     "EventBus",
     "EventHandler",
     "EventKind",
-    "FlightRecorder",
     "JsonlSink",
-    "MetricSink",
     "ObservationContext",
     "ObservationSpec",
     "PhaseStats",
-    "PrometheusSink",
     "StageTimings",
-    "TimeSeriesSink",
     "maybe_stage",
+    "render_prometheus",
 ]

@@ -2,8 +2,9 @@
 
 Simulation components emit :class:`Event` values describing what just
 happened (a cache hit, a CS→AN query attempt, a renewal credit spend)
-through an :class:`EventBus`.  Subscribers — the flight recorder and the
-metric sinks — receive every event synchronously, in emission order.
+through an :class:`EventBus`, which tallies them per kind.  Subscribers
+— an event ring and the JSONL log — receive every event synchronously,
+in emission order.
 
 Two properties carry the whole design:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 
 class EventKind(enum.Enum):
@@ -152,43 +153,31 @@ EventHandler = Callable[[Event], None]
 class EventBus:
     """Synchronous fan-out of :class:`Event` values to subscribers.
 
-    Every ``emit`` increments the bus-wide sequence number whether or
-    not anyone listens for that kind, so the numbering a sink observes
-    does not depend on which *other* sinks are attached.
-
-    The bus also counts: a per-kind tally and the latest event time are
-    kept on every ``emit``, before any :class:`Event` is built, so a
-    consumer that only needs totals (the Prometheus scrape) reads
-    :meth:`counts` / :attr:`last_time` instead of subscribing — and a
-    bus with no subscriber never builds an event at all.  Hot call sites
-    go one step further: while :attr:`quiet` holds they call
-    :meth:`count`, which books exactly what ``emit`` would without the
-    caller building the payload.
+    The bus is the one tally of a run: every ``emit`` moves the sequence
+    number, a per-kind count and the latest event time before any
+    :class:`Event` is built, so every consumer that only needs totals
+    (the metrics dump, ``repro events``, the serve scrape) reads
+    :meth:`counts` / :attr:`emitted` / :attr:`last_time` instead of
+    subscribing — and a bus with no subscriber never builds an event at
+    all.  Hot call sites go one step further: while :attr:`quiet` holds
+    they call :meth:`count`, which books exactly what ``emit`` would
+    without the caller building the payload.
     """
 
-    __slots__ = ("_seq", "_counts", "_last_time", "_all", "_by_kind", "quiet")
+    __slots__ = ("_seq", "_counts", "_last_time", "_handlers", "quiet")
 
     def __init__(self) -> None:
         self._seq = 0
         self._counts: dict[EventKind, int] = {}
         self._last_time = 0.0
-        self._all: list[EventHandler] = []
-        self._by_kind: dict[EventKind, list[EventHandler]] = {}
+        self._handlers: list[EventHandler] = []
         self.quiet = True
         """True until the first :meth:`subscribe`: no event has a reader."""
 
-    def subscribe(
-        self,
-        handler: EventHandler,
-        kinds: "Iterable[EventKind] | None" = None,
-    ) -> None:
-        """Deliver events to ``handler`` (all kinds, or only ``kinds``)."""
+    def subscribe(self, handler: EventHandler) -> None:
+        """Deliver every later event to ``handler``."""
         self.quiet = False
-        if kinds is None:
-            self._all.append(handler)
-            return
-        for kind in kinds:
-            self._by_kind.setdefault(kind, []).append(handler)
+        self._handlers.append(handler)
 
     def emit(
         self,
@@ -203,8 +192,8 @@ class EventBus:
         counts[kind] = counts.get(kind, 0) + 1
         if time > self._last_time:
             self._last_time = time
-        targeted = self._by_kind.get(kind)
-        if not self._all and not targeted:
+        handlers = self._handlers
+        if not handlers:
             return None
         event = Event(
             seq=seq,
@@ -212,11 +201,8 @@ class EventBus:
             kind=kind,
             data=tuple(sorted(data.items())),
         )
-        for handler in self._all:
+        for handler in handlers:
             handler(event)
-        if targeted:
-            for handler in targeted:
-                handler(event)
         return event
 
     def count(self, kind: EventKind, time: float) -> None:

@@ -2,21 +2,21 @@
 
 :class:`ObservationSpec` is a frozen, picklable description — it rides
 inside :class:`repro.experiments.parallel.ReplaySpec`, so a worker
-process can build its own bus, recorder and sinks locally and write its
-own output files.  :class:`ObservationContext` is the live counterpart
-a single replay wires into the simulator.
+process can build its own bus and sinks locally and write its own
+output files.  :class:`ObservationContext` is the live counterpart a
+single replay wires into the simulator.  It builds only what the spec
+names: a metrics-only spec leaves the bus quiet, because the dump is
+rendered from the bus's own tally at :meth:`ObservationContext.finish`.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from pathlib import Path
 
-from repro.obs.events import EventBus
-from repro.obs.recorder import FlightRecorder
-from repro.obs.sinks import JsonlSink, PrometheusSink, TimeSeriesSink
-
-DEFAULT_RING_SIZE = 512
-DEFAULT_BIN_WIDTH = 3600.0
+from repro.obs.events import Event, EventBus
+from repro.obs.sinks import JsonlSink, render_prometheus
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,8 @@ class ObservationSpec:
     metrics_path: "str | None" = None
     """Write a Prometheus-style text dump to this path at finish."""
 
-    ring_size: int = DEFAULT_RING_SIZE
-    """Flight-recorder capacity; 0 disables the recorder."""
-
-    bin_width: "float | None" = None
-    """Fixed bin width (simulated seconds) for the time-series sink;
-    None disables it."""
+    ring_size: int = 0
+    """Keep the last this-many events in memory; 0 keeps none."""
 
     def build(self) -> "ObservationContext":
         """Construct the live bus + subscribers this spec describes."""
@@ -51,28 +47,20 @@ class ObservationContext:
     def __init__(self, spec: ObservationSpec) -> None:
         self.spec = spec
         self.bus = EventBus()
-        self.recorder: "FlightRecorder | None" = None
-        self.timeseries: "TimeSeriesSink | None" = None
+        self.ring: "deque[Event] | None" = None
         self.jsonl: "JsonlSink | None" = None
-        self.prometheus: "PrometheusSink | None" = None
         if spec.ring_size > 0:
-            self.recorder = FlightRecorder(spec.ring_size).attach(self.bus)
-        if spec.bin_width is not None:
-            self.timeseries = TimeSeriesSink(spec.bin_width).attach(self.bus)
+            self.ring = deque(maxlen=spec.ring_size)
+            self.bus.subscribe(self.ring.append)
         if spec.events_path is not None:
-            self.jsonl = JsonlSink(path=spec.events_path).attach(self.bus)
-        if spec.metrics_path is not None:
-            self.prometheus = PrometheusSink().attach(self.bus)
-
-    @property
-    def event_count(self) -> int:
-        """Events emitted on this context's bus so far."""
-        return self.bus.emitted
+            self.jsonl = JsonlSink(spec.events_path).attach(self.bus)
 
     def finish(self) -> None:
-        """Flush file-backed sinks (idempotent; call after the replay)."""
+        """Close the event log and write the metrics dump (idempotent;
+        call after the replay)."""
         if self.jsonl is not None:
             self.jsonl.close()
-            self.jsonl = None
-        if self.prometheus is not None and self.spec.metrics_path is not None:
-            self.prometheus.write(self.spec.metrics_path)
+        if self.spec.metrics_path is not None:
+            Path(self.spec.metrics_path).write_text(
+                render_prometheus(self.bus), encoding="utf-8"
+            )

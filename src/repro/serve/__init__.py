@@ -7,8 +7,6 @@ exercise, swapped onto a :class:`~repro.serve.clock.WallClock` through
 the Clock protocol of DESIGN.md §15.  One asyncio loop thread does all
 of it: each query is resolved inside the callback that received it,
 against the in-process simulated network.
-:class:`~repro.serve.upstream.UdpUpstream` implements the Transport
-protocol over a real socket for callers that want live upstreams.
 
 Because wall-clock reads are the point here, ``serve/`` is the one
 sanctioned allowlist in the REP001 determinism gate; the simulated core

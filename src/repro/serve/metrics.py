@@ -2,17 +2,18 @@
 
 The endpoint renders two blocks in one scrape: the front end's own
 counters (queries by transport, stale serves, truncations, FORMERR and
-SERVFAIL answers) and the existing obs :class:`~repro.obs.sinks.PrometheusSink`
-fed by the resolver core's event bus — so one ``curl`` shows both the
-transport layer and the simulation-grade event taxonomy underneath it.
+SERVFAIL answers) and :func:`~repro.obs.sinks.render_prometheus` of the
+resolver core's event bus — so one ``curl`` shows both the transport
+layer and the simulation-grade event taxonomy underneath it.
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.obs.sinks import PrometheusSink
+from repro.obs.sinks import PROMETHEUS_CONTENT_TYPE
 
 
 @dataclass(slots=True)
@@ -20,21 +21,19 @@ class ServeMetrics:
     """Plain counters for the wall-clock front end.
 
     Mutated and scraped on the loop thread, the front end's only thread.
+    Stale serves are the core's count: the resolver books every
+    STALE_HIT in its :class:`~repro.simulation.metrics.ReplayMetrics`.
     """
 
     udp_queries: int = 0
     tcp_queries: int = 0
-    stale_served: int = 0
     truncated: int = 0
     formerr: int = 0
     servfail: int = 0
 
-    @property
-    def queries_total(self) -> int:
-        return self.udp_queries + self.tcp_queries
-
-    def render(self) -> str:
-        """The front-end counters in Prometheus text exposition format."""
+    def render(self, stale_served: int) -> str:
+        """The front-end counters in Prometheus text exposition format,
+        with the core's ``stale_served`` count among them."""
         lines = [
             "# HELP repro_serve_queries_total DNS queries received by transport.",
             "# TYPE repro_serve_queries_total counter",
@@ -50,7 +49,7 @@ class ServeMetrics:
             "Responses the core answered from a lapsed cache entry "
             "(STALE_HIT under serve-stale/swr schemes).",
             "# TYPE repro_serve_stale_served_total counter",
-            f"repro_serve_stale_served_total {self.stale_served}",
+            f"repro_serve_stale_served_total {stale_served}",
             "# HELP repro_serve_truncated_total UDP responses truncated with TC set.",
             "# TYPE repro_serve_truncated_total counter",
             f"repro_serve_truncated_total {self.truncated}",
@@ -64,18 +63,10 @@ class ServeMetrics:
         return "\n".join(lines) + "\n"
 
 
-def render_scrape(metrics: ServeMetrics, sink: PrometheusSink) -> str:
-    """One scrape body: front-end counters + the obs event counters."""
-    return metrics.render() + sink.render()
-
-
 async def start_metrics_server(
-    host: str,
-    port: int,
-    metrics: ServeMetrics,
-    sink: PrometheusSink,
+    host: str, port: int, scrape: Callable[[], str]
 ) -> asyncio.AbstractServer:
-    """Serve ``render_scrape`` over minimal HTTP/1.0 at any path."""
+    """Serve the ``scrape()`` body over minimal HTTP/1.0 at any path."""
 
     async def handle(
         reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -87,10 +78,10 @@ async def start_metrics_server(
                 line = await reader.readline()
                 if not line or line in (b"\r\n", b"\n"):
                     break
-            body = render_scrape(metrics, sink).encode("utf-8")
+            body = scrape().encode("utf-8")
             writer.write(
                 b"HTTP/1.0 200 OK\r\n"
-                + f"Content-Type: {PrometheusSink.CONTENT_TYPE}\r\n"
+                + f"Content-Type: {PROMETHEUS_CONTENT_TYPE}\r\n"
                   f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
             )
             writer.write(body)

@@ -36,7 +36,7 @@ from repro.dns.name import Name
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import make_scenario
 from repro.obs.events import EventBus
-from repro.obs.sinks import PrometheusSink
+from repro.obs.sinks import render_prometheus
 from repro.serve.clock import WallClock
 from repro.serve.metrics import ServeMetrics, start_metrics_server
 from repro.serve.spec import ServeSpec
@@ -80,7 +80,6 @@ class DnsFrontEnd:
         self._config = parse_scheme(spec.scheme)
         self.metrics = ServeMetrics()
         self.bus = EventBus()
-        self.prometheus = PrometheusSink().attach(self.bus)
         self.clock: WallClock | None = None
         self.server: CachingServer | None = None
         self._udp_transport: asyncio.DatagramTransport | None = None
@@ -116,8 +115,7 @@ class DnsFrontEnd:
             )
             if spec.metrics_port >= 0:
                 self._metrics_server = await start_metrics_server(
-                    spec.host, spec.metrics_port, self.metrics,
-                    self.prometheus,
+                    spec.host, spec.metrics_port, self.scrape
                 )
                 msock = self._metrics_server.sockets[0].getsockname()
                 self.metrics_address = (msock[0], msock[1])
@@ -151,6 +149,12 @@ class DnsFrontEnd:
             if server is not None:
                 server.close()
                 await server.wait_closed()
+
+    def scrape(self) -> str:
+        """One scrape body: front-end counters + the core's event tally."""
+        server = self.server
+        stale_served = server.metrics.sr_stale_hits if server is not None else 0
+        return self.metrics.render(stale_served) + render_prometheus(self.bus)
 
     def sample_names(self, count: int) -> tuple[Name, ...]:
         """Deterministic resolvable host names (for clients and tests)."""
@@ -250,8 +254,6 @@ class DnsFrontEnd:
             rcode = Rcode.NXDOMAIN
         elif resolution.answer is not None:
             answer = (resolution.answer,)
-        if outcome is ResolutionOutcome.STALE_HIT:
-            self.metrics.stale_served += 1
         return Message(
             question=question,
             rcode=rcode,

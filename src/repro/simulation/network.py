@@ -88,9 +88,8 @@ class Network:
 
     This is the simulated implementation of the
     :class:`~repro.core.transport.Upstream` protocol the caching server
-    resolves through; ``repro serve`` swaps in a real UDP socket
-    (:class:`repro.serve.upstream.UdpUpstream`) behind the same two
-    members (``query`` / ``query_timeout``).
+    resolves through, in a replay and under ``repro serve`` alike: the
+    server reaches it only through ``query`` / ``query_timeout``.
     """
 
     def __init__(

@@ -140,8 +140,12 @@ class TestRetryPolicy:
         network = Network(mini.tree, attacks=attacks)
         bus = EventBus()
         failed = []
-        bus.subscribe(lambda event: failed.append(event.get("latency")),
-                      kinds=(EventKind.QUERY_FAILED,))
+
+        def on_event(event):
+            if event.kind is EventKind.QUERY_FAILED:
+                failed.append(event.get("latency"))
+
+        bus.subscribe(on_event)
         server = CachingServer(
             root_hints=mini.tree.root_hints(),
             network=network,

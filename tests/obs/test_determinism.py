@@ -21,18 +21,25 @@ def scenario():
     return make_scenario(Scale.TINY)
 
 
-def observed_replay(scenario, tmp_path, tag, seed=0):
-    events = tmp_path / f"events-{tag}.jsonl"
-    metrics = tmp_path / f"metrics-{tag}.prom"
-    result = run_replay(
+def replay_combination(scenario, observe, seed=0):
+    """The TINY ``combination`` replay under the 6 h root+TLD attack."""
+    return run_replay(
         scenario.built,
         scenario.trace("TRC1"),
         ResilienceConfig.combination(),
         attack=AttackSpec(start=scenario.attack_start, duration=6 * HOUR),
         seed=seed,
-        observe=ObservationSpec(events_path=str(events),
-                                metrics_path=str(metrics),
-                                bin_width=HOUR),
+        observe=observe,
+    )
+
+
+def observed_replay(scenario, tmp_path, tag, seed=0):
+    events = tmp_path / f"events-{tag}.jsonl"
+    metrics = tmp_path / f"metrics-{tag}.prom"
+    result = replay_combination(
+        scenario,
+        ObservationSpec(events_path=str(events), metrics_path=str(metrics)),
+        seed=seed,
     )
     return result, events.read_bytes(), metrics.read_bytes()
 
@@ -44,6 +51,25 @@ class TestDeterminism:
         assert first.event_count == second.event_count > 0
         assert events_a == events_b
         assert metrics_a == metrics_b
+
+    def test_quiet_bus_dumps_what_a_loud_one_dumps(self, scenario, tmp_path):
+        """A metrics-only replay subscribes nothing, so its hot paths
+        only count; its dump must match one taken beside an event log
+        (renewal timers and attack markers included)."""
+        quiet = replay_combination(
+            scenario, ObservationSpec(metrics_path=str(tmp_path / "a.prom"))
+        )
+        loud = replay_combination(
+            scenario,
+            ObservationSpec(metrics_path=str(tmp_path / "b.prom"),
+                            events_path=str(tmp_path / "e.jsonl")),
+        )
+        assert quiet.bus is not None and quiet.bus.quiet
+        assert loud.bus is not None and not loud.bus.quiet
+        assert quiet.event_count == loud.event_count > 0
+        assert (tmp_path / "a.prom").read_bytes() == (
+            tmp_path / "b.prom"
+        ).read_bytes()
 
     def test_different_seed_differs(self, scenario, tmp_path):
         _, events_a, _ = observed_replay(scenario, tmp_path, "s0", seed=0)
@@ -76,17 +102,15 @@ class TestDeterminism:
 
 class TestZeroPerturbation:
     def test_observed_replay_matches_unobserved_metrics(self, scenario):
-        attack = AttackSpec(start=scenario.attack_start, duration=6 * HOUR)
-        plain = run_replay(scenario.built, scenario.trace("TRC1"),
-                           ResilienceConfig.combination(), attack=attack)
-        observed = run_replay(scenario.built, scenario.trace("TRC1"),
-                              ResilienceConfig.combination(), attack=attack,
-                              observe=ObservationSpec())
-        assert observed.metrics == plain.metrics
-        assert observed.window == plain.window
-        assert observed.event_count > 0
+        plain = replay_combination(scenario, None)
+        # A bare spec leaves the bus quiet; a ring subscribes to it.
+        for spec in (ObservationSpec(), ObservationSpec(ring_size=512)):
+            observed = replay_combination(scenario, spec)
+            assert observed.metrics == plain.metrics
+            assert observed.window == plain.window
+            assert observed.event_count > 0
         assert plain.event_count == 0
-        assert plain.recorder is None
+        assert plain.bus is None and plain.recent == ()
 
     def test_summary_equality_ignores_observation(self, scenario):
         plain = run_replay(scenario.built, scenario.trace("TRC1"),
@@ -98,25 +122,17 @@ class TestZeroPerturbation:
 
 
 class TestObservationArtifacts:
-    def test_recorder_and_timeseries_surface_on_result(self, scenario):
-        result = run_replay(
-            scenario.built, scenario.trace("TRC1"),
-            ResilienceConfig.combination(),
-            attack=AttackSpec(start=scenario.attack_start, duration=6 * HOUR),
-            observe=ObservationSpec(ring_size=64, bin_width=HOUR),
-        )
-        assert result.recorder is not None
-        assert result.recorder.seen == result.event_count
-        assert result.recorder.count_of(EventKind.STUB_QUERY) == len(
-            scenario.trace("TRC1")
-        )
-        assert result.recorder.count_of(EventKind.ATTACK_START) == 1
-        assert result.recorder.count_of(EventKind.ATTACK_END) == 1
-        assert result.timeseries is not None
-        issued = result.timeseries.series(EventKind.QUERY_ISSUED)
-        assert sum(count for _, count in issued) > 0
-        assert result.timeseries.total(EventKind.QUERY_ISSUED) == sum(
-            count for _, count in issued
+    def test_bus_and_ring_surface_on_result(self, scenario):
+        result = replay_combination(scenario, ObservationSpec(ring_size=64))
+        assert result.bus is not None
+        counts = result.bus.counts()
+        assert sum(counts.values()) == result.event_count
+        assert counts[EventKind.STUB_QUERY] == len(scenario.trace("TRC1"))
+        assert counts[EventKind.ATTACK_START] == 1
+        assert counts[EventKind.ATTACK_END] == 1
+        assert counts[EventKind.QUERY_ISSUED] > 0
+        assert [event.seq for event in result.recent] == list(
+            range(result.event_count - 64, result.event_count)
         )
 
     def test_stage_timings_populated(self, scenario):

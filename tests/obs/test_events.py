@@ -1,4 +1,4 @@
-"""Event bus semantics: ordering, sequence numbers, targeted fan-out."""
+"""Event bus semantics: ordering, sequence numbers, the per-kind tally."""
 
 from repro.obs import Event, EventBus, EventKind
 
@@ -24,7 +24,10 @@ class TestEventBus:
         bus = EventBus()
         assert bus.emit(EventKind.CACHE_HIT, 1.0) is None
         assert bus.emit(EventKind.CACHE_MISS, 2.0) is None
-        assert bus.emitted == 2
+        assert bus.emit(EventKind.CACHE_HIT, 1.5) is None
+        assert bus.emitted == 3
+        assert bus.counts() == {EventKind.CACHE_HIT: 2, EventKind.CACHE_MISS: 1}
+        assert bus.last_time == 2.0
 
     def test_seq_keeps_counting_across_subscriber_changes(self):
         bus = EventBus()
@@ -43,27 +46,6 @@ class TestEventBus:
             bus.emit(kind, float(index))
         assert [event.seq for event in seen] == list(range(10))
         assert [event.time for event in seen] == [float(i) for i in range(10)]
-
-    def test_targeted_subscription_filters_kinds(self):
-        bus = EventBus()
-        hits: list[Event] = []
-        everything: list[Event] = []
-        bus.subscribe(hits.append, kinds=[EventKind.CACHE_HIT])
-        bus.subscribe(everything.append)
-        bus.emit(EventKind.CACHE_HIT, 1.0)
-        bus.emit(EventKind.CACHE_MISS, 2.0)
-        bus.emit(EventKind.CACHE_HIT, 3.0)
-        assert [e.kind for e in hits] == [EventKind.CACHE_HIT] * 2
-        assert len(everything) == 3
-
-    def test_global_subscribers_see_events_before_targeted_ones(self):
-        bus = EventBus()
-        order: list[str] = []
-        bus.subscribe(lambda event: order.append("targeted"),
-                      kinds=[EventKind.CACHE_HIT])
-        bus.subscribe(lambda event: order.append("global"))
-        bus.emit(EventKind.CACHE_HIT, 1.0)
-        assert order == ["global", "targeted"]
 
     def test_data_is_key_sorted(self):
         bus = EventBus()

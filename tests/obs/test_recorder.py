@@ -1,42 +1,23 @@
-"""Flight recorder: ring eviction and whole-run counters."""
+"""The event ring: built only when a spec asks, beside the bus's tally."""
 
-import pytest
-
-from repro.obs import EventBus, EventKind, FlightRecorder
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError):
-        FlightRecorder(capacity=0)
+from repro.obs import EventKind, ObservationSpec
 
 
 def test_ring_evicts_oldest_but_counters_keep_totals():
-    bus = EventBus()
-    recorder = FlightRecorder(capacity=4).attach(bus)
+    context = ObservationSpec(ring_size=4).build()
+    bus = context.bus
     for index in range(10):
         bus.emit(EventKind.CACHE_HIT, float(index))
-    assert recorder.seen == 10
-    assert recorder.dropped == 6
-    retained = recorder.events()
-    assert [event.time for event in retained] == [6.0, 7.0, 8.0, 9.0]
-    assert recorder.count_of(EventKind.CACHE_HIT) == 10
+    assert context.ring is not None
+    assert [event.time for event in context.ring] == [6.0, 7.0, 8.0, 9.0]
+    assert bus.emitted == 10
+    assert bus.counts() == {EventKind.CACHE_HIT: 10}
 
 
-def test_last_returns_tail_oldest_first():
-    bus = EventBus()
-    recorder = FlightRecorder(capacity=8).attach(bus)
-    for index in range(5):
-        bus.emit(EventKind.STUB_QUERY, float(index))
-    assert [e.time for e in recorder.last(2)] == [3.0, 4.0]
-    assert len(recorder.last(100)) == 5
-    assert recorder.last(0) == ()
-
-
-def test_counts_by_kind_sorted_by_kind_value():
-    bus = EventBus()
-    recorder = FlightRecorder(capacity=4).attach(bus)
-    bus.emit(EventKind.STUB_QUERY, 0.0)
-    bus.emit(EventKind.CACHE_MISS, 0.0)
-    bus.emit(EventKind.CACHE_MISS, 1.0)
-    assert recorder.counts_by_kind() == {"cache.miss": 2, "stub.query": 1}
-    assert list(recorder.counts_by_kind()) == ["cache.miss", "stub.query"]
+def test_no_ring_by_default_so_a_metrics_spec_leaves_the_bus_quiet(tmp_path):
+    context = ObservationSpec(metrics_path=str(tmp_path / "m.prom")).build()
+    assert context.ring is None and context.jsonl is None
+    assert context.bus.emit(EventKind.CACHE_HIT, 1.0) is None
+    assert context.bus.quiet
+    context.finish()
+    assert "repro_events_seen_total 1" in (tmp_path / "m.prom").read_text()

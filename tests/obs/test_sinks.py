@@ -1,78 +1,57 @@
-"""Metric sinks: binning, JSONL goldens, Prometheus rendering."""
-
-import io
+"""Sinks: JSONL goldens and lifecycle, Prometheus rendering of the tally."""
 
 import pytest
 
-from repro.obs import (
-    EventBus,
-    EventKind,
-    JsonlSink,
-    MetricSink,
-    PrometheusSink,
-    TimeSeriesSink,
-)
-
-
-class TestTimeSeriesSink:
-    def test_bin_width_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeSeriesSink(0.0)
-
-    def test_counts_fall_into_fixed_width_bins(self):
-        bus = EventBus()
-        sink = TimeSeriesSink(bin_width=10.0).attach(bus)
-        for time in (0.0, 1.0, 9.999, 10.0, 25.0):
-            bus.emit(EventKind.CACHE_HIT, time)
-        bus.emit(EventKind.CACHE_MISS, 25.0)
-        assert sink.series(EventKind.CACHE_HIT) == [
-            (0.0, 3), (10.0, 1), (20.0, 1),
-        ]
-        assert sink.series(EventKind.CACHE_MISS) == [(20.0, 1)]
-        assert sink.series(EventKind.STUB_QUERY) == []
-        assert sink.total(EventKind.CACHE_HIT) == 5
-        assert sink.kinds() == (EventKind.CACHE_HIT, EventKind.CACHE_MISS)
-        assert sink.as_dict() == {
-            "cache.hit": [(0.0, 3), (10.0, 1), (20.0, 1)],
-            "cache.miss": [(20.0, 1)],
-        }
+from repro.obs import EventBus, EventKind, JsonlSink, render_prometheus
 
 
 class TestJsonlSink:
-    def test_requires_exactly_one_destination(self):
-        with pytest.raises(ValueError):
-            JsonlSink()
-        with pytest.raises(ValueError):
-            JsonlSink(path="x.jsonl", stream=io.StringIO())
-
-    def test_golden_stream(self):
+    def test_golden_stream(self, tmp_path):
+        target = tmp_path / "events.jsonl"
         bus = EventBus()
-        stream = io.StringIO()
-        sink = JsonlSink(stream=stream).attach(bus)
+        sink = JsonlSink(target).attach(bus)
         bus.emit(EventKind.STUB_QUERY, 1.5, name="a.com.", rrtype="A")
         bus.emit(EventKind.CACHE_MISS, 1.5, name="a.com.", rrtype="A")
         sink.close()
-        assert stream.getvalue() == (
+        assert target.read_text(encoding="utf-8") == (
             '{"kind":"stub.query","name":"a.com.","rrtype":"A","seq":0,"t":1.5}\n'
             '{"kind":"cache.miss","name":"a.com.","rrtype":"A","seq":1,"t":1.5}\n'
         )
-        assert sink.lines_written == 2
 
     def test_path_backed_sink_writes_empty_file_without_events(self, tmp_path):
         target = tmp_path / "events.jsonl"
-        sink = JsonlSink(path=target)
+        sink = JsonlSink(target)
         sink.close()
         assert target.read_text(encoding="utf-8") == ""
 
+    def test_second_close_keeps_the_log(self, tmp_path):
+        target = tmp_path / "events.jsonl"
+        bus = EventBus()
+        sink = JsonlSink(target).attach(bus)
+        bus.emit(EventKind.STUB_QUERY, 1.0)
+        bus.emit(EventKind.CACHE_HIT, 1.0)
+        sink.close()
+        sink.close()
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 2
 
-class TestPrometheusSink:
+    def test_event_after_close_raises_and_keeps_the_log(self, tmp_path):
+        target = tmp_path / "events.jsonl"
+        bus = EventBus()
+        sink = JsonlSink(target).attach(bus)
+        bus.emit(EventKind.STUB_QUERY, 1.0)
+        sink.close()
+        with pytest.raises(ValueError, match="already closed"):
+            bus.emit(EventKind.CACHE_HIT, 2.0)
+        assert len(target.read_text(encoding="utf-8").splitlines()) == 1
+
+
+class TestRenderPrometheus:
     def test_golden_render(self):
         bus = EventBus()
-        sink = PrometheusSink().attach(bus)
         bus.emit(EventKind.STUB_QUERY, 1.0)
         bus.emit(EventKind.CACHE_HIT, 2.0)
         bus.emit(EventKind.CACHE_HIT, 3.5)
-        assert sink.render() == (
+        assert render_prometheus(bus) == (
             "# HELP repro_events_total Simulation events by kind.\n"
             "# TYPE repro_events_total counter\n"
             'repro_events_total{kind="cache.hit"} 2\n'
@@ -85,47 +64,16 @@ class TestPrometheusSink:
             "repro_last_event_seconds 3.5\n"
         )
 
-    def test_a_bus_with_only_the_scrape_attached_builds_no_event(self):
-        """The bus counts, the sink renders: nothing subscribes, so
+    def test_rendering_leaves_the_bus_quiet(self):
+        """The bus counts, the renderer reads: nothing subscribes, so
         ``emit`` returns before constructing an Event."""
         bus = EventBus()
-        sink = PrometheusSink().attach(bus)
+        assert "repro_events_seen_total 0" in render_prometheus(bus)
         assert bus.emit(EventKind.CACHE_HIT, 2.0, name="a.com.") is None
-        assert 'repro_events_total{kind="cache.hit"} 1' in sink.render()
-        assert "repro_last_event_seconds 2.0" in sink.render()
-
-    def test_jsonl_beside_the_scrape_still_gets_every_event(self):
-        """A JSONL log written with a Prometheus sink attached is
-        byte-identical to one written without."""
-        logs = []
-        for with_scrape in (False, True):
-            bus = EventBus()
-            stream = io.StringIO()
-            JsonlSink(stream=stream).attach(bus)
-            if with_scrape:
-                sink = PrometheusSink().attach(bus)
-            event = bus.emit(EventKind.STUB_QUERY, 1.5, name="a.com.")
-            assert event is not None and event.kind is EventKind.STUB_QUERY
-            bus.emit(EventKind.CACHE_MISS, 1.5, name="a.com.")
-            logs.append(stream.getvalue())
-        assert logs[0] == logs[1] != ""
-        assert "repro_events_seen_total 2" in sink.render()
-
-    def test_write(self, tmp_path):
-        sink = PrometheusSink()
-        target = tmp_path / "metrics.prom"
-        sink.write(target)
-        assert "repro_events_seen_total 0" in target.read_text(encoding="utf-8")
-
-
-def test_all_sinks_satisfy_the_protocol():
-    sinks = (
-        TimeSeriesSink(1.0),
-        JsonlSink(stream=io.StringIO()),
-        PrometheusSink(),
-    )
-    for sink in sinks:
-        assert isinstance(sink, MetricSink)
+        body = render_prometheus(bus)
+        assert bus.quiet
+        assert 'repro_events_total{kind="cache.hit"} 1' in body
+        assert "repro_last_event_seconds 2.0" in body
 
 
 class TestCountOnlyPath:
@@ -165,7 +113,6 @@ class TestCountOnlyPath:
         buses, bodies, delivered = [], [], []
         for subscribed in (False, True):
             bus = EventBus()
-            sink = PrometheusSink().attach(bus)
             seen: list = []
             if subscribed:
                 bus.subscribe(seen.append)
@@ -180,7 +127,7 @@ class TestCountOnlyPath:
                 engine.advance_to(step * 7.5)
                 server.handle_stub_query(name, RRType.A, engine.now)
             buses.append(bus)
-            bodies.append(sink.render())
+            bodies.append(render_prometheus(bus))
             delivered.append(seen)
         quiet, loud = buses
         assert quiet.quiet and not loud.quiet

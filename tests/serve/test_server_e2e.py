@@ -376,7 +376,7 @@ class TestFrontEndSemantics:
                 warm = front_end._resolve(query)
                 server.cache.entry(name, RRType.A).expires_at = clock.now() - 1
                 lapsed = front_end._resolve(query)
-                served = front_end.metrics.stale_served
+                served = server.metrics.sr_stale_hits
                 for _ in range(500):
                     expiry = server.cache.expires_at(name, RRType.A, clock.now())
                     if expiry is not None:
@@ -384,9 +384,9 @@ class TestFrontEndSemantics:
                     await asyncio.sleep(0.01)
                 fresh = front_end._resolve(query)
                 return (warm, lapsed, served, expiry, fresh,
-                        front_end.metrics.stale_served, server.metrics)
+                        front_end.scrape(), server.metrics)
 
-        warm, lapsed, served, expiry, fresh, final_served, core = (
+        warm, lapsed, served, expiry, fresh, scrape, core = (
             asyncio.run(run())
         )
         assert lapsed.rcode is Rcode.NOERROR
@@ -394,7 +394,8 @@ class TestFrontEndSemantics:
         assert served == 1
         assert expiry is not None  # the background refetch landed
         assert fresh.answer == warm.answer
-        assert final_served == 1 == core.sr_stale_hits
+        assert core.sr_stale_hits == 1
+        assert "\nrepro_serve_stale_served_total 1\n" in scrape
         assert core.swr_refreshes == 1
         assert core.sr_cache_hits == 1
 
@@ -600,7 +601,7 @@ class TestFrontEndSemantics:
         assert body.startswith("HTTP/1.0 200 OK")
         assert 'repro_serve_queries_total{transport="udp"} 1' in body
         assert 'repro_serve_queries_total{transport="tcp"} 0' in body
-        # The obs PrometheusSink block rides along in the same scrape:
+        # The bus's rendered tally rides along in the same scrape:
         # the resolution emitted core events through the bus.
         assert "repro_events_total" in body
 
