@@ -100,10 +100,3 @@ def predict_cached_zone_count(
             continue
         expected += model.cached_fraction(lam, ttl)
     return expected
-
-
-def predict_zone_survival(
-    model: SchemeModel, lam: float, ttl: float
-) -> float:
-    """Alias for one zone's cached probability (readability helper)."""
-    return model.cached_fraction(lam, ttl)

@@ -49,13 +49,6 @@ class MemoryOverheadSeries:
             return 0.0
         return sum(tail) / len(tail)
 
-    def steady_state_mean_zones(self, after_days: float = 2.0) -> float:
-        cutoff = after_days * DAY
-        tail = [s.zones_cached for s in self.samples if s.time >= cutoff]
-        if not tail:
-            return 0.0
-        return sum(tail) / len(tail)
-
     def estimated_peak_bytes(self) -> int:
         """Back-of-envelope memory footprint at peak occupancy."""
         return self.peak_records() * ESTIMATED_BYTES_PER_RECORD

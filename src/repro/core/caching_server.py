@@ -34,7 +34,6 @@ from repro.core.transport import Upstream
 from repro.dns.errors import InvariantError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name, root_name
-from repro.dns.ranking import Rank
 from repro.dns.records import InfrastructureRecordSet, RRset
 from repro.dns.rrtypes import RRTYPE_BITS, RRType
 from repro.obs.events import EventBus, EventKind
@@ -198,10 +197,6 @@ class CachingServer:
                 observer=observer,
             )
 
-        # Zone -> last time its IRRs were learned through its parent
-        # (drives the optional delegation-recheck of paper §6).
-        self._last_parent_learn: dict[Name, float] = {}
-
         # Packed (name, rrtype) keys with a background refetch already
         # queued — the SWR singleflight: concurrent stale hits collapse
         # onto one upstream fetch.
@@ -235,14 +230,6 @@ class CachingServer:
         self._ns_names: dict[int, tuple[RRset, tuple[Name, ...]]] = {}
         # The root's server set never changes during a replay.
         self._root_ns_info = (root_hints.server_names(), root_hints.ns.ttl)
-
-        # Demand contacts per zone (answered queries to its servers) —
-        # the λ the analytical availability model consumes.
-        self.zone_contact_counts: dict[Name, int] = {}
-
-        # Diagnosis: how often each zone's entire server set failed us
-        # (the zones an attack post-mortem would blame).
-        self.failure_blame: dict[Name, int] = {}
 
     # ------------------------------------------------------------------
     # Stub-facing API
@@ -432,7 +419,6 @@ class CachingServer:
                 # Every usable server of this zone failed.  Paper §4: "in
                 # the worst case ... the parent zone must be queried to
                 # reset the IRR" — climb and retry from above.
-                self.failure_blame[zone] = self.failure_blame.get(zone, 0) + 1
                 if self.observer is not None:
                     self.observer.emit(
                         EventKind.FETCH_RETRY, now,
@@ -521,23 +507,9 @@ class CachingServer:
         stale: bool,
     ) -> Name:
         """Deepest usable cached zone for ``qname`` (root as fallback)."""
-        recheck = self.config.parent_recheck_interval
-        excluded = set(exclude)
-        while True:
-            best = self.cache.best_zone_for(
-                qname, now, exclude=excluded, allow_stale=stale
-            )
-            if best is None:
-                return self._root
-            if recheck is not None:
-                learned = self._last_parent_learn.get(best)
-                if learned is not None and now - learned > recheck:
-                    # Deployment safeguard (paper §6): walk through the
-                    # parent periodically so reclaimed delegations are
-                    # noticed even under refresh/renewal.
-                    excluded.add(best)
-                    continue
-            return best
+        return self.cache.best_zone_for(
+            qname, now, exclude=exclude, allow_stale=stale
+        ) or self._root
 
     def _query_zone(
         self,
@@ -823,8 +795,6 @@ class CachingServer:
             if result.stored and result.expires_at is not None:
                 if renewal is not None:
                     renewal.note_irrs_cached(zone, result.expires_at)
-            if rank == Rank.NON_AUTH_AUTHORITY:
-                self._last_parent_learn[zone] = now
 
     def _chain_keys_available(self, qname: Name, now: float) -> bool:
         """Whether every signed zone on ``qname``'s chain has a live key.
@@ -861,9 +831,8 @@ class CachingServer:
             self.renewal.forget_zone(zone)
 
     def _note_zone_use(self, zone: Name, published_ttl: float, now: float) -> None:
-        self.zone_contact_counts[zone] = (
-            self.zone_contact_counts.get(zone, 0) + 1
-        )
+        contacts = self.metrics.zone_contacts
+        contacts[zone] = contacts.get(zone, 0) + 1
         if self.renewal is not None and zone != self._root:
             self.renewal.note_zone_use(zone, published_ttl, now)
 
@@ -953,13 +922,6 @@ class CachingServer:
         """
         aid = self._addr_ids.get(address)
         return None if aid is None else self._srtt.get(aid)
-
-    def top_blamed_zones(self, count: int = 10) -> list[tuple[Name, int]]:
-        """Zones whose server sets failed most often (attack diagnosis)."""
-        ranked = sorted(
-            self.failure_blame.items(), key=lambda item: (-item[1], item[0])
-        )
-        return ranked[:count]
 
     def cached_zone_count(self, now: float) -> int:
         """Zones with live cached IRRs (Figure 12 series)."""

@@ -110,11 +110,6 @@ class ResilienceConfig:
     one must be fetchable.  Paper §6 extension — makes IRR caching
     matter even more, since broken key chains turn into SERVFAILs."""
 
-    parent_recheck_interval: Optional[float] = None
-    """Force a walk through the parent at least this often, so reclaimed
-    delegations are noticed despite refresh/renewal (paper §6); None
-    disables the recheck."""
-
     cache_capacity: Optional[int] = None
     """Maximum cached RRset entries (LRU eviction when full); None means
     unbounded, the paper's assumption.  The bounded-cache ablation

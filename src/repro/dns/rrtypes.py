@@ -34,20 +34,6 @@ class RRType(enum.IntEnum):
         """True for types that carry a host address (A / AAAA)."""
         return self in (RRType.A, RRType.AAAA)
 
-    def is_infrastructure_candidate(self) -> bool:
-        """True for types that may form part of a zone's IRR set.
-
-        NS records always do; A/AAAA do when they name an authoritative
-        server (glue); DS/DNSKEY do under the DNSSEC extension (paper §6).
-        """
-        return self in (
-            RRType.NS,
-            RRType.A,
-            RRType.AAAA,
-            RRType.DS,
-            RRType.DNSKEY,
-        )
-
 
 #: Bits reserved for the rrtype in a packed ``(name.iid << RRTYPE_BITS) |
 #: rrtype`` cache key.  Every modelled type must fit; the assertion below

@@ -16,8 +16,6 @@ CNAMEs are chased while the target stays inside the same zone.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.dns.errors import LameDelegationError, ZoneConfigError
 from repro.dns.message import Message, Question, Rcode
 from repro.dns.name import Name
@@ -178,11 +176,3 @@ class AuthoritativeServer:
 
     def __repr__(self) -> str:
         return f"AuthoritativeServer({self.name} @ {self.address}, zones={len(self._zones)})"
-
-
-def servers_for(
-    irrs: InfrastructureRecordSet, directory: Iterable[AuthoritativeServer]
-) -> list[AuthoritativeServer]:
-    """The servers from ``directory`` named by ``irrs``'s NS set."""
-    wanted = set(irrs.server_names())
-    return [server for server in directory if server.name in wanted]

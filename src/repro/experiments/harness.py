@@ -3,9 +3,9 @@
 :func:`run_replay` is the single entry point every experiment goes
 through.  It wires the scheme's :class:`ResilienceConfig` into a fresh
 :class:`CachingServer`, applies (and afterwards undoes) the long-TTL
-override on the shared hierarchy, installs the attack schedule, replays
-the trace through the discrete-event engine, and returns everything the
-figures/tables need.
+override on the shared hierarchy, installs the attack schedule and any
+zone migrations, replays the trace through the discrete-event engine,
+and returns everything the figures/tables need.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.hierarchy.builder import (
     graft_attacker_zone,
     ungraft_attacker_zone,
 )
+from repro.hierarchy.churn import ChurnSchedule, apply_churn_event
 from repro.obs.events import Event, EventBus, EventKind
 from repro.obs.spec import ObservationContext, ObservationSpec
 from repro.obs.timing import StageTimings, maybe_stage
@@ -114,6 +115,7 @@ def run_replay(
     faults: FaultSpec | None = None,
     adversary: AdversarySpec | None = None,
     validation: bool = False,
+    churn: ChurnSchedule | None = None,
 ) -> ReplayResult:
     """Replay ``trace`` through a fresh caching server running ``config``.
 
@@ -137,6 +139,11 @@ def run_replay(
     §12): every cache operation is cross-checked during the replay and
     the structural invariants are verified at the end.  Expect a
     several-fold slowdown; results are unchanged when it passes.
+
+    ``churn`` lands each of the schedule's migrations on the tree at its
+    time and tells the server through its update channel
+    (``handle_invalidation``, a no-op unless the config arms it).  The
+    migrations are not undone, so pass a private hierarchy.
     """
     tree = built.tree
     saved_state = None
@@ -152,6 +159,7 @@ def run_replay(
         return _replay(
             built, trace, config, attack, track_gaps, memory_sample_interval,
             seed, observe, timings, faults, adversary, graft, validation,
+            churn,
         )
     finally:
         if graft is not None:
@@ -174,6 +182,7 @@ def _replay(
     adversary: AdversarySpec | None,
     graft: AttackerZoneGraft | None,
     validation: bool,
+    churn: ChurnSchedule | None,
 ) -> ReplayResult:
     with maybe_stage(timings, "setup"):
         engine = SimulationEngine()
@@ -211,6 +220,8 @@ def _replay(
             validation=validation,
         )
 
+        if churn is not None:
+            _arm_churn(engine, built, churn, server)
         if context is not None and attack is not None:
             _arm_attack_markers(engine, context.bus, attack, trace.duration)
         if memory_sample_interval is not None:
@@ -362,6 +373,24 @@ def _validate_final_state(
             server.renewal, server.cache, now,
             allow_stale_credit=(
                 config.serve_stale or config.swr_grace is not None
+            ),
+        )
+
+
+def _arm_churn(
+    engine: SimulationEngine,
+    built: BuiltHierarchy,
+    churn: ChurnSchedule,
+    server: CachingServer,
+) -> None:
+    """Schedule every migration of ``churn`` at its virtual time."""
+    listeners = (server.handle_invalidation,)
+    for event in churn.events:
+        engine.schedule(
+            event.time,
+            lambda now, event=event: apply_churn_event(
+                built.tree, event, decommission_old=churn.decommission_old,
+                listeners=listeners,
             ),
         )
 

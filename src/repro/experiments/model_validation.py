@@ -1,7 +1,7 @@
 """Validate the analytical IRR-availability model against the simulator.
 
 For each scheme: replay a trace with no attack, measure each zone's
-demand contact rate (``CachingServer.zone_contact_counts``), feed those
+demand contact rate (``ReplayMetrics.zone_contacts``), feed those
 rates into the closed-form model of :mod:`repro.analysis.model`, and
 compare the predicted number of zones with live IRRs at the attack
 instant (start of day 7) against the simulator's actual count.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.analysis.model import SchemeModel, predict_cached_zone_count
 from repro.core.config import ResilienceConfig
 from repro.dns.name import Name
-from repro.experiments.harness import run_replay
+from repro.experiments.parallel import ReplaySpec, run_rows
 from repro.experiments.scenarios import Scenario
 from repro.experiments.table import ResultTable
 
@@ -59,27 +59,30 @@ def model_validation(
     seed: int = 0,
 ) -> ResultTable:
     """Model-vs-simulation comparison at ``instant`` (default day 6)."""
-    trace = scenario.trace(trace_name)
+    duration = scenario.trace(trace_name).duration
     probe_time = 6 * DAY if instant is None else instant
     irr_ttls: dict[Name, float] = {
         zone.name: zone.infrastructure_records.ns.ttl
         for zone in scenario.built.tree.zones()
     }
+    # Sample cache occupancy during the replay so the measurement is a
+    # true snapshot at the probe instant (the end-state cache would leak
+    # post-probe refreshes into the count).
+    records = run_rows(
+        (model.name, ReplaySpec.for_scenario(
+            scenario, trace_name, config, seed=seed,
+            memory_sample_interval=probe_time / 8,
+        ))
+        for config, model in _SCHEMES
+    )
     rows: dict[str, ModelValidationRow] = {}
     for config, model in _SCHEMES:
-        # Sample cache occupancy during the replay so the measurement is
-        # a true snapshot at the probe instant (the end-state cache would
-        # leak post-probe refreshes into the count).
-        result = run_replay(
-            scenario.built, trace, config, seed=seed,
-            memory_sample_interval=probe_time / 8,
-        )
-        server = result.server
+        metrics = records[model.name]
         # Rates over the whole trace (the process is ~stationary, so the
         # full-window average is the cleanest λ estimate).
         contact_rates = {
-            zone: count / trace.duration
-            for zone, count in server.zone_contact_counts.items()
+            zone: count / duration
+            for zone, count in metrics.zone_contacts.items()
             if not zone.is_root
         }
         # Long-TTL runs override TTLs at the authority; mirror it here.
@@ -88,7 +91,7 @@ def model_validation(
             ttls = {zone: config.long_ttl for zone in irr_ttls}
         predicted = predict_cached_zone_count(model, contact_rates, ttls)
         probe_sample = min(
-            result.metrics.memory_samples,
+            metrics.memory_samples,
             key=lambda sample: abs(sample.time - probe_time),
         )
         rows[model.name] = ModelValidationRow(

@@ -16,7 +16,7 @@ resolved per query by :mod:`repro.simulation.faults`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.dns.name import Name, root_name
 from repro.hierarchy.tree import ZoneTree
@@ -151,18 +151,3 @@ def attack_on_zones(
         intensity=intensity,
     )
     return AttackSchedule(tree, [window])
-
-
-@dataclass
-class AttackBudgetPlan:
-    """A budgeted target list for maximum-damage exploration (paper §6).
-
-    ``budget`` counts attacked zones; the explorer in
-    :mod:`repro.experiments.max_damage` fills ``targets`` greedily.
-    """
-
-    budget: int
-    targets: list[Name] = field(default_factory=list)
-
-    def remaining(self) -> int:
-        return self.budget - len(self.targets)

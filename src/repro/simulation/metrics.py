@@ -4,6 +4,7 @@
 it, and the batch runner returns it as is.  It holds
 
 * whole-run totals (Table 1 "requests out", Table 2 message overhead);
+* demand contacts per zone (the analytical model's rates);
 * the attack-window totals (the failure rates of Figures 4–11);
 * expiry-to-use gap samples (Figure 3);
 * a time series of cache sizes (Figure 12).
@@ -109,6 +110,10 @@ class ReplayMetrics:
     cs_demand_failures: int = 0
     cs_renewal_queries: int = 0
     cs_renewal_failures: int = 0
+
+    # Demand contacts per zone (answered queries to its servers): the λ
+    # the analytical availability model consumes.
+    zone_contacts: dict[Name, int] = field(default_factory=dict)
 
     # Latency (virtual seconds spent waiting on the network).
     total_latency: float = 0.0

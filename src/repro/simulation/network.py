@@ -105,8 +105,6 @@ class Network:
         self._faults = faults
         self._poisoner = poisoner
         self.latency = latency or LatencyModel()
-        self.queries_sent = 0
-        self.queries_lost = 0
 
     @property
     def query_timeout(self) -> float:
@@ -129,10 +127,6 @@ class Network:
     def poisoner(self) -> Poisoner | None:
         return self._poisoner
 
-    def set_poisoner(self, poisoner: Poisoner | None) -> None:
-        """Arm (or disarm) the cache-poisoning forger."""
-        self._poisoner = poisoner
-
     def query(self, address: str, question: Question, now: float) -> QueryResult:
         """Send ``question`` to the server at ``address``.
 
@@ -141,18 +135,15 @@ class Network:
         unknown, or lame for the question; the caller pays the timeout
         either way.
         """
-        self.queries_sent += 1
         faults = self._faults
         jitter = 1.0
         if faults is None:
             if self._attacks is not None and self._attacks.is_blocked(address, now):
-                self.queries_lost += 1
                 return QueryResult(None, self.latency.timeout, timed_out=True)
         else:
             ordinal = faults.next_ordinal(address)
             dropped = self._fault_verdict(faults, address, ordinal, now)
             if dropped is not None:
-                self.queries_lost += 1
                 return QueryResult(
                     None, self.latency.timeout, dropped_by=dropped,
                     timed_out=True,
@@ -160,7 +151,6 @@ class Network:
             jitter = faults.jitter_factor(address, ordinal)
         server = self._tree.server_by_address(address)
         if server is None:
-            self.queries_lost += 1
             return QueryResult(None, self.latency.timeout, timed_out=True)
         try:
             message = server.respond(question)
@@ -168,7 +158,6 @@ class Network:
             # A real lame server answers REFUSED or garbage; either way
             # the resolver moves to the next server, same as a timeout
             # (but much faster — and not worth a retransmit).
-            self.queries_lost += 1
             return QueryResult(None, self.latency.rtt_for(address) * jitter)
         if self._poisoner is not None:
             # An off-path forger races the honest answer; a won race

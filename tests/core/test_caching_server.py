@@ -334,33 +334,3 @@ class TestGapObserver:
         server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
         server.handle_stub_query(name("mail.example.test."), RRType.A, 60.0)
         assert name("example.test.") not in observed
-
-
-class TestParentRecheck:
-    def _steady_queries(self, server, metrics):
-        """Query every 30 min to 2.5 h, keeping the 1 h NS TTL refreshed.
-
-        Returns the demand-query count of the final query (at 2.5 h,
-        which is past a 2 h recheck interval since the t=0 referral).
-        """
-        for step in range(5):
-            server.handle_stub_query(
-                name("www.example.test."), RRType.A, step * 0.5 * HOUR
-            )
-        before_last = metrics.cs_demand_queries
-        server.handle_stub_query(name("mail.example.test."), RRType.A, 2.5 * HOUR)
-        return metrics.cs_demand_queries - before_last
-
-    def test_recheck_forces_referral_past_interval(self, mini):
-        from dataclasses import replace
-        config = replace(ResilienceConfig.refresh(),
-                         parent_recheck_interval=2 * HOUR)
-        server, engine, network, metrics = make_stack(mini, config)
-        # Both example.test. and test. were last learned from their
-        # parents at t=0, so at 2.5 h the recheck walks from the root:
-        # 3 queries instead of 1.
-        assert self._steady_queries(server, metrics) == 3
-
-    def test_without_recheck_no_forced_referral(self, mini):
-        server, engine, network, metrics = make_stack(mini, ResilienceConfig.refresh())
-        assert self._steady_queries(server, metrics) == 1

@@ -176,14 +176,14 @@ class TestRetryPolicy:
                                   start=0.0, duration=HOUR)
         single = make_stack(mini, ResilienceConfig.vanilla(), attacks=attacks)
         single[0].handle_stub_query(name("www.example.test."), RRType.A, 0.0)
-        base_sent = single[2].queries_sent
+        base_sent = single[3].total_outgoing
 
         config = ResilienceConfig.vanilla().with_retries(
             RetryPolicy(max_tries=3, holddown=None)
         )
         retried = make_stack(mini, config, attacks=attacks)
         retried[0].handle_stub_query(name("www.example.test."), RRType.A, 0.0)
-        assert retried[2].queries_sent > base_sent
+        assert retried[3].total_outgoing > base_sent
 
     def test_no_retransmit_to_lame_servers(self, mini):
         # A lame delegation answers fast and deterministically; the retry
@@ -195,7 +195,7 @@ class TestRetryPolicy:
         plain[0].handle_stub_query(name("www.unrelated.alt."), RRType.A, 0.0)
         retried = make_stack(mini, config)
         retried[0].handle_stub_query(name("www.unrelated.alt."), RRType.A, 0.0)
-        assert retried[2].queries_sent == plain[2].queries_sent
+        assert retried[3].total_outgoing == plain[3].total_outgoing
 
     def test_consecutive_failures_trigger_holddown(self, mini):
         attacks = attack_on_zones(mini.tree, [name("example.test.")],

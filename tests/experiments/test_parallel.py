@@ -92,6 +92,7 @@ class TestSpecs:
         sampled = ReplayMetrics(
             sr_queries=3, sr_failures=1,
             window=WindowCounters(0.0, 10.0, sr_queries=2, sr_failures=1),
+            zone_contacts={name("example.test."): 7},
             gap_samples=[GapSample(name("example.test."), 90.0, 60.0)],
             memory_samples=[MemorySample(3600.0, 4, 12)],
             poison_dwells=[30.0, 45.5],
