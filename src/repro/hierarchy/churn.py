@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from repro.dns.name import Name
 from repro.dns.records import InfrastructureRecordSet, ResourceRecord, RRset
@@ -51,36 +51,38 @@ class ChurnSchedule:
         return {event.zone for event in self.events}
 
 
-class _ChurnAddressAllocator:
-    """Addresses for replacement servers, disjoint from the builder's 10/8."""
+def _free_addresses(tree: ZoneTree) -> Iterator[str]:
+    """The 172.16/12 addresses no server of ``tree`` listens on, in order.
 
-    def __init__(self) -> None:
-        self._next = 0
-
-    def allocate(self) -> str:
-        value = self._next
-        self._next += 1
-        if value >= 256 * 250 * 250:
-            raise RuntimeError("churn address space exhausted")
-        return f"172.{16 + value // (250 * 250)}.{(value // 250) % 250}.{value % 250 + 1}"
-
-
-_ALLOCATOR = _ChurnAddressAllocator()
+    The block is disjoint from the builder's 10/8, and the pick depends
+    only on the tree, so a migration gets the same addresses (and thus
+    the same per-address RTTs) whatever ran before it in the process.
+    """
+    for second in range(16, 32):
+        for third in range(256):
+            for fourth in range(1, 255):
+                address = f"172.{second}.{third}.{fourth}"
+                if tree.server_by_address(address) is None:
+                    yield address
+    raise RuntimeError("churn address space exhausted")
 
 
 def fresh_server_set(
+    tree: ZoneTree,
     zone_name: Name,
     ttl: float,
     count: int,
     generation: int,
 ) -> tuple[InfrastructureRecordSet, list[AuthoritativeServer]]:
-    """Mint a brand-new in-bailiwick NS+glue set and its server objects."""
+    """Mint a brand-new in-bailiwick NS+glue set and its server objects,
+    on the first addresses ``tree`` does not serve yet."""
+    addresses = _free_addresses(tree)
     ns_records = []
     glue = []
     servers = []
     for index in range(count):
         server_name = zone_name.child(f"ns{index + 1}g{generation}")
-        address = _ALLOCATOR.allocate()
+        address = next(addresses)
         ns_records.append(ResourceRecord(zone_name, RRType.NS, ttl, server_name))
         glue.append(
             RRset.from_records(
@@ -116,6 +118,7 @@ def apply_churn_event(
     zone = tree.zone(event.zone)
     current = zone.infrastructure_records
     irrs, servers = fresh_server_set(
+        tree,
         event.zone,
         ttl=current.ns.ttl,
         count=max(2, len(current.server_names())),

@@ -22,7 +22,8 @@ def mini():
 
 def migrate_example(mini, decommission=True):
     zone_name = name("example.test.")
-    irrs, servers = fresh_server_set(zone_name, ttl=HOUR, count=2, generation=1)
+    irrs, servers = fresh_server_set(mini.tree, zone_name, ttl=HOUR, count=2,
+                                     generation=1)
     mini.tree.migrate_zone_servers(zone_name, irrs, servers,
                                    decommission_old=decommission)
     return irrs

@@ -23,9 +23,9 @@ def mini():
 
 
 class TestFreshServerSet:
-    def test_mints_in_bailiwick_servers_with_glue(self):
-        irrs, servers = fresh_server_set(name("z.test."), ttl=3600, count=3,
-                                         generation=2)
+    def test_mints_in_bailiwick_servers_with_glue(self, mini):
+        irrs, servers = fresh_server_set(mini.tree, name("z.test."), ttl=3600,
+                                         count=3, generation=2)
         assert len(servers) == 3
         assert irrs.ns.ttl == 3600
         for server in servers:
@@ -33,18 +33,30 @@ class TestFreshServerSet:
             assert "g2" in str(server.name)
             assert irrs.glue_for(server.name) is not None
 
-    def test_addresses_unique_and_outside_builder_space(self):
-        irrs, servers = fresh_server_set(name("y.test."), 60, 4, 1)
+    def test_addresses_unique_and_outside_builder_space(self, mini):
+        irrs, servers = fresh_server_set(mini.tree, name("y.test."), 60, 4, 1)
         addresses = {server.address for server in servers}
         assert len(addresses) == 4
         assert all(address.startswith("172.") for address in addresses)
+
+    def test_addresses_skip_those_the_tree_serves(self, mini):
+        first, servers = fresh_server_set(mini.tree, name("example.test."),
+                                          3600, 2, 1)
+        # Nothing migrated yet: a second mint picks the same addresses.
+        again, _ = fresh_server_set(mini.tree, name("example.test."),
+                                    3600, 2, 1)
+        assert again == first
+        mini.tree.migrate_zone_servers(name("example.test."), first, servers)
+        _, others = fresh_server_set(mini.tree, name("test."), 3600, 2, 1)
+        taken = {server.address for server in servers}
+        assert taken.isdisjoint(server.address for server in others)
 
 
 class TestMigration:
     def test_new_servers_answer_old_go_lame(self, mini):
         zone_name = name("example.test.")
         old_server = mini.tree.server_by_name(name("ns1.example.test."))
-        irrs, servers = fresh_server_set(zone_name, 3600, 2, 1)
+        irrs, servers = fresh_server_set(mini.tree, zone_name, 3600, 2, 1)
         mini.tree.migrate_zone_servers(zone_name, irrs, servers)
 
         # New servers answer authoritatively.
@@ -58,7 +70,7 @@ class TestMigration:
 
     def test_parent_delegation_updated(self, mini):
         zone_name = name("example.test.")
-        irrs, servers = fresh_server_set(zone_name, 3600, 2, 1)
+        irrs, servers = fresh_server_set(mini.tree, zone_name, 3600, 2, 1)
         mini.tree.migrate_zone_servers(zone_name, irrs, servers)
         tld = mini.tree.zone(name("test."))
         delegation = tld.delegation_covering(zone_name)
@@ -69,7 +81,7 @@ class TestMigration:
         # provider.test. with decommission must NOT kill them.
         zone_name = name("provider.test.")
         survivor = mini.tree.server_by_name(name("ns1.provider.test."))
-        irrs, servers = fresh_server_set(zone_name, 3600, 2, 1)
+        irrs, servers = fresh_server_set(mini.tree, zone_name, 3600, 2, 1)
         mini.tree.migrate_zone_servers(zone_name, irrs, servers,
                                        decommission_old=True)
         assert mini.tree.server_by_name(survivor.name) is not None
@@ -77,20 +89,20 @@ class TestMigration:
 
         # But example.test.'s servers serve nothing else: they disappear.
         zone_name = name("example.test.")
-        irrs2, servers2 = fresh_server_set(zone_name, 3600, 2, 2)
         # First withdraw dept (shared) so old servers become exclusive.
         mini.tree.migrate_zone_servers(
             name("dept.example.test."), *fresh_server_set(
-                name("dept.example.test."), 3600, 2, 3
+                mini.tree, name("dept.example.test."), 3600, 2, 3
             ),
         )
+        irrs2, servers2 = fresh_server_set(mini.tree, zone_name, 3600, 2, 2)
         mini.tree.migrate_zone_servers(zone_name, irrs2, servers2,
                                        decommission_old=True)
         assert mini.tree.server_by_name(name("ns1.example.test.")) is None
 
     def test_replace_infrastructure_records_validates_zone(self, mini):
         zone = mini.tree.zone(name("example.test."))
-        wrong, _ = fresh_server_set(name("other.test."), 60, 2, 1)
+        wrong, _ = fresh_server_set(mini.tree, name("other.test."), 60, 2, 1)
         with pytest.raises(ZoneConfigError):
             zone.replace_infrastructure_records(wrong)
 
