@@ -12,9 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import (
-    ablations, churn, dnssec, figures, latency, max_damage,
+    ablations, churn, dnssec, figures, fleet, latency, max_damage,
 )
-from repro.experiments.fleet import fleet_attack_comparison
 from repro.experiments.model_validation import model_validation
 from repro.experiments.multiseed import _multiseed_experiment, seed_spread
 from repro.experiments.scenarios import Scale
@@ -222,11 +221,12 @@ def check_dnssec(result, scenario):
 
 def check_fleet(results, scenario):
     # §6's damage currency: failed lookups across all organisations.
-    vanilla = results["vanilla"]
-    combo = results["combo+a-lfu3+ttl3d"]
-    assert combo.aggregate_sr_failure_rate() < \
-        vanilla.aggregate_sr_failure_rate() / 5
-    assert combo.total_failed_lookups() < vanilla.total_failed_lookups()
+    vanilla = results["vanilla"].row(fleet.FLEET)
+    combo = results["combo+a-lfu3+ttl3d"].row(fleet.FLEET)
+    assert fleet.aggregate_sr_failure_rate(combo) < \
+        fleet.aggregate_sr_failure_rate(vanilla) / 5
+    assert fleet.total_failed_lookups(combo) < \
+        fleet.total_failed_lookups(vanilla)
 
 
 def check_model_validation(result, scenario):
@@ -289,7 +289,8 @@ ARTIFACTS = [
         workload=WorkloadConfig(duration_days=7.0, queries_per_day=6_000,
                                 num_clients=150),
     )), check_dnssec),
-    ("fleet", lambda s: fleet_attack_comparison(s, trace_limit=3), check_fleet,
+    ("fleet", lambda s: fleet.fleet_attack_comparison(s, trace_limit=3),
+     check_fleet,
      lambda results: "\n\n".join(r.render() for r in results.values())),
     ("model_validation", model_validation, check_model_validation),
     ("multiseed", lambda s: _multiseed_experiment(s, seeds=(0, 1, 2)),

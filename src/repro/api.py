@@ -27,10 +27,8 @@ from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
 from repro.core.transport import Upstream
 from repro.experiments import EXPERIMENTS
-from repro.experiments.fleet import FleetSummary
 from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
 from repro.experiments.parallel import (
-    FleetSpec,
     ReplayExecutionError,
     ReplaySpec,
     run_replays,
@@ -85,8 +83,6 @@ __all__ = [
     "FaultSpec",
     "FetchBudget",
     "FlashCrowdSpec",
-    "FleetSpec",
-    "FleetSummary",
     "InvariantViolation",
     "JsonlSink",
     "NxnsAttackSpec",

@@ -52,10 +52,10 @@ class PicklableSpecRule(Rule):
     rule_id = "REP004"
     title = "spec/metrics/summary dataclasses picklable by construction"
     rationale = (
-        "ReplaySpec/FleetSpec go to worker processes and ReplayMetrics/"
-        "FleetSummary records come back; lambdas, local classes and "
-        "Callable fields fail to pickle only at fan-out time, so they are "
-        "banned statically"
+        "ReplaySpecs go to worker processes and ReplayMetrics records "
+        "come back (a fleet is one ReplaySpec per member); lambdas, "
+        "local classes and Callable fields fail to pickle only at fan-out "
+        "time, so they are banned statically"
     )
 
     def applies_to(self, display_path: str) -> bool:

@@ -12,7 +12,8 @@
   and the row/cell/column-mean lookups.
 * :mod:`repro.experiments.figures` -- Tables 1-2 and Figures 3-12;
   :mod:`~repro.experiments.attack_grid` holds the Figures 4-11 grids.
-* :mod:`repro.experiments.ablations`, :mod:`~repro.experiments.fleet`,
+* :mod:`repro.experiments.ablations`, :mod:`~repro.experiments.fleet`
+  (independent per-organisation replays summed for §6's damage count),
   :mod:`~repro.experiments.model_validation` and the registry modules
   below -- the extension experiments (DESIGN.md §7).
 

@@ -1,10 +1,11 @@
 """Parallel trace replay: fan independent replays over worker processes.
 
 Every figure/table is a sweep of independent :func:`~repro.experiments.
-harness.run_replay` calls (schemes × traces × attack durations × seeds).
+harness.run_replay` calls (schemes × traces × attack durations × seeds;
+a fleet's members are independent replays too, summed afterwards).
 :func:`run_replays` is the batch API those sweeps go through: it takes
-declarative :class:`ReplaySpec` / :class:`FleetSpec` descriptions and
-executes them either in-process (``workers=1``, the default) or across a
+declarative :class:`ReplaySpec` descriptions and executes them either
+in-process (``workers=1``, the default) or across a
 :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Three design rules keep this correct:
@@ -42,7 +43,7 @@ from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from repro.core.config import ResilienceConfig
 from repro.experiments.harness import AttackSpec, run_replay
@@ -52,11 +53,7 @@ from repro.simulation.adversary import AdversarySpec
 from repro.simulation.faults import FaultSpec
 from repro.simulation.metrics import ReplayMetrics
 
-if TYPE_CHECKING:
-    from repro.experiments.fleet import FleetSummary
-
 __all__ = [
-    "FleetSpec",
     "ReplayExecutionError",
     "ReplaySpec",
     "WORKERS_ENV_VAR",
@@ -141,35 +138,6 @@ class ReplaySpec:
         )
 
 
-@dataclass(frozen=True)
-class FleetSpec:
-    """One fleet replay (several traces over shared virtual time)."""
-
-    scale: Scale
-    scenario_seed: int
-    trace_names: tuple[str, ...]
-    config: ResilienceConfig
-    attack: AttackSpec | None = None
-    seed: int = 0
-
-    @classmethod
-    def for_scenario(
-        cls,
-        scenario: Scenario,
-        trace_names: Sequence[str],
-        config: ResilienceConfig,
-        **options: Any,
-    ) -> "FleetSpec":
-        return cls(scenario.scale, scenario.seed, tuple(trace_names), config,
-                   **options)
-
-    def describe(self) -> str:
-        return (
-            f"fleet[{','.join(self.trace_names)}]/{self.config.label}"
-            f" (scale={self.scale.value}, seed={self.seed})"
-        )
-
-
 # ---------------------------------------------------------------------------
 # Execution
 # ---------------------------------------------------------------------------
@@ -195,17 +163,9 @@ def default_worker_count() -> int:
     return value
 
 
-def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplayMetrics | FleetSummary":
+def _execute_spec(spec: ReplaySpec) -> ReplayMetrics:
     """Run one spec in this process and return its record."""
     scenario = make_scenario(spec.scale, spec.scenario_seed)
-    if isinstance(spec, FleetSpec):
-        # Imported lazily: fleet.py builds on this module's batch API.
-        from repro.experiments.fleet import run_fleet_replay
-
-        return run_fleet_replay(
-            scenario.built, [scenario.trace(name) for name in spec.trace_names],
-            spec.config, attack=spec.attack, seed=spec.seed,
-        )
     return run_replay(
         scenario.built,
         scenario.trace(spec.trace_name),
@@ -222,14 +182,14 @@ def _execute_spec(spec: ReplaySpec | FleetSpec) -> "ReplayMetrics | FleetSummary
 
 
 def run_replays(
-    specs: Iterable[ReplaySpec | FleetSpec],
+    specs: Iterable[ReplaySpec],
     workers: int | None = None,
     timeout: float | None = None,
-) -> "list[ReplayMetrics | FleetSummary]":
+) -> list[ReplayMetrics]:
     """Execute every spec; results come back in spec order.
 
     Args:
-        specs: replay / fleet specs; independent of each other.
+        specs: replay specs, independent of each other.
         workers: process count.  None reads ``$REPRO_WORKERS`` (default
             1); 1 runs everything in-process with no executor involved.
         timeout: optional per-replay wall-clock limit in seconds
@@ -280,7 +240,7 @@ def run_replays(
 
 
 def run_rows(
-    pairs: Iterable[tuple[Any, ReplaySpec | FleetSpec]],
+    pairs: Iterable[tuple[Any, ReplaySpec]],
     grouped: bool = False,
     workers: int | None = None,
 ) -> dict[Any, Any]:

@@ -152,11 +152,6 @@ class Scenario:
         self._traces[name] = trace
         return trace
 
-    def week_traces(self, limit: int | None = None) -> list[Trace]:
-        """TRC1..TRC5 (or the first ``limit`` of them)."""
-        names = self.WEEK_TRACES[: limit or self.parameters.week_trace_count]
-        return [self.trace(name) for name in names]
-
     @property
     def attack_start(self) -> float:
         """The paper's attack start: the beginning of day 7."""

@@ -111,22 +111,6 @@ class Network:
         """Seconds one unanswered query costs (the Upstream contract)."""
         return self.latency.timeout
 
-    @property
-    def attacks(self) -> AttackSchedule | None:
-        return self._attacks
-
-    @property
-    def faults(self) -> FaultInjector | None:
-        return self._faults
-
-    def set_attacks(self, attacks: AttackSchedule | None) -> None:
-        """Swap the attack schedule (used by scenario harnesses)."""
-        self._attacks = attacks
-
-    @property
-    def poisoner(self) -> Poisoner | None:
-        return self._poisoner
-
     def query(self, address: str, question: Question, now: float) -> QueryResult:
         """Send ``question`` to the server at ``address``.
 
@@ -181,16 +165,3 @@ class Network:
         if faults.loss_drops(address, ordinal):
             return "loss"
         return None
-
-    def is_reachable(self, address: str, now: float) -> bool:
-        """Whether a query to ``address`` would currently be answered.
-
-        Probabilistic faults (partial intensity, background loss) do not
-        make an address unreachable — only full blocks and a flap in its
-        down phase do.
-        """
-        if self._attacks is not None and self._attacks.is_blocked(address, now):
-            return False
-        if self._faults is not None and self._faults.flap_down(address, now):
-            return False
-        return self._tree.server_by_address(address) is not None

@@ -1,11 +1,18 @@
-"""Tests for the fleet replay (multiple caching servers, shared time)."""
+"""Tests for the fleet replay (one caching server per organisation)."""
 
 import pytest
 
 from repro.core.config import ResilienceConfig
-from repro.experiments.fleet import fleet_attack_comparison, run_fleet_replay
+from repro.experiments.fleet import (
+    FLEET,
+    aggregate_sr_failure_rate,
+    fleet_attack_comparison,
+    total_failed_lookups,
+)
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.scenarios import Scale, make_scenario
+
+TRACES = ("TRC1", "TRC2")
 
 
 @pytest.fixture(scope="module")
@@ -13,93 +20,83 @@ def scenario():
     return make_scenario(Scale.TINY)
 
 
+@pytest.fixture(scope="module")
+def vanilla_fleet(scenario):
+    return fleet_attack_comparison(
+        scenario, [ResilienceConfig.vanilla()], trace_limit=len(TRACES),
+    )["vanilla"]
+
+
+def _assert_members_equal_solo_replays(scenario, table, config, attack, seed):
+    for index, trace_name in enumerate(TRACES):
+        solo = run_replay(scenario.built, scenario.trace(trace_name), config,
+                          attack=attack, seed=seed + index)
+        assert table.row(trace_name) == solo.metrics, trace_name
+
+
 class TestFleetReplay:
-    def test_every_member_replayed_fully(self, scenario):
-        traces = scenario.week_traces(3)
-        result = run_fleet_replay(scenario.built, traces,
-                                  ResilienceConfig.vanilla())
-        assert list(result.members) == [trace.name for trace in traces]
-        for trace in traces:
-            assert result.members[trace.name].sr_queries == len(trace)
+    def test_every_member_replayed_fully(self, scenario, vanilla_fleet):
+        assert list(vanilla_fleet.rows) == [*TRACES, FLEET]
+        for trace_name in TRACES:
+            assert vanilla_fleet.row(trace_name).sr_queries == len(
+                scenario.trace(trace_name))
 
-    def test_caches_are_independent(self, scenario):
-        # With no attack the member's only tie to the rest of the fleet
-        # would be a shared cache, which would make it hit more often.
-        trace = scenario.trace("TRC1")
-        solo = run_replay(scenario.built, trace, ResilienceConfig.vanilla(),
-                          seed=0)
-        fleet = run_fleet_replay(scenario.built, scenario.week_traces(2),
-                                 ResilienceConfig.vanilla(), seed=0)
-        member = fleet.members["TRC1"]
-        assert member.sr_cache_hits == solo.metrics.sr_cache_hits
+    def test_caches_are_independent(self, scenario, vanilla_fleet):
+        # A cache shared with TRC2 would make TRC1's member hit more often
+        # than it does in a fleet of its own.
+        alone = fleet_attack_comparison(
+            scenario, [ResilienceConfig.vanilla()], trace_limit=1,
+        )["vanilla"]
+        assert alone.row("TRC1") == vanilla_fleet.row("TRC1")
 
-    def test_aggregate_matches_members(self, scenario):
-        traces = scenario.week_traces(2)
-        result = run_fleet_replay(
-            scenario.built, traces, ResilienceConfig.vanilla(),
-            attack=AttackSpec(),
-        )
-        windows = [member.window for member in result.members.values()]
+    def test_aggregate_matches_members(self, vanilla_fleet):
+        members = vanilla_fleet.row(FLEET)
+        assert members == tuple(vanilla_fleet.row(name) for name in TRACES)
+        windows = [member.window for member in members]
         total_queries = sum(window.sr_queries for window in windows)
         total_failures = sum(window.sr_failures for window in windows)
-        assert result.total_failed_lookups() == total_failures
-        assert result.aggregate_sr_failure_rate() == pytest.approx(
+        assert total_failed_lookups(members) == total_failures
+        assert aggregate_sr_failure_rate(members) == pytest.approx(
             total_failures / total_queries
         )
 
-    def test_fleet_member_close_to_solo_replay(self, scenario):
-        # A fleet member and a solo replay of the same trace see the
-        # same attack; failure rates should be in the same ballpark
-        # (not identical: per-member seeds differ by design).
-        trace = scenario.trace("TRC1")
-        solo = run_replay(scenario.built, trace, ResilienceConfig.vanilla(),
-                          attack=AttackSpec(), seed=0)
-        fleet = run_fleet_replay(
-            scenario.built, [trace], ResilienceConfig.vanilla(),
-            attack=AttackSpec(), seed=0,
-        )
-        assert fleet.members["TRC1"].sr_attack_failure_rate == pytest.approx(
-            solo.metrics.sr_attack_failure_rate, abs=0.05
-        )
+    @pytest.mark.parametrize("config", [
+        ResilienceConfig.vanilla(),
+        ResilienceConfig.refresh_long_ttl(7),
+    ], ids=lambda config: config.label)
+    def test_every_member_equals_its_solo_replay(self, scenario, config):
+        # Member i is an ordinary replay at seed + i, long-TTL override
+        # included.
+        attack = AttackSpec(start=scenario.attack_start)
+        table = fleet_attack_comparison(
+            scenario, [config], attack=attack, trace_limit=len(TRACES), seed=3,
+        )[config.label]
+        _assert_members_equal_solo_replays(scenario, table, config, attack, 3)
 
-    def test_empty_fleet_rejected(self, scenario):
-        with pytest.raises(ValueError):
-            run_fleet_replay(scenario.built, [], ResilienceConfig.vanilla())
+    def test_partial_attack_reaches_every_member(self, scenario):
+        # A 0.5-intensity attack drops queries by per-query fault draws;
+        # a fleet member must see it exactly as a solo replay does.
+        config = ResilienceConfig.vanilla()
+        attack = AttackSpec(start=scenario.attack_start, intensity=0.5)
+        table = fleet_attack_comparison(
+            scenario, [config], attack=attack, trace_limit=len(TRACES),
+        )["vanilla"]
+        _assert_members_equal_solo_replays(scenario, table, config, attack, 0)
+        assert total_failed_lookups(table.row(FLEET)) > 0
 
-    def test_long_ttl_restored(self, scenario):
-        tree = scenario.built.tree
-        sld = next(z for z in tree.zones() if z.name.depth() == 2)
-        before = sld.infrastructure_records.ns.ttl
-        run_fleet_replay(
-            scenario.built, scenario.week_traces(1),
-            ResilienceConfig.refresh_long_ttl(7),
-        )
-        assert sld.infrastructure_records.ns.ttl == before
-
-    def test_unknown_member(self, scenario):
-        result = run_fleet_replay(scenario.built, scenario.week_traces(1),
-                                  ResilienceConfig.vanilla())
+    def test_unknown_member(self, vanilla_fleet):
         with pytest.raises(KeyError):
-            result.members["TRC9"]
+            vanilla_fleet.row("TRC9")
 
-    def test_duplicate_trace_names_rejected(self, scenario):
-        trace = scenario.trace("TRC1")
-        with pytest.raises(ValueError, match="distinct"):
-            run_fleet_replay(scenario.built, [trace, trace],
-                             ResilienceConfig.vanilla())
-
-    def test_render(self, scenario):
-        result = run_fleet_replay(
-            scenario.built, scenario.week_traces(2),
-            ResilienceConfig.vanilla(), attack=AttackSpec(),
-        )
-        text = result.render()
+    def test_render(self, vanilla_fleet):
+        text = vanilla_fleet.render()
         assert "fleet" in text and "TRC1" in text
 
 
 class TestFleetComparison:
     def test_schemes_ordered(self, scenario):
         results = fleet_attack_comparison(scenario, trace_limit=2)
-        vanilla = results["vanilla"].aggregate_sr_failure_rate()
-        combo = results["combo+a-lfu3+ttl3d"].aggregate_sr_failure_rate()
+        vanilla = aggregate_sr_failure_rate(results["vanilla"].row(FLEET))
+        combo = aggregate_sr_failure_rate(
+            results["combo+a-lfu3+ttl3d"].row(FLEET))
         assert combo < vanilla

@@ -17,10 +17,9 @@ import pytest
 
 from repro.core.config import ResilienceConfig
 from repro.experiments import parallel
-from repro.experiments.fleet import FleetSummary
+from repro.experiments.fleet import fleet_attack_comparison
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.parallel import (
-    FleetSpec,
     ReplayExecutionError,
     ReplaySpec,
     WORKERS_ENV_VAR,
@@ -77,17 +76,14 @@ class TestSpecs:
                                     metrics_path=str(tmp_path / "metrics.prom")),
             track_gaps=True, memory_sample_interval=3600.0, validation=True,
         )
-        fleet = FleetSpec.for_scenario(scenario, ("TRC1",), ResilienceConfig.vanilla(),
-                                       attack=spec.attack)
-        for picklable in (spec, loaded, fleet):
+        for picklable in (spec, loaded):
             assert pickle.loads(pickle.dumps(picklable)) == picklable
         # The config's renewal-policy factory must survive the trip too.
         revived = pickle.loads(pickle.dumps(loaded.config))
         assert revived.renewal_policy() is not None
 
-        record, fleet_record = run_replays([spec, fleet], workers=1)
+        [record] = run_replays([spec], workers=1)
         assert isinstance(record, ReplayMetrics)
-        assert isinstance(fleet_record, FleetSummary)
         # A record with every optional part and sample list filled.
         sampled = ReplayMetrics(
             sr_queries=3, sr_failures=1,
@@ -97,17 +93,12 @@ class TestSpecs:
             memory_samples=[MemorySample(3600.0, 4, 12)],
             poison_dwells=[30.0, 45.5],
         )
-        for result in (record, fleet_record, sampled,
-                       FleetSummary("vanilla", {"TRC1": sampled})):
+        for result in (record, sampled):
             assert pickle.loads(pickle.dumps(result)) == result
 
     def test_describe_names_the_work(self, scenario):
         spec = _sweep_specs(scenario)[0]
         assert "TRC1" in spec.describe()
-        fleet = FleetSpec.for_scenario(
-            scenario, ("TRC1", "TRC2"), ResilienceConfig.vanilla()
-        )
-        assert "fleet" in fleet.describe()
 
 
 class TestSerialPath:
@@ -190,18 +181,15 @@ class TestDeterminism:
                                shallow=False), label
 
     def test_parallel_fleet_matches_serial(self, scenario):
-        spec = FleetSpec.for_scenario(
-            scenario, ("TRC1", "TRC2"), ResilienceConfig.vanilla(),
-            attack=AttackSpec(start=scenario.attack_start,
-                              duration=6 * 3600.0),
-        )
-        # Duplicate the spec so the parallel path actually engages.
-        serial = run_replays([spec, spec], workers=1)
-        fanned = run_replays([spec, spec], workers=2)
-        assert [s.aggregate_sr_failure_rate() for s in fanned] == [
-            s.aggregate_sr_failure_rate() for s in serial
-        ]
-        assert fanned == serial
+        def render(workers):
+            tables = fleet_attack_comparison(
+                scenario,
+                [ResilienceConfig.vanilla(), ResilienceConfig.refresh()],
+                trace_limit=2, workers=workers,
+            )
+            return "\n\n".join(table.render() for table in tables.values())
+
+        assert render(2) == render(1)
 
 
 def _crash_worker(spec):

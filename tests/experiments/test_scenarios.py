@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.attack_grid import week_trace_names
 from repro.experiments.scenarios import (
     SCALE_ENV_VAR,
     Scale,
@@ -66,12 +67,14 @@ class TestScenario:
 
     def test_week_traces_limit(self):
         scenario = make_scenario(Scale.TINY)
-        assert len(scenario.week_traces(2)) == 2
-        assert [t.name for t in scenario.week_traces(2)] == ["TRC1", "TRC2"]
+        traces = [scenario.trace(name) for name in week_trace_names(scenario, 2)]
+        assert len(traces) == 2
+        assert [t.name for t in traces] == ["TRC1", "TRC2"]
 
     def test_traces_are_decorrelated(self):
         scenario = make_scenario(Scale.TINY)
-        one, two = scenario.week_traces(2)
+        one, two = [scenario.trace(name)
+                    for name in week_trace_names(scenario, 2)]
         heads = lambda trace: [q.qname for q in trace.queries[:30]]
         assert heads(one) != heads(two)
 

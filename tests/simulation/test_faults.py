@@ -260,8 +260,8 @@ class TestNetworkWithFaults:
         injector = FaultSpec(flap_period=100.0, flap_duty=0.0).build(seed=1)
         network = Network(mini.tree, faults=injector)
         address = mini.address_of("ns1.example.test.")
-        assert not network.is_reachable(address, 10.0)
         result = network.query(address, question(), now=10.0)
+        assert not result.answered and result.timed_out
         assert result.dropped_by == "flap"
 
     def test_jitter_scales_rtt_within_bounds(self, mini):

@@ -73,9 +73,11 @@ class TestDelivery:
                                   start=0.0, duration=10.0)
         network = Network(mini.tree, attacks=attacks)
         address = mini.address_of("ns1.test.")
-        assert not network.is_reachable(address, 5.0)
-        assert network.is_reachable(address, 15.0)
-        assert not network.is_reachable("203.0.113.99", 15.0)
+        during = network.query(address, question(), 5.0)
+        assert not during.answered and during.timed_out
+        assert network.query(address, question(), 15.0).answered
+        unknown = network.query("203.0.113.99", question(), 15.0)
+        assert not unknown.answered and unknown.timed_out
 
     def test_custom_latency_model(self, mini):
         model = LatencyModel(rtt=0.1, timeout=5.0, rtt_spread=0.0)
@@ -84,12 +86,3 @@ class TestDelivery:
         lost = network.query("203.0.113.99", question(), 0.0)
         assert ok.latency == 0.1
         assert lost.latency == 5.0
-
-    def test_set_attacks_swaps_schedule(self, mini):
-        network = Network(mini.tree)
-        address = mini.address_of("a.root.")
-        assert network.is_reachable(address, 0.0)
-        network.set_attacks(
-            attack_on_zones(mini.tree, [name(".")], start=0.0, duration=10.0)
-        )
-        assert not network.is_reachable(address, 5.0)
