@@ -41,7 +41,6 @@ from repro.dns.rrtypes import RRClass, RRType
 from repro.dns.dnssec import make_dnskey_rrset, make_ds_rrset, sign_irrs
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import Zone, ZoneBuilder
-from repro.dns.zonefile import dump_zone, load_zone, load_zone_file, parse_zone_text
 from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
 from repro.experiments.scenarios import Scale, Scenario, make_scenario
 from repro.hierarchy.builder import (
@@ -73,9 +72,9 @@ __all__ = [
     "AttackWindow",
     "AuthoritativeServer",
     "BuiltHierarchy",
+    "CachingServer",
     "ChurnEvent",
     "ChurnSchedule",
-    "CachingServer",
     "DnsCache",
     "HierarchyBuilder",
     "HierarchyConfig",
@@ -93,9 +92,9 @@ __all__ = [
     "Rcode",
     "RenewalPolicy",
     "ReplayResult",
+    "ResilienceConfig",
     "Resolution",
     "ResolutionOutcome",
-    "ResilienceConfig",
     "ResourceRecord",
     "Scale",
     "Scenario",
@@ -107,23 +106,19 @@ __all__ = [
     "Zone",
     "ZoneBuilder",
     "ZoneTree",
+    "__version__",
     "apply_churn_event",
     "attack_on_root_and_tlds",
     "attack_on_zones",
     "build_hierarchy",
-    "dump_zone",
     "generate_churn",
-    "load_zone",
-    "load_zone_file",
     "make_dnskey_rrset",
     "make_ds_rrset",
-    "parse_zone_text",
-    "sign_irrs",
     "make_policy",
     "make_scenario",
     "read_trace",
     "root_name",
     "run_replay",
+    "sign_irrs",
     "write_trace",
-    "__version__",
 ]

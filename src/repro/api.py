@@ -51,7 +51,6 @@ from repro.serve import ServeSpec, serve
 from repro.serve.clock import WallClock
 from repro.simulation.adversary import (
     AdversarySpec,
-    FlashCrowdSpec,
     NxnsAttackSpec,
     PoisonAttackSpec,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "FaultInjector",
     "FaultSpec",
     "FetchBudget",
-    "FlashCrowdSpec",
     "InvariantViolation",
     "JsonlSink",
     "NxnsAttackSpec",

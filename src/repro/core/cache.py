@@ -132,12 +132,10 @@ class DnsCache:
         max_effective_ttl: float | None = None,
         max_entries: int | None = None,
         harden_ranking: bool = False,
-        protect_irrs: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.harden_ranking = harden_ranking
-        self.protect_irrs = protect_irrs
         # dict preserves insertion order; `_touch` re-inserts on use so
         # iteration order is LRU-first.  Keys are packed ints (see
         # `cache_key`), not (Name, RRType) tuples: the public API still
@@ -202,19 +200,9 @@ class DnsCache:
                 name, rrtype = split_key(key)
                 obs.emit(EventKind.CACHE_EVICTED, now,
                          name=str(name), rrtype=rrtype.name, live=False)
-        # Pass 2: evict live entries, LRU first.  Under ``protect_irrs``
-        # (budget-aware admission, the flash-crowd defense) live NS sets
-        # are spared while any non-IRR entry remains: a request surge
-        # then churns host records instead of the infrastructure records
-        # the paper's schemes exist to preserve.
+        # Pass 2: evict live entries, LRU first.
         while len(self._entries) >= self.max_entries:
             oldest_key = next(iter(self._entries))
-            if self.protect_irrs and oldest_key & _TYPE_MASK == _NS_CODE:
-                oldest_key = next(
-                    (key for key in self._entries
-                     if key & _TYPE_MASK != _NS_CODE),
-                    oldest_key,
-                )
             del self._entries[oldest_key]
             if self._tainted:
                 self._end_taint(oldest_key, now, cured=False)

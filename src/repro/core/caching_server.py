@@ -158,7 +158,6 @@ class CachingServer:
             max_effective_ttl=MAX_EFFECTIVE_TTL,
             max_entries=self.config.cache_capacity,
             harden_ranking=self.config.harden_ranking,
-            protect_irrs=self.config.protect_irrs,
         )
         self.observer = observer
         if observer is not None:
@@ -595,7 +594,7 @@ class CachingServer:
                 )
                 if message is not None or retry is not None:
                     # Answers feed the smoothed RTT; under a RetryPolicy
-                    # so do the timeouts paid, so lossy or flapping
+                    # so do the timeouts paid, so lossy or unreachable
                     # servers lose their `prefer_fast_servers` preference.
                     previous = srtt.get(aid)
                     srtt[aid] = (

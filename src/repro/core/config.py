@@ -151,12 +151,6 @@ class ResilienceConfig:
     probability per bit (0 models the fixed-port resolver DNS-CPM
     assumes)."""
 
-    protect_irrs: bool = False
-    """Flash-crowd defense: budget-aware cache admission — when a
-    bounded cache must evict, live NS RRsets (the IRRs the paper's
-    schemes exist to preserve) are evicted only after every non-IRR
-    entry is gone."""
-
     label: str = "vanilla"
     """Human-readable scheme name, used by reports and benches."""
 
@@ -337,8 +331,6 @@ class ResilienceConfig:
             parts.append("harden-ranking")
         if self.source_entropy_bits > 0:
             parts.append(f"entropy({self.source_entropy_bits}b)")
-        if self.protect_irrs:
-            parts.append("protect-irrs")
         if not parts:
             parts.append("vanilla")
         return " + ".join(parts)

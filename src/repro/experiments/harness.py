@@ -32,7 +32,6 @@ from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import FaultInjector, FaultSpec
 from repro.simulation.metrics import MemorySample, ReplayMetrics, WindowCounters
 from repro.simulation.network import Network
-from repro.workload.generator import flash_crowd_schedule
 from repro.workload.trace import Trace
 
 DAY = 86400.0
@@ -151,14 +150,16 @@ def run_replay(
         saved_state = tree.capture_irr_state()
         tree.apply_long_ttl(config.long_ttl)
     graft: AttackerZoneGraft | None = None
+    injected: tuple[tuple[float, Name], ...] = ()
     if adversary is not None and adversary.nxns is not None:
         graft = graft_attacker_zone(
             tree, adversary.nxns.fan_out, adversary.nxns.delegations
         )
+        injected = adversary.nxns.query_stream(graft.apex)
     try:
         return _replay(
             built, trace, config, attack, track_gaps, memory_sample_interval,
-            seed, observe, timings, faults, adversary, graft, validation,
+            seed, observe, timings, faults, adversary, injected, validation,
             churn,
         )
     finally:
@@ -180,7 +181,7 @@ def _replay(
     timings: StageTimings | None,
     faults: FaultSpec | None,
     adversary: AdversarySpec | None,
-    graft: AttackerZoneGraft | None,
+    injected: tuple[tuple[float, Name], ...],
     validation: bool,
     churn: ChurnSchedule | None,
 ) -> ReplayResult:
@@ -229,10 +230,6 @@ def _replay(
                                 trace.duration)
 
     with maybe_stage(timings, "replay"):
-        injected = (
-            _injected_queries(adversary, graft, built, seed)
-            if adv is not None else ()
-        )
         if not injected:
             # The pre-adversary loop: an inert/absent adversary replays
             # byte-identically to the main path.  The time is read once:
@@ -243,9 +240,7 @@ def _replay(
                 engine.advance_to(now)
                 server.handle_stub_query(query.qname, query.rrtype, now)
         else:
-            _replay_with_injections(
-                engine, server, metrics, trace, injected
-            )
+            _replay_with_injections(engine, server, trace, injected)
         engine.advance_to(trace.duration)
 
     with maybe_stage(timings, "finalize"):
@@ -271,82 +266,40 @@ def _replay(
         )
 
 
-#: One adversary-injected arrival: (time, kind, qname) with kind 0 for
-#: NXNS attack queries and 1 for flash-crowd queries.  The int kind also
-#: orders same-instant injections deterministically (attack first).
-_Injected = tuple[float, int, Name]
-
-
-def _injected_queries(
-    adversary: AdversarySpec,
-    graft: AttackerZoneGraft | None,
-    built: BuiltHierarchy,
-    seed: int,
-) -> list[_Injected]:
-    """Every adversary-injected arrival, time-ordered."""
-    entries: list[_Injected] = []
-    if adversary.nxns is not None and graft is not None:
-        for time, qname in adversary.nxns.query_stream(graft.apex):
-            entries.append((time, 0, qname))
-    if adversary.flash is not None:
-        flash = adversary.flash
-        for time, qname in flash_crowd_schedule(
-            built.catalog,
-            start=flash.start,
-            duration=flash.duration,
-            queries_per_minute=flash.queries_per_minute,
-            hot_zones=flash.hot_zones,
-            zipf_alpha=flash.zipf_alpha,
-            seed=seed,
-        ):
-            entries.append((time, 1, qname))
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    return entries
-
-
 def _replay_with_injections(
     engine: SimulationEngine,
     server: CachingServer,
-    metrics: ReplayMetrics,
     trace: Trace,
-    injected: list[_Injected],
+    injected: tuple[tuple[float, Name], ...],
 ) -> None:
-    """The replay loop with adversary arrivals merged into the trace.
+    """The replay loop with NXNS attack queries merged into the trace.
 
     A two-pointer merge over two already-sorted streams; on equal
-    timestamps injected arrivals run first (their sort position is
-    decided before the trace query is even seen), which is arbitrary
-    but fixed — the property that matters for byte-identical logs.
+    timestamps attack queries run first, which is arbitrary but fixed —
+    the property that matters for byte-identical logs.
     """
     index = 0
     total = len(injected)
     for query in trace:
         now = query.time
         while index < total and injected[index][0] <= now:
-            index = _run_injection(engine, server, metrics, injected, index)
+            index = _run_injection(engine, server, injected, index)
         engine.advance_to(now)
         server.handle_stub_query(query.qname, query.rrtype, now)
     while index < total and injected[index][0] < trace.duration:
-        index = _run_injection(engine, server, metrics, injected, index)
+        index = _run_injection(engine, server, injected, index)
 
 
 def _run_injection(
     engine: SimulationEngine,
     server: CachingServer,
-    metrics: ReplayMetrics,
-    injected: list[_Injected],
+    injected: tuple[tuple[float, Name], ...],
     index: int,
 ) -> int:
-    """Execute one injected arrival; returns the advanced index."""
-    time, kind, qname = injected[index]
+    """Execute one attack query; returns the advanced index."""
+    time, qname = injected[index]
     engine.advance_to(time)
-    if kind == 0:
-        server.handle_attack_query(qname, RRType.A, time)
-    else:
-        # A flash-crowd arrival is legitimate traffic: it runs (and is
-        # counted) as a normal stub query, plus its own tally.
-        metrics.flash_queries += 1
-        server.handle_stub_query(qname, RRType.A, time)
+    server.handle_attack_query(qname, RRType.A, time)
     return index + 1
 
 

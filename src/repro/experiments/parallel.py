@@ -36,12 +36,7 @@ so no worker outlives the call.
 from __future__ import annotations
 
 import os
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    TimeoutError as FuturesTimeoutError,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Iterable
 
@@ -108,8 +103,8 @@ class ReplaySpec:
     the hash-keyed draws make the outcome independent of worker count."""
 
     adversary: AdversarySpec | None = None
-    """Optional adversary model (DESIGN.md §16): NXNS amplification,
-    cache poisoning and flash crowds.  Frozen like ``faults``; each
+    """Optional adversary model (DESIGN.md §16): NXNS amplification
+    and cache poisoning.  Frozen like ``faults``; each
     worker builds its own live adversary with its own ordinal counters,
     so adversarial replays stay byte-identical at any worker count."""
 
@@ -184,7 +179,6 @@ def _execute_spec(spec: ReplaySpec) -> ReplayMetrics:
 def run_replays(
     specs: Iterable[ReplaySpec],
     workers: int | None = None,
-    timeout: float | None = None,
 ) -> list[ReplayMetrics]:
     """Execute every spec; results come back in spec order.
 
@@ -192,13 +186,10 @@ def run_replays(
         specs: replay specs, independent of each other.
         workers: process count.  None reads ``$REPRO_WORKERS`` (default
             1); 1 runs everything in-process with no executor involved.
-        timeout: optional per-replay wall-clock limit in seconds
-            (parallel mode only).
 
     Raises:
-        ReplayExecutionError: when a worker process dies (e.g. OOM-kill)
-            or a replay exceeds ``timeout``.  Worker exceptions from the
-            replay itself propagate unchanged.
+        ReplayExecutionError: when a worker process dies (e.g. OOM-kill).
+            Worker exceptions from the replay itself propagate unchanged.
     """
     spec_list = list(specs)
     if workers is None:
@@ -218,13 +209,7 @@ def run_replays(
         results = []
         for spec, future in zip(spec_list, futures):
             try:
-                results.append(future.result(timeout=timeout))
-            except FuturesTimeoutError:
-                _abort_pool(pool, futures)
-                raise ReplayExecutionError(
-                    f"replay {spec.describe()} exceeded the {timeout:g} s "
-                    f"timeout"
-                ) from None
+                results.append(future.result())
             except BrokenExecutor as error:
                 raise ReplayExecutionError(
                     f"a worker process died while running "
@@ -257,15 +242,3 @@ def run_rows(
     for (key, _), record in zip(pair_list, records):
         rows[key] = (*rows.get(key, ()), record) if grouped else record
     return rows
-
-
-def _abort_pool(pool: ProcessPoolExecutor, futures: list[Future]) -> None:
-    """Stop a pool hard after a timeout: cancel queued work, kill workers."""
-    for future in futures:
-        future.cancel()
-    # Terminate worker processes so a hung replay cannot block interpreter
-    # shutdown; ProcessPoolExecutor exposes no public kill, and the
-    # private map is absent once the pool is already broken.
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        process.terminate()

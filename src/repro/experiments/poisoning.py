@@ -8,10 +8,9 @@ credibility ranking decides what the forgery may displace, and the TTL
 policy under test decides how long a stuck forgery survives.  This
 experiment sweeps the injection rate (columns) against the scheme
 ladder, pairing every scheme with a *guarded* variant (hardened
-ranking + source-port entropy + IRR eviction protection), and reports
-per cell how many forgeries stuck and the dwell-time distribution —
-how long poisoned data stayed servable before cure, expiry or
-eviction.
+ranking + source-port entropy), and reports per cell how many
+forgeries stuck and the dwell-time distribution — how long poisoned
+data stayed servable before cure, expiry or eviction.
 
 Long-TTL schemes are the interesting rows: the paper's resilience
 mechanism (stretching TTLs) is exactly what stretches poison dwell
@@ -41,7 +40,7 @@ class PoisoningSpec:
     seed: int = 7
     schemes: str = "vanilla,long-ttl:7"
     """Comma-separated scheme ladder; each scheme also gets a guarded
-    row (hardened ranking + entropy + IRR protection)."""
+    row (hardened ranking + entropy)."""
 
     trace_name: str = "TRC1"
     rates: tuple[float, ...] = (0.01, 0.05, 0.2)
@@ -89,12 +88,11 @@ def _fmt_secs(seconds: float) -> str:
 
 
 def _guarded(base: ResilienceConfig, entropy_bits: int) -> ResilienceConfig:
-    """The hardened variant of ``base``: ranking + entropy + IRR guard."""
+    """The hardened variant of ``base``: ranking + source entropy."""
     return replace(
         base,
         harden_ranking=True,
         source_entropy_bits=entropy_bits,
-        protect_irrs=True,
         label=f"{base.label}+guard",
     )
 

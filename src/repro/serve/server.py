@@ -273,22 +273,3 @@ def _formerr_for(data: bytes) -> bytes | None:
     return HEADER.pack(
         message_id, FLAG_QR | int(Rcode.FORMERR), 0, 0, 0, 0
     )
-
-
-async def serve_until(
-    spec: ServeSpec,
-    shutdown: "asyncio.Event | None" = None,
-) -> DnsFrontEnd:
-    """Start a front end and (when given) block until ``shutdown``.
-
-    Returns the running front end; the caller owns ``stop()`` when no
-    shutdown event is supplied.
-    """
-    front_end = DnsFrontEnd(spec)
-    await front_end.start()
-    if shutdown is not None:
-        try:
-            await shutdown.wait()
-        finally:
-            await front_end.stop()
-    return front_end

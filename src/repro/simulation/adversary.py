@@ -1,7 +1,7 @@
-"""Adversary 2.0: NXNS amplification, cache poisoning, flash crowds.
+"""Adversary 2.0: NXNS amplification and cache poisoning.
 
 The paper models a DDoS as brute-force unavailability of authoritative
-servers; this module adds the three adversarial workloads the follow-on
+servers; this module adds the two adversarial workloads the follow-on
 literature studies *against the resolver itself*:
 
 * **NXNS amplification** (Afek et al., USENIX Security 2020) — queries
@@ -15,8 +15,6 @@ literature studies *against the resolver itself*:
   answer; whether it *sticks* is decided downstream by the ordinary RFC
   2181 ranking in the cache, which is exactly the point: defenses are
   measured by poison dwell time, not by fiat.
-* **Flash crowds** — a scheduled Zipf-skewed query surge on a few hot
-  names, stressing cache admission rather than the upstream path.
 
 Mirroring :mod:`repro.simulation.faults`, each family splits into a
 frozen picklable spec riding inside
@@ -130,43 +128,6 @@ class PoisonAttackSpec:
 
 
 @dataclass(frozen=True)
-class FlashCrowdSpec:
-    """A scheduled legitimate-traffic surge on a few hot names."""
-
-    start: float = 6 * DAY
-    """Virtual time the crowd arrives."""
-
-    duration: float = 1 * HOUR
-    """How long the surge lasts."""
-
-    queries_per_minute: float = 600.0
-    """Surge arrival rate (on top of the base trace)."""
-
-    hot_zones: int = 5
-    """Number of zones the crowd concentrates on."""
-
-    zipf_alpha: float = 1.2
-    """Skew of the crowd's popularity distribution over the hot set."""
-
-    def __post_init__(self) -> None:
-        if self.start < 0.0:
-            raise ValueError(f"start must be >= 0, got {self.start}")
-        if self.duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if self.queries_per_minute <= 0.0:
-            raise ValueError(
-                f"queries_per_minute must be positive, "
-                f"got {self.queries_per_minute}"
-            )
-        if self.hot_zones < 1:
-            raise ValueError(f"hot_zones must be >= 1, got {self.hot_zones}")
-        if self.zipf_alpha <= 0.0:
-            raise ValueError(
-                f"zipf_alpha must be positive, got {self.zipf_alpha}"
-            )
-
-
-@dataclass(frozen=True)
 class AdversarySpec:
     """Declarative adversary model for one replay (frozen, picklable).
 
@@ -178,12 +139,11 @@ class AdversarySpec:
 
     nxns: "NxnsAttackSpec | None" = None
     poison: "PoisonAttackSpec | None" = None
-    flash: "FlashCrowdSpec | None" = None
 
     @property
     def inert(self) -> bool:
         """Whether this spec mounts no attack at all."""
-        return self.nxns is None and self.poison is None and self.flash is None
+        return self.nxns is None and self.poison is None
 
     def build(self, seed: int = 0, entropy_bits: int = 0) -> "Adversary":
         """The live adversary for one replay (mirrors FaultSpec.build).

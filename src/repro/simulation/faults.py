@@ -1,12 +1,12 @@
-"""Deterministic fault injection: partial attacks, loss, jitter, flapping.
+"""Deterministic fault injection: partial attacks and packet loss.
 
 The paper's evaluation models a DDoS as total unavailability of the
 targeted servers; the interesting regime studied by the follow-on
 literature (Moura et al., "When the Dike Breaks", IMC 2018) is *partial*
-failure — attacks that drop a fraction of queries, background packet
-loss, latency jitter, and servers that flap in and out of reachability.
-This module is the declarative fault model the :class:`~repro.
-simulation.network.Network` consults before handing a query to a server.
+failure — attacks that drop a fraction of queries, and background
+packet loss.  This module is the declarative fault model the
+:class:`~repro.simulation.network.Network` consults before handing a
+query to a server.
 
 Two shapes, mirroring the observability subsystem:
 
@@ -26,11 +26,6 @@ therefore sees the same coin flips regardless of how queries to *other*
 addresses interleave, which is what keeps event logs byte-identical at
 any worker count (``repro check`` REP001/REP002 stay clean because no
 wall clock and no hidden RNG state exist here).
-
-Server flapping is deliberately non-stochastic: an affected address is
-down whenever ``(now + phase) mod flap_period`` falls past the duty
-fraction, with the phase itself hashed from the address so servers do
-not flap in unison.
 """
 
 from __future__ import annotations
@@ -68,50 +63,11 @@ class FaultSpec:
     """Probability in [0, 1] that any CS→AN query is silently dropped,
     independent of attacks (ambient packet loss)."""
 
-    jitter: float = 0.0
-    """Per-query latency jitter fraction in [0, 1]: an answered query's
-    RTT is scaled by a factor drawn uniformly from [1-jitter, 1+jitter]."""
-
-    flap_period: "float | None" = None
-    """Duty cycle length in seconds for flapping servers; None disables
-    flapping entirely."""
-
-    flap_duty: float = 1.0
-    """Fraction of each flap period an affected server is *up*; 1.0
-    means never down, 0.0 means always down."""
-
-    flap_addresses: "tuple[str, ...]" = ()
-    """Addresses subject to flapping.  Empty means every address flaps
-    (each with its own hashed phase) when ``flap_period`` is set."""
-
     def __post_init__(self) -> None:
         if not 0.0 <= self.background_loss <= 1.0:
             raise ValueError(
                 f"background_loss must be in [0, 1], got {self.background_loss}"
             )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.flap_period is not None and self.flap_period <= 0.0:
-            raise ValueError(
-                f"flap_period must be positive, got {self.flap_period}"
-            )
-        if not 0.0 <= self.flap_duty <= 1.0:
-            raise ValueError(
-                f"flap_duty must be in [0, 1], got {self.flap_duty}"
-            )
-
-    @property
-    def flapping_enabled(self) -> bool:
-        return self.flap_period is not None and self.flap_duty < 1.0
-
-    @property
-    def inert(self) -> bool:
-        """Whether this spec injects no faults at all."""
-        return (
-            self.background_loss <= 0.0
-            and self.jitter <= 0.0
-            and not self.flapping_enabled
-        )
 
     def build(self, seed: int = 0) -> "FaultInjector":
         """The live injector for one replay (mirrors ObservationSpec.build)."""
@@ -127,15 +83,12 @@ class FaultInjector:
     pure function of the replay spec.
     """
 
-    __slots__ = ("spec", "seed", "_ordinals", "_flap_set")
+    __slots__ = ("spec", "seed", "_ordinals")
 
     def __init__(self, spec: FaultSpec, seed: int = 0) -> None:
         self.spec = spec
         self.seed = seed
         self._ordinals: dict[str, int] = {}
-        self._flap_set: "frozenset[str] | None" = (
-            frozenset(spec.flap_addresses) if spec.flap_addresses else None
-        )
 
     def next_ordinal(self, address: str) -> int:
         """This query's per-address ordinal (the RNG stream position)."""
@@ -161,21 +114,3 @@ class FaultInjector:
         if loss <= 0.0:
             return False
         return self.unit("loss", address, ordinal) < loss
-
-    def flap_down(self, address: str, now: float) -> bool:
-        """Whether ``address`` is in the down phase of its duty cycle."""
-        period = self.spec.flap_period
-        if period is None or self.spec.flap_duty >= 1.0:
-            return False
-        if self._flap_set is not None and address not in self._flap_set:
-            return False
-        phase = unit_hash(self.seed, "flap-phase", address, 0) * period
-        return (now + phase) % period >= self.spec.flap_duty * period
-
-    def jitter_factor(self, address: str, ordinal: int) -> float:
-        """The RTT multiplier for one answered query (1.0 without jitter)."""
-        jitter = self.spec.jitter
-        if jitter <= 0.0:
-            return 1.0
-        draw = self.unit("jitter", address, ordinal)
-        return 1.0 + jitter * (2.0 * draw - 1.0)

@@ -138,7 +138,6 @@ class ReplayMetrics:
     attack_stub_queries: int = 0
     attack_cs_queries: int = 0
     attack_failures: int = 0
-    flash_queries: int = 0
 
     # Defense accounting.
     budget_exhaustions: int = 0

@@ -7,9 +7,9 @@ timeout paid for every query to a dead server.
 
 An optional :class:`~repro.simulation.faults.FaultInjector` extends the
 binary blocked/reachable model with the partial-failure regime: attack
-windows with fractional intensity, background packet loss, latency
-jitter and duty-cycled server flapping.  Without an injector the query
-path is exactly the pre-fault code — the disabled layer costs nothing.
+windows with fractional intensity and background packet loss.  Without
+an injector the query path is exactly the pre-fault code — the disabled
+layer costs nothing.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ class QueryResult(NamedTuple):
     A ``NamedTuple`` (one is built per upstream exchange; a tuple is
     filled in one C call, a frozen dataclass field by field).
     ``dropped_by`` names the fault-layer mechanism that swallowed the
-    query (``"attack"``, ``"loss"`` or ``"flap"``); it stays None on the
+    query (``"attack"`` or ``"loss"``); it stays None on the
     fault-free path so pre-fault event streams are unchanged.
     ``timed_out`` distinguishes silent drops (worth retransmitting) from
     fast negative answers like lame delegations (not worth it).
@@ -120,7 +120,6 @@ class Network:
         either way.
         """
         faults = self._faults
-        jitter = 1.0
         if faults is None:
             if self._attacks is not None and self._attacks.is_blocked(address, now):
                 return QueryResult(None, self.latency.timeout, timed_out=True)
@@ -132,7 +131,6 @@ class Network:
                     None, self.latency.timeout, dropped_by=dropped,
                     timed_out=True,
                 )
-            jitter = faults.jitter_factor(address, ordinal)
         server = self._tree.server_by_address(address)
         if server is None:
             return QueryResult(None, self.latency.timeout, timed_out=True)
@@ -142,7 +140,7 @@ class Network:
             # A real lame server answers REFUSED or garbage; either way
             # the resolver moves to the next server, same as a timeout
             # (but much faster — and not worth a retransmit).
-            return QueryResult(None, self.latency.rtt_for(address) * jitter)
+            return QueryResult(None, self.latency.rtt_for(address))
         if self._poisoner is not None:
             # An off-path forger races the honest answer; a won race
             # substitutes the forgery wholesale (the honest packet
@@ -150,7 +148,7 @@ class Network:
             forged = self._poisoner.race(address, question, now)
             if forged is not None:
                 message = forged
-        return QueryResult(message, self.latency.rtt_for(address) * jitter)
+        return QueryResult(message, self.latency.rtt_for(address))
 
     def _fault_verdict(
         self, faults: FaultInjector, address: str, ordinal: int, now: float
@@ -160,8 +158,6 @@ class Network:
             intensity = self._attacks.block_intensity(address, now)
             if faults.attack_drops(address, ordinal, intensity):
                 return "attack"
-        if faults.flap_down(address, now):
-            return "flap"
         if faults.loss_drops(address, ordinal):
             return "loss"
         return None

@@ -71,15 +71,13 @@ class DifferentialCache(DnsCache):
         max_effective_ttl: float | None = None,
         max_entries: int | None = None,
         harden_ranking: bool = False,
-        protect_irrs: bool = False,
     ) -> None:
         super().__init__(
-            max_effective_ttl, max_entries,
-            harden_ranking=harden_ranking, protect_irrs=protect_irrs,
+            max_effective_ttl, max_entries, harden_ranking=harden_ranking,
         )
         self._oracle = OracleCache(
             max_effective_ttl=max_effective_ttl, max_entries=max_entries,
-            harden_ranking=harden_ranking, protect_irrs=protect_irrs,
+            harden_ranking=harden_ranking,
         )
         self.op_index = 0
         self.ops_checked = 0

@@ -56,14 +56,12 @@ class OracleCache:
         max_effective_ttl: float | None = None,
         max_entries: int | None = None,
         harden_ranking: bool = False,
-        protect_irrs: bool = False,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be positive")
         self.max_effective_ttl = max_effective_ttl
         self.max_entries = max_entries
         self.harden_ranking = harden_ranking
-        self.protect_irrs = protect_irrs
         self.evictions = 0
         # Recency-ordered store: index 0 is the least recently used.
         self._store: list[tuple[Key, OracleEntry]] = []
@@ -109,16 +107,8 @@ class OracleCache:
             self._delete(key)
             self.evictions += 1
         # Pass 2: evict live entries, LRU (front of the list) first.
-        # Under ``protect_irrs``, NS entries are spared while any
-        # non-NS entry remains (the flash-crowd admission defense).
         while len(self._store) >= self.max_entries:
-            victim = 0
-            if self.protect_irrs and self._store[0][0][1] == RRType.NS:
-                for index, ((_, rrtype), _entry) in enumerate(self._store):
-                    if rrtype != RRType.NS:
-                        victim = index
-                        break
-            del self._store[victim]
+            del self._store[0]
             self.evictions += 1
 
     # -- positive entries -----------------------------------------------------

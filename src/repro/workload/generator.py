@@ -44,7 +44,6 @@ import numpy as np
 from repro.collector import paused_collector
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
-from repro.simulation.faults import unit_hash
 from repro.workload.trace import Trace, TraceQuery
 
 DAY = 86400.0
@@ -263,53 +262,3 @@ class TraceGenerator:
         times = times[times < end]
         times.sort()
         return times
-
-
-def flash_crowd_schedule(
-    catalog: dict[Name, list[Name]],
-    start: float,
-    duration: float,
-    queries_per_minute: float,
-    hot_zones: int,
-    zipf_alpha: float,
-    seed: int = 0,
-) -> tuple[tuple[float, Name], ...]:
-    """Deterministic flash-crowd arrivals: ``(time, qname)`` pairs.
-
-    A flash crowd is a *legitimate* surge — a few suddenly-hot names
-    (breaking news, a viral link) drawing Zipf-skewed traffic on top of
-    the base trace.  Unlike the generator above this is a pure function
-    of its arguments: arrivals are evenly spaced and the per-arrival
-    name pick is a BLAKE2b draw (:func:`repro.simulation.faults
-    .unit_hash`), so the adversary harness can rebuild the identical
-    schedule in every worker without numpy RNG state.
-
-    The hot set is the first host of each of the first ``hot_zones``
-    zones (sorted by apex), so it is stable across runs of the same
-    catalog.
-    """
-    if duration <= 0.0 or queries_per_minute <= 0.0:
-        raise ValueError("duration and queries_per_minute must be positive")
-    if hot_zones < 1 or zipf_alpha <= 0.0:
-        raise ValueError("hot_zones and zipf_alpha must be positive")
-    zones = sorted(name for name, hosts in catalog.items() if hosts)
-    targets = [catalog[zone][0] for zone in zones[:hot_zones]]
-    if not targets:
-        raise ValueError("catalog has no queryable hosts")
-    weights = [1.0 / (rank + 1) ** zipf_alpha for rank in range(len(targets))]
-    total = sum(weights)
-    cdf: list[float] = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight / total
-        cdf.append(acc)
-    interval = 60.0 / queries_per_minute
-    count = int(duration / interval)
-    arrivals: list[tuple[float, Name]] = []
-    for index in range(count):
-        draw = unit_hash(seed, "flash", "", index)
-        pick = 0
-        while pick < len(cdf) - 1 and draw > cdf[pick]:
-            pick += 1
-        arrivals.append((start + index * interval, targets[pick]))
-    return tuple(arrivals)

@@ -9,8 +9,7 @@ from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.obs import EventBus, EventKind
 from repro.simulation.attack import attack_on_zones
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.faults import FaultSpec
-from repro.simulation.network import Network
+from repro.simulation.network import Network, QueryResult
 from repro.dns.rrtypes import RRType
 
 from tests.conftest import make_stack
@@ -230,16 +229,26 @@ class TestRetryPolicy:
     def test_flapping_server_loses_srtt_preference(self, mini):
         flappy = mini.address_of("ns1.example.test.")
         steady = mini.address_of("ns2.example.test.")
-        injector = FaultSpec(
-            flap_period=100.0, flap_duty=0.0, flap_addresses=(flappy,)
-        ).build(seed=1)
+
+        class OneDeadServer(Network):
+            def query(self, address, question, now):
+                if address == flappy:
+                    return QueryResult(None, self.latency.timeout,
+                                       timed_out=True)
+                return super().query(address, question, now)
+
         config = replace(
             ResilienceConfig.vanilla().with_retries(
                 RetryPolicy(max_tries=2, holddown=None)
             ),
             prefer_fast_servers=True,
         )
-        server, *_ = make_stack(mini, config, faults=injector)
+        server = CachingServer(
+            root_hints=mini.tree.root_hints(),
+            network=OneDeadServer(mini.tree),
+            clock=SimulationEngine(),
+            config=config,
+        )
         for step in range(8):
             server.handle_stub_query(name("www.example.test."), RRType.A,
                                      step * 700.0)

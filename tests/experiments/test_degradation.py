@@ -108,7 +108,7 @@ class TestFaultsEnabledDeterminism:
             ResilienceConfig.refresh().with_retries(RetryPolicy(max_tries=2)),
             attack=AttackSpec(start=scenario.attack_start, duration=6 * HOUR,
                               intensity=0.5),
-            faults=FaultSpec(background_loss=0.05, jitter=0.1),
+            faults=FaultSpec(background_loss=0.05),
             observe=ObservationSpec(
                 events_path=str(tmp_path / f"{tag}-{trace_name}.jsonl")
             ),

@@ -3,14 +3,13 @@
 The load-bearing guarantee is determinism: a sweep fanned over worker
 processes must produce *bitwise-identical* numbers to the serial loop,
 because a replay's outcome depends only on its spec.  The rest covers
-the failure surface (crashed workers, hung replays, bad $REPRO_WORKERS)
+the failure surface (crashed workers, bad $REPRO_WORKERS)
 and the picklability contract the pool relies on.
 """
 
 import multiprocessing
 import os
 import pickle
-import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -67,11 +66,9 @@ class TestSpecs:
         loaded = ReplaySpec.for_scenario(
             scenario, "TRC1", ResilienceConfig.refresh_renew("a-lfu", 5),
             attack=spec.attack,
-            faults=FaultSpec(background_loss=0.01, jitter=0.1, flap_period=600.0,
-                             flap_duty=0.5, flap_addresses=("10.0.0.1",)),
+            faults=FaultSpec(background_loss=0.01),
             adversary=adversary.AdversarySpec(
-                nxns=adversary.NxnsAttackSpec(), poison=adversary.PoisonAttackSpec(),
-                flash=adversary.FlashCrowdSpec()),
+                nxns=adversary.NxnsAttackSpec(), poison=adversary.PoisonAttackSpec()),
             observe=ObservationSpec(events_path=str(tmp_path / "events.jsonl"),
                                     metrics_path=str(tmp_path / "metrics.prom")),
             track_gaps=True, memory_sample_interval=3600.0, validation=True,
@@ -196,25 +193,11 @@ def _crash_worker(spec):
     os._exit(13)  # simulate an OOM-kill; never raises, just dies
 
 
-def _hang_worker(spec):
-    time.sleep(60.0)
-
-
 class TestFailureSurface:
     def test_dead_worker_reported_clearly(self, scenario, monkeypatch):
         monkeypatch.setattr(parallel, "_execute_spec", _crash_worker)
         with pytest.raises(ReplayExecutionError, match="worker process died"):
             run_replays(_sweep_specs(scenario)[:2], workers=2)
-
-    def test_timeout_reported_with_the_spec(self, scenario, monkeypatch):
-        monkeypatch.setattr(parallel, "_execute_spec", _hang_worker)
-        # Genuine wall-clock measurement: the assertion is about real
-        # elapsed time (hung workers must die), not simulated time.
-        started = time.monotonic()  # repro: ignore[REP001]
-        with pytest.raises(ReplayExecutionError, match="timeout"):
-            run_replays(_sweep_specs(scenario)[:2], workers=2, timeout=1.0)
-        # The hung workers were killed, not waited out.
-        assert time.monotonic() - started < 30.0  # repro: ignore[REP001]
 
 
 class TestPoolLifetime:

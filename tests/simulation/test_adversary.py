@@ -1,4 +1,4 @@
-"""Tests for the Adversary 2.0 layer (NXNS, poisoning, flash crowds)."""
+"""Tests for the Adversary 2.0 layer (NXNS amplification, poisoning)."""
 
 import dataclasses
 import pickle
@@ -16,12 +16,10 @@ from repro.hierarchy.builder import graft_attacker_zone, ungraft_attacker_zone
 from repro.obs import ObservationSpec
 from repro.simulation.adversary import (
     AdversarySpec,
-    FlashCrowdSpec,
     NxnsAttackSpec,
     PoisonAttackSpec,
     Poisoner,
 )
-from repro.workload.generator import flash_crowd_schedule
 
 from tests.helpers import build_mini_internet, name
 
@@ -63,24 +61,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PoisonAttackSpec(**kwargs)
 
-    @pytest.mark.parametrize("kwargs", [
-        {"start": -1.0},
-        {"duration": 0.0},
-        {"queries_per_minute": -5.0},
-        {"hot_zones": 0},
-        {"zipf_alpha": 0.0},
-    ])
-    def test_bad_flash_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            FlashCrowdSpec(**kwargs)
-
     def test_empty_spec_is_inert(self):
         assert AdversarySpec().inert
 
     def test_any_family_is_not_inert(self):
         assert not AdversarySpec(nxns=NxnsAttackSpec()).inert
         assert not AdversarySpec(poison=PoisonAttackSpec()).inert
-        assert not AdversarySpec(flash=FlashCrowdSpec()).inert
 
 
 class TestNxnsQueryStream:
@@ -171,43 +157,6 @@ class TestPoisoner:
         assert open_forger.wins == 2000
         # 4 bits leave 1/16 of the races winnable.
         assert 0.02 < guarded.wins / 2000 < 0.12
-
-
-class TestFlashCrowdSchedule:
-    def catalog(self):
-        return {
-            name(f"z{i}.test."): [name(f"www.z{i}.test.")] for i in range(8)
-        }
-
-    def test_deterministic_and_bounded(self):
-        kwargs = dict(
-            start=50.0, duration=300.0, queries_per_minute=60.0,
-            hot_zones=3, zipf_alpha=1.2, seed=7,
-        )
-        first = flash_crowd_schedule(self.catalog(), **kwargs)
-        second = flash_crowd_schedule(self.catalog(), **kwargs)
-        assert first == second
-        assert len(first) == 300
-        hot = {name(f"www.z{i}.test.") for i in range(3)}
-        assert {qname for _, qname in first} <= hot
-        assert all(50.0 <= time < 350.0 for time, _ in first)
-
-    def test_skew_prefers_the_first_target(self):
-        schedule = flash_crowd_schedule(
-            self.catalog(), start=0.0, duration=600.0,
-            queries_per_minute=60.0, hot_zones=4, zipf_alpha=1.2, seed=1,
-        )
-        counts = {}
-        for _, qname in schedule:
-            counts[qname] = counts.get(qname, 0) + 1
-        assert counts[name("www.z0.test.")] == max(counts.values())
-
-    def test_empty_catalog_rejected(self):
-        with pytest.raises(ValueError):
-            flash_crowd_schedule(
-                {}, start=0.0, duration=60.0, queries_per_minute=60.0,
-                hot_zones=2, zipf_alpha=1.0,
-            )
 
 
 class TestGraftRoundTrip:
@@ -335,7 +284,7 @@ class TestAdversarialReplay:
 
         guarded_config = dataclasses.replace(
             config, harden_ranking=True, source_entropy_bits=4,
-            protect_irrs=True, label="vanilla+guard",
+            label="vanilla+guard",
         )
         guarded = self.replay(scenario, guarded_config, adversary=adversary)
         assert guarded.metrics.poison_wins < metrics.poison_wins
@@ -349,24 +298,6 @@ class TestAdversarialReplay:
             validation=True,
         )
         assert result.metrics.poison_stored > 0
-
-    def test_flash_crowd_arrivals_are_counted(self, scenario):
-        adversary = AdversarySpec(
-            flash=FlashCrowdSpec(
-                start=scenario.attack_start, duration=600.0,
-                queries_per_minute=60.0, hot_zones=3,
-            )
-        )
-        baseline = self.replay(scenario, ResilienceConfig.vanilla())
-        flashed = self.replay(
-            scenario, ResilienceConfig.vanilla(), adversary=adversary
-        )
-        assert flashed.metrics.flash_queries == 600
-        # Flash arrivals are legitimate traffic: they join the SR census.
-        assert (
-            flashed.metrics.sr_queries
-            == baseline.metrics.sr_queries + 600
-        )
 
     def test_draws_are_byte_identical_at_workers_1_vs_4(
         self, scenario, tmp_path

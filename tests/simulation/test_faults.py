@@ -56,35 +56,11 @@ class TestFaultSpecValidation:
         with pytest.raises(ValueError):
             FaultSpec(background_loss=loss)
 
-    @pytest.mark.parametrize("jitter", [-0.5, 1.5])
-    def test_bad_jitter_rejected(self, jitter):
-        with pytest.raises(ValueError):
-            FaultSpec(jitter=jitter)
-
-    @pytest.mark.parametrize("period", [0.0, -10.0])
-    def test_bad_flap_period_rejected(self, period):
-        with pytest.raises(ValueError):
-            FaultSpec(flap_period=period)
-
-    @pytest.mark.parametrize("duty", [-0.1, 1.01])
-    def test_bad_flap_duty_rejected(self, duty):
-        with pytest.raises(ValueError):
-            FaultSpec(flap_period=100.0, flap_duty=duty)
-
     def test_defaults_are_inert(self):
-        spec = FaultSpec()
-        assert spec.inert
-        assert not spec.flapping_enabled
-
-    def test_full_duty_is_not_flapping(self):
-        assert not FaultSpec(flap_period=100.0, flap_duty=1.0).flapping_enabled
-        assert FaultSpec(flap_period=100.0, flap_duty=0.5).flapping_enabled
-
-    def test_any_fault_is_not_inert(self):
-        assert not FaultSpec(background_loss=0.1).inert
-        assert not FaultSpec(jitter=0.2).inert
-        assert not FaultSpec(flap_period=60.0, flap_duty=0.5).inert
-
+        injector = FaultSpec().build(seed=1)
+        assert not any(
+            injector.loss_drops("a", ordinal) for ordinal in range(500)
+        )
 
 class TestInjector:
     def test_ordinals_advance_per_address(self):
@@ -114,50 +90,13 @@ class TestInjector:
         assert 0.15 < drops / 2000 < 0.25
 
     def test_two_injectors_agree(self):
-        spec = FaultSpec(background_loss=0.3, jitter=0.2)
+        spec = FaultSpec(background_loss=0.3)
         first = spec.build(seed=9)
         second = spec.build(seed=9)
         for ordinal in range(100):
             assert first.loss_drops("a", ordinal) == second.loss_drops(
                 "a", ordinal
             )
-            assert first.jitter_factor("a", ordinal) == second.jitter_factor(
-                "a", ordinal
-            )
-
-    def test_flap_duty_cycle(self):
-        injector = FaultSpec(flap_period=100.0, flap_duty=0.7).build(seed=1)
-        samples = [injector.flap_down("a", t * 1.0) for t in range(1000)]
-        down = sum(samples)
-        # Down 30% of every period, whatever the hashed phase.
-        assert 0.25 < down / 1000 < 0.35
-        assert injector.flap_down("a", 42.0) == injector.flap_down("a", 142.0)
-
-    def test_flap_duty_boundary_is_exact(self):
-        # The down phase opens exactly at duty*period into the (phase-
-        # shifted) cycle: epsilon below is up, epsilon above is down,
-        # and the wrap at the period end stays down until position 0.
-        period, duty, seed = 100.0, 0.7, 5
-        injector = FaultSpec(flap_period=period, flap_duty=duty).build(
-            seed=seed
-        )
-        phase = unit_hash(seed, "flap-phase", "a", 0) * period
-
-        def at_position(position):
-            # A time whose phase-shifted cycle position is ``position``,
-            # kept strictly positive by a one-period offset.
-            return (position - phase) % period + period
-
-        eps = 1e-6
-        assert not injector.flap_down("a", at_position(0.0))
-        assert not injector.flap_down("a", at_position(duty * period - eps))
-        assert injector.flap_down("a", at_position(duty * period + eps))
-        assert injector.flap_down("a", at_position(period - eps))
-
-    def test_no_period_or_full_duty_never_flaps(self):
-        assert not FaultSpec().build(seed=1).flap_down("a", 5.0)
-        full = FaultSpec(flap_period=100.0, flap_duty=1.0).build(seed=1)
-        assert not any(full.flap_down("a", float(t)) for t in range(300))
 
     def test_interleaved_ordinals_stay_monotonic_per_address(self):
         injector = FaultSpec().build(seed=2)
@@ -189,21 +128,6 @@ class TestInjector:
                 for ordinal in range(pattern.count(address))
             ]
             assert draws[address] == expected
-
-    def test_flap_address_scoping(self):
-        spec = FaultSpec(
-            flap_period=100.0, flap_duty=0.0, flap_addresses=("10.0.0.1",)
-        )
-        injector = spec.build(seed=1)
-        assert injector.flap_down("10.0.0.1", 0.0)
-        assert not injector.flap_down("10.0.0.2", 0.0)
-
-    def test_jitter_factor_bounds(self):
-        injector = FaultSpec(jitter=0.25).build(seed=4)
-        factors = [injector.jitter_factor("a", ordinal) for ordinal in range(500)]
-        assert all(0.75 <= factor <= 1.25 for factor in factors)
-        assert FaultSpec().build(seed=4).jitter_factor("a", 0) == 1.0
-
 
 class TestNetworkWithFaults:
     def test_total_loss_drops_everything(self, mini):
@@ -256,29 +180,8 @@ class TestNetworkWithFaults:
             result = network.query(address, question(), now=50.0)
             assert result.dropped_by == "attack"
 
-    def test_flap_down_is_unreachable(self, mini):
-        injector = FaultSpec(flap_period=100.0, flap_duty=0.0).build(seed=1)
-        network = Network(mini.tree, faults=injector)
-        address = mini.address_of("ns1.example.test.")
-        result = network.query(address, question(), now=10.0)
-        assert not result.answered and result.timed_out
-        assert result.dropped_by == "flap"
-
-    def test_jitter_scales_rtt_within_bounds(self, mini):
-        injector = FaultSpec(jitter=0.5).build(seed=2)
-        network = Network(mini.tree, faults=injector)
-        address = mini.address_of("ns1.example.test.")
-        base = network.latency.rtt_for(address)
-        latencies = {
-            network.query(address, question(), now=0.0).latency
-            for _ in range(50)
-        }
-        assert all(0.5 * base - 1e-12 <= lat <= 1.5 * base + 1e-12
-                   for lat in latencies)
-        assert len(latencies) > 10  # actually jittering, not constant
-
     def test_replayed_network_is_byte_identical(self, mini):
-        spec = FaultSpec(background_loss=0.3, jitter=0.2)
+        spec = FaultSpec(background_loss=0.3)
         address = mini.address_of("ns1.example.test.")
 
         def run():
