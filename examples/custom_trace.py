@@ -32,19 +32,20 @@ DAY = 86400.0
 def main() -> None:
     scenario = make_scenario(Scale.TINY)
 
-    # 1. Export a generated trace to the interchange format.
+    # 1. Export a generated trace to the interchange format, in a
+    #    directory that is removed again once the trace is read back.
     generated = scenario.trace("TRC1")
-    workdir = Path(tempfile.mkdtemp(prefix="repro-traces-"))
-    path = workdir / "trc1.trace"
-    write_trace(generated, path)
-    size_kb = path.stat().st_size / 1024
-    print(f"wrote {len(generated):,} queries to {path} ({size_kb:.0f} KiB)")
-    with open(path) as handle:
-        for line in list(handle)[:5]:
-            print(f"  | {line.rstrip()}")
+    with tempfile.TemporaryDirectory(prefix="repro-traces-") as workdir:
+        path = Path(workdir) / "trc1.trace"
+        write_trace(generated, path)
+        size_kb = path.stat().st_size / 1024
+        print(f"wrote {len(generated):,} queries to {path} ({size_kb:.0f} KiB)")
+        with open(path) as handle:
+            for line in list(handle)[:5]:
+                print(f"  | {line.rstrip()}")
 
-    # 2. Read it back (this is where your own file would enter).
-    loaded = read_trace(path)
+        # 2. Read it back (this is where your own file would enter).
+        loaded = read_trace(path)
     print(f"re-read {len(loaded):,} queries, duration "
           f"{loaded.duration / DAY:g} days\n")
 

@@ -80,11 +80,11 @@ class PutResult(NamedTuple):
     """What a ``put`` did, so callers can react (gap tracking, timers).
 
     A ``NamedTuple`` rather than a frozen dataclass: one is built per
-    ``put``, and ``tuple.__new__`` fills all six fields in one C call
-    where a frozen dataclass pays one ``object.__setattr__`` per field.
-    The field order is part of the contract — ``put``'s early returns
-    and the validation oracle build results positionally, and the
-    differential cache compares the two with ``==``.
+    ``put``, and ``put`` fills all six fields with one ``tuple.__new__``
+    call, without the Python ``__new__`` frame a class call adds.  The
+    field order is part of the contract — ``put`` and the validation
+    oracle build results positionally, and the differential cache
+    compares the two with ``==``.
     """
 
     stored: bool
@@ -104,6 +104,9 @@ class PutResult(NamedTuple):
 
     expires_at: float | None
     """The (possibly unchanged) expiry now in effect for the key."""
+
+
+_tuple_new = tuple.__new__
 
 
 class NegativeVerdict(enum.Enum):
@@ -250,12 +253,13 @@ class DnsCache:
             # pins down both slow-path outcomes exactly:
             if not refresh:
                 # ...without refresh it is a no-op, not stored.
-                return PutResult(False, False, False, existing.expires_at,
-                                 existing.published_ttl, existing.expires_at)
+                return _tuple_new(PutResult, (
+                    False, False, False, existing.expires_at,
+                    existing.published_ttl, existing.expires_at))
             # ...with refresh the slow path would rebuild an identical
             # entry with a restarted countdown (published_ttl is
             # unchanged: it came from this very rrset object).  Restart
-            # it in place instead of allocating.
+            # it in place instead of allocating (`_new_expiry` inlined).
             ttl = rrset.ttl
             cap = self.max_effective_ttl
             if cap is not None and ttl > cap:
@@ -268,14 +272,12 @@ class DnsCache:
                 self._entries[key] = existing
             existing.stored_at = now
             existing.expires_at = new_expiry
-            return PutResult(True, True, False, previous_expiry,
-                             existing.published_ttl, new_expiry)
-        ttl = rrset.ttl
-        if self.max_effective_ttl is not None:
-            ttl = min(ttl, self.max_effective_ttl)
-        new_expiry = now + ttl
+            return _tuple_new(PutResult, (
+                True, True, False, previous_expiry,
+                existing.published_ttl, new_expiry))
 
-        if existing is None or not existing.is_live(now):
+        if existing is None or existing.expires_at <= now:
+            new_expiry = self._new_expiry(rrset, now)
             replaced_expired = existing is not None
             if existing is None:
                 self._make_room(now)
@@ -301,20 +303,19 @@ class DnsCache:
                     entry.tainted = True
                     self._tainted[key] = (now, rank, None)
                     self.poison_stored += 1
-            return PutResult(
-                stored=True,
-                refreshed=False,
-                replaced_expired=replaced_expired,
-                previous_expiry=existing.expires_at if existing else None,
-                previous_published_ttl=(
-                    existing.published_ttl if existing else None
-                ),
-                expires_at=new_expiry,
-            )
+            return _tuple_new(PutResult, (
+                True,  # stored
+                False,  # refreshed
+                replaced_expired,
+                existing.expires_at if existing else None,
+                existing.published_ttl if existing else None,
+                new_expiry,
+            ))
 
-        if not rank.may_replace(existing.rank):
-            return PutResult(False, False, False, existing.expires_at,
-                             existing.published_ttl, existing.expires_at)
+        if rank < existing.rank:  # not `rank.may_replace(existing.rank)`
+            return _tuple_new(PutResult, (
+                False, False, False, existing.expires_at,
+                existing.published_ttl, existing.expires_at))
 
         same_data = existing.rrset.same_data(rrset)
         if self.harden_ranking and not same_data and rank == existing.rank:
@@ -323,15 +324,18 @@ class DnsCache:
             # off-path forgery cannot overwrite a cached answer before
             # it expires.  Applies to every put — the resolver cannot
             # know which responses are forged.
-            return PutResult(False, False, False, existing.expires_at,
-                             existing.published_ttl, existing.expires_at)
+            return _tuple_new(PutResult, (
+                False, False, False, existing.expires_at,
+                existing.published_ttl, existing.expires_at))
         if same_data and rank == existing.rank and not refresh:
             # Vanilla behaviour: an identical copy does NOT restart the
             # countdown.  This branch *is* the difference the paper's
             # refresh scheme removes.
-            return PutResult(False, False, False, existing.expires_at,
-                             existing.published_ttl, existing.expires_at)
+            return _tuple_new(PutResult, (
+                False, False, False, existing.expires_at,
+                existing.published_ttl, existing.expires_at))
 
+        new_expiry = self._new_expiry(rrset, now)
         previous_expiry = existing.expires_at
         previous_ttl = existing.published_ttl
         if self.max_entries is not None:
@@ -359,14 +363,23 @@ class DnsCache:
                 entry.tainted = True
                 self._tainted[key] = (now, rank, displaced)
                 self.poison_stored += 1
-        return PutResult(
-            stored=True,
-            refreshed=same_data,
-            replaced_expired=False,
-            previous_expiry=previous_expiry,
-            previous_published_ttl=previous_ttl,
-            expires_at=new_expiry,
-        )
+        return _tuple_new(PutResult, (
+            True,  # stored
+            same_data,  # refreshed
+            False,  # replaced_expired
+            previous_expiry,
+            previous_ttl,
+            new_expiry,
+        ))
+
+    def _new_expiry(self, rrset: RRset, now: float) -> float:
+        """When an entry stored from ``rrset`` at ``now`` expires: its
+        published TTL, capped at ``max_effective_ttl``."""
+        ttl = rrset.ttl
+        cap = self.max_effective_ttl
+        if cap is not None and ttl > cap:
+            ttl = cap
+        return now + ttl
 
     def get(self, name: Name, rrtype: RRType, now: float) -> RRset | None:
         """The live RRset for (name, type), or None."""
@@ -431,7 +444,7 @@ class DnsCache:
         arbitrarily stale data, the unbounded comparator from related
         work.
         """
-        entry = self._entries.get(cache_key(name, rrtype))
+        entry = self._entries.get((name.iid << RRTYPE_BITS) | rrtype)
         if entry is None:
             return None
         if max_stale is not None and now - entry.expires_at > max_stale:
@@ -439,13 +452,14 @@ class DnsCache:
         return entry.rrset
 
     def entry(self, name: Name, rrtype: RRType) -> CacheEntry | None:
-        """Raw entry access (live or lapsed) for instrumentation."""
-        return self._entries.get(cache_key(name, rrtype))
+        """Raw entry access (live or lapsed): the resolver reads a zone's
+        NS entry here on every server-selection visit."""
+        return self._entries.get((name.iid << RRTYPE_BITS) | rrtype)
 
     def expires_at(self, name: Name, rrtype: RRType, now: float) -> float | None:
         """Expiry time of the live entry for (name, type), else None."""
-        entry = self._entries.get(cache_key(name, rrtype))
-        if entry is None or not entry.is_live(now):
+        entry = self._entries.get((name.iid << RRTYPE_BITS) | rrtype)
+        if entry is None or entry.expires_at <= now:
             return None
         return entry.expires_at
 

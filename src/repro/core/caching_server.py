@@ -35,7 +35,7 @@ from repro.dns.errors import InvariantError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name, root_name
 from repro.dns.records import InfrastructureRecordSet, RRset
-from repro.dns.rrtypes import RRTYPE_BITS, RRType
+from repro.dns.rrtypes import RRTYPE_BITS, RRClass, RRType
 from repro.obs.events import EventBus, EventKind
 from repro.simulation.metrics import ReplayMetrics
 
@@ -119,6 +119,17 @@ _NODATA = ResolutionOutcome.NODATA
 _STALE_HIT = ResolutionOutcome.STALE_HIT
 _FAILURE = ResolutionOutcome.FAILURE
 _VALIDATION_FAILURE = ResolutionOutcome.VALIDATION_FAILURE
+
+# Enum members read through the class cost a descriptor call each; the
+# per-visit and per-lookup paths read these module constants instead.
+_A = RRType.A
+_NS = RRType.NS
+_CNAME = RRType.CNAME
+_IN = RRClass.IN
+
+_tuple_new = tuple.__new__
+"""Builds a ``NamedTuple`` record from a tuple in one C call, without the
+Python ``__new__`` frame the class call adds (one per upstream walk)."""
 
 
 class CachingServer:
@@ -204,7 +215,7 @@ class CachingServer:
         # Work-limit defenses (None/0 keeps the pre-defense paths
         # byte-identical).  The fetch budget caps NS-address
         # sub-resolutions per top-level query; the NXNS cap bounds them
-        # per referral step (see `_address_for`).
+        # per referral step (see `_address_by_resolution`).
         self._fetch_budget: FetchBudget | None = (
             FetchBudget(self.config.fetch_budget)
             if self.config.fetch_budget is not None
@@ -223,10 +234,6 @@ class CachingServer:
         self._held_down: dict[int, float] = {}
         self._consecutive_failures: dict[int, int] = {}
 
-        # zone.iid -> (NS rrset, its server-name tuple): memoises the
-        # per-query rebuild of the names tuple in `_zone_ns`; invalidated
-        # by identity whenever the cached NS rrset object changes.
-        self._ns_names: dict[int, tuple[RRset, tuple[Name, ...]]] = {}
         # The root's server set never changes during a replay.
         self._root_ns_info = (root_hints.server_names(), root_hints.ns.ttl)
 
@@ -340,8 +347,8 @@ class CachingServer:
                     _NODATA if negative is NegativeVerdict.NODATA
                     else _NXDOMAIN
                 )
-            if rrtype != RRType.CNAME:
-                cname = self.cache.get(qname, RRType.CNAME, now)
+            if rrtype != _CNAME:
+                cname = self.cache.get(qname, _CNAME, now)
                 if cname is not None:
                     target = cname.records[0].data
                     if not isinstance(target, Name):
@@ -369,7 +376,7 @@ class CachingServer:
                             )
                     return Resolution(_STALE_HIT, stale)
 
-            question = Question(qname, rrtype)
+            question = _tuple_new(Question, (qname, rrtype, _IN))
             verdict = self._fetch(question, now, depth, stack)
             if verdict is _FAILURE and self.config.serve_stale:
                 verdict = self._fetch(question, now, depth, stack, stale=True)
@@ -520,33 +527,67 @@ class CachingServer:
         renewal: bool = False,
         stale: bool = False,
     ) -> Message | None:
-        """Try the zone's servers in (rotated) order; None when all fail."""
-        ns_info = self._zone_ns(zone, now, stale)
-        if ns_info is None:
-            return None
-        server_names, published_ttl = ns_info
-        if len(server_names) > 1:
-            pivot = self._rng.randrange(len(server_names))
+        """Try the zone's servers in (rotated) order; None when all fail.
+
+        Every renewal refetch and every referral step comes through here,
+        so the per-visit work is written out inline: the NS entry is read
+        once, the rotation pivot is drawn straight from ``getrandbits``,
+        and each server's address comes from the hints or the live cache
+        before :meth:`_address_by_resolution` is called for the rest.
+        """
+        if zone is self._root:
+            server_names, published_ttl = self._root_ns_info
+        else:
+            entry = self.cache.entry(zone, _NS)
+            if entry is None or (entry.expires_at <= now and not stale):
+                return None
+            # NS rdata is always a Name (`ResourceRecord` checks it), so
+            # the set's data values are its server names, in order.
+            server_names = entry.rrset.data_values()  # type: ignore[assignment]
+            published_ttl = entry.published_ttl
+        count = len(server_names)
+        if count > 1:
+            # `Random.randrange(count)`, draw for draw: the same
+            # getrandbits(count.bit_length()) calls with the same
+            # rejections, without its three Python frames.
+            getrandbits = self._rng.getrandbits
+            bits = count.bit_length()
+            pivot = getrandbits(bits)
+            while pivot >= count:
+                pivot = getrandbits(bits)
             order = server_names[pivot:] + server_names[:pivot]
         else:
             order = server_names
+        hints = self._hint_addresses
+        cache_get = self.cache.get
         addr_ids = self._addr_ids
         held_down_until = self._held_down
         candidates: list[tuple[str, int]] = []
         # The NXNS cap is scoped per referral step: each _query_zone
         # visit gets its own sub-resolution allowance.  Save/restore
-        # because _address_for can re-enter this method (sub-resolving
+        # because a sub-resolution can re-enter this method (resolving
         # an out-of-bailiwick server name walks the tree again).
         saved_nxns_spent = self._nxns_spent
         self._nxns_spent = 0
+        # Every server name gets its address before the first one is
+        # tried: sub-resolutions, LRU touches and cache events follow
+        # this order.
         for server_name in order:
-            address = self._address_for(server_name, zone, now, depth, stack, stale)
+            address = hints.get(server_name)
             if address is None:
-                continue
+                cached = cache_get(server_name, _A, now)
+                if cached is not None:
+                    address = str(cached.records[0].data)
+                else:
+                    address = self._address_by_resolution(
+                        server_name, zone, now, depth, stack, stale
+                    )
+                    if address is None:
+                        continue
             aid = addr_ids.get(address)
             if aid is None:
                 aid = addr_ids[address] = len(addr_ids)
-            if held_down_until.get(aid, 0.0) > now:
+            if held_down_until and held_down_until.get(aid, 0.0) > now:
                 continue  # dead-server hold-down: don't even try
             candidates.append((address, aid))
         self._nxns_spent = saved_nxns_spent
@@ -574,10 +615,10 @@ class CachingServer:
                         obs.emit(EventKind.QUERY_RETRY, now,
                                  zone=str(zone), server=address,
                                  attempt=attempt, renewal=renewal)
-                result = send(address, question, now)
-                latency = result.latency
-                message = result.message
-                if message is None and result.timed_out and retry is not None:
+                message, latency, dropped_by, timed_out = send(
+                    address, question, now
+                )
+                if message is None and timed_out and retry is not None:
                     # The timeout actually paid follows the retransmit
                     # schedule: try n waits timeout * RETRY_BACKOFF**n.
                     latency = retry.try_cost(self.network.query_timeout, attempt)
@@ -606,8 +647,10 @@ class CachingServer:
                         obs.emit(EventKind.QUERY_ANSWERED, now,
                                  zone=str(zone), server=address,
                                  latency=latency, renewal=renewal)
-                    self._held_down.pop(aid, None)
-                    self._consecutive_failures.pop(aid, None)
+                    if retry is not None:
+                        # Only a RetryPolicy fills these two maps.
+                        held_down_until.pop(aid, None)
+                        self._consecutive_failures.pop(aid, None)
                     if not renewal:
                         self._note_zone_use(zone, published_ttl, now)
                     return message
@@ -615,14 +658,14 @@ class CachingServer:
                     obs.emit(EventKind.QUERY_FAILED, now,
                              zone=str(zone), server=address,
                              latency=latency, renewal=renewal)
-                    if result.dropped_by is not None:
+                    if dropped_by is not None:
                         obs.emit(EventKind.FAULT_DROP, now,
-                                 server=address, reason=result.dropped_by,
+                                 server=address, reason=dropped_by,
                                  renewal=renewal)
                 held_down = retry is not None and self._note_server_failure(
                     retry, address, aid, now
                 )
-                if held_down or not result.timed_out:
+                if held_down or not timed_out:
                     # Sidelined, or a fast negative (lame delegation):
                     # retransmitting to this server cannot help.
                     break
@@ -653,31 +696,7 @@ class CachingServer:
             return True
         return False
 
-    def _zone_ns(
-        self, zone: Name, now: float, stale: bool
-    ) -> tuple[tuple[Name, ...], float] | None:
-        """The zone's server names plus published NS TTL, if known."""
-        if zone == self._root:
-            return self._root_ns_info
-        entry = self.cache.entry(zone, RRType.NS)
-        if entry is None:
-            return None
-        if not entry.is_live(now) and not stale:
-            return None
-        rrset = entry.rrset
-        cached = self._ns_names.get(zone.iid)
-        if cached is not None and cached[0] is rrset:
-            names = cached[1]
-        else:
-            names = tuple(
-                record.data for record in rrset if isinstance(record.data, Name)
-            )
-            self._ns_names[zone.iid] = (rrset, names)
-        if not names:
-            return None
-        return names, entry.published_ttl
-
-    def _address_for(
+    def _address_by_resolution(
         self,
         server_name: Name,
         zone: Name,
@@ -686,13 +705,8 @@ class CachingServer:
         stack: frozenset[Name],
         stale: bool,
     ) -> str | None:
-        """An address for a server, from hints, cache, or sub-resolution."""
-        hint = self._hint_addresses.get(server_name)
-        if hint is not None:
-            return hint
-        cached = self.cache.get(server_name, RRType.A, now)
-        if cached is not None:
-            return str(cached.records[0].data)
+        """An address for a server neither the hints nor the live cache
+        hold: a lapsed copy when serving stale, else a sub-resolution."""
         if stale:
             stale_set = self.cache.get_stale(server_name, RRType.A, now)
             if stale_set is not None:
@@ -897,7 +911,7 @@ class CachingServer:
         the refetch produced an authoritative NS answer (which, once
         ingested, restarts the TTL countdown).
         """
-        question = Question(zone, RRType.NS)
+        question = _tuple_new(Question, (zone, _NS, _IN))
         if self._fetch_budget is not None:
             # Renewal refetches are their own top-level work unit.
             self._fetch_budget.reset()

@@ -67,24 +67,24 @@ class VirtualClock:
     Deliberately a thin veneer: tokens are the engine's own queue
     tokens, and ``now`` reads the engine attribute, so wrapping an
     engine mid-replay observes exactly the same timeline.
+    ``schedule_at`` and ``cancel`` *are* the engine's ``schedule`` and
+    ``cancel``, bound when the clock is made: a renewal timer is armed
+    and cancelled through them on every refetch, and the binding saves
+    a forwarding call on each.
     """
 
-    __slots__ = ("engine",)
+    __slots__ = ("engine", "schedule_at", "cancel")
 
     def __init__(self, engine: "SimulationEngine") -> None:
         self.engine = engine
+        self.schedule_at = engine.schedule
+        self.cancel = engine.cancel
 
     def now(self) -> float:
         return self.engine.now
 
     def schedule(self, delay: float, action: TimerAction) -> int:
         return self.engine.schedule_in(delay, action)
-
-    def schedule_at(self, when: float, action: TimerAction) -> int:
-        return self.engine.schedule(when, action)
-
-    def cancel(self, token: int) -> bool:
-        return self.engine.cancel(token)
 
     def __repr__(self) -> str:
         return f"VirtualClock(now={self.engine.now!r})"

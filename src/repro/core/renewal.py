@@ -21,6 +21,7 @@ from repro.core.cache import DnsCache
 from repro.core.clock import Clock, as_clock
 from repro.core.policies import RenewalPolicy
 from repro.dns.name import Name
+from repro.dns.rrtypes import RRType
 from repro.obs.events import EventBus, EventKind
 
 if TYPE_CHECKING:
@@ -29,6 +30,8 @@ if TYPE_CHECKING:
 #: Seconds before expiry at which the refetch fires ("just before they
 #: are ready to expire").
 RENEWAL_LEAD = 1.0
+
+_NS = RRType.NS
 
 #: Slack when deciding whether an expiry "moved forward" (avoids rearm
 #: storms from float jitter).
@@ -85,9 +88,11 @@ class RenewalManager:
         armed_at = self._armed_for.get(zone)
         if armed_at is not None and abs(armed_at - expires_at) < _EPSILON:
             return
+        clock = self._clock
         existing = self._timers.get(zone)
         if existing is not None:
-            self._clock.cancel(existing)
+            clock.cancel(existing)
+        now = clock.now()
         fire_at = expires_at - RENEWAL_LEAD
         if self._jitter_fraction > 0.0:
             # Refetch a little early, by a random share of the remaining
@@ -96,10 +101,14 @@ class RenewalManager:
             # this a cold-start simulation renews every zone learned at
             # t=0 in lockstep, which manufactures synchronised mass
             # expiries (e.g. all TLD keys dying at the attack start).
-            remaining = max(0.0, expires_at - self._clock.now())
-            fire_at -= self._rng.uniform(0.0, self._jitter_fraction * remaining)
-        fire_at = max(fire_at, self._clock.now())
-        self._timers[zone] = self._clock.schedule_at(
+            # `uniform(0, share)` is `share * random()` to the last bit.
+            remaining = expires_at - now
+            if remaining < 0.0:
+                remaining = 0.0
+            fire_at -= self._jitter_fraction * remaining * self._rng.random()
+        if fire_at < now:
+            fire_at = now
+        self._timers[zone] = clock.schedule_at(
             fire_at, lambda now, zone=zone: self._on_timer(zone, now)
         )
         self._armed_for[zone] = expires_at
@@ -117,7 +126,7 @@ class RenewalManager:
     def _on_timer(self, zone: Name, now: float) -> None:
         self._timers.pop(zone, None)
         armed_expiry = self._armed_for.pop(zone, None)
-        current_expiry = self._cache.zone_ns_expiry(zone, now)
+        current_expiry = self._cache.expires_at(zone, _NS, now)
         if current_expiry is None:
             # Already lapsed or evicted (e.g. removed by delegation-change
             # handling or capacity pressure); clean up the policy state
@@ -148,7 +157,7 @@ class RenewalManager:
             # leaving it timerless would let the zone expire silently
             # with no lapse count and orphaned policy credit.
             if zone not in self._timers:
-                refreshed_expiry = self._cache.zone_ns_expiry(zone, now)
+                refreshed_expiry = self._cache.expires_at(zone, _NS, now)
                 if refreshed_expiry is not None:
                     self.note_irrs_cached(zone, refreshed_expiry)
                 else:

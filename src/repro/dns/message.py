@@ -29,6 +29,7 @@ known-server-name check, which depends on resolver state."""
 
 IngestPlan = tuple[tuple[Name, ...], tuple[IngestRow, ...]]
 
+_NS = RRType.NS
 _DNSSEC_IRR = (RRType.DNSKEY, RRType.DS, RRType.RRSIG)
 _DNSSEC_KEY = (RRType.DNSKEY, RRType.DS)
 
@@ -42,6 +43,12 @@ class Rcode(enum.IntEnum):
     NXDOMAIN = 3
     NOTIMP = 4
     REFUSED = 5
+
+
+# Members read through their enum class cost a descriptor call each; the
+# per-response tests below read module constants.
+_NOERROR = Rcode.NOERROR
+_NXDOMAIN = Rcode.NXDOMAIN
 
 
 class Question(NamedTuple):
@@ -104,20 +111,20 @@ class Message:
         terminal answer, not a referral.
         """
         return (
-            self.rcode == Rcode.NOERROR
+            self.rcode == _NOERROR
             and not self.authoritative
             and not self.answer
-            and any(rrset.rrtype == RRType.NS for rrset in self.authority)
+            and any(rrset.rrtype == _NS for rrset in self.authority)
         )
 
     def is_name_error(self) -> bool:
         """True when the queried name does not exist."""
-        return self.rcode == Rcode.NXDOMAIN
+        return self.rcode == _NXDOMAIN
 
     def is_nodata(self) -> bool:
         """True for NOERROR with no answer and no referral (empty answer)."""
         return (
-            self.rcode == Rcode.NOERROR
+            self.rcode == _NOERROR
             and not self.answer
             and not self.is_referral()
         )
@@ -125,7 +132,7 @@ class Message:
     def referral_zone(self) -> Name | None:
         """The delegated zone a referral points at, or None."""
         for rrset in self.authority:
-            if rrset.rrtype == RRType.NS:
+            if rrset.rrtype == _NS:
                 return rrset.name
         return None
 

@@ -24,6 +24,7 @@ from repro.dns.rrtypes import RRTYPE_BITS, RRClass, RRType
 from repro.dns.zone import Zone
 
 _MAX_CNAME_CHAIN = 8
+_IN = RRClass.IN
 
 
 class AuthoritativeServer:
@@ -56,15 +57,6 @@ class AuthoritativeServer:
         """Whether this server hosts the zone with apex ``zone_name``."""
         return zone_name in self._zones
 
-    def deepest_zone_for(self, qname: Name) -> Zone | None:
-        """The most specific hosted zone whose bailiwick contains ``qname``."""
-        zones = self._zones
-        for ancestor in qname.ancestors():
-            zone = zones.get(ancestor)
-            if zone is not None:
-                return zone
-        return None
-
     # -- answering --------------------------------------------------------
 
     def respond(self, question: Question) -> Message:
@@ -75,8 +67,13 @@ class AuthoritativeServer:
                 the server has been asked about namespace it does not own
                 (the resolver treats this like a server failure).
         """
-        zone = self.deepest_zone_for(question.name)
-        if zone is None:
+        # The most specific hosted zone whose bailiwick holds the name.
+        zones = self._zones
+        for ancestor in question.name.ancestors():
+            zone = zones.get(ancestor)
+            if zone is not None:
+                break
+        else:
             raise LameDelegationError(
                 f"server {self.name} is not authoritative for {question.name}"
             )
@@ -84,8 +81,8 @@ class AuthoritativeServer:
         # Responses are a pure function of (question, zone content), so
         # they are memoized on the zone itself (shared across all servers
         # hosting it) and invalidated by the zone's operator actions.
-        cacheable = question.rrclass is RRClass.IN
-        key = (question.name.iid << RRTYPE_BITS) | int(question.rrtype)
+        cacheable = question.rrclass is _IN
+        key = (question.name.iid << RRTYPE_BITS) | question.rrtype
         if cacheable:
             cached = zone.cached_response(key)
             if cached is not None:

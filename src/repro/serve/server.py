@@ -4,8 +4,8 @@ Threading model: there is one thread, the asyncio loop's.  It owns the
 sockets, the wire codec, the
 :class:`~repro.core.caching_server.CachingServer` and its
 :class:`~repro.serve.clock.WallClock` timers.  A datagram is answered
-inside the one ``datagram_received`` call that delivered it: decode,
-``handle_stub_query``, render, encode, ``sendto``.  The core resolves
+inside the one reader callback that received it: ``recvfrom_into``,
+decode, ``handle_stub_query``, render, encode, ``sendto``.  The core resolves
 against the in-process simulated network, so resolution never waits on
 I/O and one resolution runs at a time; overload waits, and past its
 size drops, in the kernel's socket buffer.  Renewal and ``swr`` timer
@@ -27,7 +27,9 @@ stale-while-revalidate).  Layered on top:
 from __future__ import annotations
 
 import asyncio
+import socket
 import struct
+from typing import Any, Sequence
 
 from repro.core.caching_server import CachingServer, Resolution, ResolutionOutcome
 from repro.core.schemes import parse_scheme
@@ -55,19 +57,8 @@ _TCP_LENGTH = struct.Struct("!H")
 
 _FAILED = Resolution(ResolutionOutcome.FAILURE)
 
-
-class _UdpProtocol(asyncio.DatagramProtocol):
-    def __init__(self, front_end: "DnsFrontEnd") -> None:
-        self._front_end = front_end
-        self.transport: asyncio.DatagramTransport | None = None
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = transport  # type: ignore[assignment]
-
-    def datagram_received(self, data: bytes, addr: tuple) -> None:
-        transport = self.transport
-        if transport is not None:
-            self._front_end._on_udp(data, addr, transport)
+_UDP_BUFFER = 65_535
+"""The receive buffer: no UDP datagram is larger."""
 
 
 class DnsFrontEnd:
@@ -82,7 +73,14 @@ class DnsFrontEnd:
         self.bus = EventBus()
         self.clock: WallClock | None = None
         self.server: CachingServer | None = None
-        self._udp_transport: asyncio.DatagramTransport | None = None
+        self._udp_socket: socket.socket | None = None
+        # One receive buffer for the front end's life.  asyncio's datagram
+        # transport instead asks for a fresh 256 KiB buffer per datagram,
+        # and whether the allocator reuses a chunk for it or maps fresh
+        # pages each time depended on the heap's state at start-up: in
+        # the second case every datagram cost two minor page faults.
+        self._udp_buffer = bytearray(_UDP_BUFFER)
+        self._udp_view = memoryview(self._udp_buffer)
         self._tcp_server: asyncio.AbstractServer | None = None
         self._metrics_server: asyncio.AbstractServer | None = None
         self.udp_address: tuple[str, int] | None = None
@@ -103,11 +101,23 @@ class DnsFrontEnd:
         )
         spec = self.spec
         try:
-            self._udp_transport, _ = await loop.create_datagram_endpoint(
-                lambda: _UdpProtocol(self),
-                local_addr=(spec.host, spec.port),
-            )
-            sockname = self._udp_transport.get_extra_info("sockname")
+            infos: Sequence[tuple[Any, ...]]
+            try:
+                # A numeric host needs no lookup, and no executor thread.
+                infos = socket.getaddrinfo(
+                    spec.host, spec.port, type=socket.SOCK_DGRAM,
+                    flags=socket.AI_NUMERICHOST,
+                )
+            except socket.gaierror:
+                infos = await loop.getaddrinfo(
+                    spec.host, spec.port, type=socket.SOCK_DGRAM
+                )
+            family, kind, proto, _, address = infos[0]
+            sock = self._udp_socket = socket.socket(family, kind, proto)
+            sock.setblocking(False)
+            sock.bind(address)
+            loop.add_reader(sock.fileno(), self._on_readable)
+            sockname = sock.getsockname()
             self.udp_address = (sockname[0], sockname[1])
             # TCP binds the port UDP actually got (matters when port=0).
             self._tcp_server = await asyncio.start_server(
@@ -140,11 +150,12 @@ class DnsFrontEnd:
         """Cancel every pending timer and close the listeners."""
         if self.clock is not None:
             self.clock.close()
-        if self._udp_transport is not None:
-            self._udp_transport.close()
-            # The transport releases its socket on the next loop turn;
-            # take it, so the port is free once stop() returns.
-            await asyncio.sleep(0)
+        sock = self._udp_socket
+        if sock is not None:
+            self._udp_socket = None
+            asyncio.get_running_loop().remove_reader(sock.fileno())
+            # Closed here, so the port is free once stop() returns.
+            sock.close()
         for server in (self._tcp_server, self._metrics_server):
             if server is not None:
                 server.close()
@@ -167,16 +178,27 @@ class DnsFrontEnd:
 
     # -- datagram / stream entry points -------------------------------------
 
-    def _on_udp(
-        self, data: bytes, addr: tuple, transport: asyncio.DatagramTransport
-    ) -> None:
+    def _on_readable(self) -> None:
+        """Receive one datagram into the shared buffer and answer it."""
+        sock = self._udp_socket
+        if sock is None:
+            return
+        try:
+            size, addr = sock.recvfrom_into(self._udp_buffer)
+        except OSError:
+            # Nothing waiting after all, or an error the kernel queued
+            # for an earlier reply (ICMP unreachable): no query to answer.
+            return
+        self._on_udp(bytes(self._udp_view[:size]), addr)
+
+    def _on_udp(self, data: bytes, addr: tuple) -> None:
         try:
             query = decode_query(data)
         except WireFormatError:
             self.metrics.formerr += 1
             reject = _formerr_for(data)
             if reject is not None:
-                transport.sendto(reject, addr)
+                self._send_udp(reject, addr)
             return
         self.metrics.udp_queries += 1
         payload = encode_response(
@@ -188,7 +210,18 @@ class DnsFrontEnd:
         )
         if payload[2] & (FLAG_TC >> 8):
             self.metrics.truncated += 1
-        transport.sendto(payload, addr)
+        self._send_udp(payload, addr)
+
+    def _send_udp(self, payload: bytes, addr: tuple) -> None:
+        """Send a reply, or drop it when the socket cannot take it now,
+        as a full UDP buffer would."""
+        sock = self._udp_socket
+        if sock is None:
+            return
+        try:
+            sock.sendto(payload, addr)
+        except OSError:
+            pass
 
     async def _on_tcp(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

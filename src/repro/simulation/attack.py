@@ -69,6 +69,11 @@ class AttackSchedule:
         self._tree = tree
         self._windows: list[AttackWindow] = []
         self._blocked_by_window: list[frozenset[str]] = []
+        # [first start, last end): outside it no window is active, which
+        # is nearly all of a week-long replay, so the per-exchange check
+        # returns without walking the windows.
+        self._span_start = float("inf")
+        self._span_end = float("-inf")
         for window in windows or []:
             self.add_window(window)
 
@@ -79,12 +84,16 @@ class AttackSchedule:
             blocked.update(self._tree.addresses_for_zone(zone_name))
         self._windows.append(window)
         self._blocked_by_window.append(frozenset(blocked))
+        self._span_start = min(self._span_start, window.start)
+        self._span_end = max(self._span_end, window.end)
 
     def windows(self) -> tuple[AttackWindow, ...]:
         return tuple(self._windows)
 
     def block_intensity(self, address: str, now: float) -> float:
         """The drop probability for ``address`` at ``now`` (0.0 if safe)."""
+        if not self._span_start <= now < self._span_end:
+            return 0.0
         intensity = 0.0
         for window, blocked in zip(self._windows, self._blocked_by_window):
             if (
@@ -97,6 +106,8 @@ class AttackSchedule:
 
     def is_blocked(self, address: str, now: float) -> bool:
         """Whether ``address`` is fully unreachable at ``now``."""
+        if not self._span_start <= now < self._span_end:
+            return False
         return self.block_intensity(address, now) >= 1.0
 
     def any_active(self, now: float) -> bool:

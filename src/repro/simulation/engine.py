@@ -44,7 +44,9 @@ class SimulationEngine:
         current time on the next advance), mirroring how a real timer API
         treats overdue deadlines.  Returns a cancel token.
         """
-        return self._queue.push(max(time, self.now), action)
+        if time < self.now:
+            time = self.now
+        return self._queue.push(time, action)
 
     def schedule_in(self, delay: float, action: Callable[[float], None]) -> int:
         """Run ``action`` after ``delay`` seconds of virtual time."""
@@ -68,19 +70,24 @@ class SimulationEngine:
         if time < self.now:
             raise ValueError(f"cannot advance backwards: {time} < {self.now}")
         queue = self._queue
-        if not queue._heap:
-            # Fast path: no timers at all (vanilla replays schedule none),
-            # so the advance is just a clock assignment.  This is
-            # `queue.is_empty()` without the call — once per trace query,
-            # the call cost as much as the check.  A heap holding only
-            # cancelled tombstones is not empty and takes the drain loop,
-            # which discards them.
+        heap = queue._heap
+        if not heap or heap[0][0] > time:
+            # Fast path: nothing is due by ``time`` (vanilla replays
+            # schedule no timers at all), so the advance is just a clock
+            # assignment.  The heap's head is its earliest entry, live or
+            # a cancelled tombstone, so a head past ``time`` means no
+            # live event is due either; tombstones stay queued until a
+            # drain reaches them.  Once per trace query, reading the
+            # head here is cheaper than a `pop_due` call that finds
+            # nothing.
             self.now = time
             return 0
         fired = 0
         observer = self.observer
         pop_due = queue.pop_due
-        while True:
+        # The head test again ends the drain without the `pop_due` call
+        # that would return None.
+        while heap and heap[0][0] <= time:
             item = pop_due(time)
             if item is None:
                 break

@@ -123,8 +123,8 @@ class EventQueue:
 
         A queue holding only cancelled tombstones reports non-empty; the
         caller's drain loop discards those.  ``SimulationEngine.advance_to``
-        makes this same test once per trace query, inlined on ``_heap``
-        to save the call; the two must keep meaning the same thing.
+        reads ``_heap`` directly once per trace query: empty, or a head
+        later than the advance, means nothing is due.
         """
         return not self._heap
 

@@ -83,6 +83,11 @@ class QueryResult(NamedTuple):
         return self.message is not None
 
 
+_tuple_new = tuple.__new__
+"""Fills a :class:`QueryResult` in one C call, without the Python
+``__new__`` frame a class call adds: one is built per exchange."""
+
+
 class Network:
     """Routes questions to authoritative servers, honouring attacks.
 
@@ -121,8 +126,11 @@ class Network:
         """
         faults = self._faults
         if faults is None:
-            if self._attacks is not None and self._attacks.is_blocked(address, now):
-                return QueryResult(None, self.latency.timeout, timed_out=True)
+            attacks = self._attacks
+            if attacks is not None and attacks.is_blocked(address, now):
+                return _tuple_new(
+                    QueryResult, (None, self.latency.timeout, None, True)
+                )
         else:
             ordinal = faults.next_ordinal(address)
             dropped = self._fault_verdict(faults, address, ordinal, now)
@@ -148,7 +156,9 @@ class Network:
             forged = self._poisoner.race(address, question, now)
             if forged is not None:
                 message = forged
-        return QueryResult(message, self.latency.rtt_for(address))
+        return _tuple_new(
+            QueryResult, (message, self.latency.rtt_for(address), None, False)
+        )
 
     def _fault_verdict(
         self, faults: FaultInjector, address: str, ordinal: int, now: float

@@ -1,5 +1,6 @@
 """Tests for dead-server hold-down and RTT-based server selection."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -257,3 +258,49 @@ class TestRetryPolicy:
         assert server.srtt_of(flappy) is not None
         assert server.srtt_of(steady) is not None
         assert server.srtt_of(flappy) > server.srtt_of(steady)
+
+
+class TestRotation:
+    def test_pivot_draws_match_random_randrange(self, mini):
+        """Each zone visit rotates the NS set by a pivot drawn exactly as
+        ``Random.randrange(len(names))`` draws it, rejections included:
+        the first server asked on every visit is the one a resolver
+        seeded the same way, drawing with ``randrange``, would ask."""
+        bus = EventBus()
+        first_asked: list[tuple[str, str]] = []
+
+        def on_event(event):
+            if event.kind is EventKind.QUERY_ISSUED:
+                first_asked.append((event.get("zone"), event.get("server")))
+
+        bus.subscribe(on_event)
+        server = CachingServer(
+            root_hints=mini.tree.root_hints(),
+            network=Network(mini.tree),
+            clock=SimulationEngine(),
+            config=ResilienceConfig.vanilla(),
+            observer=bus,
+            seed=11,
+        )
+        # The first lookup walks root -> test. -> example.test.; every
+        # later one (a distinct absent name) visits example.test. alone.
+        for index in range(40):
+            server.handle_stub_query(
+                name(f"h{index}.example.test."), RRType.A, float(index)
+            )
+
+        def servers(zone):
+            entry = server.cache.entry(name(zone), RRType.NS)
+            if entry is None:
+                return mini.tree.root_hints().server_names()
+            return entry.rrset.data_values()
+
+        draws = random.Random(11)
+        expected = []
+        for zone, _ in first_asked:
+            names = servers(zone)
+            expected.append(
+                (zone, mini.addresses[str(names[draws.randrange(len(names))])])
+            )
+        assert len(first_asked) == 42
+        assert first_asked == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import re
+import socket
 import struct
 import threading
 from contextlib import asynccontextmanager
@@ -245,6 +246,83 @@ class TestUdpPath:
         assert message_id == 0xABCD
         assert flags & FLAG_QR
         assert flags & 0xF == int(Rcode.FORMERR)
+
+
+    def test_query_padded_to_the_udp_maximum_is_answered(self):
+        """A query padded with trailing zero octets to 65,507 bytes, the
+        largest IPv4 UDP payload, arrives whole in the receive buffer
+        and gets the normal answer: the decoder ignores what follows
+        the question."""
+
+        async def run():
+            async with _front_end() as front_end:
+                name = front_end.sample_names(1)[0]
+                packet = encode_query(Question(name, RRType.A), 21)
+                padded = packet + bytes(65_507 - len(packet))
+                plain = await _udp_query(front_end.udp_address, packet)
+                large = await _udp_query(front_end.udp_address, padded)
+                return plain, large, front_end.metrics.formerr
+
+        plain, large, formerr = asyncio.run(run())
+        assert formerr == 0
+        expected = decode_message(plain).message
+        answered = decode_message(large).message
+        assert answered.message_id == 21
+        assert answered.rcode is Rcode.NOERROR
+        assert answered.answer and answered.answer == expected.answer
+
+    def test_burst_from_one_socket_gets_every_reply(self):
+        """64 queries sent back to back from one socket, before any reply
+        is read, get 64 replies, one per query id."""
+        burst = 64
+
+        async def run():
+            async with _front_end() as front_end:
+                names = front_end.sample_names(4)
+                loop = asyncio.get_running_loop()
+                done: asyncio.Future[None] = loop.create_future()
+                replies: list[bytes] = []
+
+                class Collect(asyncio.DatagramProtocol):
+                    def datagram_received(self, data: bytes, addr: tuple) -> None:
+                        replies.append(data)
+                        if len(replies) == burst and not done.done():
+                            done.set_result(None)
+
+                transport, _ = await loop.create_datagram_endpoint(
+                    Collect, remote_addr=front_end.udp_address
+                )
+                try:
+                    for index in range(burst):
+                        transport.sendto(encode_query(
+                            Question(names[index % len(names)], RRType.A),
+                            0x100 + index,
+                        ))
+                    await asyncio.wait_for(done, 10.0)
+                finally:
+                    transport.close()
+                return replies, front_end.metrics.udp_queries
+
+        replies, udp_queries = asyncio.run(run())
+        assert udp_queries == burst
+        messages = [decode_message(reply).message for reply in replies]
+        assert sorted(m.message_id for m in messages) == [
+            0x100 + index for index in range(burst)
+        ]
+        assert all(m.rcode is Rcode.NOERROR and m.answer for m in messages)
+
+    def test_udp_port_can_be_bound_again_once_stop_returns(self):
+        async def run():
+            front_end = DnsFrontEnd(_SPEC)
+            await front_end.start()
+            host, port = front_end.udp_address
+            await front_end.stop()
+            with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+                sock.bind((host, port))
+                return sock.getsockname()[1], port
+
+        rebound, port = asyncio.run(run())
+        assert rebound == port
 
 
 class TestTcpPath:

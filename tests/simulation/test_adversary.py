@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.config import ResilienceConfig
 from repro.dns.message import Question
-from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
 from repro.experiments.harness import run_replay
 from repro.experiments.parallel import ReplaySpec, run_replays

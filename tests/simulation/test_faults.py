@@ -5,7 +5,7 @@ import pytest
 from repro.dns.message import Question
 from repro.dns.rrtypes import RRType
 from repro.simulation.attack import attack_on_zones
-from repro.simulation.faults import FaultInjector, FaultSpec, unit_hash
+from repro.simulation.faults import FaultSpec, unit_hash
 from repro.simulation.network import Network
 
 from tests.helpers import build_mini_internet, name

@@ -7,7 +7,7 @@ only implied by the serve-stale comparator experiment.  These tests
 run every read through :class:`DifferentialCache`, so the real cache
 and the naive oracle must agree on each one — a divergence raises
 before any assertion here even fires.  The second half drives the
-stale-NS fallback in ``CachingServer._starting_zone`` / ``_zone_ns``
+stale-NS fallback in ``CachingServer._starting_zone`` / ``_query_zone``
 with the cache shadowed, which no test did before.
 """
 
@@ -96,7 +96,7 @@ class TestStaleNsFallbackShadowed:
 
     def test_stale_ns_reaches_live_sld_under_validation(self, mini):
         # IRRs expired, root+TLD blocked, SLD alive: `_starting_zone`
-        # picks the lapsed SLD zone via allow_stale and `_zone_ns`
+        # picks the lapsed SLD zone via allow_stale and `_query_zone`
         # hands out its stale NS names.
         attacks = attack_on_root_and_tlds(mini.tree, start=2 * HOUR,
                                           duration=2 * HOUR)
