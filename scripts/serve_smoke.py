@@ -6,10 +6,10 @@ only the standard library, with the query built and the answer parsed
 by the classic raw ``struct`` layout rather than the server's own
 codec — resolves three of its sample names over UDP, repeats one query
 over TCP (the truncation-fallback transport, RFC 1035 §4.2.2 framing),
-sends two malformed datagrams (a 5-octet runt must get no reply, a
-two-question header must get FORMERR) each followed by a good query that
-must still be answered, and scrapes the metrics endpoint for nonzero
-query counters.
+sends three malformed datagrams (a 5-octet runt must get no reply, a
+two-question header and a query name ending in a compression pointer
+must get FORMERR) each followed by a good query that must still be
+answered, and scrapes the metrics endpoint for nonzero query counters.
 
 Exit status 0 means every check passed; any failure raises.
 """
@@ -110,22 +110,39 @@ def udp_exchange(packet: bytes, timeout: float) -> bytes | None:
             return None
 
 
+def expect_formerr(packet: bytes, tid: int, what: str) -> None:
+    reply = udp_exchange(packet, timeout=3.0)
+    assert reply is not None, f"no reply to {what}"
+    got_tid, flags = struct.unpack("!HH", reply[:4])
+    assert got_tid == tid, f"FORMERR id {got_tid:#x} != {tid:#x}"
+    assert flags & 0x8000, "QR bit clear on the FORMERR"
+    assert flags & 0xF == 1, f"rcode {flags & 0xF} for {what}, not FORMERR"
+
+
 def check_malformed(domain: str) -> None:
-    """A runt datagram gets no reply and a two-question header gets
-    FORMERR with its id; after each, a good query is still answered."""
+    """A runt datagram gets no reply; a two-question header and a query
+    name with a compression pointer get FORMERR with their ids; after
+    each, a good query is still answered."""
     runt = udp_exchange(b"\x70\x01\x01\x00\x00", timeout=0.5)
     assert runt is None, f"a 5-octet datagram was answered: {runt!r}"
     assert parse_reply(udp_query(domain, tid=0x7011), tid=0x7011)
     print("malformed ok: 5-octet datagram dropped, next query answered")
 
-    reply = udp_exchange(build_query(0x7002, domain, qdcount=2), timeout=3.0)
-    assert reply is not None, "no reply to a two-question query"
-    tid, flags = struct.unpack("!HH", reply[:4])
-    assert tid == 0x7002, f"FORMERR id {tid:#x} != 0x7002"
-    assert flags & 0x8000, "QR bit clear on the FORMERR"
-    assert flags & 0xF == 1, f"rcode {flags & 0xF} for QDCOUNT=2, not FORMERR"
+    expect_formerr(build_query(0x7002, domain, qdcount=2), 0x7002,
+                   "a two-question query")
     assert parse_reply(udp_query(domain, tid=0x7012), tid=0x7012)
     print("malformed ok: QDCOUNT=2 got FORMERR, next query answered")
+
+    # The first label, then a pointer back at it (offset 12): a name only
+    # a response may compress.
+    first = domain.split(".")[0].encode()
+    pointer = (
+        struct.pack("!HHHHHH", 0x7003, 0x0100, 1, 0, 0, 0)
+        + bytes([len(first)]) + first + b"\xc0\x0c" + struct.pack("!HH", 1, 1)
+    )
+    expect_formerr(pointer, 0x7003, "a compressed query name")
+    assert parse_reply(udp_query(domain, tid=0x7013), tid=0x7013)
+    print("malformed ok: pointer in the qname got FORMERR, next query answered")
 
 
 def tcp_query(domain: str, tid: int, timeout: float = 5.0) -> bytes:
@@ -213,7 +230,7 @@ def main() -> None:
                 r'repro_serve_queries_total\{transport="(\w+)"\} (\d+)', body
             )
         }
-        assert counts.get("udp", 0) >= 6, f"udp counter too low: {counts}"
+        assert counts.get("udp", 0) >= 7, f"udp counter too low: {counts}"
         assert counts.get("tcp", 0) >= 1, f"tcp counter missing: {counts}"
         assert "repro_events_total" in body, "obs sink block missing"
         print(f"metrics ok: {counts}")

@@ -30,6 +30,14 @@ from typing import Callable
 class EventKind(enum.Enum):
     """The closed taxonomy of simulation events (DESIGN.md §10)."""
 
+    # Members are singletons compared by identity, so the identity hash
+    # is a value hash, and it runs in C: ``Enum.__hash__`` hashes the
+    # member's name in Python, and a served hit books three counts, each
+    # a dict get and a set.  Neither hash is stable across processes
+    # (``PYTHONHASHSEED`` moves the name's), so no output may depend on
+    # the order of a set of kinds; renderers sort by value.
+    __hash__ = object.__hash__
+
     # Stub-resolver surface.
     STUB_QUERY = "stub.query"
     """A stub query arrived at the caching server."""

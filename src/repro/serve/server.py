@@ -3,13 +3,15 @@
 Threading model: there is one thread, the asyncio loop's.  It owns the
 sockets, the wire codec, the
 :class:`~repro.core.caching_server.CachingServer` and its
-:class:`~repro.serve.clock.WallClock` timers.  A datagram is answered
-inside the one reader callback that received it: ``recvfrom_into``,
-decode, ``handle_stub_query``, render, encode, ``sendto``.  The core resolves
-against the in-process simulated network, so resolution never waits on
-I/O and one resolution runs at a time; overload waits, and past its
-size drops, in the kernel's socket buffer.  Renewal and ``swr`` timer
-bodies run on the same loop, between datagrams.
+:class:`~repro.serve.clock.WallClock` timers.  Datagrams are answered in
+batches: each time the UDP socket is readable, the reader callback
+answers every datagram already queued, up to :data:`UDP_BATCH` of them,
+each with ``recvfrom_into``, decode, ``handle_stub_query``,
+:func:`reply_for`, encode, ``sendto``.  The core resolves against the
+in-process simulated network, so resolution never waits on I/O and one
+resolution runs at a time; overload waits, and past its size drops, in
+the kernel's socket buffer.  Renewal and ``swr`` timer bodies and the
+TCP connections run on the same loop, between batches.
 
 The front end holds no answers and no map keyed by question or client:
 what may be answered, fresh or stale, is decided by the core's one cache
@@ -29,12 +31,13 @@ from __future__ import annotations
 import asyncio
 import socket
 import struct
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 from repro.core.caching_server import CachingServer, Resolution, ResolutionOutcome
 from repro.core.schemes import parse_scheme
-from repro.dns.message import Message, Rcode
+from repro.dns.message import Rcode
 from repro.dns.name import Name
+from repro.dns.records import RRset
 from repro.experiments.registry import resolve_scale
 from repro.experiments.scenarios import make_scenario
 from repro.obs.events import EventBus
@@ -59,6 +62,43 @@ _FAILED = Resolution(ResolutionOutcome.FAILURE)
 
 _UDP_BUFFER = 65_535
 """The receive buffer: no UDP datagram is larger."""
+
+UDP_BATCH = 16
+"""Datagrams answered per wake-up of the UDP reader at most; then timers
+and TCP get the loop until the next one."""
+
+
+class Reply(NamedTuple):
+    """What a resolution puts on the wire: the rcode and the answer RRset."""
+
+    rcode: Rcode
+    answer: RRset | None = None
+
+
+_SERVFAIL = Reply(Rcode.SERVFAIL)
+_NXDOMAIN = Reply(Rcode.NXDOMAIN)
+_NODATA = Reply(Rcode.NOERROR)
+_NXDOMAIN_OUTCOME = ResolutionOutcome.NXDOMAIN
+_NOERROR = Rcode.NOERROR
+_tuple_new = tuple.__new__
+
+
+def reply_for(resolution: Resolution) -> Reply:
+    """The reply a resolution gets, the same over UDP and TCP.
+
+    A failed outcome is SERVFAIL and NXDOMAIN is NXDOMAIN; every other
+    outcome is NOERROR with the resolution's answer, which NODATA leaves
+    empty.
+    """
+    outcome = resolution.outcome
+    if outcome.failed:
+        return _SERVFAIL
+    if outcome is _NXDOMAIN_OUTCOME:
+        return _NXDOMAIN
+    answer = resolution.answer
+    if answer is None:
+        return _NODATA
+    return _tuple_new(Reply, (_NOERROR, answer))
 
 
 class DnsFrontEnd:
@@ -179,17 +219,21 @@ class DnsFrontEnd:
     # -- datagram / stream entry points -------------------------------------
 
     def _on_readable(self) -> None:
-        """Receive one datagram into the shared buffer and answer it."""
+        """Answer the datagrams queued on the socket, up to a batch."""
         sock = self._udp_socket
         if sock is None:
             return
-        try:
-            size, addr = sock.recvfrom_into(self._udp_buffer)
-        except OSError:
-            # Nothing waiting after all, or an error the kernel queued
-            # for an earlier reply (ICMP unreachable): no query to answer.
-            return
-        self._on_udp(bytes(self._udp_view[:size]), addr)
+        buffer, view = self._udp_buffer, self._udp_view
+        for _ in range(UDP_BATCH):
+            try:
+                size, addr = sock.recvfrom_into(buffer)
+            except BlockingIOError:
+                return
+            except OSError:
+                # An error the kernel queued for an earlier reply (ICMP
+                # unreachable): no query in it, but more may be waiting.
+                continue
+            self._on_udp(bytes(view[:size]), addr)
 
     def _on_udp(self, data: bytes, addr: tuple) -> None:
         try:
@@ -201,12 +245,9 @@ class DnsFrontEnd:
                 self._send_udp(reject, addr)
             return
         self.metrics.udp_queries += 1
+        rcode, answer = self._resolve(query)
         payload = encode_response(
-            self._resolve(query),
-            message_id=query.message_id,
-            raw_labels=query.raw_labels,
-            recursion_desired=query.recursion_desired,
-            max_size=self.spec.udp_payload_max,
+            query, rcode, answer, max_size=self.spec.udp_payload_max
         )
         if payload[2] & (FLAG_TC >> 8):
             self.metrics.truncated += 1
@@ -245,12 +286,8 @@ class DnsFrontEnd:
                     await writer.drain()
                     continue
                 self.metrics.tcp_queries += 1
-                payload = encode_response(
-                    self._resolve(query),
-                    message_id=query.message_id,
-                    raw_labels=query.raw_labels,
-                    recursion_desired=query.recursion_desired,
-                )
+                rcode, answer = self._resolve(query)
+                payload = encode_response(query, rcode, answer)
                 writer.write(frame_tcp(payload))
                 await writer.drain()
         finally:
@@ -258,8 +295,8 @@ class DnsFrontEnd:
 
     # -- resolution ---------------------------------------------------------
 
-    def _resolve(self, query: DecodedQuery) -> Message:
-        """Resolve ``query`` through the core, count and render the reply.
+    def _resolve(self, query: DecodedQuery) -> Reply:
+        """Resolve ``query`` through the core and count a SERVFAIL.
 
         A resolution that raises is answered SERVFAIL and reported to
         the loop's exception handler.
@@ -277,23 +314,10 @@ class DnsFrontEnd:
                 {"message": "resolution failed", "exception": error}
             )
             resolution = _FAILED
-        rcode = Rcode.NOERROR
-        answer: tuple = ()
-        outcome = resolution.outcome
-        if outcome.failed:
+        reply = reply_for(resolution)
+        if reply is _SERVFAIL:
             self.metrics.servfail += 1
-            rcode = Rcode.SERVFAIL
-        elif outcome is ResolutionOutcome.NXDOMAIN:
-            rcode = Rcode.NXDOMAIN
-        elif resolution.answer is not None:
-            answer = (resolution.answer,)
-        return Message(
-            question=question,
-            rcode=rcode,
-            authoritative=False,
-            answer=answer,
-            message_id=query.message_id,
-        )
+        return reply
 
 
 def _formerr_for(data: bytes) -> bytes | None:

@@ -247,6 +247,94 @@ class TestUdpPath:
         assert flags & FLAG_QR
         assert flags & 0xF == int(Rcode.FORMERR)
 
+    def test_pointer_in_the_qname_gets_formerr_and_the_next_query_an_answer(self):
+        """A query name that ends in a compression pointer (here back at
+        its own first label) is refused with FORMERR under its id, and
+        the query after it is answered."""
+
+        async def run():
+            async with _front_end() as front_end:
+                name = front_end.sample_names(1)[0]
+                bad = (
+                    struct.pack("!HHHHHH", 0x1111, 0x0100, 1, 0, 0, 0)
+                    + b"\x01a\xc0\x0c" + struct.pack("!HH", 1, 1)
+                )
+                rejected = await _udp_query(front_end.udp_address, bad)
+                good = encode_query(Question(name, RRType.A), 0x2222)
+                answered = await _udp_query(front_end.udp_address, good)
+                return rejected, answered, front_end.metrics.formerr
+
+        rejected, answered, formerr = asyncio.run(run())
+        assert formerr == 1
+        message_id, flags = struct.unpack_from("!HH", rejected)
+        assert message_id == 0x1111
+        assert flags & FLAG_QR
+        assert flags & 0xF == int(Rcode.FORMERR)
+        message = decode_message(answered).message
+        assert message.message_id == 0x2222
+        assert message.rcode is Rcode.NOERROR and message.answer
+
+    def test_queued_datagrams_are_answered_in_batches_with_timers_and_tcp_between(
+        self,
+    ):
+        """Six batches' worth of datagrams and more, queued before the
+        loop turns, all get answers; a WallClock timer and a TCP query
+        armed at the same moment run between two batches, not after the
+        last one."""
+        from repro.serve.server import UDP_BATCH
+
+        total = 6 * UDP_BATCH + 5
+
+        async def run():
+            async with _front_end() as front_end:
+                name = front_end.sample_names(1)[0]
+                address = front_end.udp_address
+                reader, writer = await asyncio.open_connection(*address)
+                ask = encode_query(Question(name, RRType.A), 0x0F00)
+                marks: dict[str, int] = {}
+
+                async def tcp_exchange() -> bytes:
+                    writer.write(frame_tcp(ask))
+                    (length,) = struct.unpack(
+                        "!H", await asyncio.wait_for(reader.readexactly(2), 5.0)
+                    )
+                    return await reader.readexactly(length)
+
+                try:
+                    await tcp_exchange()  # the handler now waits on the stream
+                    with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as client:
+                        client.bind(("127.0.0.1", 0))
+                        for index in range(total):
+                            client.sendto(encode_query(
+                                Question(name, RRType.A), 0x1000 + index
+                            ), address)
+                        front_end.clock.schedule(0.0, lambda _now: marks.setdefault(
+                            "timer", front_end.metrics.udp_queries))
+                        tcp_reply = await tcp_exchange()
+                        marks["tcp"] = front_end.metrics.udp_queries
+                        for _ in range(500):
+                            if front_end.metrics.udp_queries == total:
+                                break
+                            await asyncio.sleep(0.01)
+                        client.setblocking(False)
+                        replies = []
+                        try:
+                            while True:
+                                replies.append(client.recv(4096))
+                        except BlockingIOError:
+                            pass
+                finally:
+                    writer.close()
+                return marks, tcp_reply, replies
+
+        marks, tcp_reply, replies = asyncio.run(run())
+        assert sorted(
+            decode_message(reply).message.message_id for reply in replies
+        ) == [0x1000 + index for index in range(total)]
+        assert decode_message(tcp_reply).message.rcode is Rcode.NOERROR
+        for mark in ("timer", "tcp"):
+            assert 0 < marks[mark] < total, marks
+            assert marks[mark] % UDP_BATCH == 0, marks
 
     def test_query_padded_to_the_udp_maximum_is_answered(self):
         """A query padded with trailing zero octets to 65,507 bytes, the

@@ -9,7 +9,7 @@ dialect, and survives packets that do not:
   compression pointers) — encoded queries must match those bytes
   octet-for-octet, and encoded responses must parse under a
   transliteration of that snippet's reader.
-* Hypothesis round trips ``Message -> encode_response -> decode_message``
+* Hypothesis round trips ``Message -> encode_message -> decode_message``
   over every rdata shape the simulator emits, including compressed
   names, mixed-case query echo and the TC/TCP fallback path.
 * Hostile bytes: hand-built bad labels and rdata, and a hypothesis fuzz
@@ -42,6 +42,7 @@ from repro.serve.wire import (
     WireFormatError,
     decode_message,
     decode_query,
+    encode_message,
     encode_query,
     encode_response,
     frame_tcp,
@@ -140,7 +141,7 @@ class TestGoldenVectors:
             answer=(rrset,),
             message_id=0xBEEF,
         )
-        packet = encode_response(message)
+        packet = encode_message(message)
         rows = _snippet_parse_answers(packet)
         assert rows == [
             ("www.ucla.edu", 300, 1, "131.179.0.1"),
@@ -197,7 +198,7 @@ class TestPinnedBytes:
             ),),
             message_id=1,
         )
-        packet = encode_response(
+        packet = encode_message(
             message,
             message_id=0xBEEF,
             raw_labels=("wWw", "Z47", "bIz"),
@@ -230,7 +231,7 @@ class TestPinnedBytes:
             ),
             message_id=0x0102,
         )
-        assert encode_response(message).hex() == (
+        assert encode_message(message).hex() == (
             "01028080000100000002000203777777037a34370362697a0000010001c01000"
             "0200010002a3000006036e7331c010c010000200010002a3000006036e7332c0"
             "10c029000100010002a30000040a002f01c03b000100010002a30000040a002f"
@@ -249,8 +250,8 @@ class TestPinnedBytes:
             ]),),
             message_id=5,
         )
-        assert len(encode_response(message)) == 639
-        packet = encode_response(
+        assert len(encode_message(message)) == 639
+        packet = encode_message(
             message, raw_labels=("BIG", "z47", "biz"), max_size=512
         )
         assert packet.hex() == (
@@ -269,7 +270,7 @@ class TestPinnedBytes:
             )]),),
             message_id=0x7777,
         )
-        assert encode_response(message).hex() == (
+        assert encode_message(message).hex() == (
             "777784830001000000010000046e6f70650362697a0000010001c01100060001"
             "000003840027036e7331c0110a686f73746d6173746572c01177a08b35000000"
             "0000000000000000000000012c"
@@ -284,7 +285,7 @@ class TestPinnedBytes:
             ]),),
             message_id=3,
         )
-        packet = encode_response(
+        packet = encode_message(
             message,
             message_id=0x0A0B,
             raw_labels=("WWW", "z47", "BiZ"),
@@ -313,7 +314,7 @@ class TestPinnedBytes:
             ),
             message_id=0x4242,
         )
-        assert encode_response(message).hex() == (
+        assert encode_message(message).hex() == (
             "42428480000100030000000005616c696173037a34370362697a0000010001c0"
             "0c0005000100000258000603777777c012c02b000100010000012c00040a0001"
             "07c02b000100010000012c00040a000108"
@@ -351,7 +352,7 @@ class TestPinnedBytes:
             ),
             message_id=0x1357,
         )
-        packet = encode_response(message, raw_labels=("Www", "Z47", "biz"))
+        packet = encode_message(message, raw_labels=("Www", "Z47", "biz"))
         assert packet.hex() == (
             "13578480000100000003000303577777035a34370362697a00000f0001c01000"
             "020001000151800006036e7331c010c0100002000100015180000f036e733205"
@@ -371,7 +372,7 @@ class TestPinnedBytes:
             ]),),
             message_id=9,
         )
-        packet = encode_response(
+        packet = encode_message(
             message,
             message_id=0xFFFE,
             raw_labels=("bIg", "Z47", "BIZ"),
@@ -395,7 +396,7 @@ class TestPinnedBytes:
             )]),),
             message_id=0x2468,
         )
-        assert encode_response(message).hex() == (
+        assert encode_message(message).hex() == (
             "246884830001000000010000046e6f7065037a34380362697a000001000"
             "1c01100060001000003840036026e7308646e732d686f7374076578616d"
             "706c65000a686f73746d6173746572c02d0000002a00000000000000000"
@@ -413,7 +414,7 @@ class TestPinnedBytes:
             ),),
             message_id=1,
         )
-        packet = encode_response(message, raw_labels=("mail", "Z47", "biz"))
+        packet = encode_message(message, raw_labels=("mail", "Z47", "biz"))
         assert packet.hex() == (
             "000180800001000100000000046d61696c035a34370362697a00000100010377"
             "7777c011000100010000003c00040a000107"
@@ -435,22 +436,89 @@ class TestPinnedBytes:
             answer=(RRset.from_records([record]),),
         )
         with pytest.raises(WireFormatError):
-            encode_response(message)
+            encode_message(message)
 
     def test_64_octet_label_still_raises(self):
         question = Question(self.WWW, RRType.A)
         with pytest.raises(WireFormatError, match="not encodable"):
             encode_query(question, 1, raw_labels=("x" * 64, "biz"))
         with pytest.raises(WireFormatError, match="not encodable"):
-            encode_response(
+            encode_message(
                 Message(question=question), raw_labels=("x" * 64, "biz")
             )
+
+
+_WWW = TestPinnedBytes.WWW
+_BIG = Name.from_text("big.z47.biz.")
+
+
+class TestServedReplies:
+    """``encode_response`` over a decoded query: the hit-path packets of
+    :class:`TestPinnedBytes`, octet for octet, with no Message built."""
+
+    @pytest.mark.parametrize(
+        "question, records, message_id, raw, rd, expected",
+        [
+            (
+                Question(_WWW, RRType.A),
+                [ResourceRecord(_WWW, RRType.A, 3600, "10.0.1.7")],
+                0xBEEF, ("wWw", "Z47", "bIz"), True,
+                "beef81800001000100000000"
+                "03775777035a34370362497a0000010001"
+                "c00c00010001" "00000e10" "0004" "0a000107",
+            ),
+            (
+                Question(_WWW, RRType.A),
+                [ResourceRecord(_WWW, RRType.A, 300, f"10.0.1.{i}") for i in (7, 8, 9)],
+                0x0A0B, ("WWW", "z47", "BiZ"), True,
+                "0a0b8180000100030000000003575757037a34370342695a0000010001c00c00"
+                "0100010000012c00040a000107c00c000100010000012c00040a000108c00c00"
+                "0100010000012c00040a000109",
+            ),
+            (
+                Question(_BIG, RRType.TXT),
+                [ResourceRecord(_BIG, RRType.TXT, 60, f"row-{i:02d}-" + "y" * 50)
+                 for i in range(12)],
+                0xFFFE, ("bIg", "Z47", "BIZ"), True,
+                "fffe8380000100000000000003624967035a34370342495a0000100001",
+            ),
+            (
+                Question(_BIG, RRType.TXT),
+                [ResourceRecord(_BIG, RRType.TXT, 60, f"filler-{i:02d}-" + "x" * 38)
+                 for i in range(10)],
+                5, ("BIG", "z47", "biz"), False,
+                "000582800001000000000000"
+                "03424947037a34370362697a0000100001",
+            ),
+        ],
+        ids=["hit", "three-records", "tc-mixed-case", "tc-no-rd"],
+    )
+    def test_served_reply_matches_the_pinned_bytes(
+        self, question, records, message_id, raw, rd, expected
+    ):
+        query = decode_query(encode_query(
+            question, message_id, recursion_desired=rd, raw_labels=raw
+        ))
+        packet = encode_response(
+            query, Rcode.NOERROR, RRset.from_records(records),
+            max_size=UDP_PAYLOAD_MAX,
+        )
+        assert packet.hex() == expected
+
+    def test_negative_reply_is_header_and_question(self):
+        query = decode_query(encode_query(
+            Question(_WWW, RRType.A), 0x0102, raw_labels=("WWW", "z47", "biz")
+        ))
+        packet = encode_response(query, Rcode.NXDOMAIN, None)
+        assert packet.hex() == (
+            "01028183000100000000000003575757037a34370362697a0000010001"
+        )
 
 
 class TestQueryDecoding:
     def test_round_trip_preserves_raw_case(self):
         """0x20 case mixing survives: canonical Name is lowercased but
-        raw_labels keep the client's octets."""
+        the question octets are the client's."""
         question = Question(Name.from_text("www.example.com"), RRType.A)
         packet = encode_query(
             question, 99, raw_labels=("WwW", "ExAmPlE", "CoM")
@@ -458,7 +526,9 @@ class TestQueryDecoding:
         decoded = decode_query(packet)
         assert decoded.message_id == 99
         assert decoded.question == question
-        assert decoded.raw_labels == ("WwW", "ExAmPlE", "CoM")
+        assert decoded.question_octets == (
+            b"\x03WwW\x07ExAmPlE\x03CoM\x00" + struct.pack("!HH", 1, 1)
+        )
         assert decoded.recursion_desired
         assert decoded.opcode == 0
 
@@ -491,6 +561,17 @@ class TestQueryDecoding:
         with pytest.raises(WireFormatError, match="pointer"):
             decode_query(packet)
 
+    @pytest.mark.parametrize(
+        "qname",
+        [b"\xc0\x00", b"\xc0\x0b", b"\x01a\xc0\x0c", b"\x01a\x01b\xc0\x0e"],
+        ids=["to-header-start", "to-header-end", "to-own-start", "to-own-label"],
+    )
+    def test_pointer_in_a_query_name_is_refused(self, qname):
+        """A query name is never compressed: a pointer in it can only aim
+        into the header or back into the name, and is FORMERR material."""
+        with pytest.raises(WireFormatError, match="pointer"):
+            decode_query(_query_packet(qname + b"\x00"))
+
     def test_label_running_off_the_end_rejected(self):
         packet = struct.pack("!HHHHHH", 1, 0, 1, 0, 0, 0) + b"\x3fabc"
         with pytest.raises(WireFormatError):
@@ -512,9 +593,9 @@ class TestTruncationAndTcp:
 
     def test_oversize_udp_response_truncates_to_question(self):
         message = self._big_message()
-        full = encode_response(message)
+        full = encode_message(message)
         assert len(full) > UDP_PAYLOAD_MAX
-        packet = encode_response(message, max_size=UDP_PAYLOAD_MAX)
+        packet = encode_message(message, max_size=UDP_PAYLOAD_MAX)
         assert len(packet) <= UDP_PAYLOAD_MAX
         decoded = decode_message(packet)
         assert decoded.truncated
@@ -524,7 +605,7 @@ class TestTruncationAndTcp:
 
     def test_tcp_path_carries_the_full_answer(self):
         message = self._big_message()
-        framed = frame_tcp(encode_response(message))
+        framed = frame_tcp(encode_message(message))
         (length,) = struct.unpack("!H", framed[:2])
         assert length == len(framed) - 2
         decoded = decode_message(framed[2:])
@@ -540,7 +621,7 @@ class TestTruncationAndTcp:
             ),
             message_id=1,
         )
-        packet = encode_response(message, max_size=UDP_PAYLOAD_MAX)
+        packet = encode_message(message, max_size=UDP_PAYLOAD_MAX)
         assert not decode_message(packet).truncated
 
     def test_overlong_tcp_message_rejected(self):
@@ -635,9 +716,9 @@ class TestRoundTripProperties:
     @settings(max_examples=150, deadline=None)
     @given(message=_message())
     def test_message_round_trips(self, message: Message):
-        """Message -> encode_response -> decode_message is the identity
+        """Message -> encode_message -> decode_message is the identity
         (modulo float TTLs, which the strategies keep integral)."""
-        decoded = decode_message(encode_response(message))
+        decoded = decode_message(encode_message(message))
         assert decoded.message == message
         assert not decoded.truncated
 
@@ -645,7 +726,7 @@ class TestRoundTripProperties:
     @given(message=_message(), mid=_MESSAGE_IDS, rd=st.booleans())
     def test_server_side_overrides_round_trip(self, message, mid, rd):
         """The serving path's id rewrite and RD echo land in the header."""
-        packet = encode_response(
+        packet = encode_message(
             message, message_id=mid, recursion_desired=rd
         )
         decoded = decode_message(packet)
@@ -672,20 +753,55 @@ class TestRoundTripProperties:
     )
     def test_query_round_trips(self, name, rrtype, mid, rd):
         question = Question(name, rrtype)
-        decoded = decode_query(
-            encode_query(question, mid, recursion_desired=rd)
-        )
+        packet = encode_query(question, mid, recursion_desired=rd)
+        decoded = decode_query(packet)
         assert decoded.question == question
         assert decoded.message_id == mid
         assert decoded.recursion_desired == rd
-        assert decoded.raw_labels == name.labels
+        assert decoded.question_octets == packet[HEADER.size:]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        message=_message(),
+        mid=_MESSAGE_IDS,
+        rd=st.booleans(),
+        shout=st.booleans(),
+        max_size=st.sampled_from((None, UDP_PAYLOAD_MAX, 64)),
+    )
+    def test_served_reply_is_the_message_reply(
+        self, message, mid, rd, shout, max_size
+    ):
+        """``encode_response`` over a decoded query writes the octets
+        ``encode_message`` writes for the same rcode and answer: the
+        echoed question, and every later name compressed against it the
+        same way (NS/CNAME targets and SOA text names included)."""
+        question = message.question
+        raw = (
+            tuple(label.upper() for label in question.name.labels)
+            if shout else None
+        )
+        query = decode_query(
+            encode_query(question, mid, recursion_desired=rd, raw_labels=raw)
+        )
+        answer = message.answer[0] if message.answer else None
+        reply = Message(
+            question=question,
+            rcode=message.rcode,
+            answer=() if answer is None else (answer,),
+            message_id=mid,
+        )
+        assert encode_response(
+            query, message.rcode, answer, max_size=max_size
+        ) == encode_message(
+            reply, raw_labels=raw, recursion_desired=rd, max_size=max_size
+        )
 
     @settings(max_examples=100, deadline=None)
     @given(message=_message())
     def test_truncation_never_exceeds_the_ceiling(self, message: Message):
-        packet = encode_response(message, max_size=UDP_PAYLOAD_MAX)
+        packet = encode_message(message, max_size=UDP_PAYLOAD_MAX)
         assert len(packet) <= UDP_PAYLOAD_MAX or len(
-            encode_response(message)
+            encode_message(message)
         ) <= UDP_PAYLOAD_MAX
         decoded = decode_message(packet)
         assert decoded.message.question == message.question
@@ -696,7 +812,7 @@ class TestRoundTripProperties:
     @given(message=_message())
     def test_compression_round_trips_class(self, message: Message):
         """Every decoded record keeps class IN (the only class encoded)."""
-        decoded = decode_message(encode_response(message))
+        decoded = decode_message(encode_message(message))
         for rrset in decoded.message.all_rrsets():
             for record in rrset:
                 assert record.rrclass is RRClass.IN
@@ -732,7 +848,7 @@ class TestHostileBytes:
 
     def test_mixed_case_label_is_one_lowercased_label(self):
         decoded = decode_query(_query_packet(b"\x04Ab-_\x03COM\x00"))
-        assert decoded.raw_labels == ("Ab-_", "COM")
+        assert decoded.question_octets == b"\x04Ab-_\x03COM\x00\x00\x01\x00\x01"
         assert decoded.question.name is Name.from_text("ab-_.com.")
 
     def test_name_length_limit_counts_the_root_octet(self):
@@ -774,7 +890,7 @@ def _mutated_packet(draw) -> bytes:
     """A valid response, then a few overwritten octets and maybe a cut."""
     message = draw(_message())
     shout = tuple(label.upper() for label in message.question.name.labels)
-    packet = bytearray(encode_response(
+    packet = bytearray(encode_message(
         message, raw_labels=shout if draw(st.booleans()) else None
     ))
     for _ in range(draw(st.integers(0, 4))):
