@@ -232,13 +232,12 @@ def _replay(
     with maybe_stage(timings, "replay"):
         if not injected:
             # The pre-adversary loop: an inert/absent adversary replays
-            # byte-identically to the main path.  The time is read once:
-            # a row's fields are NamedTuple getters, which the
-            # interpreter does not specialise.
-            for query in trace:
-                now = query.time
+            # byte-identically to the main path.  A row is unpacked, not
+            # read by field: the interpreter does not specialise a
+            # NamedTuple's field getters.
+            for now, _client, qname, rrtype in trace:
                 engine.advance_to(now)
-                server.handle_stub_query(query.qname, query.rrtype, now)
+                server.handle_stub_query(qname, rrtype, now)
         else:
             _replay_with_injections(engine, server, trace, injected)
         engine.advance_to(trace.duration)
@@ -280,12 +279,11 @@ def _replay_with_injections(
     """
     index = 0
     total = len(injected)
-    for query in trace:
-        now = query.time
+    for now, _client, qname, rrtype in trace:
         while index < total and injected[index][0] <= now:
             index = _run_injection(engine, server, injected, index)
         engine.advance_to(now)
-        server.handle_stub_query(query.qname, query.rrtype, now)
+        server.handle_stub_query(qname, rrtype, now)
     while index < total and injected[index][0] < trace.duration:
         index = _run_injection(engine, server, injected, index)
 

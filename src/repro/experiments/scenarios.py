@@ -41,9 +41,11 @@ class Scale(enum.Enum):
 
     PAPER = "paper"
     """Table-1-sized traces (millions of queries).  Set-up measured on a
-    2-core Xeon: the hierarchy builds in 15–17 s and one week trace
-    (6,301,445 queries) generates in 6.4–7.3 s, 1.9 GB peak RSS.  A
-    paper-scale replay is still unmeasured."""
+    2-core Xeon: the hierarchy builds in 7–17 s (the box's speed varied
+    that much) and one week trace (6,301,445 queries) generates in
+    1.0–1.2 s into 95 MB of columns; the hierarchy plus five week traces
+    peak at 1.55 GB RSS in one process.  A paper-scale replay is still
+    unmeasured."""
 
     @classmethod
     def from_env(cls, default: "Scale | None" = None) -> "Scale":

@@ -17,12 +17,11 @@ depends on (rather than the authors' private packet traces):
 A trace is generated column by column, never query by query: every
 random draw is one numpy call over the whole trace, the host pick is one
 ``searchsorted`` per distinct host-list size, and names and types are
-picked by indexing flat object arrays built once per generator.  Python
-objects appear only at the very end, when the columns are turned into
-:class:`~repro.workload.trace.TraceQuery` rows :data:`ROW_CHUNK` at a
-time.  A row is a ``NamedTuple`` filled in C — ``tuple.__new__`` mapped
-over the zipped columns — so no Python frame runs per row, and a
-paper-scale week of 6.3 million queries costs about seven seconds.
+indices into flat object arrays built once per generator.  Those columns
+are the trace: :class:`~repro.workload.trace.Trace` keeps them and makes
+:class:`~repro.workload.trace.TraceQuery` rows only while it is read, so
+``generate`` makes no Python object per query, and a paper-scale week of
+6.3 million queries is 95 MB of arrays instead of ~0.95 GB of tuples.
 
 The order and sizes of the ``rng`` calls in :meth:`TraceGenerator.generate`
 are a compatibility contract: the golden digests, the paper figures and
@@ -34,27 +33,26 @@ equal row for row.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from repro.collector import paused_collector
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
-from repro.workload.trace import Trace, TraceQuery
+from repro.workload.trace import (
+    ROW_CHUNK,
+    Trace,
+    TraceQueries,
+    index_column,
+    object_array,
+)
+
+# ROW_CHUNK is re-exported: tests size their traces by it.
+__all__ = ["DAY", "HOUR", "ROW_CHUNK", "TraceGenerator", "WorkloadConfig"]
 
 DAY = 86400.0
 HOUR = 3600.0
-
-ROW_CHUNK = 1 << 16
-"""Rows turned from array columns into ``TraceQuery`` tuples at a time.
-The columns of one chunk live as Python lists (four boxed values a row)
-only until ``tuple.__new__`` has copied them into its rows; all 624k
-rows of the benchmark's hot trace at once read 20 % more peak memory
-than the per-query loop had."""
 
 
 @dataclass(frozen=True)
@@ -99,13 +97,6 @@ def _zipf_cdf(size: int, alpha: float) -> np.ndarray:
     return cdf
 
 
-def _object_array(items: Sequence[object]) -> np.ndarray:
-    """A 1-d array holding ``items`` themselves, for picking them by index."""
-    array = np.empty(len(items), dtype=object)
-    array[:] = items
-    return array
-
-
 class TraceGenerator:
     """Generates traces against a zone catalog.
 
@@ -137,7 +128,7 @@ class TraceGenerator:
             [len(hosts) for hosts in self._hosts], dtype=np.int64
         )
         self._host_starts = np.cumsum(self._host_counts) - self._host_counts
-        self._flat_hosts = _object_array(
+        self._flat_hosts = object_array(
             [host for hosts in self._hosts for host in hosts]
         )
         # Per-zone-size host CDFs (sizes are small; cache by size).
@@ -145,22 +136,18 @@ class TraceGenerator:
             size: _zipf_cdf(size, config.name_zipf_alpha)
             for size in np.unique(self._host_counts).tolist()
         }
-        self._qtype_table = _object_array(
+        self._qtype_table = object_array(
             [rrtype for rrtype, _ in config.qtype_mix]
         )
 
     # -- public ---------------------------------------------------------------
 
-    @paused_collector()
     def generate(self, name: str, stream: int = 0) -> Trace:
         """Produce one trace; ``stream`` decorrelates TRC1..TRCn.
 
         The ``rng`` calls below — which, in what order, of what size — fix
         the trace; everything after the last of them only rearranges what
-        was drawn.  The collector is paused for the call: the rows are
-        hundreds of thousands of frozen, acyclic objects, and a collector
-        left on re-walks them (and the whole hierarchy) some ten times
-        while they are being made.
+        was drawn.
         """
         config = self.config
         rng = np.random.default_rng((self._seed, stream, 0xD25))
@@ -191,28 +178,19 @@ class TraceGenerator:
             len(qtypes), size=count, p=np.asarray(qtype_weights)
         )
 
-        host_positions = self._host_positions(zone_indices, host_draws)
-        # Four columns feed the rows.  The others go now, so that the row
-        # list grows into the room they leave instead of on top of it.
-        del shared_mask, private_mask, slot, zone_indices, host_draws
-        # ``tuple.__new__`` fills a row from its zipped fields in C:
-        # ``TraceQuery(...)`` would run the NamedTuple's Python ``__new__``,
-        # one frame per row.
-        make_row = functools.partial(tuple.__new__, TraceQuery)
-        queries: list[TraceQuery] = []
-        for begin in range(0, count, ROW_CHUNK):
-            chunk = slice(begin, begin + ROW_CHUNK)
-            # tolist() boxes to plain float/int: no numpy scalar reaches a
-            # row, and from there the metrics or a JSON dump.
-            queries.extend(map(make_row, zip(
-                times[chunk].tolist(),
-                clients[chunk].tolist(),
-                self._flat_hosts[host_positions[chunk]].tolist(),
-                self._qtype_table[type_indices[chunk]].tolist(),
-            )))
-        return Trace(
-            name=name, duration=config.duration_days * DAY, queries=queries
-        )
+        # These columns are the trace: a client is an index below
+        # ``num_clients`` as a name is one into the flat host table.
+        return Trace(name, config.duration_days * DAY, TraceQueries(
+            times,
+            index_column(clients, config.num_clients),
+            index_column(
+                self._host_positions(zone_indices, host_draws),
+                len(self._flat_hosts),
+            ),
+            self._flat_hosts,
+            index_column(type_indices, len(self._qtype_table)),
+            self._qtype_table,
+        ))
 
     # -- internals ---------------------------------------------------------------
 

@@ -57,25 +57,17 @@ def compute_statistics(
     ``requests_out`` comes from a replay (the trace alone cannot know
     how many queries the CS emitted).
     """
-    names: set[Name] = set()
+    names = trace.distinct_qnames()
     zones: set[Name] = set()
-    clients: set[int] = set()
-    zone_of: dict[Name, Name] = {}
-    for query in trace:
-        names.add(query.qname)
-        clients.add(query.client_id)
-        zone = zone_of.get(query.qname)
-        if zone is None:
-            if tree is not None:
-                zone = tree.enclosing_zone(query.qname).name
-            else:
-                zone = query.qname.parent() if not query.qname.is_root else query.qname
-            zone_of[query.qname] = zone
-        zones.add(zone)
+    for qname in names:
+        if tree is not None:
+            zones.add(tree.enclosing_zone(qname).name)
+        else:
+            zones.add(qname.parent() if not qname.is_root else qname)
     return TraceStatistics(
         name=trace.name,
         duration_days=trace.duration / DAY,
-        clients=len(clients),
+        clients=trace.client_count(),
         requests_in=len(trace),
         requests_out=requests_out,
         distinct_names=len(names),

@@ -1,9 +1,11 @@
 """The collector pause around bulk construction leaves no trace of itself.
 
-``build_hierarchy`` and ``TraceGenerator.generate`` switch the cyclic
-collector off while they allocate; whoever calls them must find it as
-they left it — on, off, or on after an exception — and must not be
-handed a backlog of young objects to walk.
+``build_hierarchy`` switches the cyclic collector off while it
+allocates; whoever calls it must find the collector as they left it —
+on, off, or on after an exception — and must not be handed a backlog of
+young objects to walk.  ``TraceGenerator.generate`` makes no object per
+query and runs with the collector as it finds it; it is held to the
+same.
 """
 
 import gc

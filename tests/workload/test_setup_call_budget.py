@@ -1,12 +1,15 @@
 """Set-up's call budget, counted — no timing involved.
 
-Trace generation and the hierarchy build make one object per row and per
-record; in CPython their cost is dominated by the Python frames spent on
-each.  These tests count ``call`` events under ``sys.setprofile`` so a
-frame per row (a record with a Python ``__new__``/``__init__``, a helper
-called per row) fails here instead of showing up as a slower set-up.
+Reading a trace makes one object per row, and the hierarchy build one
+per record; in CPython their cost is dominated by the Python frames
+spent on each.  These tests count ``call`` events under
+``sys.setprofile`` so a frame per row (a record with a Python
+``__new__``/``__init__``, a helper called per row) fails here instead
+of showing up as a slower set-up or replay.
 """
 
+import collections
+import functools
 import sys
 
 from repro.dns.name import Name
@@ -55,6 +58,21 @@ class TestGenerateCallBudget:
         assert len(three_chunks) == len(one_chunk), (
             len(three_chunks) - len(one_chunk)
         )
+
+    def test_reading_rows_costs_a_frame_per_chunk_not_per_row(self):
+        """A trace's rows are made in C as they are read (``deque`` with
+        ``maxlen=0`` drains an iterator without a frame of its own)."""
+        drain = functools.partial(collections.deque, maxlen=0)
+        _, trace = _generate(3 * ROW_CHUNK)
+        assert len(trace) > 2 * ROW_CHUNK
+        few, _ = _calls(drain, trace.queries[:100])
+        for view in (trace.queries, trace.queries[10:-10]):
+            seen, _ = _calls(drain, view)
+            chunks = -(-len(view) // ROW_CHUNK)
+            assert len(seen) - len(few) == chunks - 1, [c.co_name for c in seen]
+            assert {code.co_name for code in seen} == {
+                "__iter__", "__len__", "_chunk_rows"
+            }
 
 
 def _a(owner, ttl, address):
