@@ -5,9 +5,12 @@ byte-identical event log for the same spec + seed (serial or fanned over
 workers), and attaching observation does not change the simulation.
 """
 
+import hashlib
+
 import pytest
 
 from repro.core.config import ResilienceConfig
+from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.parallel import ReplaySpec, run_replays
 from repro.experiments.scenarios import Scale, make_scenario
@@ -21,12 +24,13 @@ def scenario():
     return make_scenario(Scale.TINY)
 
 
-def replay_combination(scenario, observe, seed=0):
-    """The TINY ``combination`` replay under the 6 h root+TLD attack."""
+def replay_combination(scenario, observe, seed=0, scheme="combination"):
+    """The TINY ``scheme`` replay (``combination`` unless named) under
+    the 6 h root+TLD attack."""
     return run_replay(
         scenario.built,
         scenario.trace("TRC1"),
-        ResilienceConfig.combination(),
+        parse_scheme(scheme),
         attack=AttackSpec(start=scenario.attack_start, duration=6 * HOUR),
         seed=seed,
         observe=observe,
@@ -98,6 +102,29 @@ class TestDeterminism:
             fanned_log = (tmp_path / f"fanned-{trace_name}.jsonl").read_bytes()
             assert serial_log == fanned_log
             assert serial_log
+
+
+class TestPinnedEventLogs:
+    """SHA-256 of the TINY TRC1 event log under the 6 h root+TLD attack.
+
+    These three schemes arm, rearm, cancel and fire the most timers, so
+    any change to timer order, clamping or cancellation moves a digest.
+    """
+
+    @pytest.mark.parametrize("scheme, digest", [
+        ("combination",
+         "8d6ce3ff193b97423bd9d88d5b4c1f5bebd496717f695b061f4c0a4ed0342857"),
+        ("a-lfu:5",
+         "a8fe1d754dcea802f4e4dda0b3d1580cb5cbc60d20c70eb9c51c7fd2c3316d6d"),
+        ("swr:30",
+         "f2f2dc5a4060d36f9a884e9cd60cdf8186f863e1ec97d3499a498504392c63f2"),
+    ])
+    def test_event_log_digest(self, scenario, tmp_path, scheme, digest):
+        events = tmp_path / "events.jsonl"
+        replay_combination(
+            scenario, ObservationSpec(events_path=str(events)), scheme=scheme
+        )
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == digest
 
 
 class TestZeroPerturbation:
