@@ -21,11 +21,9 @@ Typical use::
 
 from __future__ import annotations
 
-from repro.core.budget import FetchBudget
 from repro.core.clock import Clock, VirtualClock
 from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
-from repro.core.transport import Upstream
 from repro.experiments import EXPERIMENTS
 from repro.experiments.harness import AttackSpec, ReplayResult, run_replay
 from repro.experiments.parallel import (
@@ -80,7 +78,6 @@ __all__ = [
     "EventKind",
     "FaultInjector",
     "FaultSpec",
-    "FetchBudget",
     "InvariantViolation",
     "JsonlSink",
     "NxnsAttackSpec",
@@ -99,7 +96,6 @@ __all__ = [
     "Scenario",
     "ServeSpec",
     "StageTimings",
-    "Upstream",
     "ValidationError",
     "VirtualClock",
     "WallClock",

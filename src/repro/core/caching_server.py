@@ -25,12 +25,10 @@ import enum
 import random
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from repro.core.budget import FetchBudget
 from repro.core.cache import DnsCache, NegativeVerdict
 from repro.core.clock import Clock, as_clock
 from repro.core.config import DAY, ResilienceConfig, RetryPolicy
 from repro.core.renewal import RenewalManager
-from repro.core.transport import Upstream
 from repro.dns.errors import InvariantError
 from repro.dns.message import Message, Question
 from repro.dns.name import Name, root_name
@@ -41,6 +39,7 @@ from repro.simulation.metrics import ReplayMetrics
 
 if TYPE_CHECKING:
     from repro.simulation.engine import SimulationEngine
+    from repro.simulation.network import Network
 
 # Resolver limits: fixed properties of every caching server, not choices
 # that distinguish one scheme from another.
@@ -138,7 +137,7 @@ class CachingServer:
     def __init__(
         self,
         root_hints: InfrastructureRecordSet,
-        network: Upstream,
+        network: "Network",
         clock: "Clock | SimulationEngine",
         config: ResilienceConfig | None = None,
         metrics: ReplayMetrics | None = None,
@@ -148,11 +147,10 @@ class CachingServer:
         validation: bool = False,
     ) -> None:
         self.config = config or ResilienceConfig.vanilla()
-        # The transport and the clock are both protocols (DESIGN §15):
-        # replays pass the simulated Network and a SimulationEngine
-        # (normalised to a VirtualClock); `repro serve` passes a real
-        # UDP upstream and a WallClock.  The resolution logic below is
-        # identical under either pair.
+        # The clock is a protocol (DESIGN §15): replays pass a
+        # SimulationEngine (normalised to a VirtualClock), `repro serve`
+        # a WallClock.  Both resolve through the simulated Network, and
+        # the resolution logic below is identical under either clock.
         self.network = network
         self.clock = as_clock(clock)
         self.metrics = metrics or ReplayMetrics()
@@ -212,15 +210,12 @@ class CachingServer:
         # onto one upstream fetch.
         self._refetch_pending: set[int] = set()
 
-        # Work-limit defenses (None/0 keeps the pre-defense paths
-        # byte-identical).  The fetch budget caps NS-address
-        # sub-resolutions per top-level query; the NXNS cap bounds them
-        # per referral step (see `_address_by_resolution`).
-        self._fetch_budget: FetchBudget | None = (
-            FetchBudget(self.config.fetch_budget)
-            if self.config.fetch_budget is not None
-            else None
-        )
+        # Work-limit defenses, counted only when the config sets them.
+        # `config.fetch_budget` caps NS-address sub-resolutions per
+        # top-level query (`_fetch_spent`, reset as each one starts);
+        # `config.nxns_cap` bounds them per referral step
+        # (`_nxns_spent`; see `_address_by_resolution`).
+        self._fetch_spent = 0
         self._nxns_spent = 0
 
         # Server-selection state: smoothed RTT per address, hold-down
@@ -259,8 +254,7 @@ class CachingServer:
             else:
                 obs.emit(EventKind.STUB_QUERY, now,
                          name=str(qname), rrtype=rrtype.name)
-        if self._fetch_budget is not None:
-            self._fetch_budget.reset()
+        self._fetch_spent = 0
         resolution = self.resolve(qname, rrtype, now)
         outcome = resolution.outcome
         if (
@@ -302,8 +296,7 @@ class CachingServer:
         differencing the demand counter around the resolution.
         """
         metrics = self.metrics
-        if self._fetch_budget is not None:
-            self._fetch_budget.reset()
+        self._fetch_spent = 0
         before = metrics.cs_demand_queries
         resolution = self.resolve(qname, rrtype, now)
         provoked = metrics.cs_demand_queries - before
@@ -732,14 +725,16 @@ class CachingServer:
                                    mechanism="nxns-cap",
                                    server=str(server_name))
             return None
-        budget = self._fetch_budget
-        if budget is not None and not budget.spend():
-            self.metrics.budget_exhaustions += 1
-            if self.observer is not None:
-                self.observer.emit(EventKind.DEFENSE_BUDGET_EXHAUSTED, now,
-                                   mechanism="fetch-budget",
-                                   server=str(server_name))
-            return None
+        budget = self.config.fetch_budget
+        if budget is not None:
+            if self._fetch_spent >= budget:
+                self.metrics.budget_exhaustions += 1
+                if self.observer is not None:
+                    self.observer.emit(EventKind.DEFENSE_BUDGET_EXHAUSTED,
+                                       now, mechanism="fetch-budget",
+                                       server=str(server_name))
+                return None
+            self._fetch_spent += 1
         if cap is not None:
             self._nxns_spent += 1
         sub = self.resolve(
@@ -870,9 +865,8 @@ class CachingServer:
 
         def refetch(at: float) -> None:
             try:
-                if self._fetch_budget is not None:
-                    # Background refreshes are their own work unit.
-                    self._fetch_budget.reset()
+                # Background refreshes are their own work unit.
+                self._fetch_spent = 0
                 self._fetch(
                     question, at, depth=0, stack=frozenset(), renewal=True
                 )
@@ -912,9 +906,8 @@ class CachingServer:
         ingested, restarts the TTL countdown).
         """
         question = _tuple_new(Question, (zone, _NS, _IN))
-        if self._fetch_budget is not None:
-            # Renewal refetches are their own top-level work unit.
-            self._fetch_budget.reset()
+        # Renewal refetches are their own top-level work unit.
+        self._fetch_spent = 0
         response = self._query_zone(
             zone, question, now, depth=0, stack=frozenset(), renewal=True
         )

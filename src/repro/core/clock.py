@@ -1,24 +1,22 @@
 """The Clock protocol: one timer API for virtual and wall time.
 
 The resolution core (:class:`~repro.core.caching_server.CachingServer`,
-:class:`~repro.core.renewal.RenewalManager`) needs exactly four things
-from time: read it, arm a timer after a delay, arm a timer at an
-absolute instant, and cancel a timer.  :class:`Clock` names that
-contract; the two implementations are
+:class:`~repro.core.renewal.RenewalManager`) needs three things from
+time: read it, arm a timer at an absolute instant, and cancel a timer.
+:class:`Clock` names that contract; the two implementations are
 
 * :class:`VirtualClock` — wraps a
   :class:`~repro.simulation.engine.SimulationEngine`; time is the
-  replay's discrete-event clock and timers are queue entries.  This is
+  replay's discrete-event clock and timers are engine timers.  This is
   the deterministic path every experiment runs on.
 * :class:`repro.serve.clock.WallClock` — schedules on a live asyncio
   loop; time is ``time.monotonic()``.  This is the ``repro serve``
   path, where determinism is explicitly out of scope (DESIGN.md §15).
 
-``schedule_at`` exists alongside ``schedule`` deliberately: renewal
-timers are armed at *absolute* expiry instants, and round-tripping an
-absolute time through a relative delay (``(fire_at - now) + now``) is
-not float-exact — the byte-identical event-log guarantee would not
-survive it.
+Timers are armed at absolute instants because renewal timers fire at
+expiry instants, and round-tripping an absolute time through a relative
+delay (``(fire_at - now) + now``) is not float-exact — the
+byte-identical event-log guarantee would not survive it.
 """
 
 from __future__ import annotations
@@ -40,13 +38,6 @@ class Clock(Protocol):
         """The current time, in seconds (virtual or monotonic wall)."""
         ...
 
-    def schedule(self, delay: float, action: TimerAction) -> int:
-        """Run ``action(fire_time)`` after ``delay`` seconds.
-
-        Returns a token accepted by :meth:`cancel`.
-        """
-        ...
-
     def schedule_at(self, when: float, action: TimerAction) -> int:
         """Run ``action(fire_time)`` at the absolute instant ``when``.
 
@@ -62,9 +53,9 @@ class Clock(Protocol):
 
 
 class VirtualClock:
-    """A :class:`Clock` over a :class:`SimulationEngine`'s event queue.
+    """A :class:`Clock` over a :class:`SimulationEngine`'s timers.
 
-    Deliberately a thin veneer: tokens are the engine's own queue
+    Deliberately a thin veneer: tokens are the engine's own timer
     tokens, and ``now`` reads the engine attribute, so wrapping an
     engine mid-replay observes exactly the same timeline.
     ``schedule_at`` and ``cancel`` *are* the engine's ``schedule`` and
@@ -83,9 +74,6 @@ class VirtualClock:
     def now(self) -> float:
         return self.engine.now
 
-    def schedule(self, delay: float, action: TimerAction) -> int:
-        return self.engine.schedule_in(delay, action)
-
     def __repr__(self) -> str:
         return f"VirtualClock(now={self.engine.now!r})"
 
@@ -94,9 +82,8 @@ def as_clock(source: "Clock | SimulationEngine") -> Clock:
     """Normalise ``source`` to a :class:`Clock`.
 
     Accepts either a ready-made clock or a bare
-    :class:`SimulationEngine` (wrapped in a :class:`VirtualClock`), so
-    pre-redesign call sites that hand the engine straight to the
-    resolution core keep working unchanged.
+    :class:`SimulationEngine` (wrapped in a :class:`VirtualClock`): a
+    replay hands its engine straight to the resolution core.
     """
     from repro.simulation.engine import SimulationEngine
 

@@ -1,11 +1,12 @@
 """WallClock: the :class:`~repro.core.clock.Clock` protocol on real time.
 
-Time is ``time.monotonic()`` and timers are ``loop.call_later`` handles
-on a live asyncio loop.  Every method belongs to the loop thread, which
-is also where the front end resolves stub queries, so a timer body
-(a renewal refetch, an ``swr`` background revalidation) runs inline on
-the loop, serialised with the queries by construction.  A body that
-raises reaches the loop's exception handler like any other callback.
+Time is ``time.monotonic()`` and a timer armed for an absolute instant
+is a ``loop.call_later`` handle for the delay left until it, on a live
+asyncio loop.  Every method belongs to the loop thread, which is also
+where the front end resolves stub queries, so a timer body (a renewal
+refetch, an ``swr`` background revalidation) runs inline on the loop,
+serialised with the queries by construction.  A body that raises
+reaches the loop's exception handler like any other callback.
 :meth:`WallClock.close` cancels whatever is still pending, so no timer
 fires after the front end stops.
 
@@ -36,17 +37,14 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic()
 
-    def schedule(self, delay: float, action: TimerAction) -> int:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+    def schedule_at(self, when: float, action: TimerAction) -> int:
+        """Run ``action(fire_time)`` at the monotonic instant ``when``;
+        an instant already past fires on the next loop tick."""
         token = next(self._tokens)
         self._timers[token] = self._loop.call_later(
-            delay, self._fire, token, action
+            max(0.0, when - time.monotonic()), self._fire, token, action
         )
         return token
-
-    def schedule_at(self, when: float, action: TimerAction) -> int:
-        return self.schedule(max(0.0, when - self.now()), action)
 
     def cancel(self, token: int) -> bool:
         handle = self._timers.pop(token, None)

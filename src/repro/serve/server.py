@@ -55,6 +55,7 @@ from repro.serve.wire import (
     encode_response,
     frame_tcp,
 )
+from repro.simulation.network import Network
 
 _TCP_LENGTH = struct.Struct("!H")
 
@@ -134,7 +135,9 @@ class DnsFrontEnd:
         self.clock = WallClock(loop)
         self.server = CachingServer(
             root_hints=self._built.tree.root_hints(),
-            network=self._make_upstream(),
+            # The simulated zone tree answers in-process, which is why
+            # resolving inline on the loop thread never blocks it.
+            network=Network(self._built.tree),
             clock=self.clock,
             config=self._config,
             observer=self.bus,
@@ -173,18 +176,6 @@ class DnsFrontEnd:
             # A failed bind must not leave an already-bound socket behind.
             await self.stop()
             raise
-
-    def _make_upstream(self):  # noqa: ANN202 - Upstream protocol
-        """The transport the core resolves through.
-
-        The front end answers from the *simulated* zone tree (that is
-        the point: real traffic against the paper's hierarchy), so this
-        is the simulated Network.  It answers in-process, which is why
-        resolving inline on the loop thread never blocks it.
-        """
-        from repro.simulation.network import Network
-
-        return Network(self._built.tree)
 
     async def stop(self) -> None:
         """Cancel every pending timer and close the listeners."""

@@ -3,9 +3,8 @@
 The paper evaluates its caching schemes with a trace-driven simulator;
 this package is that simulator's foundation:
 
-* :mod:`repro.simulation.events` / :mod:`repro.simulation.engine` -- a
-  small discrete-event engine (timer wheel over a heap) driving virtual
-  time.
+* :mod:`repro.simulation.engine` -- a small discrete-event engine (a
+  heap of timers) driving virtual time.
 * :mod:`repro.simulation.attack` -- DDoS attack windows that take sets of
   zones' authoritative servers offline.
 * :mod:`repro.simulation.network` -- delivers questions to authoritative
@@ -16,14 +15,12 @@ this package is that simulator's foundation:
 
 from repro.simulation.attack import AttackSchedule, AttackWindow, attack_on_root_and_tlds
 from repro.simulation.engine import SimulationEngine
-from repro.simulation.events import EventQueue
 from repro.simulation.metrics import MemorySample, ReplayMetrics
 from repro.simulation.network import LatencyModel, Network
 
 __all__ = [
     "AttackSchedule",
     "AttackWindow",
-    "EventQueue",
     "LatencyModel",
     "MemorySample",
     "Network",

@@ -1,43 +1,51 @@
 """The discrete-event simulation engine.
 
-The engine owns virtual time.  Trace replay drives it with
-:meth:`SimulationEngine.advance_to` — between two trace queries, every
-timer (renewal refetches, metric sampling) due in the interval fires in
-timestamp order.  Components schedule work with :meth:`schedule` /
-:meth:`schedule_in`; both return an int token that :meth:`cancel`
-accepts (see :class:`~repro.simulation.events.EventQueue`).
+The engine owns virtual time and is its own timer queue.  Trace replay
+drives it with :meth:`SimulationEngine.advance_to` — between two trace
+queries, every timer (renewal refetches, metric sampling) due in the
+interval fires in timestamp order, and timers due at one instant fire
+in the order they were scheduled.  Components schedule work with
+:meth:`schedule` / :meth:`schedule_in`; both return an int token that
+:meth:`cancel` accepts.
+
+The queue is a heap of ``(time, seq)`` tuples, compared at C speed,
+beside a dict of the pending actions keyed by ``seq``, which is also
+the token.  Cancelling drops the dict entry; its heap tuple stays
+behind as a tombstone and is discarded when a drain reaches it.
 """
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import TYPE_CHECKING, Callable
 
 from repro.obs.events import EventKind
-from repro.simulation.events import EventQueue
 
 if TYPE_CHECKING:
-    from repro.core.clock import VirtualClock
     from repro.obs.events import EventBus
+
+Action = Callable[[float], None]
 
 _TIMER_FIRED = EventKind.TIMER_FIRED
 
 
 class SimulationEngine:
-    """Virtual clock plus event queue.
+    """Virtual clock plus timer queue.
 
     ``observer`` is the optional observability bus (DESIGN.md §10); when
     set, each timer firing emits an ``engine.timer`` event.  The None
-    checks live inside the fire loops so the empty-queue fast path in
+    check lives inside the fire loop so the idle fast path in
     :meth:`advance_to` stays untouched.
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = start_time
-        self._queue = EventQueue()
-        self._running = False
+        self._heap: list[tuple[float, int]] = []
+        self._pending: dict[int, Action] = {}
+        self._seq = 0
         self.observer: "EventBus | None" = None
 
-    def schedule(self, time: float, action: Callable[[float], None]) -> int:
+    def schedule(self, time: float, action: Action) -> int:
         """Run ``action(fire_time)`` at absolute virtual ``time``.
 
         Scheduling in the past is clamped to "immediately" (fires at the
@@ -46,52 +54,56 @@ class SimulationEngine:
         """
         if time < self.now:
             time = self.now
-        return self._queue.push(time, action)
+        seq = self._seq
+        self._seq = seq + 1
+        self._pending[seq] = action
+        heappush(self._heap, (time, seq))
+        return seq
 
-    def schedule_in(self, delay: float, action: Callable[[float], None]) -> int:
+    def schedule_in(self, delay: float, action: Action) -> int:
         """Run ``action`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        return self._queue.push(self.now + delay, action)
+        # Pushes onto the heap itself rather than calling `schedule`:
+        # the perf ledger's tracer wraps both methods, and an action
+        # passed through both would be wrapped twice.
+        seq = self._seq
+        self._seq = seq + 1
+        self._pending[seq] = action
+        heappush(self._heap, (self.now + delay, seq))
+        return seq
 
     def cancel(self, token: int) -> bool:
-        """Cancel a scheduled event; True when it was still pending."""
-        return self._queue.cancel(token)
+        """Cancel a scheduled timer; True only when it was still pending."""
+        return self._pending.pop(token, None) is not None
 
     def advance_to(self, time: float) -> int:
-        """Advance the clock to ``time``, firing every event due on the way.
+        """Advance the clock to ``time``, firing every timer due on the way.
 
-        Events scheduled by firing events are honoured as long as they
-        fall within the interval.  Returns the number of events fired.
+        Timers scheduled by firing timers are honoured as long as they
+        fall within the interval.  Returns the number of timers fired.
 
         Raises:
             ValueError: when asked to move time backwards.
         """
         if time < self.now:
             raise ValueError(f"cannot advance backwards: {time} < {self.now}")
-        queue = self._queue
-        heap = queue._heap
+        heap = self._heap
         if not heap or heap[0][0] > time:
-            # Fast path: nothing is due by ``time`` (vanilla replays
-            # schedule no timers at all), so the advance is just a clock
-            # assignment.  The heap's head is its earliest entry, live or
-            # a cancelled tombstone, so a head past ``time`` means no
-            # live event is due either; tombstones stay queued until a
-            # drain reaches them.  Once per trace query, reading the
-            # head here is cheaper than a `pop_due` call that finds
-            # nothing.
+            # Nothing is due by ``time`` (vanilla replays schedule no
+            # timers at all), so the advance is a clock assignment.  The
+            # head is the earliest entry, live or tombstone, so a head
+            # past ``time`` means no live timer is due either.
             self.now = time
             return 0
         fired = 0
         observer = self.observer
-        pop_due = queue.pop_due
-        # The head test again ends the drain without the `pop_due` call
-        # that would return None.
+        pending = self._pending
         while heap and heap[0][0] <= time:
-            item = pop_due(time)
-            if item is None:
-                break
-            fire_time, action = item
+            fire_time, seq = heappop(heap)
+            action = pending.pop(seq, None)
+            if action is None:
+                continue  # tombstone of a cancelled timer
             self.now = fire_time
             if observer is not None:
                 observer.emit(_TIMER_FIRED, fire_time)
@@ -101,33 +113,19 @@ class SimulationEngine:
         return fired
 
     def run(self, until: float | None = None) -> int:
-        """Drain the queue (optionally only up to ``until``).
+        """Fire every pending timer (optionally only up to ``until``).
 
-        Returns the number of events fired.
+        Without ``until`` the clock stops at the last firing.  Returns
+        the number of timers fired.
         """
         if until is not None:
             return self.advance_to(until)
         fired = 0
-        observer = self.observer
-        pop = self._queue.pop
-        while True:
-            item = pop()
-            if item is None:
-                return fired
-            fire_time, action = item
-            self.now = fire_time
-            if observer is not None:
-                observer.emit(_TIMER_FIRED, fire_time)
-            action(fire_time)
-            fired += 1
+        heap = self._heap
+        while self._pending:
+            fired += self.advance_to(heap[0][0])
+        return fired
 
     def pending_events(self) -> int:
-        """Live events still queued (diagnostic)."""
-        return len(self._queue)
-
-    def clock(self) -> "VirtualClock":
-        """This engine viewed through the :class:`~repro.core.clock.Clock`
-        protocol (the virtual half of the virtual/wall split, DESIGN §15)."""
-        from repro.core.clock import VirtualClock
-
-        return VirtualClock(self)
+        """Timers scheduled and neither fired nor cancelled (diagnostic)."""
+        return len(self._pending)

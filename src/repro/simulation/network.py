@@ -91,10 +91,9 @@ _tuple_new = tuple.__new__
 class Network:
     """Routes questions to authoritative servers, honouring attacks.
 
-    This is the simulated implementation of the
-    :class:`~repro.core.transport.Upstream` protocol the caching server
-    resolves through, in a replay and under ``repro serve`` alike: the
-    server reaches it only through ``query`` / ``query_timeout``.
+    The caching server resolves through it, in a replay and under
+    ``repro serve`` alike, and reaches it only through ``query`` /
+    ``query_timeout``.
     """
 
     def __init__(
@@ -113,7 +112,7 @@ class Network:
 
     @property
     def query_timeout(self) -> float:
-        """Seconds one unanswered query costs (the Upstream contract)."""
+        """Seconds one unanswered query attempt costs the caching server."""
         return self.latency.timeout
 
     def query(self, address: str, question: Question, now: float) -> QueryResult:

@@ -234,3 +234,32 @@ class TestSilentDropRegression:
         assert manager.renewals_attempted == 1
         assert manager.renewals_succeeded == 1
         assert cache.zone_ns_expiry(ZONE, engine.now) is None
+
+
+class TestTimerAttribution:
+    """The perf ledger files a timer under ``renewal.timer`` by its
+    action's ``__module__``, read when ``SimulationEngine.schedule`` is
+    called.  A ``functools.partial`` or a timer body moved to another
+    module would silently empty that layer; this fails first."""
+
+    def test_every_renewal_timer_is_filed_under_renewal(self, monkeypatch):
+        modules = []
+        schedule = SimulationEngine.schedule
+
+        def recording(engine, when, action):
+            modules.append(getattr(action, "__module__", ""))
+            return schedule(engine, when, action)
+
+        # Patched on the class before the manager binds its clock, the
+        # way the tracer wraps it.
+        monkeypatch.setattr(SimulationEngine, "schedule", recording)
+        h = Harness(credit=3)
+        expiry = h.cache_irrs(now=0.0, ttl=100.0)
+        h.policy.on_zone_use(ZONE, 100.0, 0.0)
+        # A refresh before the timer fires: it rearms on firing.
+        h.cache.put(ns_set(ttl=100.0), Rank.AUTH_ANSWER, 50.0, refresh=True)
+        h.engine.advance_to(expiry)
+        h.engine.advance_to(400.0)
+        assert h.manager.renewals_succeeded >= 2
+        assert len(modules) >= 4
+        assert set(modules) == {"repro.core.renewal"}

@@ -308,7 +308,8 @@ class TestUdpPath:
                             client.sendto(encode_query(
                                 Question(name, RRType.A), 0x1000 + index
                             ), address)
-                        front_end.clock.schedule(0.0, lambda _now: marks.setdefault(
+                        clock = front_end.clock
+                        clock.schedule_at(clock.now(), lambda _now: marks.setdefault(
                             "timer", front_end.metrics.udp_queries))
                         tcp_reply = await tcp_exchange()
                         marks["tcp"] = front_end.metrics.udp_queries
@@ -637,7 +638,7 @@ class TestFrontEndSemantics:
                 def body(_now):
                     raise ValueError("timer bug")
 
-                front_end.clock.schedule(0.0, body)
+                front_end.clock.schedule_at(front_end.clock.now(), body)
                 for _ in range(200):
                     if reported:
                         break
@@ -701,7 +702,7 @@ class TestFrontEndSemantics:
             clock = front_end.clock
             front_end._resolve(self._query_for(front_end))
             fired: list[float] = []
-            clock.schedule(0.05, fired.append)
+            clock.schedule_at(clock.now() + 0.05, fired.append)
             armed = clock.pending_timers()
             await front_end.stop()
             left = clock.pending_timers()

@@ -74,17 +74,17 @@ class TestScheduling:
         assert not engine.cancel(token)
 
     def test_only_tombstones_is_not_idle(self):
-        # advance_to's idle branch is `is_empty()` inlined: a heap that
+        # advance_to's idle test reads only the heap's head: a heap that
         # holds only cancelled tombstones must take the drain loop (which
         # discards them) and only then count as idle.
         engine = SimulationEngine()
         for time in (1.0, 2.0):
             engine.cancel(engine.schedule(time, lambda t: None))
         assert engine.pending_events() == 0
-        assert not engine._queue.is_empty()
+        assert engine._heap
         assert engine.advance_to(3.0) == 0
         assert engine.now == 3.0
-        assert engine._queue.is_empty()
+        assert not engine._heap
         assert engine.advance_to(4.0) == 0
         assert engine.now == 4.0
 

@@ -1,116 +1,121 @@
-"""Unit + property tests for the flat event queue."""
+"""Unit + property tests for the engine's timer queue, through its
+public API: ``schedule``, ``cancel``, ``advance_to``, ``run`` and
+``pending_events``."""
 
 from hypothesis import given, strategies as st
 
-from repro.simulation.events import EventQueue
+from repro.simulation.engine import SimulationEngine
 
 
 def noop(_):
     pass
 
 
-def drain(queue, limit=float("inf")):
-    """Pop every due event, returning the (time, action) pairs."""
-    items = []
-    while (item := queue.pop_due(limit)) is not None:
-        items.append(item)
-    return items
-
-
 class TestEventQueue:
     def test_pop_in_time_order(self):
-        queue = EventQueue()
-        queue.push(3.0, noop)
-        queue.push(1.0, noop)
-        queue.push(2.0, noop)
-        times = [queue.pop()[0] for _ in range(3)]
-        assert times == [1.0, 2.0, 3.0]
+        engine = SimulationEngine()
+        fired = []
+        for time in (3.0, 1.0, 2.0):
+            engine.schedule(time, fired.append)
+        engine.run()
+        assert fired == [1.0, 2.0, 3.0]
 
     def test_fifo_within_same_time(self):
-        queue = EventQueue()
+        engine = SimulationEngine()
         order = []
-        queue.push(1.0, lambda t: order.append("first"))
-        queue.push(1.0, lambda t: order.append("second"))
-        for time, action in drain(queue):
-            action(time)
+        engine.schedule(1.0, lambda t: order.append("first"))
+        engine.schedule(1.0, lambda t: order.append("second"))
+        engine.run()
         assert order == ["first", "second"]
 
-    def test_pop_due_respects_limit(self):
-        queue = EventQueue()
-        queue.push(1.0, noop)
-        queue.push(5.0, noop)
-        assert queue.pop_due(3.0)[0] == 1.0
-        assert queue.pop_due(3.0) is None
-        # The later event survives for a wider drain.
-        assert queue.pop_due(10.0)[0] == 5.0
+    def test_advance_respects_limit(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, fired.append)
+        engine.schedule(5.0, fired.append)
+        assert engine.advance_to(3.0) == 1
+        assert engine.advance_to(3.0) == 0
+        # The later timer survives for a wider advance.
+        assert engine.advance_to(10.0) == 1
+        assert fired == [1.0, 5.0]
 
     def test_cancel_prevents_delivery(self):
-        queue = EventQueue()
-        token = queue.push(1.0, noop)
-        queue.push(2.0, noop)
-        assert queue.cancel(token)
-        popped = queue.pop()
-        assert popped[0] == 2.0
-        assert queue.pop() is None
+        engine = SimulationEngine()
+        fired = []
+        token = engine.schedule(1.0, fired.append)
+        engine.schedule(2.0, fired.append)
+        assert engine.cancel(token)
+        assert engine.run() == 1
+        assert fired == [2.0]
 
     def test_cancel_is_idempotent(self):
-        queue = EventQueue()
-        token = queue.push(1.0, noop)
-        assert queue.cancel(token)
-        assert not queue.cancel(token)
-        assert queue.pop() is None
+        engine = SimulationEngine()
+        token = engine.schedule(1.0, noop)
+        assert engine.cancel(token)
+        assert not engine.cancel(token)
+        assert engine.run() == 0
 
     def test_cancel_after_delivery_is_rejected(self):
-        queue = EventQueue()
-        token = queue.push(1.0, noop)
-        assert queue.pop() is not None
-        assert not queue.cancel(token)
+        engine = SimulationEngine()
+        token = engine.schedule(1.0, noop)
+        assert engine.run() == 1
+        assert not engine.cancel(token)
 
-    def test_slot_reuse_does_not_confuse_cancellation(self):
-        # Cancelling frees a slot; the next push may reuse it.  The stale
-        # token must not be able to cancel the new occupant, and the
-        # stale heap tombstone must not shadow it.
-        queue = EventQueue()
-        stale = queue.push(1.0, noop)
-        queue.cancel(stale)
+    def test_fired_token_cancels_nothing_later(self):
+        # A token names one timer for good: once it has fired, it cannot
+        # cancel a timer scheduled after it, and neither can a cancelled
+        # one's.
+        engine = SimulationEngine()
+        fired_token = engine.schedule(1.0, noop)
+        cancelled = engine.schedule(1.5, noop)
+        engine.cancel(cancelled)
+        engine.advance_to(1.0)
         order = []
-        queue.push(2.0, lambda t: order.append("live"))
-        assert not queue.cancel(stale)
-        for time, action in drain(queue):
-            action(time)
+        engine.schedule(2.0, lambda t: order.append("live"))
+        assert not engine.cancel(fired_token)
+        assert not engine.cancel(cancelled)
+        engine.run()
         assert order == ["live"]
 
-    def test_peek_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(1.0, noop)
-        queue.push(5.0, noop)
-        queue.cancel(first)
-        assert queue.peek_time() == 5.0
+    def test_cancelled_head_is_skipped(self):
+        engine = SimulationEngine()
+        fired = []
+        first = engine.schedule(1.0, fired.append)
+        engine.schedule(5.0, fired.append)
+        engine.cancel(first)
+        assert engine.advance_to(4.0) == 0
+        assert engine.advance_to(5.0) == 1
+        assert fired == [5.0]
 
     def test_len_counts_live_only(self):
-        queue = EventQueue()
-        token = queue.push(1.0, noop)
-        queue.push(2.0, noop)
-        queue.cancel(token)
-        assert len(queue) == 1
-        assert queue.is_empty() is False
+        engine = SimulationEngine()
+        token = engine.schedule(1.0, noop)
+        engine.schedule(2.0, noop)
+        engine.cancel(token)
+        assert engine.pending_events() == 1
+        engine.advance_to(1.5)
+        assert engine.pending_events() == 1
+        engine.advance_to(2.0)
+        assert engine.pending_events() == 0
 
     def test_empty_behaviour(self):
-        queue = EventQueue()
-        assert queue.pop() is None
-        assert queue.pop_due(100.0) is None
-        assert queue.peek_time() is None
-        assert not queue
-        assert queue.is_empty()
+        engine = SimulationEngine()
+        assert engine.pending_events() == 0
+        assert engine.run() == 0
+        assert engine.now == 0.0
+        assert engine.advance_to(100.0) == 0
+        assert engine.now == 100.0
 
     @given(st.lists(st.floats(min_value=0, max_value=1e6,
                               allow_nan=False), min_size=1, max_size=50))
     def test_pop_order_is_sorted(self, times):
-        queue = EventQueue()
-        for time in times:
-            queue.push(time, noop)
-        popped = [item[0] for item in drain(queue)]
-        assert popped == sorted(times)
+        # Time order, and scheduling order within one instant.
+        engine = SimulationEngine()
+        fired = []
+        for index, time in enumerate(times):
+            engine.schedule(time, lambda t, index=index: fired.append((t, index)))
+        engine.run()
+        assert fired == sorted(zip(times, range(len(times))))
 
     @given(
         st.lists(st.floats(min_value=0, max_value=100, allow_nan=False),
@@ -118,17 +123,18 @@ class TestEventQueue:
         st.data(),
     )
     def test_cancelled_subset_never_delivered(self, times, data):
-        queue = EventQueue()
-        tokens = [queue.push(time, noop) for time in times]
+        engine = SimulationEngine()
+        fired = []
+        tokens = [engine.schedule(time, fired.append) for time in times]
         doomed = data.draw(st.sets(
             st.integers(min_value=0, max_value=len(tokens) - 1)))
         for index in doomed:
-            queue.cancel(tokens[index])
+            assert engine.cancel(tokens[index])
         survivors = sorted(
             time for index, time in enumerate(times) if index not in doomed
         )
-        popped = [item[0] for item in drain(queue)]
-        assert popped == survivors
+        assert engine.run() == len(survivors)
+        assert fired == survivors
 
     @given(
         st.lists(st.tuples(st.floats(min_value=0, max_value=100,
@@ -137,16 +143,18 @@ class TestEventQueue:
                  min_size=1, max_size=40),
     )
     def test_interleaved_push_cancel_reuse(self, plan):
-        # Free-list slot recycling under an arbitrary push/cancel
-        # interleaving must deliver exactly the never-cancelled events.
-        queue = EventQueue()
+        # An arbitrary interleaving of arming and cancelling delivers
+        # exactly the never-cancelled timers, and leaves none pending.
+        engine = SimulationEngine()
+        fired = []
         expected = []
         for time, cancel_it in plan:
-            token = queue.push(time, noop)
+            token = engine.schedule(time, fired.append)
             if cancel_it:
-                queue.cancel(token)
+                engine.cancel(token)
             else:
                 expected.append(time)
-        popped = [item[0] for item in drain(queue)]
-        assert popped == sorted(expected)
-        assert len(queue) == 0
+        assert engine.pending_events() == len(expected)
+        engine.run()
+        assert fired == sorted(expected)
+        assert engine.pending_events() == 0
