@@ -62,8 +62,9 @@ class Name:
         object.__setattr__(self, "iid", len(_BY_ID))
         object.__setattr__(self, "_ancestors", None)
         object.__setattr__(self, "_ns_chain", None)
+        # Each label costs its length plus a length octet; the root one.
         object.__setattr__(
-            self, "_wire_length", sum(len(label) + 1 for label in labels) + 1
+            self, "_wire_length", sum(map(len, labels)) + len(labels) + 1
         )
         _BY_ID.append(self)
         _INTERN[labels] = self
@@ -223,7 +224,7 @@ class Name:
         return self == other or other < self
 
     def __str__(self) -> str:
-        if self.is_root:
+        if not self.labels:
             return "."
         return ".".join(self.labels) + "."
 

@@ -14,6 +14,10 @@ from typing import Iterable, Iterator
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRTYPE_BITS, RRClass, RRType
 
+#: Types whose rdata is a :class:`Name`.  A set looked up once: an enum
+#: member read off the class costs more than the check itself.
+_NAME_VALUED = frozenset((RRType.NS, RRType.CNAME, RRType.PTR))
+
 
 @dataclass(frozen=True, slots=True)
 class ResourceRecord:
@@ -36,8 +40,7 @@ class ResourceRecord:
     def __post_init__(self) -> None:
         if self.ttl < 0:
             raise ValueError(f"negative TTL {self.ttl} on {self.name}")
-        name_valued = self.rrtype in (RRType.NS, RRType.CNAME, RRType.PTR)
-        if name_valued and not isinstance(self.data, Name):
+        if self.rrtype in _NAME_VALUED and not isinstance(self.data, Name):
             raise TypeError(f"{self.rrtype.name} rdata must be a Name")
 
     def with_ttl(self, ttl: float) -> "ResourceRecord":
@@ -84,28 +87,26 @@ class RRset:
     ttl: float
     records: tuple[ResourceRecord, ...]
     _data_key: tuple = field(init=False, repr=False, compare=False, hash=False)
-    _key: tuple = field(init=False, repr=False, compare=False, hash=False)
     _ikey: int = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self) -> None:
-        if not self.records:
+        name, rrtype, records = self.name, self.rrtype, self.records
+        if not records:
             raise ValueError("an RRset must contain at least one record")
         # ``is``: names are interned, so equal names are one object.
         data: list[Name | str] = []
-        for record in self.records:
-            if record.name is not self.name or record.rrtype != self.rrtype:
+        for record in records:
+            if record.name is not name or record.rrtype != rrtype:
                 raise ValueError(
                     f"record {record} does not belong in RRset "
-                    f"({self.name}, {self.rrtype.name})"
+                    f"({name}, {rrtype.name})"
                 )
             data.append(record.data)
-        # Precomputed so the cache's hot same-data comparison is O(1)-ish
-        # and ``key()`` allocates no tuple on the put path.
+        # Precomputed so the cache's hot same-data comparison is O(1)-ish;
+        # ``_ikey`` is what the cache and the zones file the set under
+        # (an ``IntEnum`` or'ed into an int is an int).
         object.__setattr__(self, "_data_key", tuple(data))
-        object.__setattr__(self, "_key", (self.name, self.rrtype))
-        object.__setattr__(
-            self, "_ikey", (self.name.iid << RRTYPE_BITS) | int(self.rrtype)
-        )
+        object.__setattr__(self, "_ikey", (name.iid << RRTYPE_BITS) | rrtype)
 
     @classmethod
     def from_records(cls, records: Iterable[ResourceRecord]) -> "RRset":
@@ -125,13 +126,13 @@ class RRset:
         if not record_list:
             raise ValueError("cannot build an RRset from no records")
         record_list.sort(key=lambda r: str(r.data))
-        ttl = min(record.ttl for record in record_list)
+        ttl = min([record.ttl for record in record_list])
         name = record_list[0].name
         rrtype = record_list[0].rrtype
-        normalised = tuple(
+        normalised = tuple([
             record if record.ttl == ttl else record.with_ttl(ttl)
             for record in record_list
-        )
+        ])
         return cls(name=name, rrtype=rrtype, ttl=ttl, records=normalised)
 
     def with_ttl(self, ttl: float) -> "RRset":
@@ -156,8 +157,8 @@ class RRset:
         )
 
     def key(self) -> tuple[Name, RRType]:
-        """The (owner name, type) cache key (precomputed)."""
-        return self._key
+        """The (owner name, type) pair this set files under."""
+        return (self.name, self.rrtype)
 
     def ikey(self) -> int:
         """The packed intern-id cache key (precomputed).

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -54,20 +55,27 @@ _ROOT_IRR_TTL = 6 * DAY
 class TtlModel:
     """Samples TTLs for the synthetic hierarchy.
 
-    The mixture weights are normalised on construction, so callers may
-    pass unnormalised weights.
+    The mixture weights need not be normalised.  They are accumulated
+    once, on construction: ``rng.choices`` would otherwise accumulate
+    them on every draw, and a build draws once per host.
     """
 
     irr_buckets: tuple[TtlBucket, ...] = _DEFAULT_IRR_BUCKETS
     data_buckets: tuple[TtlBucket, ...] = _DEFAULT_DATA_BUCKETS
     root_irr_ttl: float = _ROOT_IRR_TTL
     tld_irr_ttl: float = _TLD_IRR_TTL
-    _irr_weights: list[float] = field(init=False, repr=False)
-    _data_weights: list[float] = field(init=False, repr=False)
+    _irr_cum_weights: list[float] = field(init=False, repr=False)
+    _data_cum_weights: list[float] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._irr_weights = [bucket.weight for bucket in self.irr_buckets]
-        self._data_weights = [bucket.weight for bucket in self.data_buckets]
+        # What ``rng.choices(weights=...)`` would make: the same floats,
+        # so a draw makes the same ``random()`` call and picks the same.
+        self._irr_cum_weights = list(
+            accumulate(bucket.weight for bucket in self.irr_buckets)
+        )
+        self._data_cum_weights = list(
+            accumulate(bucket.weight for bucket in self.data_buckets)
+        )
 
     def sample_irr_ttl(self, rng: random.Random, depth: int) -> float:
         """An IRR TTL for a zone at ``depth`` labels below the root.
@@ -81,10 +89,14 @@ class TtlModel:
             return self.root_irr_ttl
         if depth == 1:
             return self.tld_irr_ttl
-        bucket = rng.choices(self.irr_buckets, weights=self._irr_weights)[0]
+        bucket = rng.choices(
+            self.irr_buckets, cum_weights=self._irr_cum_weights
+        )[0]
         return round(bucket.sample(rng))
 
     def sample_data_ttl(self, rng: random.Random) -> float:
         """A TTL for an end-host (data) record."""
-        bucket = rng.choices(self.data_buckets, weights=self._data_weights)[0]
+        bucket = rng.choices(
+            self.data_buckets, cum_weights=self._data_cum_weights
+        )[0]
         return round(bucket.sample(rng))

@@ -123,13 +123,15 @@ class TraceGenerator:
         self._zone_cdf = _zipf_cdf(len(self._zones), config.zone_zipf_alpha)
 
         # Every zone's hosts end to end: zone ``z``'s ``h``-th host is
-        # ``_flat_hosts[_host_starts[z] + h]``.
-        self._host_counts = np.array(
-            [len(hosts) for hosts in self._hosts], dtype=np.int64
-        )
-        self._host_starts = np.cumsum(self._host_counts) - self._host_counts
+        # ``_flat_hosts[_host_starts[z] + h]``.  Both tables are as narrow
+        # as their values, and so is what a trace gathers from them.
+        host_counts = np.array([len(hosts) for hosts in self._hosts], dtype=np.int64)
         self._flat_hosts = object_array(
             [host for hosts in self._hosts for host in hosts]
+        )
+        self._host_counts = index_column(host_counts, int(host_counts.max()) + 1)
+        self._host_starts = index_column(
+            np.cumsum(host_counts) - host_counts, len(self._flat_hosts)
         )
         # Per-zone-size host CDFs (sizes are small; cache by size).
         self._host_cdfs: dict[int, np.ndarray] = {
@@ -145,16 +147,22 @@ class TraceGenerator:
     def generate(self, name: str, stream: int = 0) -> Trace:
         """Produce one trace; ``stream`` decorrelates TRC1..TRCn.
 
-        The ``rng`` calls below — which, in what order, of what size — fix
-        the trace; everything after the last of them only rearranges what
-        was drawn.
+        The ``rng`` calls below — which, in what order, of what size and
+        dtype — fix the trace; everything after the last of them only
+        rearranges what was drawn.  Each index column is narrowed as soon
+        as it is drawn and every intermediate is dropped after its last
+        use, so that few whole-trace arrays are alive at once.
         """
         config = self.config
         rng = np.random.default_rng((self._seed, stream, 0xD25))
         times = self._arrival_times(rng)
         count = len(times)
 
-        clients = rng.integers(0, config.num_clients, size=count)
+        # These columns are the trace: a client is an index below
+        # ``num_clients`` as a name is one into the flat host table.
+        clients = index_column(
+            rng.integers(0, config.num_clients, size=count), config.num_clients
+        )
         private_sets = rng.integers(
             0,
             len(self._zones),
@@ -162,34 +170,28 @@ class TraceGenerator:
         )
 
         shared_mask = rng.random(count) < config.shared_interest_fraction
-        zone_indices = np.empty(count, dtype=np.int64)
+        zone_indices = np.empty(count, dtype=np.min_scalar_type(len(self._zones)))
         shared_count = int(shared_mask.sum())
         zone_indices[shared_mask] = np.searchsorted(
             self._zone_cdf, rng.random(shared_count)
         )
         private_mask = ~shared_mask
+        del shared_mask
         private_count = count - shared_count
         slot = rng.integers(0, config.private_zones_per_client, size=private_count)
         zone_indices[private_mask] = private_sets[clients[private_mask], slot]
+        del private_mask, slot, private_sets
 
         host_draws = rng.random(count)
         qtypes, qtype_weights = zip(*config.qtype_mix)
-        type_indices = rng.choice(
-            len(qtypes), size=count, p=np.asarray(qtype_weights)
+        type_indices = index_column(
+            rng.choice(len(qtypes), size=count, p=np.asarray(qtype_weights)),
+            len(self._qtype_table),
         )
-
-        # These columns are the trace: a client is an index below
-        # ``num_clients`` as a name is one into the flat host table.
+        name_ids = self._host_positions(zone_indices, host_draws)
         return Trace(name, config.duration_days * DAY, TraceQueries(
-            times,
-            index_column(clients, config.num_clients),
-            index_column(
-                self._host_positions(zone_indices, host_draws),
-                len(self._flat_hosts),
-            ),
-            self._flat_hosts,
-            index_column(type_indices, len(self._qtype_table)),
-            self._qtype_table,
+            times, clients, name_ids, self._flat_hosts,
+            type_indices, self._qtype_table,
         ))
 
     # -- internals ---------------------------------------------------------------
@@ -197,7 +199,7 @@ class TraceGenerator:
     def _host_positions(
         self, zone_indices: np.ndarray, host_draws: np.ndarray
     ) -> np.ndarray:
-        """Where in ``_flat_hosts`` each query's name is.
+        """Where in ``_flat_hosts`` each query's name is, as a name column.
 
         A query's draw picks a rank within its zone by that zone's host
         CDF: one ``searchsorted`` per distinct list size covers them all.
@@ -206,7 +208,8 @@ class TraceGenerator:
         positions: np.ndarray = self._host_starts[zone_indices]
         for size, cdf in self._host_cdfs.items():
             rows = np.flatnonzero(host_counts == size)
-            positions[rows] += np.searchsorted(cdf, host_draws[rows])
+            ranks = np.searchsorted(cdf, host_draws[rows])
+            positions[rows] += ranks.astype(positions.dtype)
         return positions
 
     def _arrival_times(self, rng: np.random.Generator) -> np.ndarray:

@@ -10,11 +10,13 @@ of showing up as a slower set-up or replay.
 
 import collections
 import functools
+import random
 import sys
 
 from repro.dns.name import Name
 from repro.dns.records import ResourceRecord, RRset
 from repro.dns.rrtypes import RRType
+from repro.hierarchy.builder import HierarchyConfig, build_hierarchy
 from repro.workload.generator import ROW_CHUNK, TraceGenerator, WorkloadConfig
 
 ZONES = [Name.from_text(f"z{index}.budget.test") for index in range(20)]
@@ -103,3 +105,42 @@ class TestFromRecords:
         assert rrset.ttl == 60.0
         assert [record.ttl for record in rrset] == [60.0, 60.0, 60.0]
         assert rrset.records[0] is records[1]
+
+
+#: Python frames a catalog host costs a build: its name, its TTL draw
+#: (``sample_data_ttl`` and the bucket's ``sample``), its address, its
+#: record and its RRset (each an ``__init__`` and a ``__post_init__``), and
+#: the zone filing its name.  The ``random`` module's own frames are not
+#: counted: they differ between Python versions.
+HOST_FRAME_BUDGET = 9
+
+
+def _build_frames(hosts_per_zone):
+    """Frames a build makes outside ``random``, and its catalog's host count.
+
+    Every zone of this world is built the same way whatever the draws:
+    one TLD, no providers, no third level, two servers a zone, and a
+    fixed host count, so two sizes differ only in their hosts.
+    """
+    config = HierarchyConfig(
+        num_tlds=1, num_slds=12, num_providers=0, third_level_fraction=0.0,
+        root_server_count=2, tld_server_range=(2, 2), sld_server_range=(2, 2),
+        hosts_per_zone_range=(hosts_per_zone, hosts_per_zone),
+    )
+    seen, built = _calls(build_hierarchy, config, 5)
+    frames = [code for code in seen if code.co_filename != random.__file__]
+    return frames, sum(len(hosts) for hosts in built.catalog.values())
+
+
+class TestBuildCallBudget:
+    def test_a_host_costs_its_objects_and_no_helper_frame(self):
+        _build_frames(9)  # intern the names and warm the one-time caches
+        few, few_hosts = _build_frames(3)
+        many, many_hosts = _build_frames(9)
+        extra_hosts = many_hosts - few_hosts
+        assert extra_hosts == 12 * 6
+        per_host, rest = divmod(len(many) - len(few), extra_hosts)
+        assert rest == 0, (len(many) - len(few), extra_hosts)
+        extra = collections.Counter(code.co_name for code in many)
+        extra.subtract(code.co_name for code in few)
+        assert per_host <= HOST_FRAME_BUDGET, +extra
