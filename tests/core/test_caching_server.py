@@ -5,7 +5,13 @@ hand-built mini internet."""
 import pytest
 
 from repro.core.config import ResilienceConfig
-from repro.core.caching_server import NEGATIVE_TTL, ResolutionOutcome
+from repro.core.caching_server import (
+    MAX_CNAME_CHAIN,
+    NEGATIVE_TTL,
+    ResolutionOutcome,
+)
+from repro.dns.ranking import Rank
+from repro.dns.records import ResourceRecord, RRset
 from repro.dns.rrtypes import RRType
 from repro.simulation.attack import attack_on_root_and_tlds, attack_on_zones
 
@@ -124,6 +130,69 @@ class TestIterativeResolution:
         assert metrics.sr_queries == 2
         assert metrics.sr_cache_hits == 1
         assert metrics.sr_failures == 0
+
+
+def _chain(zones, links):
+    """``links`` CNAME records ``c0 -> c1 -> ... -> c<links>``, the i-th
+    owned under ``zones[i % len(zones)]``, and the A record that ends it."""
+    owners = [
+        name(f"c{i}.{zones[i % len(zones)]}") for i in range(links + 1)
+    ]
+    records = [
+        ResourceRecord(owner, RRType.CNAME, HOUR, target)
+        for owner, target in zip(owners, owners[1:])
+    ]
+    records.append(ResourceRecord(owners[-1], RRType.A, HOUR, "10.9.9.9"))
+    return owners[0], records
+
+
+class TestCnameChainLimit:
+    """A lookup follows at most ``MAX_CNAME_CHAIN`` (8) links, whether
+    the links come from the cache or from upstream."""
+
+    @pytest.mark.parametrize("links, outcome", [
+        (MAX_CNAME_CHAIN - 1, ResolutionOutcome.CACHE_HIT),
+        (MAX_CNAME_CHAIN, ResolutionOutcome.FAILURE),
+        (MAX_CNAME_CHAIN + 1, ResolutionOutcome.FAILURE),
+    ])
+    def test_fully_cached_chain(self, mini, links, outcome):
+        server, engine, network, metrics = make_stack(
+            mini, ResilienceConfig.vanilla()
+        )
+        head, records = _chain(["example.test."], links)
+        for record in records:
+            server.cache.put(RRset.from_records([record]), Rank.AUTH_ANSWER, 0.0)
+        resolution = server.handle_stub_query(head, RRType.A, 1.0)
+        assert resolution.outcome is outcome
+        if outcome is ResolutionOutcome.CACHE_HIT:
+            assert resolution.answer.name == records[-1].name
+        assert metrics.cs_demand_queries == 0
+
+    @pytest.mark.parametrize("links, outcome, answered_by, queries", [
+        # Each link lives in the other zone, so each costs one fetch and
+        # one step of the loop to follow it: three links fit in eight
+        # steps, four do not.  Upstream: root, test., example.test. for
+        # c0; test. and provider.test. for c1; one query each after.  The
+        # fourth link is followed but its target never fetched.
+        (3, ResolutionOutcome.ANSWERED, "c3.provider.test.", 7),
+        (4, ResolutionOutcome.FAILURE, None, 7),
+    ])
+    def test_cold_chain_fetched_across_zones(
+        self, links, outcome, answered_by, queries
+    ):
+        head, records = _chain(["example.test.", "provider.test."], links)
+        mini = build_mini_internet(extra_records=records)
+        server, engine, network, metrics = make_stack(
+            mini, ResilienceConfig.vanilla()
+        )
+        resolution = server.handle_stub_query(head, RRType.A, 0.0)
+        assert resolution.outcome is outcome
+        if answered_by is None:
+            assert resolution.answer is None
+        else:
+            assert resolution.answer.name == name(answered_by)
+            assert resolution.answer.records[0].data == "10.9.9.9"
+        assert metrics.cs_demand_queries == queries
 
 
 class TestRefresh:

@@ -17,6 +17,7 @@ All addresses are deterministic (10.0.0.x).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.dns.name import Name
@@ -77,12 +78,23 @@ def _ns_only_irrs(
     return InfrastructureRecordSet(zone_name, RRset.from_records(ns_records))
 
 
+def _add_extra(builder: ZoneBuilder, records: Sequence[ResourceRecord]) -> None:
+    for record in records:
+        if record.name.is_subdomain_of(builder.name):
+            builder.add_record(record)
+
+
 def build_mini_internet(
     sld_ns_ttl: float = 1 * HOUR,
     data_ttl: float = 10 * 60.0,
     tld_ns_ttl: float = 2 * DAY,
+    extra_records: Sequence[ResourceRecord] = (),
 ) -> MiniInternet:
-    """Construct the fixed miniature hierarchy described in the module doc."""
+    """Construct the fixed miniature hierarchy described in the module doc.
+
+    Each of ``extra_records`` joins ``example.test.`` or ``provider.test.``,
+    whichever its owner lies under (CNAME chains across zones, say).
+    """
     mini = MiniInternet(tree=ZoneTree())
     next_address = [0]
 
@@ -173,6 +185,7 @@ def build_mini_internet(
         )
     )
     example_builder.delegate(dept_irrs)
+    _add_extra(example_builder, extra_records)
     example_zone_servers = [
         AuthoritativeServer(name(host), addr) for host, addr in example_servers
     ]
@@ -190,6 +203,7 @@ def build_mini_internet(
     for host, address in provider_servers:
         provider_builder.add_ns(host, address, ttl=sld_ns_ttl)
     provider_builder.add_address("www.provider.test.", alloc(), ttl=data_ttl)
+    _add_extra(provider_builder, extra_records)
     provider_zone_servers = [
         AuthoritativeServer(name(host), addr) for host, addr in provider_servers
     ]
