@@ -17,11 +17,14 @@ Typical use::
         )
     ])
     result = EXPERIMENTS["latency"].run()
+
+``Clock`` is the timer API the resolution core schedules on; a replay's
+``SimulationEngine`` and ``WallClock`` (``repro serve``) implement it.
 """
 
 from __future__ import annotations
 
-from repro.core.clock import Clock, VirtualClock
+from repro.core.clock import Clock
 from repro.core.config import ResilienceConfig, RetryPolicy
 from repro.core.schemes import parse_scheme, scheme_syntax
 from repro.experiments import EXPERIMENTS
@@ -42,7 +45,6 @@ from repro.obs import (
     JsonlSink,
     ObservationContext,
     ObservationSpec,
-    StageTimings,
     render_prometheus,
 )
 from repro.serve import ServeSpec, serve
@@ -95,9 +97,7 @@ __all__ = [
     "Scale",
     "Scenario",
     "ServeSpec",
-    "StageTimings",
     "ValidationError",
-    "VirtualClock",
     "WallClock",
     "check_cache_invariants",
     "check_renewal_invariants",

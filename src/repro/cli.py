@@ -63,7 +63,7 @@ from repro.experiments.registry import (
     spec_from_args,
 )
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.obs import ObservationSpec, StageTimings
+from repro.obs import ObservationSpec
 from repro.simulation.faults import FaultSpec
 from repro.workload.generator import TraceGenerator, WorkloadConfig
 from repro.workload.stats import compute_statistics
@@ -134,10 +134,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if args.events or args.metrics:
         observe = ObservationSpec(events_path=args.events,
                                   metrics_path=args.metrics)
-    timings = StageTimings() if args.timings else None
     result = run_replay(scenario.built, trace, config, attack=attack,
-                        seed=args.seed, observe=observe, timings=timings,
-                        faults=faults, validation=args.validate)
+                        seed=args.seed, observe=observe, faults=faults,
+                        validation=args.validate)
     metrics = result.metrics
     print(f"trace {trace.name}: {metrics.sr_queries:,} stub queries, "
           f"{metrics.total_outgoing:,} outgoing messages")
@@ -156,8 +155,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(f"  event log written to {args.events}")
         if args.metrics:
             print(f"  metrics dump written to {args.metrics}")
-    if timings is not None:
-        print(timings.render())
     return 0
 
 
@@ -351,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream structured events to a JSONL file")
     replay.add_argument("--metrics", default=None, metavar="PATH",
                         help="write a Prometheus-style metrics dump")
-    replay.add_argument("--timings", action="store_true",
-                        help="report per-stage wall/CPU time")
     replay.add_argument("--validate", action="store_true",
                         help="shadow the cache with the naive oracle and "
                              "check invariants (slow; results unchanged)")

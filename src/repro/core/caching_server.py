@@ -26,7 +26,7 @@ import random
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from repro.core.cache import DnsCache, NegativeVerdict
-from repro.core.clock import Clock, as_clock
+from repro.core.clock import Clock
 from repro.core.config import DAY, ResilienceConfig, RetryPolicy
 from repro.core.renewal import RenewalManager
 from repro.dns.errors import InvariantError
@@ -38,7 +38,6 @@ from repro.obs.events import EventBus, EventKind
 from repro.simulation.metrics import ReplayMetrics
 
 if TYPE_CHECKING:
-    from repro.simulation.engine import SimulationEngine
     from repro.simulation.network import Network
 
 # Resolver limits: fixed properties of every caching server, not choices
@@ -142,7 +141,7 @@ class CachingServer:
         self,
         root_hints: InfrastructureRecordSet,
         network: "Network",
-        clock: "Clock | SimulationEngine",
+        clock: Clock,
         config: ResilienceConfig | None = None,
         metrics: ReplayMetrics | None = None,
         gap_observer: GapObserver | None = None,
@@ -151,12 +150,13 @@ class CachingServer:
         validation: bool = False,
     ) -> None:
         self.config = config or ResilienceConfig.vanilla()
-        # The clock is a protocol (DESIGN §15): replays pass a
-        # SimulationEngine (normalised to a VirtualClock), `repro serve`
-        # a WallClock.  Both resolve through the simulated Network, and
-        # the resolution logic below is identical under either clock.
+        # The clock is a protocol (DESIGN §15): replays pass their
+        # SimulationEngine, `repro serve` a WallClock.  The server only
+        # arms and cancels timers on it; every entry point takes `now`
+        # from its caller.  Both resolve through the simulated Network,
+        # and the resolution logic below is identical under either clock.
         self.network = network
-        self.clock = as_clock(clock)
+        self.clock = clock
         self.metrics = metrics or ReplayMetrics()
         cache_type: type[DnsCache] = DnsCache
         if validation:
@@ -837,7 +837,7 @@ class CachingServer:
                 gap_observer(zone, gap, result.previous_published_ttl)
             if result.stored and result.expires_at is not None:
                 if renewal is not None:
-                    renewal.note_irrs_cached(zone, result.expires_at)
+                    renewal.note_irrs_cached(zone, result.expires_at, now)
 
     def _chain_keys_available(self, qname: Name, now: float) -> bool:
         """Whether every signed zone on ``qname``'s chain has a live key.
@@ -908,7 +908,7 @@ class CachingServer:
             finally:
                 self._refetch_pending.discard(key)
 
-        self.clock.schedule_at(now, refetch)
+        self.clock.schedule(now, refetch)
         return True
 
     def handle_invalidation(self, zone: Name, now: float) -> None:

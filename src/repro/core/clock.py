@@ -1,14 +1,16 @@
 """The Clock protocol: one timer API for virtual and wall time.
 
 The resolution core (:class:`~repro.core.caching_server.CachingServer`,
-:class:`~repro.core.renewal.RenewalManager`) needs three things from
-time: read it, arm a timer at an absolute instant, and cancel a timer.
-:class:`Clock` names that contract; the two implementations are
+:class:`~repro.core.renewal.RenewalManager`) never asks a clock the
+time: every entry point takes ``now`` from its caller, and a timer body
+receives its fire time.  What the core needs of a clock is to arm a
+timer at an absolute instant and to cancel one.  :class:`Clock` names
+that contract; the two implementations are
 
-* :class:`VirtualClock` — wraps a
-  :class:`~repro.simulation.engine.SimulationEngine`; time is the
-  replay's discrete-event clock and timers are engine timers.  This is
-  the deterministic path every experiment runs on.
+* :class:`repro.simulation.engine.SimulationEngine` itself — time is
+  the replay's discrete-event clock.  A replay hands its engine to the
+  core, which calls the engine's own ``schedule`` and ``cancel``.  This
+  is the deterministic path every experiment runs on.
 * :class:`repro.serve.clock.WallClock` — schedules on a live asyncio
   loop; time is ``time.monotonic()``.  This is the ``repro serve``
   path, where determinism is explicitly out of scope (DESIGN.md §15).
@@ -21,10 +23,7 @@ byte-identical event-log guarantee would not survive it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
-
-if TYPE_CHECKING:
-    from repro.simulation.engine import SimulationEngine
+from typing import Callable, Protocol, runtime_checkable
 
 TimerAction = Callable[[float], None]
 """Timer callbacks receive the clock's time at the moment they fire."""
@@ -32,13 +31,14 @@ TimerAction = Callable[[float], None]
 
 @runtime_checkable
 class Clock(Protocol):
-    """What the resolution core requires of a time source."""
+    """What the resolution core requires of a timer source.
 
-    def now(self) -> float:
-        """The current time, in seconds (virtual or monotonic wall)."""
-        ...
+    Parameters are positional-only: the core passes them by position,
+    so an implementation may name them as it likes (the engine's is
+    ``time``).
+    """
 
-    def schedule_at(self, when: float, action: TimerAction) -> int:
+    def schedule(self, when: float, action: TimerAction, /) -> int:
         """Run ``action(fire_time)`` at the absolute instant ``when``.
 
         Instants in the past fire as soon as the clock next advances
@@ -47,46 +47,6 @@ class Clock(Protocol):
         """
         ...
 
-    def cancel(self, token: int) -> bool:
+    def cancel(self, token: int, /) -> bool:
         """Cancel a pending timer; True when it had not yet fired."""
         ...
-
-
-class VirtualClock:
-    """A :class:`Clock` over a :class:`SimulationEngine`'s timers.
-
-    Deliberately a thin veneer: tokens are the engine's own timer
-    tokens, and ``now`` reads the engine attribute, so wrapping an
-    engine mid-replay observes exactly the same timeline.
-    ``schedule_at`` and ``cancel`` *are* the engine's ``schedule`` and
-    ``cancel``, bound when the clock is made: a renewal timer is armed
-    and cancelled through them on every refetch, and the binding saves
-    a forwarding call on each.
-    """
-
-    __slots__ = ("engine", "schedule_at", "cancel")
-
-    def __init__(self, engine: "SimulationEngine") -> None:
-        self.engine = engine
-        self.schedule_at = engine.schedule
-        self.cancel = engine.cancel
-
-    def now(self) -> float:
-        return self.engine.now
-
-    def __repr__(self) -> str:
-        return f"VirtualClock(now={self.engine.now!r})"
-
-
-def as_clock(source: "Clock | SimulationEngine") -> Clock:
-    """Normalise ``source`` to a :class:`Clock`.
-
-    Accepts either a ready-made clock or a bare
-    :class:`SimulationEngine` (wrapped in a :class:`VirtualClock`): a
-    replay hands its engine straight to the resolution core.
-    """
-    from repro.simulation.engine import SimulationEngine
-
-    if isinstance(source, SimulationEngine):
-        return VirtualClock(source)
-    return source

@@ -10,22 +10,23 @@ Just before the NS set expires the timer fires:
   double-headed arrow in the paper's Figure 2;
 * with no credit (or a failed refetch, e.g. the zone is under attack),
   the records lapse and the zone's policy state is forgotten.
+
+The manager never asks its :class:`~repro.core.clock.Clock` the time:
+each notification carries its caller's ``now``, and a timer body
+receives its fire time.  The clock only arms and cancels timers.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.core.cache import DnsCache
-from repro.core.clock import Clock, as_clock
+from repro.core.clock import Clock
 from repro.core.policies import RenewalPolicy
 from repro.dns.name import Name
 from repro.dns.rrtypes import RRType
 from repro.obs.events import EventBus, EventKind
-
-if TYPE_CHECKING:
-    from repro.simulation.engine import SimulationEngine
 
 #: Seconds before expiry at which the refetch fires ("just before they
 #: are ready to expire").
@@ -46,7 +47,7 @@ class RenewalManager:
     def __init__(
         self,
         policy: RenewalPolicy,
-        clock: "Clock | SimulationEngine",
+        clock: Clock,
         cache: DnsCache,
         refetch: RefetchFn,
         jitter_fraction: float = 0.0,
@@ -57,19 +58,18 @@ class RenewalManager:
             raise ValueError("jitter_fraction must be in [0, 1)")
         self.observer = observer
         self.policy = policy
-        # Timers run against the Clock protocol: a VirtualClock during
-        # replays (bare engines are normalised for the pre-redesign call
-        # shape), a WallClock under `repro serve`.  Expiry instants are
-        # armed via schedule_at — an absolute time squeezed through a
+        # Timers run against the Clock protocol: the replay's engine
+        # itself, or a WallClock under `repro serve`.  Expiry instants are
+        # armed via schedule — an absolute time squeezed through a
         # relative delay is not float-exact, and the byte-identical
         # event-log guarantee rides on those exact fire times.
-        self._clock = as_clock(clock)
+        self._clock = clock
         self._cache = cache
         self._refetch = refetch
         self._jitter_fraction = jitter_fraction
         self._rng = rng or random.Random(0)
         # Timer tokens from the clock (the engine's flat event queue
-        # under a VirtualClock, DESIGN §13).
+        # during a replay, DESIGN §13).
         self._timers: dict[Name, int] = {}
         self._armed_for: dict[Name, float] = {}
         self.renewals_attempted = 0
@@ -83,8 +83,9 @@ class RenewalManager:
         """The CS contacted ``zone``'s servers: top up its credit."""
         self.policy.on_zone_use(zone, irr_ttl, now)
 
-    def note_irrs_cached(self, zone: Name, expires_at: float) -> None:
-        """The NS set for ``zone`` was stored/refreshed; (re)arm its timer."""
+    def note_irrs_cached(self, zone: Name, expires_at: float, now: float) -> None:
+        """The NS set for ``zone`` was stored/refreshed at ``now``; (re)arm
+        its timer."""
         armed_at = self._armed_for.get(zone)
         if armed_at is not None and abs(armed_at - expires_at) < _EPSILON:
             return
@@ -92,7 +93,6 @@ class RenewalManager:
         existing = self._timers.get(zone)
         if existing is not None:
             clock.cancel(existing)
-        now = clock.now()
         fire_at = expires_at - RENEWAL_LEAD
         if self._jitter_fraction > 0.0:
             # Refetch a little early, by a random share of the remaining
@@ -108,7 +108,7 @@ class RenewalManager:
             fire_at -= self._jitter_fraction * remaining * self._rng.random()
         if fire_at < now:
             fire_at = now
-        self._timers[zone] = clock.schedule_at(
+        self._timers[zone] = clock.schedule(
             fire_at, lambda now, zone=zone: self._on_timer(zone, now)
         )
         self._armed_for[zone] = expires_at
@@ -136,7 +136,7 @@ class RenewalManager:
             return
         if armed_expiry is not None and current_expiry > armed_expiry + _EPSILON:
             # Something refreshed the IRRs since we armed; rearm silently.
-            self.note_irrs_cached(zone, current_expiry)
+            self.note_irrs_cached(zone, current_expiry, now)
             return
         if not self.policy.take_renewal_credit(zone):
             self._lapse(zone, now)
@@ -159,7 +159,7 @@ class RenewalManager:
             if zone not in self._timers:
                 refreshed_expiry = self._cache.expires_at(zone, _NS, now)
                 if refreshed_expiry is not None:
-                    self.note_irrs_cached(zone, refreshed_expiry)
+                    self.note_irrs_cached(zone, refreshed_expiry, now)
                 else:
                     # The "successful" refetch stored nothing live
                     # (zero/elapsed TTL): account it as a lapse.

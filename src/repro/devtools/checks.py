@@ -10,10 +10,10 @@ Suppression
 
 A violation is suppressed by a trailing comment on the flagged line::
 
-    started = time.perf_counter()  # repro: ignore[REP001]
+    object.__setattr__(self, "_plan", plan)  # repro: ignore[REP006]
 
 ``# repro: ignore`` without a rule list silences every rule on that
-line; ``# repro: ignore[REP001,REP003]`` silences only those rules.
+line; ``# repro: ignore[REP003,REP006]`` silences only those rules.
 Suppressions are honoured per line, so they stay visible in review next
 to the code they excuse.
 """

@@ -5,13 +5,15 @@ only.  A single ``time.time()`` in a replay path makes results depend on
 the host's clock and destroys the bitwise serial-vs-parallel guarantee.
 
 Two subtrees legitimately live on the wall clock and are out of scope:
-benchmark harnesses (``benchmarks/bench_*.py``) and the serve front end
-(``repro/serve/``), whose whole job is real time — its ``WallClock``
-satisfies the same ``Clock`` protocol the simulation's virtual clock
-does, so the core underneath it stays in scope.  The exemption is the
-path prefix only: core/ and simulation/ code stays banned even when
-serve/ calls into it, and those two packages never import serve/
-(``tests/devtools/test_layering.py`` holds that direction).
+benchmark harnesses (``benchmarks/``, where the perf ledger times
+replays with noise bands) and the serve front end (``repro/serve/``),
+whose whole job is real time — its ``WallClock`` satisfies the same
+``Clock`` protocol the ``SimulationEngine`` does, so the core
+underneath it stays in scope.  The exemption is the path prefix only:
+core/ and simulation/ code stays banned even when serve/ calls into
+it, and those two packages never import serve/
+(``tests/devtools/test_layering.py`` holds that direction).  Nothing
+else under ``src/repro`` suppresses this rule.
 """
 
 from __future__ import annotations

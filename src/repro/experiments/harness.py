@@ -25,7 +25,6 @@ from repro.hierarchy.builder import (
 from repro.hierarchy.churn import ChurnSchedule, apply_churn_event
 from repro.obs.events import Event, EventBus, EventKind
 from repro.obs.spec import ObservationContext, ObservationSpec
-from repro.obs.timing import StageTimings, maybe_stage
 from repro.simulation.adversary import Adversary, AdversarySpec
 from repro.simulation.attack import AttackSchedule, AttackWindow, attack_on_root_and_tlds
 from repro.simulation.engine import SimulationEngine
@@ -110,7 +109,6 @@ def run_replay(
     memory_sample_interval: float | None = None,
     seed: int = 0,
     observe: ObservationSpec | None = None,
-    timings: StageTimings | None = None,
     faults: FaultSpec | None = None,
     adversary: AdversarySpec | None = None,
     validation: bool = False,
@@ -123,10 +121,9 @@ def run_replay(
     may reuse ``built`` across schemes.
 
     ``observe`` attaches the observability subsystem (DESIGN.md §10) for
-    this replay only; ``timings`` accumulates per-stage wall/CPU time.
-    ``faults`` attaches the fault-injection layer (DESIGN.md §11); a
-    partial-intensity attack attaches one implicitly because the
-    per-query intensity rolls need its seeded draws.
+    this replay only.  ``faults`` attaches the fault-injection layer
+    (DESIGN.md §11); a partial-intensity attack attaches one implicitly
+    because the per-query intensity rolls need its seeded draws.
 
     ``adversary`` mounts the Adversary 2.0 attack families (DESIGN.md
     §16).  An NXNS campaign grafts its attacker zone onto the shared
@@ -157,35 +154,6 @@ def run_replay(
         )
         injected = adversary.nxns.query_stream(graft.apex)
     try:
-        return _replay(
-            built, trace, config, attack, track_gaps, memory_sample_interval,
-            seed, observe, timings, faults, adversary, injected, validation,
-            churn,
-        )
-    finally:
-        if graft is not None:
-            ungraft_attacker_zone(tree, graft)
-        if saved_state is not None:
-            tree.restore_irr_state(saved_state)
-
-
-def _replay(
-    built: BuiltHierarchy,
-    trace: Trace,
-    config: ResilienceConfig,
-    attack: AttackSpec | None,
-    track_gaps: bool,
-    memory_sample_interval: float | None,
-    seed: int,
-    observe: ObservationSpec | None,
-    timings: StageTimings | None,
-    faults: FaultSpec | None,
-    adversary: AdversarySpec | None,
-    injected: tuple[tuple[float, Name], ...],
-    validation: bool,
-    churn: ChurnSchedule | None,
-) -> ReplayResult:
-    with maybe_stage(timings, "setup"):
         engine = SimulationEngine()
         context: ObservationContext | None = None
         if observe is not None:
@@ -201,7 +169,7 @@ def _replay(
                 seed=seed, entropy_bits=config.source_entropy_bits
             )
         network = Network(
-            built.tree, attacks=schedule, faults=injector,
+            tree, attacks=schedule, faults=injector,
             poisoner=adv.poisoner if adv is not None else None,
         )
         metrics = ReplayMetrics(
@@ -210,7 +178,7 @@ def _replay(
         )
 
         server = CachingServer(
-            root_hints=built.tree.root_hints(),
+            root_hints=tree.root_hints(),
             network=network,
             clock=engine,
             config=config,
@@ -229,7 +197,6 @@ def _replay(
             _arm_memory_sampler(engine, server, metrics, memory_sample_interval,
                                 trace.duration)
 
-    with maybe_stage(timings, "replay"):
         if not injected:
             # The pre-adversary loop: an inert/absent adversary replays
             # byte-identically to the main path.  A row is unpacked, not
@@ -242,7 +209,6 @@ def _replay(
             _replay_with_injections(engine, server, trace, injected)
         engine.advance_to(trace.duration)
 
-    with maybe_stage(timings, "finalize"):
         if adv is not None:
             if adv.poisoner is not None:
                 metrics.poison_attempts = adv.poisoner.attempts
@@ -263,6 +229,11 @@ def _replay(
             bus=context.bus if context is not None else None,
             recent=tuple(context.ring or ()) if context is not None else (),
         )
+    finally:
+        if graft is not None:
+            ungraft_attacker_zone(tree, graft)
+        if saved_state is not None:
+            tree.restore_irr_state(saved_state)
 
 
 def _replay_with_injections(

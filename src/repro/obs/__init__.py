@@ -1,4 +1,4 @@
-"""Observability subsystem: event bus and its tally, sinks, timers.
+"""Observability subsystem: event bus and its tally, sinks.
 
 Zero-cost when disabled (no bus ⇒ the simulator runs its original
 bytecode), deterministic when enabled (virtual-clock times + per-bus
@@ -9,7 +9,6 @@ See DESIGN.md §10.
 from repro.obs.events import Event, EventBus, EventHandler, EventKind
 from repro.obs.sinks import JsonlSink, render_prometheus
 from repro.obs.spec import ObservationContext, ObservationSpec
-from repro.obs.timing import PhaseStats, StageTimings, maybe_stage
 
 __all__ = [
     "Event",
@@ -19,8 +18,5 @@ __all__ = [
     "JsonlSink",
     "ObservationContext",
     "ObservationSpec",
-    "PhaseStats",
-    "StageTimings",
-    "maybe_stage",
     "render_prometheus",
 ]

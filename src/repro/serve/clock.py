@@ -2,13 +2,15 @@
 
 Time is ``time.monotonic()`` and a timer armed for an absolute instant
 is a ``loop.call_later`` handle for the delay left until it, on a live
-asyncio loop.  Every method belongs to the loop thread, which is also
-where the front end resolves stub queries, so a timer body (a renewal
-refetch, an ``swr`` background revalidation) runs inline on the loop,
-serialised with the queries by construction.  A body that raises
-reaches the loop's exception handler like any other callback.
-:meth:`WallClock.close` cancels whatever is still pending, so no timer
-fires after the front end stops.
+asyncio loop.  The core never asks this clock the time; the front end
+reads :meth:`WallClock.now` when a datagram arrives and passes it in,
+and a timer body receives its fire time.  Every method belongs to the
+loop thread, which is also where the front end resolves stub queries,
+so a timer body (a renewal refetch, an ``swr`` background
+revalidation) runs inline on the loop, serialised with the queries by
+construction.  A body that raises reaches the loop's exception handler
+like any other callback.  :meth:`WallClock.close` cancels whatever is
+still pending, so no timer fires after the front end stops.
 
 This module reads the wall clock on purpose: it lives under the
 ``serve/`` REP001 allowlist (DESIGN.md §15).  The deterministic core
@@ -35,9 +37,10 @@ class WallClock:
         self._timers: dict[int, asyncio.TimerHandle] = {}
 
     def now(self) -> float:
+        """The monotonic wall time (the front end's arrival stamp)."""
         return time.monotonic()
 
-    def schedule_at(self, when: float, action: TimerAction) -> int:
+    def schedule(self, when: float, action: TimerAction) -> int:
         """Run ``action(fire_time)`` at the monotonic instant ``when``;
         an instant already past fires on the next loop tick."""
         token = next(self._tokens)

@@ -4,9 +4,12 @@ The engine owns virtual time and is its own timer queue.  Trace replay
 drives it with :meth:`SimulationEngine.advance_to` — between two trace
 queries, every timer (renewal refetches, metric sampling) due in the
 interval fires in timestamp order, and timers due at one instant fire
-in the order they were scheduled.  Components schedule work with
-:meth:`schedule` / :meth:`schedule_in`; both return an int token that
-:meth:`cancel` accepts.
+in the order they were scheduled.  The engine is the resolution core's
+:class:`~repro.core.clock.Clock`: a replay hands it to the
+:class:`~repro.core.caching_server.CachingServer`, which schedules
+through :meth:`schedule` and :meth:`cancel` and never asks the engine
+the time.  :meth:`schedule` returns an int token that :meth:`cancel`
+accepts.
 
 The queue is a heap of ``(time, seq)`` tuples, compared at C speed,
 beside a dict of the pending actions keyed by ``seq``, which is also
@@ -61,7 +64,11 @@ class SimulationEngine:
         return seq
 
     def schedule_in(self, delay: float, action: Action) -> int:
-        """Run ``action`` after ``delay`` seconds of virtual time."""
+        """Run ``action`` after ``delay`` seconds of virtual time.
+
+        Nothing in ``src/`` calls this; it stays only because
+        ``benchmarks/perf/workloads.py`` wraps it by name.
+        """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         # Pushes onto the heap itself rather than calling `schedule`:

@@ -366,7 +366,7 @@ def run_renewal_corpus() -> int:
         raise InvariantViolation("renewal rig: initial NS store rejected",
                                  check="renewal-scenario")
     manager.note_zone_use(zone, 10.0, engine.now)
-    manager.note_irrs_cached(zone, result.expires_at)
+    manager.note_irrs_cached(zone, result.expires_at, engine.now)
     engine.run()
     check_renewal_invariants(manager, cache, now=engine.now + 100.0)
     if len(calls) != 2:
@@ -390,7 +390,7 @@ def run_renewal_corpus() -> int:
     ns = make_rrset("gone.test.", RRType.NS, 10.0, "ns1.gone.test.")
     result = cache.put(ns, Rank.AUTH_AUTHORITY, engine.now, refresh=False)
     manager.note_zone_use(zone, 10.0, engine.now)
-    manager.note_irrs_cached(zone, result.expires_at or 10.0)
+    manager.note_irrs_cached(zone, result.expires_at or 10.0, engine.now)
     cache.remove(zone, RRType.NS)  # capacity eviction, no forget_zone
     engine.run()
     check_renewal_invariants(manager, cache, now=engine.now + 100.0)
@@ -413,7 +413,7 @@ def run_renewal_corpus() -> int:
     ns = make_rrset("down.test.", RRType.NS, 10.0, "ns1.down.test.")
     result = cache.put(ns, Rank.AUTH_AUTHORITY, engine.now, refresh=False)
     manager.note_zone_use(zone, 10.0, engine.now)
-    manager.note_irrs_cached(zone, result.expires_at or 10.0)
+    manager.note_irrs_cached(zone, result.expires_at or 10.0, engine.now)
     engine.run()
     check_renewal_invariants(manager, cache, now=engine.now + 100.0)
     if (manager.renewals_attempted, manager.renewals_failed) != (1, 1):

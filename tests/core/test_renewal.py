@@ -43,13 +43,13 @@ class Harness:
             # the countdown, and notify the manager.
             result = self.cache.put(ns_set(ttl=100.0), Rank.AUTH_ANSWER, now,
                                     refresh=True)
-            self.manager.note_irrs_cached(ZONE, result.expires_at)
+            self.manager.note_irrs_cached(ZONE, result.expires_at, now)
             return True
         return False
 
     def cache_irrs(self, now=0.0, ttl=100.0):
         result = self.cache.put(ns_set(ttl=ttl), Rank.AUTH_AUTHORITY, now)
-        self.manager.note_irrs_cached(ZONE, result.expires_at)
+        self.manager.note_irrs_cached(ZONE, result.expires_at, now)
         return result.expires_at
 
 
@@ -98,7 +98,7 @@ class TestRenewalTimers:
         # At t=50 a demand response refreshes the IRRs to expire at 150.
         result = h.cache.put(ns_set(ttl=100.0), Rank.AUTH_ANSWER, 50.0,
                              refresh=True)
-        h.manager.note_irrs_cached(ZONE, result.expires_at)
+        h.manager.note_irrs_cached(ZONE, result.expires_at, 50.0)
         h.engine.advance_to(120.0)
         assert h.refetch_calls == []  # old timer noticed the refresh
         assert h.policy.credit_of(ZONE) == 1  # credit untouched
@@ -109,7 +109,7 @@ class TestRenewalTimers:
         h = Harness(credit=1)
         expiry = h.cache_irrs(now=0.0, ttl=100.0)
         before = h.engine.pending_events()
-        h.manager.note_irrs_cached(ZONE, expiry)
+        h.manager.note_irrs_cached(ZONE, expiry, h.engine.now)
         assert h.engine.pending_events() == before
 
     def test_forget_zone_cancels_timer(self):
@@ -203,7 +203,7 @@ class TestSilentDropRegression:
         engine, cache, policy, manager = self._rig(2, refetch)
         state["cache"] = cache
         result = cache.put(ns_set(ttl=100.0), Rank.AUTH_AUTHORITY, 0.0)
-        manager.note_irrs_cached(ZONE, result.expires_at)
+        manager.note_irrs_cached(ZONE, result.expires_at, engine.now)
         policy.on_zone_use(ZONE, 100.0, 0.0)
         engine.run()
         # Both credits go on (futile) renewals at ~99, then a clean lapse.
@@ -226,7 +226,7 @@ class TestSilentDropRegression:
         engine, cache, policy, manager = self._rig(3, refetch)
         state["cache"] = cache
         result = cache.put(ns_set(ttl=100.0), Rank.AUTH_AUTHORITY, 0.0)
-        manager.note_irrs_cached(ZONE, result.expires_at)
+        manager.note_irrs_cached(ZONE, result.expires_at, engine.now)
         policy.on_zone_use(ZONE, 100.0, 0.0)
         engine.run()
         assert manager.lapses == 1
@@ -250,8 +250,7 @@ class TestTimerAttribution:
             modules.append(getattr(action, "__module__", ""))
             return schedule(engine, when, action)
 
-        # Patched on the class before the manager binds its clock, the
-        # way the tracer wraps it.
+        # Patched on the class, the way the tracer wraps it.
         monkeypatch.setattr(SimulationEngine, "schedule", recording)
         h = Harness(credit=3)
         expiry = h.cache_irrs(now=0.0, ttl=100.0)

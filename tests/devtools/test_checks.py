@@ -179,6 +179,20 @@ class TestWallClockRule:
         assert report.clean
         assert report.suppressed_count == 1
 
+    def test_no_file_under_src_repro_suppresses_it(self):
+        """The replay reads no host clock: stage timing lives in the
+        perf ledger, and serve/ is exempt by path, not by comment."""
+        package = Path(repro.__file__).resolve().parent
+        offenders = [
+            f"{path.relative_to(package)}:{line}"
+            for path in sorted(package.rglob("*.py"))
+            for line, rules in parse_suppressions(
+                path.read_text(encoding="utf-8")
+            ).items()
+            if "REP001" in rules
+        ]
+        assert offenders == []
+
 
 class TestUnseededRandomRule:
     def test_flags_module_level_random(self, tmp_path):

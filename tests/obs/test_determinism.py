@@ -14,7 +14,7 @@ from repro.core.schemes import parse_scheme
 from repro.experiments.harness import AttackSpec, run_replay
 from repro.experiments.parallel import ReplaySpec, run_replays
 from repro.experiments.scenarios import Scale, make_scenario
-from repro.obs import EventKind, ObservationSpec, StageTimings
+from repro.obs import EventKind, ObservationSpec
 
 HOUR = 3600.0
 
@@ -161,12 +161,3 @@ class TestObservationArtifacts:
         assert [event.seq for event in result.recent] == list(
             range(result.event_count - 64, result.event_count)
         )
-
-    def test_stage_timings_populated(self, scenario):
-        timings = StageTimings()
-        run_replay(scenario.built, scenario.trace("TRC1"),
-                   ResilienceConfig.vanilla(), timings=timings)
-        assert set(timings.stage_names()) == {"setup", "replay", "finalize"}
-        assert timings.stats("replay").wall_seconds > 0.0
-        rendered = timings.render()
-        assert "replay" in rendered and "wall" in rendered

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.core.clock import Clock, VirtualClock, as_clock
+from repro.core.clock import Clock
 from repro.serve.clock import WallClock
 from repro.simulation.engine import SimulationEngine
 
@@ -26,18 +26,11 @@ class TestProtocolConformance:
 
         assert _run(check())
 
-    def test_as_clock_passes_wallclock_through(self):
-        async def check():
-            clock = WallClock(asyncio.get_running_loop())
-            return as_clock(clock) is clock
-
-        assert _run(check())
-
-    def test_virtualclock_and_wallclock_share_the_contract(self):
-        virtual = VirtualClock(SimulationEngine())
-        assert isinstance(virtual, Clock)
-        for method in ("now", "schedule_at", "cancel"):
-            assert callable(getattr(virtual, method))
+    def test_engine_and_wallclock_share_the_contract(self):
+        engine = SimulationEngine()
+        assert isinstance(engine, Clock)
+        for method in ("schedule", "cancel"):
+            assert callable(getattr(engine, method))
             assert callable(getattr(WallClock, method))
 
 
@@ -63,7 +56,7 @@ class TestTimers:
                 fired.set()
 
             before = clock.now()
-            clock.schedule_at(before + 0.01, action)
+            clock.schedule(before + 0.01, action)
             await asyncio.wait_for(fired.wait(), timeout=2.0)
             return before, seen
 
@@ -75,7 +68,7 @@ class TestTimers:
         async def check():
             clock = WallClock(asyncio.get_running_loop())
             fired = asyncio.Event()
-            clock.schedule_at(clock.now() - 10.0, lambda _now: fired.set())
+            clock.schedule(clock.now() - 10.0, lambda _now: fired.set())
             await asyncio.wait_for(fired.wait(), timeout=2.0)
             return clock.pending_timers()
 
@@ -85,7 +78,7 @@ class TestTimers:
         async def check():
             clock = WallClock(asyncio.get_running_loop())
             fired: list[float] = []
-            token = clock.schedule_at(clock.now() + 0.01, fired.append)
+            token = clock.schedule(clock.now() + 0.01, fired.append)
             assert clock.cancel(token)
             assert not clock.cancel(token)  # idempotent: already gone
             await asyncio.sleep(0.05)
@@ -99,7 +92,7 @@ class TestTimers:
         async def check():
             clock = WallClock(asyncio.get_running_loop())
             fired = asyncio.Event()
-            token = clock.schedule_at(clock.now(), lambda _now: fired.set())
+            token = clock.schedule(clock.now(), lambda _now: fired.set())
             await asyncio.wait_for(fired.wait(), timeout=2.0)
             return clock.cancel(token)
 
@@ -109,7 +102,7 @@ class TestTimers:
         async def check():
             clock = WallClock(asyncio.get_running_loop())
             tokens = [
-                clock.schedule_at(clock.now() + 5.0, lambda _now: None)
+                clock.schedule(clock.now() + 5.0, lambda _now: None)
                 for _ in range(10)
             ]
             for token in tokens:
@@ -124,7 +117,7 @@ class TestTimers:
             clock = WallClock(asyncio.get_running_loop())
             fired: list[float] = []
             for delay in (0.0, 0.01, 5.0):
-                clock.schedule_at(clock.now() + delay, fired.append)
+                clock.schedule(clock.now() + delay, fired.append)
             clock.close()
             pending = clock.pending_timers()
             await asyncio.sleep(0.05)

@@ -70,13 +70,24 @@ def test_star_import_matches_all(facade) -> None:
 
 
 def test_new_pr8_names_are_exported() -> None:
-    from repro.api import Clock, ServeSpec, VirtualClock, serve
+    from repro.api import Clock, ServeSpec, serve
 
     assert callable(serve)
     spec = ServeSpec()
     assert pickle.loads(pickle.dumps(spec)) == spec
-    # The Clock protocol is runtime-checkable, and a VirtualClock over an
-    # engine satisfies it.
+    # The Clock protocol is runtime-checkable, and a bare engine
+    # satisfies it.
     from repro.simulation.engine import SimulationEngine
 
-    assert isinstance(VirtualClock(SimulationEngine()), Clock)
+    assert isinstance(SimulationEngine(), Clock)
+
+
+def test_second_clock_and_stage_timer_are_gone() -> None:
+    # A replay's engine is its Clock, and the perf ledger is the one
+    # stage timer: neither a clock wrapper nor a timer type is exported.
+    from repro import obs
+
+    for name in ("VirtualClock", "StageTimings"):
+        assert not hasattr(api, name)
+    for name in ("PhaseStats", "StageTimings", "maybe_stage"):
+        assert not hasattr(obs, name)

@@ -92,7 +92,7 @@ def _silent_drop_on_timer(self, zone, now):
         self._lapse(zone, now, count=False)
         return
     if armed_expiry is not None and current_expiry > armed_expiry + 1e-6:
-        self.note_irrs_cached(zone, current_expiry)
+        self.note_irrs_cached(zone, current_expiry, now)
         return
     if not self.policy.take_renewal_credit(zone):
         self._lapse(zone, now)

@@ -152,14 +152,14 @@ class TestRenewalInvariants:
         ns = make_rrset("x.test.", RRType.NS, 100.0, "ns1.x.test.")
         result = cache.put(ns, Rank.AUTH_AUTHORITY, 0.0)
         manager.note_zone_use(ZONE, 100.0, 0.0)
-        manager.note_irrs_cached(ZONE, result.expires_at)
+        manager.note_irrs_cached(ZONE, result.expires_at, engine.now)
         check_renewal_invariants(manager, cache, now=1.0)
 
     def test_armed_timer_on_dead_zone_flagged(self):
         engine, cache, manager = manager_rig()
         ns = make_rrset("x.test.", RRType.NS, 100.0, "ns1.x.test.")
         result = cache.put(ns, Rank.AUTH_AUTHORITY, 0.0)
-        manager.note_irrs_cached(ZONE, result.expires_at)
+        manager.note_irrs_cached(ZONE, result.expires_at, engine.now)
         cache.remove(ZONE, RRType.NS)
         with pytest.raises(InvariantViolation) as excinfo:
             check_renewal_invariants(manager, cache, now=1.0)
