@@ -93,6 +93,33 @@ class TestSuppressionParsing:
         suppressed = parse_suppressions("x = 1  #  repro:   ignore\n")
         assert suppressed[1] == frozenset(("*",))
 
+    def test_marker_inside_a_string_does_not_silence_its_line(self, tmp_path):
+        report = check_snippet(tmp_path, "simulation/clock.py", """\
+            import time
+
+            def stamp() -> float:
+                return time.time() or float("# repro: ignore[REP001]")
+            """)
+        assert rule_ids(report) == ["REP001"]
+        assert report.suppressed_count == 0
+
+    def test_trailing_comment_after_a_string_still_silences(self, tmp_path):
+        report = check_snippet(tmp_path, "simulation/clock.py", """\
+            import time
+
+            def stamp() -> float:
+                return time.time() or float("#")  # repro: ignore[REP001]
+            """)
+        assert report.clean
+        assert report.suppressed_count == 1
+
+    def test_markers_documented_in_a_docstring_are_not_suppressions(self):
+        """checks.py's docstring shows the marker syntax; none counts."""
+        source = (REPO_ROOT / "src/repro/devtools/checks.py").read_text(
+            encoding="utf-8"
+        )
+        assert parse_suppressions(source) == {}
+
 
 class TestWallClockRule:
     def test_flags_time_time(self, tmp_path):
