@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import ast
 import fnmatch
+import io
 import re
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -68,16 +70,19 @@ class Violation:
 def parse_suppressions(text: str) -> dict[int, frozenset[str]]:
     """Map line number -> suppressed rule ids (``SUPPRESS_ALL`` for all).
 
-    Comment scanning is line-based on the raw source, so suppressions
-    work even on lines the AST attributes to a different statement.
+    Markers are read from comment tokens only, so the syntax quoted in a
+    string or docstring suppresses nothing; a comment belongs to the
+    physical line it is on, even inside a statement that spans several.
     Rule ids are case-normalised, whitespace inside the bracket list is
     ignored, and multiple markers on one line union their rule sets
     (a bare ``ignore`` anywhere on the line silences everything).
     """
     suppressed: dict[int, frozenset[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT:
+            continue
         rules_on_line: set[str] = set()
-        for match in _SUPPRESS_RE.finditer(line):
+        for match in _SUPPRESS_RE.finditer(token.string):
             rules = match.group("rules")
             if rules is None:
                 rules_on_line.add(SUPPRESS_ALL)
@@ -87,7 +92,7 @@ def parse_suppressions(text: str) -> dict[int, frozenset[str]]:
                     for rule in rules.split(",") if rule.strip()
                 )
         if rules_on_line:
-            suppressed[lineno] = frozenset(rules_on_line)
+            suppressed[token.start[0]] = frozenset(rules_on_line)
     return suppressed
 
 
