@@ -23,8 +23,7 @@ Commands
 ``serve``
     Answer real DNS queries (UDP + TCP + a Prometheus endpoint) from
     the simulated hierarchy via an asyncio front end over the same
-    caching-server core the replays use; ``--selftest`` drives it with
-    a closed-loop client and prints qps/p50/p99.
+    caching-server core the replays use.
 ``check``
     Run the determinism/static-analysis gate (custom AST lint rules
     REP001...; ``--strict`` adds mypy/ruff when installed).

@@ -15,7 +15,6 @@ this package (``tests/devtools/test_layering.py`` holds that), so a
 replay cannot reach these modules' time reads.
 """
 
-from repro.serve.driver import LoadReport, run_load
 from repro.serve.spec import ServeSpec
 from repro.serve.wire import (
     DecodedMessage,
@@ -30,14 +29,12 @@ from repro.serve.wire import (
 __all__ = [
     "DecodedMessage",
     "DecodedQuery",
-    "LoadReport",
     "ServeSpec",
     "WireFormatError",
     "decode_message",
     "decode_query",
     "encode_query",
     "encode_response",
-    "run_load",
     "serve",
 ]
 

@@ -8,11 +8,8 @@ generated from :class:`~repro.serve.spec.ServeSpec`.
 from __future__ import annotations
 
 import asyncio
-import dataclasses
-import sys
 
 from repro.experiments.registry import CommandDef
-from repro.serve.driver import selftest
 from repro.serve.spec import ServeSpec
 
 
@@ -40,21 +37,7 @@ async def _serve_forever(spec: ServeSpec) -> int:
 
 
 def run_serve(spec: ServeSpec) -> int:
-    """Serve forever, or run the hermetic selftest when asked."""
-    if spec.selftest:
-        # The selftest must not collide with a real deployment: bind
-        # ephemeral ports regardless of what the spec says.
-        hermetic = dataclasses.replace(spec, port=0, metrics_port=-1)
-        report = asyncio.run(selftest(hermetic))
-        print(report.render())
-        if spec.selftest_out:
-            with open(spec.selftest_out, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json())
-            print(f"load report written to {spec.selftest_out}")
-        if report.answered == 0:
-            print("error: selftest resolved nothing", file=sys.stderr)
-            return 1
-        return 0
+    """Serve until interrupted."""
     try:
         return asyncio.run(_serve_forever(spec))
     except KeyboardInterrupt:

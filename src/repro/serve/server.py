@@ -21,9 +21,10 @@ stale-while-revalidate).  Layered on top:
 * **Typed errors** — a malformed query gets FORMERR when it carries an
   id and silence when it does not; a resolution that raises answers
   SERVFAIL and is reported to the loop's exception handler.
-* **Truncation + TCP fallback** — UDP responses above the spec's
-  payload ceiling degrade to TC-marked header+question; the TCP
-  listener answers the retry without a ceiling.
+* **Truncation + TCP fallback** — UDP responses above RFC 1035's
+  512-octet payload ceiling (:data:`~repro.serve.wire.UDP_PAYLOAD_MAX`)
+  degrade to TC-marked header+question; the TCP listener answers the
+  retry without a ceiling.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from repro.serve.wire import (
     FLAG_QR,
     FLAG_TC,
     HEADER,
+    UDP_PAYLOAD_MAX,
     DecodedQuery,
     WireFormatError,
     decode_query,
@@ -238,7 +240,7 @@ class DnsFrontEnd:
         self.metrics.udp_queries += 1
         rcode, answer = self._resolve(query)
         payload = encode_response(
-            query, rcode, answer, max_size=self.spec.udp_payload_max
+            query, rcode, answer, max_size=UDP_PAYLOAD_MAX
         )
         if payload[2] & (FLAG_TC >> 8):
             self.metrics.truncated += 1

@@ -15,7 +15,7 @@ from repro.experiments.scenarios import Scale
 
 @dataclass(frozen=True)
 class ServeSpec:
-    """What to serve, where to bind, and how to self-test."""
+    """What to serve and where to bind."""
 
     host: str = field(default="127.0.0.1", metadata={
         "help": "address to bind the DNS and metrics listeners on"})
@@ -31,26 +31,11 @@ class ServeSpec:
         "help": "zone-tree scale to build and answer from"})
     seed: int = field(default=7, metadata={
         "help": "hierarchy/trace seed (fixes which names exist)"})
-    udp_payload_max: int = field(default=512, metadata={
-        "help": "UDP response ceiling before TC truncation"})
     print_names: int = field(default=3, metadata={
         "help": "log this many resolvable sample names at startup"})
-    selftest: bool = field(default=False, metadata={
-        "help": "serve on a loopback port, run the closed-loop load "
-                "driver against it, print qps/latency, exit"})
-    selftest_queries: int = field(default=300, metadata={
-        "help": "total queries the selftest driver sends"})
-    selftest_clients: int = field(default=8, metadata={
-        "help": "concurrent closed-loop selftest clients"})
-    selftest_out: str | None = field(default=None, metadata={
-        "help": "write the selftest load report as JSON to this path"})
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port {self.port} out of range")
         if not -1 <= self.metrics_port <= 65535:
             raise ValueError(f"metrics_port {self.metrics_port} out of range")
-        if self.udp_payload_max < 64:
-            raise ValueError("udp_payload_max must be at least 64 octets")
-        if self.selftest_queries < 1 or self.selftest_clients < 1:
-            raise ValueError("selftest_queries/clients must be positive")

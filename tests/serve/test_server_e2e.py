@@ -87,6 +87,31 @@ async def _tcp_query(
         writer.close()
 
 
+async def _closed_loop(
+    address: tuple[str, int], names, *, queries: int, clients: int
+) -> list:
+    """``clients`` closed-loop stubs, one A query in flight each, share
+    ``queries`` questions round-robin over ``names``; returns every
+    decoded reply."""
+    replies: list = []
+
+    async def client(first: int) -> None:
+        for index in range(first, queries, clients):
+            question = Question(names[index % len(names)], RRType.A)
+            packet = encode_query(question, index + 1)
+            replies.append(decode_message(await _udp_query(address, packet)))
+
+    await asyncio.gather(*(client(first) for first in range(clients)))
+    return replies
+
+
+def _answered(replies) -> int:
+    return sum(
+        reply.message.rcode is Rcode.NOERROR and bool(reply.message.answer)
+        for reply in replies
+    )
+
+
 def _collect_loop_errors() -> list:
     """Route what reaches the running loop's exception handler into the
     returned list (instead of the log)."""
@@ -460,19 +485,15 @@ class TestTcpPath:
         assert unhandled == []
         assert decode_message(reply).message.rcode is Rcode.NOERROR
 
-    def test_truncated_udp_falls_back_to_tcp(self):
+    def test_truncated_udp_falls_back_to_tcp(self, monkeypatch):
         """Force a tiny UDP ceiling: the UDP reply degrades to TC +
         question, and the TCP retry carries the full answer."""
+        # The TINY zone's answers all fit RFC 1035's 512 octets: push
+        # the ceiling under them to exercise the fallback end to end.
+        monkeypatch.setattr("repro.serve.server.UDP_PAYLOAD_MAX", 40)
 
         async def run():
-            import dataclasses
-
-            # The TINY zone's answers are all sub-64-octet, below the
-            # spec's validated floor — push the ceiling under them on a
-            # private spec copy to exercise the fallback end to end.
-            spec = dataclasses.replace(_SPEC)
-            object.__setattr__(spec, "udp_payload_max", 40)
-            async with _front_end(spec) as front_end:
+            async with _front_end() as front_end:
                 name = front_end.sample_names(1)[0]
                 packet = encode_query(Question(name, RRType.A), 31)
                 udp_reply = await _udp_query(front_end.udp_address, packet)
@@ -501,7 +522,6 @@ class TestFrontEndSemantics:
         """start() adds no thread, and 8 closed-loop clients over 2
         names get all 2000 queries answered, every one of them resolved
         by the core (none joins another's resolution)."""
-        from repro.serve.driver import run_load
 
         async def run():
             front_end = DnsFrontEnd(_SPEC)
@@ -509,22 +529,22 @@ class TestFrontEndSemantics:
             await front_end.start()
             try:
                 added = threading.active_count() - threads
-                report = await asyncio.wait_for(
-                    run_load(
-                        *front_end.udp_address,
+                replies = await asyncio.wait_for(
+                    _closed_loop(
+                        front_end.udp_address,
                         front_end.sample_names(2),
                         queries=2000,
                         clients=8,
                     ),
                     timeout=60.0,
                 )
-                return added, report, front_end.server.metrics.sr_queries
+                return added, replies, front_end.server.metrics.sr_queries
             finally:
                 await front_end.stop()
 
-        added, report, resolved = asyncio.run(run())
+        added, replies, resolved = asyncio.run(run())
         assert added == 0
-        assert report.answered == report.queries == 2000
+        assert _answered(replies) == len(replies) == 2000
         assert resolved == 2000
 
     def test_swr_serves_the_lapsed_rrset_then_revalidates(self):
@@ -773,25 +793,18 @@ class TestFrontEndSemantics:
         assert "repro_events_total" in body
 
     def test_selftest_driver_round_trip(self):
-        """The closed-loop driver reports every query answered against a
-        healthy front end."""
-        from repro.serve.driver import run_load
+        """Closed-loop clients get every query answered by a healthy
+        front end."""
 
         async def run():
             async with _front_end() as front_end:
-                names = front_end.sample_names(4)
-                return await run_load(
-                    *front_end.udp_address,
-                    names,
+                return await _closed_loop(
+                    front_end.udp_address,
+                    front_end.sample_names(4),
                     queries=24,
                     clients=3,
                 )
 
-        report = asyncio.run(run())
-        assert report.queries == 24
-        assert report.answered == 24
-        assert report.failed == 0
-        assert report.qps > 0
-        assert report.p99_ms >= report.p50_ms >= 0
-        parsed = __import__("json").loads(report.to_json())
-        assert parsed["answered"] == 24
+        replies = asyncio.run(run())
+        assert len(replies) == 24
+        assert _answered(replies) == 24
