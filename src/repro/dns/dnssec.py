@@ -65,8 +65,11 @@ def chain_is_verifiable(
 ) -> bool:
     """Whether every signed zone on ``qname``'s chain has a live key.
 
-    Used by the resolver's validation mode: a lookup in a signed
-    namespace is only as available as the keys of every signed ancestor.
+    The rule a lookup in a signed namespace obeys, as a pure function:
+    it is only as available as the keys of every signed ancestor.  The
+    resolver does not call it; ``CachingServer._chain_keys_available``
+    applies the same rule to its cache, refetching a missing key and
+    trusting the root's as the anchor.
     """
     for ancestor in qname.ancestors():
         if ancestor in signed_zones and ancestor not in cached_dnskey_zones:

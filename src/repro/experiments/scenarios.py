@@ -44,8 +44,10 @@ class Scale(enum.Enum):
     2-core Xeon: the hierarchy (52,238 zones, 389,567 hosts) builds in
     4.0 s to a 545 MB peak and one week trace (6,301,445 queries)
     generates in 0.8–0.9 s into 95 MB of columns; the hierarchy plus five
-    week traces peak at 1.15 GB RSS in one process.  A paper-scale replay
-    is still unmeasured."""
+    week traces peak at 1.15 GB RSS in one process.  One replay (seed 7,
+    TRC1 under a 6 h root+TLD attack from day 7) took 119 s and peaked at
+    1,590 MB under vanilla, and 220 s and 1,709 MB under refresh + A-LFU
+    with credit 3."""
 
     @classmethod
     def from_env(cls, default: "Scale | None" = None) -> "Scale":
