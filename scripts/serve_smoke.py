@@ -10,6 +10,9 @@ sends three malformed datagrams (a 5-octet runt must get no reply, a
 two-question header and a query name ending in a compression pointer
 must get FORMERR) each followed by a good query that must still be
 answered, and scrapes the metrics endpoint for nonzero query counters.
+Last it stops the server and reads the rest of its log: a resolution
+that raises is answered SERVFAIL and only logged, so a traceback or an
+unhandled callback error in the log fails the smoke too.
 
 Exit status 0 means every check passed; any failure raises.
 """
@@ -31,6 +34,7 @@ METRICS_PORT = int(os.environ.get("SMOKE_METRICS_PORT", "9155"))
 STARTUP_SECONDS = 90.0
 
 _DIG_LINE = re.compile(r"dig @\S+ -p \d+ (\S+) A$")
+_LOG_ERROR = re.compile(r"Traceback|never retrieved|Exception in callback")
 
 
 def build_query(tid: int, domain: str, qdcount: int = 1) -> bytes:
@@ -234,13 +238,16 @@ def main() -> None:
         assert counts.get("tcp", 0) >= 1, f"tcp counter missing: {counts}"
         assert "repro_events_total" in body, "obs sink block missing"
         print(f"metrics ok: {counts}")
-        print("serve smoke passed")
     finally:
         proc.terminate()
         try:
-            proc.wait(timeout=15)
+            log = proc.communicate(timeout=15)[0]
         except subprocess.TimeoutExpired:
             proc.kill()
+            log = proc.communicate()[0]
+    assert not _LOG_ERROR.search(log), f"server logged an error:\n{log}"
+    print("log ok: no traceback or unhandled callback error")
+    print("serve smoke passed")
 
 
 if __name__ == "__main__":
