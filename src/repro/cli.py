@@ -7,7 +7,9 @@ Commands
     Library version, available scales, schemes and artifacts.
 ``replay``
     Replay one trace under one scheme (optionally under attack) and
-    print the failure/overhead summary.
+    print the failure/overhead summary; ``--events``/``--metrics`` write
+    the event log and metrics dump, ``--last N`` prints the per-kind
+    event counts and the last N events.
 ``figure N`` / ``table N``
     Regenerate one paper artifact and print it.
 ``trace generate`` / ``trace stats``
@@ -17,9 +19,6 @@ Commands
     Extension experiments.  These subcommands (and their flags) are
     generated from the ``repro.experiments.EXPERIMENTS`` registry: each
     spec-dataclass field becomes one ``--flag``.
-``events``
-    Replay a trace observed and print the event counts plus the tail
-    of the event stream.
 ``serve``
     Answer real DNS queries (UDP + TCP + a Prometheus endpoint) from
     the simulated hierarchy via an asyncio front end over the same
@@ -43,9 +42,7 @@ update channel.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
-from dataclasses import field
 from typing import Any, Callable, Sequence
 
 from repro import __version__
@@ -118,6 +115,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             fetch_budget=args.fetch_budget if args.fetch_budget > 0 else None,
             nxns_cap=args.nxns_cap if args.nxns_cap > 0 else None,
         )
+    if args.last < 0:
+        raise ValueError("--last must be >= 0")
     scenario = make_scenario(resolve_scale(args.scale), seed=args.seed)
     if args.trace_file:
         trace = read_trace(args.trace_file)
@@ -130,9 +129,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                             intensity=args.intensity)
     faults = FaultSpec(background_loss=args.loss) if args.loss > 0 else None
     observe = None
-    if args.events or args.metrics:
+    if args.events or args.metrics or args.last:
         observe = ObservationSpec(events_path=args.events,
-                                  metrics_path=args.metrics)
+                                  metrics_path=args.metrics,
+                                  ring_size=args.last)
     result = run_replay(scenario.built, trace, config, attack=attack,
                         seed=args.seed, observe=observe, faults=faults,
                         validation=args.validate)
@@ -154,55 +154,13 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(f"  event log written to {args.events}")
         if args.metrics:
             print(f"  metrics dump written to {args.metrics}")
-    return 0
-
-
-@dataclasses.dataclass(frozen=True)
-class EventsSpec:
-    """Flags for ``repro events`` (observed replay)."""
-
-    scheme: str = field(default="vanilla", metadata={
-        "help": "e.g. vanilla, refresh, a-lfu:5, long-ttl:7, swr, decoupled:7"})
-    trace: str = field(default="TRC1", metadata={
-        "help": "built-in trace name (TRC1..TRC6)"})
-    attack_hours: float = field(default=6.0, metadata={
-        "help": "root+TLD attack duration; 0 disables"})
-    last: int = field(default=20, metadata={
-        "help": "event ring size / tail length"})
-    out: str | None = field(default=None, metadata={
-        "help": "also stream every event to this JSONL file"})
-    seed: int = field(default=7, metadata={"help": "scenario seed"})
-    scale: Scale | None = field(default=None, metadata={
-        "help": "experiment scale (default: $REPRO_SCALE or tiny)"})
-
-
-def _cmd_events(spec: EventsSpec) -> int:
-    """Replay with an event ring on and show the event stream."""
-    config = parse_scheme(spec.scheme)
-    scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
-    trace = scenario.trace(spec.trace)
-    attack = None
-    if spec.attack_hours > 0:
-        attack = AttackSpec(start=scenario.attack_start,
-                            duration=spec.attack_hours * HOUR)
-    observe = ObservationSpec(events_path=spec.out, ring_size=spec.last)
-    result = run_replay(scenario.built, trace, config, attack=attack,
-                        seed=spec.seed, observe=observe)
-    bus, recent = result.bus, result.recent
-    if bus is None:  # pragma: no cover - run_replay was given a spec
-        print("error: the replay ran unobserved", file=sys.stderr)
-        return 1
-    print(f"trace {trace.name}: {result.event_count:,} events "
-          f"({result.event_count - len(recent):,} beyond the "
-          f"{spec.last}-event ring)")
-    counts = bus.counts()
-    for kind in sorted(counts, key=lambda k: k.value):
-        print(f"  {kind.value:<16} {counts[kind]:,}")
-    print(f"last {len(recent)} events:")
-    for event in recent:
-        print(f"  {event.to_json()}")
-    if spec.out:
-        print(f"event log written to {spec.out}")
+    if args.last and result.bus is not None:
+        counts = result.bus.counts()
+        for kind in sorted(counts, key=lambda k: k.value):
+            print(f"  {kind.value:<16} {counts[kind]:,}")
+        print(f"last {len(result.recent)} events:")
+        for event in result.recent:
+            print(f"  {event.to_json()}")
     return 0
 
 
@@ -274,25 +232,6 @@ def _cmd_trace_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _commands() -> "tuple[CommandDef, ...]":
-    """Non-experiment subcommands, registered like experiments are.
-
-    Imported lazily so ``repro events`` does not pay for the serve
-    package (and vice versa) until the subcommand actually runs.
-    """
-    from repro.serve.cli import SERVE_COMMAND
-
-    return (
-        CommandDef(
-            name="events",
-            help="replay observed and print the event counts and stream tail",
-            spec_type=EventsSpec,
-            runner=_cmd_events,
-        ),
-        SERVE_COMMAND,
-    )
-
-
 def _command_handler(
     definition: CommandDef,
 ) -> Callable[[argparse.Namespace], int]:
@@ -347,6 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stream structured events to a JSONL file")
     replay.add_argument("--metrics", default=None, metavar="PATH",
                         help="write a Prometheus-style metrics dump")
+    replay.add_argument("--last", type=int, default=0, metavar="N",
+                        help="print the per-kind event counts and the last "
+                             "N events (0 = off)")
     replay.add_argument("--validate", action="store_true",
                         help="shadow the cache with the naive oracle and "
                              "check invariants (slow; results unchanged)")
@@ -386,13 +328,15 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("file")
     stats.set_defaults(func=_cmd_trace_stats)
 
-    for command in (*EXPERIMENTS.values(), *_commands()):
+    from repro.devtools.cli import add_check_parser
+    from repro.serve.cli import SERVE_COMMAND
+    from repro.validation.cli import add_validate_parser
+
+    for command in (*EXPERIMENTS.values(), SERVE_COMMAND):
         sub = subparsers.add_parser(command.name, help=command.help)
         add_spec_arguments(sub, command.spec_type)
         sub.set_defaults(func=_command_handler(command))
 
-    from repro.devtools.cli import add_check_parser
-    from repro.validation.cli import add_validate_parser
 
     add_check_parser(subparsers)
     add_validate_parser(subparsers)

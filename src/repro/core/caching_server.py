@@ -217,21 +217,17 @@ class CachingServer:
         # Work-limit defenses, counted only when the config sets them.
         # `config.fetch_budget` caps NS-address sub-resolutions per
         # top-level query (`_fetch_spent`, reset as each one starts);
-        # `config.nxns_cap` bounds them per referral step
-        # (`_nxns_spent`; see `_address_by_resolution`).
+        # `config.nxns_cap` bounds them per referral step (a count local
+        # to each `_query_zone` visit; see `_address_by_resolution`).
         self._fetch_spent = 0
-        self._nxns_spent = 0
 
-        # Server-selection state: smoothed RTT per address, hold-down
-        # deadlines for unresponsive servers, and (under a RetryPolicy)
-        # the consecutive-failure counts driving the hold-down.  All
-        # three are keyed by a dense per-server int id (`_addr_ids`)
-        # rather than the address string — these maps are probed for
-        # every candidate server of every referral step.
-        self._addr_ids: dict[str, int] = {}
-        self._srtt: dict[int, float] = {}
-        self._held_down: dict[int, float] = {}
-        self._consecutive_failures: dict[int, int] = {}
+        # Server-selection state, keyed by address: smoothed RTT,
+        # hold-down deadlines for unresponsive servers, and (under a
+        # RetryPolicy) the consecutive-failure counts driving the
+        # hold-down.
+        self._srtt: dict[str, float] = {}
+        self._held_down: dict[str, float] = {}
+        self._consecutive_failures: dict[str, int] = {}
 
         # The root's server set never changes during a replay.
         self._root_ns_info = (root_hints.server_names(), root_hints.ns.ttl)
@@ -591,15 +587,14 @@ class CachingServer:
             order = server_names
         hints = self._hint_addresses
         cache_get = self.cache.get
-        addr_ids = self._addr_ids
         held_down_until = self._held_down
-        candidates: list[tuple[str, int]] = []
-        # The NXNS cap is scoped per referral step: each _query_zone
-        # visit gets its own sub-resolution allowance.  Save/restore
-        # because a sub-resolution can re-enter this method (resolving
-        # an out-of-bailiwick server name walks the tree again).
-        saved_nxns_spent = self._nxns_spent
-        self._nxns_spent = 0
+        srtt = self._srtt
+        candidates: list[str] = []
+        # The NXNS cap is scoped per referral step: `nxns_spent` counts
+        # this visit's sub-resolutions, and a visit nested inside one of
+        # them (an out-of-bailiwick server name walks the tree again)
+        # keeps its own count.
+        nxns_spent = 0
         # Every server name gets its address before the first one is
         # tried: sub-resolutions, LRU touches and cache events follow
         # this order.
@@ -610,32 +605,26 @@ class CachingServer:
                 if cached is not None:
                     address = str(cached.records[0].data)
                 else:
-                    address = self._address_by_resolution(
-                        server_name, zone, now, depth, stack, stale
+                    address, nxns_spent = self._address_by_resolution(
+                        server_name, zone, now, depth, stack, stale,
+                        nxns_spent,
                     )
                     if address is None:
                         continue
-            aid = addr_ids.get(address)
-            if aid is None:
-                aid = addr_ids[address] = len(addr_ids)
-            if held_down_until and held_down_until.get(aid, 0.0) > now:
+            if held_down_until and held_down_until.get(address, 0.0) > now:
                 continue  # dead-server hold-down: don't even try
-            candidates.append((address, aid))
-        self._nxns_spent = saved_nxns_spent
+            candidates.append(address)
         if self.config.prefer_fast_servers and len(candidates) > 1:
             # Untried servers sort first (give them a chance), then by
             # smoothed RTT — BIND-flavoured server selection.
-            candidates.sort(
-                key=lambda entry: self._srtt.get(entry[1], -1.0)
-            )
+            candidates.sort(key=lambda address: srtt.get(address, -1.0))
         obs = self.observer
         retry = self.config.retry_policy
         max_tries = retry.max_tries if retry is not None else 1
         send = self.network.query
         record_exchange = self.metrics.record_exchange
         question_size = question.wire_size()
-        srtt = self._srtt
-        for address, aid in candidates[:MAX_SERVERS_PER_ZONE]:
+        for address in candidates[:MAX_SERVERS_PER_ZONE]:
             for attempt in range(max_tries):
                 if obs is not None:
                     if attempt == 0:
@@ -668,8 +657,8 @@ class CachingServer:
                     # Answers feed the smoothed RTT; under a RetryPolicy
                     # so do the timeouts paid, so lossy or unreachable
                     # servers lose their `prefer_fast_servers` preference.
-                    previous = srtt.get(aid)
-                    srtt[aid] = (
+                    previous = srtt.get(address)
+                    srtt[address] = (
                         latency if previous is None
                         else 0.7 * previous + 0.3 * latency
                     )
@@ -680,8 +669,8 @@ class CachingServer:
                                  latency=latency, renewal=renewal)
                     if retry is not None:
                         # Only a RetryPolicy fills these two maps.
-                        held_down_until.pop(aid, None)
-                        self._consecutive_failures.pop(aid, None)
+                        held_down_until.pop(address, None)
+                        self._consecutive_failures.pop(address, None)
                     if not renewal:
                         self._note_zone_use(zone, published_ttl, now)
                     return message
@@ -694,7 +683,7 @@ class CachingServer:
                                  server=address, reason=dropped_by,
                                  renewal=renewal)
                 held_down = retry is not None and self._note_server_failure(
-                    retry, address, aid, now
+                    retry, address, now
                 )
                 if held_down or not timed_out:
                     # Sidelined, or a fast negative (lame delegation):
@@ -703,23 +692,21 @@ class CachingServer:
         return None
 
     def _note_server_failure(
-        self, retry: RetryPolicy, address: str, aid: int, now: float
+        self, retry: RetryPolicy, address: str, now: float
     ) -> bool:
         """Hold-down bookkeeping for one failed query attempt.
 
         Returns whether the address was just placed in hold-down: after
-        ``retry.holddown_failures`` consecutive failures.  ``aid`` is the
-        address's dense id (`_addr_ids`); ``address`` is only for event
-        payloads.
+        ``retry.holddown_failures`` consecutive failures.
         """
-        count = self._consecutive_failures.get(aid, 0) + 1
-        self._consecutive_failures[aid] = count
+        count = self._consecutive_failures.get(address, 0) + 1
+        self._consecutive_failures[address] = count
         if retry.holddown is not None and count >= retry.holddown_failures:
             until = now + retry.holddown
-            self._held_down[aid] = until
+            self._held_down[address] = until
             # Restart the count so the server gets a clean slate when
             # the hold-down expires (one failure then re-arms it).
-            self._consecutive_failures.pop(aid, None)
+            self._consecutive_failures.pop(address, None)
             if self.observer is not None:
                 self.observer.emit(EventKind.SERVER_HOLDDOWN, now,
                                    server=address, until=until,
@@ -735,20 +722,25 @@ class CachingServer:
         depth: int,
         stack: frozenset[Name],
         stale: bool,
-    ) -> str | None:
+        nxns_spent: int,
+    ) -> tuple[str | None, int]:
         """An address for a server neither the hints nor the live cache
-        hold: a lapsed copy when serving stale, else a sub-resolution."""
+        hold: a lapsed copy when serving stale, else a sub-resolution.
+
+        ``nxns_spent`` is the calling visit's sub-resolution count; it
+        comes back with this one added when a sub-resolution ran.
+        """
         if stale:
             stale_set = self.cache.get_stale(server_name, _A, now)
             if stale_set is not None:
-                return str(stale_set.records[0].data)
+                return str(stale_set.records[0].data), nxns_spent
         if server_name in stack or depth >= MAX_FETCH_DEPTH:
-            return None
+            return None, nxns_spent
         if server_name.is_subdomain_of(zone):
             # In-bailiwick name with no glue in cache: resolving it would
             # need the very zone we are trying to reach — a glue-less
             # cycle a real resolver also cannot break.
-            return None
+            return None, nxns_spent
         # Work-limit defenses.  From here on an uncached server name
         # costs a full sub-resolution — exactly what NXNS amplification
         # farms.  The per-query fetch budget and the per-referral-step
@@ -756,13 +748,13 @@ class CachingServer:
         # with no candidates left the lookup climbs and eventually
         # SERVFAILs) rather than recursing without bound.
         cap = self.config.nxns_cap
-        if cap is not None and self._nxns_spent >= cap:
+        if cap is not None and nxns_spent >= cap:
             self.metrics.nxns_capped += 1
             if self.observer is not None:
                 self.observer.emit(EventKind.DEFENSE_BUDGET_EXHAUSTED, now,
                                    mechanism="nxns-cap",
                                    server=str(server_name))
-            return None
+            return None, nxns_spent
         budget = self.config.fetch_budget
         if budget is not None:
             if self._fetch_spent >= budget:
@@ -771,18 +763,16 @@ class CachingServer:
                     self.observer.emit(EventKind.DEFENSE_BUDGET_EXHAUSTED,
                                        now, mechanism="fetch-budget",
                                        server=str(server_name))
-                return None
+                return None, nxns_spent
             self._fetch_spent += 1
-        if cap is not None:
-            self._nxns_spent += 1
         sub = self.resolve(
             server_name, _A, now, depth + 1, stack | {server_name}
         )
         if sub.failed or sub.answer is None:
-            return None
+            return None, nxns_spent + 1
         # The answer of an A lookup is its A RRset, and an RRset is never
         # empty nor mixed in type.
-        return str(sub.answer.records[0].data)
+        return str(sub.answer.records[0].data), nxns_spent + 1
 
     # ------------------------------------------------------------------
     # Response ingestion (caching + refresh + renewal + gap hooks)
@@ -956,13 +946,8 @@ class CachingServer:
     # ------------------------------------------------------------------
 
     def srtt_of(self, address: str) -> float | None:
-        """The smoothed RTT estimate for a server address, if any.
-
-        The internal map is keyed by dense address ids; this decodes for
-        tests and diagnostics.
-        """
-        aid = self._addr_ids.get(address)
-        return None if aid is None else self._srtt.get(aid)
+        """The smoothed RTT estimate for a server address, if any."""
+        return self._srtt.get(address)
 
     def cached_zone_count(self, now: float) -> int:
         """Zones with live cached IRRs (Figure 12 series)."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.dns.name import Name, name_for_id
+from repro.dns.name import Name
 
 DAY = 86400.0
 
@@ -32,17 +32,16 @@ DAY = 86400.0
 class RenewalPolicy(ABC):
     """Tracks per-zone renewal credit.
 
-    Balances are keyed internally by the zone name's dense intern id
-    (:attr:`~repro.dns.name.Name.iid`) — credit is topped up on every
-    zone contact, so the table sits on the replay hot path.  The public
-    API still speaks :class:`Name`; :meth:`balances` decodes.
+    Balances are keyed by the zone's interned :class:`Name`, which
+    hashes by identity: credit is topped up on every zone contact, so
+    the table sits on the replay hot path.
     """
 
     #: Display name, e.g. ``"a-lfu(c=3)"``.
     name: str
 
     def __init__(self) -> None:
-        self._credits: dict[int, float] = {}
+        self._credits: dict[Name, float] = {}
 
     @abstractmethod
     def on_zone_use(self, zone: Name, irr_ttl: float, now: float) -> None:
@@ -50,19 +49,19 @@ class RenewalPolicy(ABC):
 
     def take_renewal_credit(self, zone: Name) -> bool:
         """Spend one credit for a renewal refetch; False when broke."""
-        balance = self._credits.get(zone.iid, 0.0)
+        balance = self._credits.get(zone, 0.0)
         if balance < 1.0:
             return False
-        self._credits[zone.iid] = balance - 1.0
+        self._credits[zone] = balance - 1.0
         return True
 
     def credit_of(self, zone: Name) -> float:
         """Current balance (0 for unknown zones)."""
-        return self._credits.get(zone.iid, 0.0)
+        return self._credits.get(zone, 0.0)
 
     def forget(self, zone: Name) -> None:
         """Drop state for a zone that left the cache."""
-        self._credits.pop(zone.iid, None)
+        self._credits.pop(zone, None)
 
     def tracked_zones(self) -> int:
         """How many zones hold state (memory accounting)."""
@@ -70,7 +69,7 @@ class RenewalPolicy(ABC):
 
     def balances(self) -> dict[Name, float]:
         """A snapshot of every zone's credit balance (for validation)."""
-        return {name_for_id(iid): value for iid, value in self._credits.items()}
+        return dict(self._credits)
 
 
 class LRUPolicy(RenewalPolicy):
@@ -84,7 +83,7 @@ class LRUPolicy(RenewalPolicy):
         self.name = f"lru(c={credit:g})"
 
     def on_zone_use(self, zone: Name, irr_ttl: float, now: float) -> None:
-        self._credits[zone.iid] = self.credit
+        self._credits[zone] = self.credit
 
 
 class LFUPolicy(RenewalPolicy):
@@ -101,8 +100,8 @@ class LFUPolicy(RenewalPolicy):
         self.name = f"lfu(c={credit:g},m={self.max_credit:g})"
 
     def on_zone_use(self, zone: Name, irr_ttl: float, now: float) -> None:
-        balance = self._credits.get(zone.iid, 0.0) + self.credit
-        self._credits[zone.iid] = min(balance, self.max_credit)
+        balance = self._credits.get(zone, 0.0) + self.credit
+        self._credits[zone] = min(balance, self.max_credit)
 
 
 class AdaptiveLRUPolicy(RenewalPolicy):
@@ -118,7 +117,7 @@ class AdaptiveLRUPolicy(RenewalPolicy):
     def on_zone_use(self, zone: Name, irr_ttl: float, now: float) -> None:
         if irr_ttl <= 0:
             raise ValueError(f"non-positive IRR TTL {irr_ttl} for {zone}")
-        self._credits[zone.iid] = self.credit * DAY / irr_ttl
+        self._credits[zone] = self.credit * DAY / irr_ttl
 
 
 class AdaptiveLFUPolicy(RenewalPolicy):
@@ -138,8 +137,8 @@ class AdaptiveLFUPolicy(RenewalPolicy):
     def on_zone_use(self, zone: Name, irr_ttl: float, now: float) -> None:
         if irr_ttl <= 0:
             raise ValueError(f"non-positive IRR TTL {irr_ttl} for {zone}")
-        balance = self._credits.get(zone.iid, 0.0) + self.credit * DAY / irr_ttl
-        self._credits[zone.iid] = min(balance, self.max_credit)
+        balance = self._credits.get(zone, 0.0) + self.credit * DAY / irr_ttl
+        self._credits[zone] = min(balance, self.max_credit)
 
 
 _POLICY_KINDS = {

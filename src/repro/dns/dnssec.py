@@ -59,19 +59,3 @@ def sign_irrs(
         )
     )
 
-
-def chain_is_verifiable(
-    cached_dnskey_zones: set[Name], qname: Name, signed_zones: set[Name]
-) -> bool:
-    """Whether every signed zone on ``qname``'s chain has a live key.
-
-    The rule a lookup in a signed namespace obeys, as a pure function:
-    it is only as available as the keys of every signed ancestor.  The
-    resolver does not call it; ``CachingServer._chain_keys_available``
-    applies the same rule to its cache, refetching a missing key and
-    trusting the root's as the anchor.
-    """
-    for ancestor in qname.ancestors():
-        if ancestor in signed_zones and ancestor not in cached_dnskey_zones:
-            return False
-    return True

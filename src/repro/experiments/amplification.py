@@ -56,21 +56,12 @@ class AmplificationSpec:
     fetch_budgets: tuple[int, ...] = (0, 20, 8)
     """Per-query fetch budgets swept as rows; 0 = no defense."""
 
-    nxns_cap: int = 0
-    """Per-zone-visit NS sub-resolution cap applied to every defended
-    row; 0 leaves it off (the fetch budget is the swept defense)."""
 
-
-def _defended(
-    base: ResilienceConfig, budget: int, nxns_cap: int
-) -> ResilienceConfig:
+def _defended(base: ResilienceConfig, budget: int) -> ResilienceConfig:
     """The config for one budget row; 0 keeps the undefended baseline."""
-    if budget <= 0 and nxns_cap <= 0:
+    if budget <= 0:
         return base.with_label(f"{base.label}+nodefense")
-    return base.with_defenses(
-        fetch_budget=budget if budget > 0 else None,
-        nxns_cap=nxns_cap if nxns_cap > 0 else None,
-    )
+    return base.with_defenses(fetch_budget=budget)
 
 
 def run(spec: AmplificationSpec) -> ResultTable:
@@ -92,10 +83,7 @@ def run(spec: AmplificationSpec) -> ResultTable:
             raise ValueError(f"fetch budget must be >= 0, got {budget}")
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     base = parse_scheme(spec.scheme)
-    configs = [
-        _defended(base, budget, spec.nxns_cap)
-        for budget in spec.fetch_budgets
-    ]
+    configs = [_defended(base, budget) for budget in spec.fetch_budgets]
     pairs = [
         ("off" if budget == 0 else f"b={budget}", ReplaySpec.for_scenario(
             scenario,

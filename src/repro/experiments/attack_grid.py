@@ -51,12 +51,10 @@ def run_grid(
     columns: Sequence[tuple[str, ResilienceConfig, AttackSpec]],
     trace_limit: int | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> ResultTable:
     """One replay per (week trace × ``(label, config, attack)`` column).
 
-    Rows are traces, rendered as the two-panel SR/CS figure; ``workers``
-    (default ``$REPRO_WORKERS``) fans the cells out over processes.
+    Rows are traces, rendered as the two-panel SR/CS figure.
     """
     pairs = [
         (trace_name, ReplaySpec.for_scenario(scenario, trace_name, config,
@@ -67,7 +65,7 @@ def run_grid(
     return ResultTable(
         title, ("trace",),
         grid_columns((label for label, _, _ in columns), percent(SR, 1)),
-        run_rows(pairs, grouped=True, workers=workers),
+        run_rows(pairs, grouped=True),
         panels=FAILURE_PANELS,
     )
 
@@ -103,7 +101,6 @@ def run_duration_grid(
     durations_hours: tuple[int, ...] = DURATIONS_HOURS,
     trace_limit: int | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> ResultTable:
     """Figures 4 and 5: one scheme, attack durations as columns."""
     columns = [
@@ -111,7 +108,7 @@ def run_duration_grid(
          AttackSpec(start=scenario.attack_start, duration=hours * HOUR))
         for hours in durations_hours
     ]
-    return run_grid(scenario, title, columns, trace_limit, seed, workers)
+    return run_grid(scenario, title, columns, trace_limit, seed)
 
 
 def run_scheme_grid(
@@ -121,7 +118,6 @@ def run_scheme_grid(
     attack_hours: float = 6.0,
     trace_limit: int | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> ResultTable:
     """Figures 6-11: fixed 6-hour attack; the scheme variants as columns,
     after the "DNS" (vanilla) contrast column the paper includes."""
@@ -130,7 +126,7 @@ def run_scheme_grid(
         (label, config, attack)
         for label, config in (("DNS", ResilienceConfig.vanilla()), *variants)
     ]
-    return run_grid(scenario, title, columns, trace_limit, seed, workers)
+    return run_grid(scenario, title, columns, trace_limit, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -59,12 +59,6 @@ class DegradationSpec:
     knee_threshold: float = 0.05
     """SR failure rate a cell must exceed to count as degraded."""
 
-    fetch_budget: int = 0
-    """Per-query upstream fetch budget (DESIGN.md §16); 0 = unlimited."""
-
-    nxns_cap: int = 0
-    """Per-zone-visit NS sub-resolution cap (DESIGN.md §16); 0 = off."""
-
 
 def knee(
     row: Sequence[ReplayMetrics], intensities: Sequence[float], threshold: float
@@ -108,11 +102,6 @@ def run(spec: DegradationSpec) -> ResultTable:
             )
     scenario = make_scenario(resolve_scale(spec.scale), seed=spec.seed)
     base = parse_scheme(spec.scheme)
-    if spec.fetch_budget > 0 or spec.nxns_cap > 0:
-        base = base.with_defenses(
-            fetch_budget=spec.fetch_budget if spec.fetch_budget > 0 else None,
-            nxns_cap=spec.nxns_cap if spec.nxns_cap > 0 else None,
-        )
     faults = FaultSpec(background_loss=spec.loss) if spec.loss > 0.0 else None
     configs = [
         _policy_config(base, tries, spec.holddown)

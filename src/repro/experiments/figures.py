@@ -47,8 +47,7 @@ TABLE1_HEADERS = (
 
 
 def table1(scenario: Scenario, include_month: bool = True,
-           measure_requests_out: bool = True,
-           workers: int | None = None) -> ResultTable:
+           measure_requests_out: bool = True) -> ResultTable:
     """Table 1: per-trace statistics; requests-out measured by vanilla replay.
 
     A row is the trace's :class:`~repro.workload.stats.TraceStatistics`.
@@ -60,7 +59,6 @@ def table1(scenario: Scenario, include_month: bool = True,
         ((name, ReplaySpec.for_scenario(scenario, name,
                                         ResilienceConfig.vanilla()))
          for name in names if measure_requests_out),
-        workers=workers,
     )
     rows = {
         name: compute_statistics(
@@ -120,15 +118,13 @@ class GapCdfs:
         return f"{days}\n\n{fractions}\n\n{summary}"
 
 
-def figure3(scenario: Scenario, trace_limit: int | None = None,
-            workers: int | None = None) -> GapCdfs:
+def figure3(scenario: Scenario, trace_limit: int | None = None) -> GapCdfs:
     """Figure 3: expiry-to-next-query gap CDFs from vanilla replays."""
     replays = run_rows(
         ((name, ReplaySpec.for_scenario(scenario, name,
                                         ResilienceConfig.vanilla(),
                                         track_gaps=True))
          for name in week_trace_names(scenario, trace_limit)),
-        workers=workers,
     )
     samples = [
         sample for record in replays.values()
@@ -230,15 +226,12 @@ def figure10(
 def figure11(
     scenario: Scenario,
     days: tuple[int, ...] = LONG_TTL_DAYS,
-    policy: str = "a-lfu",
-    credit: float = 3.0,
     trace_limit: int | None = None,
     seed: int = 0,
 ) -> ResultTable:
-    """Figure 11: refresh + A-LFU renewal + long TTLs of 1/3/5/7 days."""
+    """Figure 11: refresh + A-LFU 3 renewal + long TTLs of 1/3/5/7 days."""
     variants = [
-        (f"{value} Day TTL",
-         ResilienceConfig.combination(days=value, policy=policy, credit=credit))
+        (f"{value} Day TTL", ResilienceConfig.combination(days=value))
         for value in days
     ]
     return run_scheme_grid(
@@ -268,7 +261,6 @@ def table2(
     schemes: tuple[tuple[str, ResilienceConfig], ...] = TABLE2_SCHEMES,
     trace_limit: int | None = 3,
     seed: int = 0,
-    workers: int | None = None,
 ) -> ResultTable:
     """Table 2: outgoing-message overhead of every scheme vs vanilla.
 
@@ -282,7 +274,7 @@ def table2(
         ((label, ReplaySpec.for_scenario(scenario, name, config, seed=seed))
          for name in names
          for label, config in columns),
-        grouped=True, workers=workers,
+        grouped=True,
     )
     baseline = replays.pop("__baseline__")
 
@@ -325,7 +317,6 @@ def figure12(
     schemes: tuple[tuple[str, ResilienceConfig], ...] = FIGURE12_SCHEMES,
     sample_interval: float = 6 * 3600.0,
     seed: int = 0,
-    workers: int | None = None,
 ) -> ResultTable:
     """Figure 12: cached zones/records over time for each scheme (TRC6).
 
@@ -337,7 +328,6 @@ def figure12(
             scenario, Scenario.MONTH_TRACE, config,
             memory_sample_interval=sample_interval, seed=seed,
         )) for label, config in schemes),
-        workers=workers,
     )
     rows = {
         label: MemoryOverheadSeries(label=label,

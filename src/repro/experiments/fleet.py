@@ -76,13 +76,12 @@ def fleet_attack_comparison(
     attack: AttackSpec | None = None,
     trace_limit: int | None = None,
     seed: int = 0,
-    workers: int | None = None,
 ) -> dict[str, ResultTable]:
     """The standard fleet experiment: all organisations, per scheme.
 
     ``attack`` defaults to the paper's 6 h root+TLD attack from day 7.
     Every (scheme, member) replay is one row of a single batch, so with
-    several workers the members run concurrently.
+    ``$REPRO_WORKERS`` above 1 the members run concurrently.
     """
     schemes = schemes or [
         ResilienceConfig.vanilla(),
@@ -98,7 +97,6 @@ def fleet_attack_comparison(
          for config in schemes
          for index, trace_name in enumerate(trace_names)),
         grouped=True,
-        workers=workers,
     )
     return {
         label: ResultTable(

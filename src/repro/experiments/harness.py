@@ -25,7 +25,7 @@ from repro.hierarchy.builder import (
 from repro.hierarchy.churn import ChurnSchedule, apply_churn_event
 from repro.obs.events import Event, EventBus, EventKind
 from repro.obs.spec import ObservationContext, ObservationSpec
-from repro.simulation.adversary import Adversary, AdversarySpec
+from repro.simulation.adversary import AdversarySpec, Poisoner
 from repro.simulation.attack import AttackSchedule, AttackWindow, attack_on_root_and_tlds
 from repro.simulation.engine import SimulationEngine
 from repro.simulation.faults import FaultInjector, FaultSpec
@@ -163,14 +163,13 @@ def run_replay(
         injector: FaultInjector | None = None
         if faults is not None or (attack is not None and attack.partial):
             injector = (faults or FaultSpec()).build(seed=seed)
-        adv: Adversary | None = None
-        if adversary is not None and not adversary.inert:
-            adv = adversary.build(
-                seed=seed, entropy_bits=config.source_entropy_bits
-            )
+        poisoner: Poisoner | None = None
+        if adversary is not None and adversary.poison is not None:
+            # The resolver's source-port/0x20 entropy scales the race odds.
+            poisoner = Poisoner(adversary.poison, seed=seed,
+                                entropy_bits=config.source_entropy_bits)
         network = Network(
-            tree, attacks=schedule, faults=injector,
-            poisoner=adv.poisoner if adv is not None else None,
+            tree, attacks=schedule, faults=injector, poisoner=poisoner,
         )
         metrics = ReplayMetrics(
             window=WindowCounters(attack.start, attack.end)
@@ -209,10 +208,11 @@ def run_replay(
             _replay_with_injections(engine, server, trace, injected)
         engine.advance_to(trace.duration)
 
-        if adv is not None:
-            if adv.poisoner is not None:
-                metrics.poison_attempts = adv.poisoner.attempts
-                metrics.poison_wins = adv.poisoner.wins
+        if poisoner is not None:
+            # Only a forged answer taints the cache: without a poisoner
+            # every poison count keeps its zero default.
+            metrics.poison_attempts = poisoner.attempts
+            metrics.poison_wins = poisoner.wins
             stored, cured, dwells = server.cache.poison_stats(engine.now)
             metrics.poison_stored = stored
             metrics.poison_cured = cured

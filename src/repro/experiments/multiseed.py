@@ -92,13 +92,11 @@ def _multiseed_experiment(
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     trace_name: str = "TRC1",
     attack_hours: float = 6.0,
-    workers: int | None = None,
 ) -> ResultTable:
     """Replay one trace per scheme across several resolver seeds.
 
-    The scheme × seed replays are independent and run through the batch
-    runner (``workers`` defaults to ``$REPRO_WORKERS``); a row holds one
-    record per seed.
+    The scheme × seed replays are independent and run as one batch; a
+    row holds one record per seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -116,5 +114,5 @@ def _multiseed_experiment(
         ("Scheme",),
         (("SR failures (mean ± std)", lambda row: str(seed_spread(row, SR))),
          ("CS failures (mean ± std)", lambda row: str(seed_spread(row, CS)))),
-        run_rows(pairs, grouped=True, workers=workers),
+        run_rows(pairs, grouped=True),
     )

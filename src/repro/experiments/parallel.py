@@ -227,7 +227,6 @@ def run_replays(
 def run_rows(
     pairs: Iterable[tuple[Any, ReplaySpec]],
     grouped: bool = False,
-    workers: int | None = None,
 ) -> dict[Any, Any]:
     """Run every ``(row key, spec)`` pair in one batch, keyed by row.
 
@@ -237,7 +236,7 @@ def run_rows(
     every experiment's table goes through.
     """
     pair_list = list(pairs)
-    records = run_replays([spec for _, spec in pair_list], workers)
+    records = run_replays([spec for _, spec in pair_list])
     rows: dict[Any, Any] = {}
     for (key, _), record in zip(pair_list, records):
         rows[key] = (*rows.get(key, ()), record) if grouped else record

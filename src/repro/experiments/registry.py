@@ -31,10 +31,12 @@ class CommandDef:
     """One registry entry: a CLI subcommand's spec shape plus its runner.
 
     Experiments (the ``EXPERIMENTS`` table) return a
-    :class:`~repro.experiments.table.ResultTable`; commands (serve, events) own their output and return a
-    process exit status.  Both generate their flags from the frozen spec
-    dataclass via :func:`add_spec_arguments`, so there is exactly one way
-    a subcommand's surface is defined in this repo.
+    :class:`~repro.experiments.table.ResultTable`; a command (``serve``)
+    owns its output and returns a process exit status.  Both generate
+    their flags from the frozen spec dataclass via
+    :func:`add_spec_arguments`.  The CLI's other subcommands (``replay``,
+    ``figure``, ``table``, ``trace``, ``check``, ``validate``) declare
+    their flags with argparse directly.
 
     (Deliberately *not* named ``*Spec`` — the runner is a callable,
     which spec dataclasses are statically forbidden to carry.)

@@ -164,7 +164,7 @@ class EventBus:
     The bus is the one tally of a run: every ``emit`` moves the sequence
     number, a per-kind count and the latest event time before any
     :class:`Event` is built, so every consumer that only needs totals
-    (the metrics dump, ``repro events``, the serve scrape) reads
+    (the metrics dump, ``repro replay --last``, the serve scrape) reads
     :meth:`counts` / :attr:`emitted` / :attr:`last_time` instead of
     subscribing — and a bus with no subscriber never builds an event at
     all.  Hot call sites go one step further: while :attr:`quiet` holds

@@ -1,8 +1,8 @@
 """The ``repro serve`` subcommand: handler + registry entry.
 
 Registered through the same :class:`~repro.experiments.registry.CommandDef`
-machinery as ``repro events`` — every flag below is
-generated from :class:`~repro.serve.spec.ServeSpec`.
+machinery as the extension experiments: every flag below is generated
+from :class:`~repro.serve.spec.ServeSpec`.
 """
 
 from __future__ import annotations

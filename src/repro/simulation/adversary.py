@@ -132,9 +132,9 @@ class AdversarySpec:
     """Declarative adversary model for one replay (frozen, picklable).
 
     Rides inside :class:`~repro.experiments.parallel.ReplaySpec` exactly
-    like ``FaultSpec``; worker processes rebuild their own live
-    :class:`Adversary` from it, so nothing unpicklable crosses the
-    process boundary.
+    like ``FaultSpec``; ``run_replay`` grafts the NXNS zone and builds
+    the live :class:`Poisoner` from it in the worker, so nothing
+    unpicklable crosses the process boundary.
     """
 
     nxns: "NxnsAttackSpec | None" = None
@@ -145,16 +145,6 @@ class AdversarySpec:
         """Whether this spec mounts no attack at all."""
         return self.nxns is None and self.poison is None
 
-    def build(self, seed: int = 0, entropy_bits: int = 0) -> "Adversary":
-        """The live adversary for one replay (mirrors FaultSpec.build).
-
-        ``entropy_bits`` is the *resolver's* source-port/0x20 entropy
-        defense (:attr:`~repro.core.config.ResilienceConfig
-        .source_entropy_bits`); it belongs to the defender but is
-        resolved here because it scales the forger's race odds.
-        """
-        return Adversary(self, seed=seed, entropy_bits=entropy_bits)
-
 
 class Poisoner:
     """Live forger state: per-address ordinals + memoized forgeries.
@@ -162,6 +152,10 @@ class Poisoner:
     One poisoner belongs to exactly one replay.  The ordinal counters
     are the poisoner's own (never shared with the fault injector), so
     the draw sequence is identical whether or not faults are configured.
+    ``entropy_bits`` is the *resolver's* source-port/0x20 entropy
+    defense (:attr:`~repro.core.config.ResilienceConfig
+    .source_entropy_bits`); it belongs to the defender but is held here
+    because it scales the forger's race odds.
     """
 
     __slots__ = ("spec", "seed", "entropy_bits", "attempts", "wins",
@@ -223,19 +217,3 @@ class Poisoner:
             self._forged[key] = message
         return message
 
-
-class Adversary:
-    """Live per-replay adversary built from an :class:`AdversarySpec`."""
-
-    __slots__ = ("spec", "seed", "poisoner")
-
-    def __init__(
-        self, spec: AdversarySpec, seed: int = 0, entropy_bits: int = 0
-    ) -> None:
-        self.spec = spec
-        self.seed = seed
-        self.poisoner: Poisoner | None = (
-            Poisoner(spec.poison, seed=seed, entropy_bits=entropy_bits)
-            if spec.poison is not None
-            else None
-        )

@@ -1,36 +1,12 @@
 """Tests for the caching server's DNSSEC validation mode (§6 extension)."""
 
-import pytest
-
 from repro.core.caching_server import ResolutionOutcome
 from repro.core.config import ResilienceConfig
-from repro.dns.dnssec import sign_irrs
 from repro.dns.rrtypes import RRType
 from repro.simulation.attack import attack_on_root_and_tlds
 
 from tests.conftest import make_stack
-from tests.helpers import HOUR, build_mini_internet, name
-
-
-@pytest.fixture
-def signed_mini():
-    """The mini internet with test., example.test. and the root signed."""
-    mini = build_mini_internet()
-    for zone_name in (".", "test.", "example.test."):
-        zone = mini.tree.zone(name(zone_name))
-        zone.replace_infrastructure_records(
-            sign_irrs(zone.infrastructure_records)
-        )
-    # Parent-side copies must carry the child's DNSSEC sets too.
-    root = mini.tree.zone(name("."))
-    root.replace_delegation(
-        mini.tree.zone(name("test.")).infrastructure_records
-    )
-    tld = mini.tree.zone(name("test."))
-    tld.replace_delegation(
-        mini.tree.zone(name("example.test.")).infrastructure_records
-    )
-    return mini
+from tests.helpers import HOUR, name
 
 
 class TestValidationHappyPath:

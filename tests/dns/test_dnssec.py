@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.dns.dnssec import (
-    chain_is_verifiable,
-    make_dnskey_rrset,
-    make_ds_rrset,
-    sign_irrs,
-)
-from repro.dns.name import Name
+from repro.core.config import ResilienceConfig
+from repro.dns.dnssec import make_dnskey_rrset, make_ds_rrset, sign_irrs
 from repro.dns.records import InfrastructureRecordSet, ResourceRecord, RRset
 from repro.dns.rrtypes import RRType
+from repro.simulation.attack import attack_on_root_and_tlds
 
-from tests.helpers import _irrs, name
+from tests.conftest import make_stack
+from tests.helpers import HOUR, _irrs, name
 
 
 class TestMaterial:
@@ -67,15 +64,45 @@ class TestSignIrrs:
 
 
 class TestChainCheck:
-    def test_verifiable_when_all_keys_present(self):
-        signed = {name("test."), name("x.test.")}
-        cached = {name("test."), name("x.test.")}
-        assert chain_is_verifiable(cached, name("www.x.test."), signed)
+    """The chain rule a validating lookup obeys, through the resolver.
 
-    def test_broken_when_ancestor_key_missing(self):
-        signed = {name("test."), name("x.test.")}
-        cached = {name("x.test.")}
-        assert not chain_is_verifiable(cached, name("www.x.test."), signed)
+    ``CachingServer._chain_keys_available`` is its one implementation:
+    every signed zone on the chain needs a live DNSKEY, refetched when
+    missing, and the root's keys are the trust anchor.
+    """
 
-    def test_unsigned_zones_need_no_keys(self):
-        assert chain_is_verifiable(set(), name("www.x.test."), set())
+    def _warm(self, signed_mini, attacks=None):
+        """A server that resolved www.example.test. and so holds the
+        keys of test. and example.test."""
+        server, _, _, metrics = make_stack(
+            signed_mini, ResilienceConfig.vanilla(), attacks=attacks
+        )
+        server.handle_stub_query(name("www.example.test."), RRType.A, 0.0)
+        return server, metrics
+
+    def test_verifiable_when_all_keys_present(self, signed_mini):
+        server, metrics = self._warm(signed_mini)
+        sent = metrics.total_outgoing
+        assert server._chain_keys_available(name("www.example.test."), 60.0)
+        assert metrics.total_outgoing == sent  # no upstream query
+
+    def test_broken_when_ancestor_key_missing(self, signed_mini):
+        attacks = attack_on_root_and_tlds(
+            signed_mini.tree, start=HOUR, duration=6 * HOUR
+        )
+        server, metrics = self._warm(signed_mini, attacks=attacks)
+        server.cache.remove(name("test."), RRType.DNSKEY)
+        sent = metrics.total_outgoing
+        assert not server._chain_keys_available(
+            name("www.example.test."), 2 * HOUR
+        )
+        assert metrics.total_outgoing > sent  # the refetch was tried
+
+    def test_unsigned_zones_need_no_keys(self, signed_mini):
+        server, metrics = self._warm(signed_mini)
+        sent = metrics.total_outgoing
+        # alt. is unsigned: nothing on www.alt.'s chain below the root
+        # needs a key, so nothing is probed.
+        assert server._chain_keys_available(name("www.alt."), 60.0)
+        assert metrics.total_outgoing == sent
+        assert server.cache.get(name("alt."), RRType.DNSKEY, 60.0) is None

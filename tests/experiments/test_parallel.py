@@ -177,16 +177,18 @@ class TestDeterminism:
                                tmp_path / f"{label}-fanned.jsonl",
                                shallow=False), label
 
-    def test_parallel_fleet_matches_serial(self, scenario):
+    def test_parallel_fleet_matches_serial(self, scenario, monkeypatch):
         def render(workers):
+            monkeypatch.setenv("REPRO_WORKERS", str(workers))
             tables = fleet_attack_comparison(
                 scenario,
                 [ResilienceConfig.vanilla(), ResilienceConfig.refresh()],
-                trace_limit=2, workers=workers,
+                trace_limit=2,
             )
             return "\n\n".join(table.render() for table in tables.values())
 
-        assert render(2) == render(1)
+        serial = render(1)
+        assert render(2) == serial
 
 
 def _crash_worker(spec):

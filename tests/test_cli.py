@@ -140,10 +140,18 @@ class TestObservabilityCommands:
 
     def test_events_subcommand(self, tmp_path, capsys):
         out_file = tmp_path / "tail.jsonl"
-        code = main(["events", "--scale", "tiny", "--attack-hours", "1",
-                     "--last", "5", "--out", str(out_file)])
+        code = main(["replay", "--scale", "tiny", "--attack-hours", "1",
+                     "--last", "5", "--events", str(out_file)])
         assert code == 0
         out = capsys.readouterr().out
         assert "stub.query" in out
         assert "last 5 events" in out
         assert out_file.exists()
+        # The observed replay is ``replay --last``; no second subcommand.
+        with pytest.raises(SystemExit) as exited:
+            main(["events"])
+        assert exited.value.code == 2
+
+    def test_replay_rejects_negative_last(self, capsys):
+        assert main(["replay", "--scale", "tiny", "--last", "-1"]) == 2
+        assert "--last must be >= 0" in capsys.readouterr().err

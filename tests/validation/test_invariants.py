@@ -167,7 +167,7 @@ class TestRenewalInvariants:
 
     def test_negative_credit_flagged(self):
         engine, cache, manager = manager_rig()
-        manager.policy._credits[ZONE.iid] = -0.5
+        manager.policy._credits[ZONE] = -0.5
         with pytest.raises(InvariantViolation) as excinfo:
             check_renewal_invariants(manager, cache, now=1.0)
         assert excinfo.value.check == "renewal-credit-sign"
