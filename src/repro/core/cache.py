@@ -33,6 +33,12 @@ if TYPE_CHECKING:
 _TYPE_MASK = (1 << RRTYPE_BITS) - 1
 _NS_CODE = int(RRType.NS)
 
+# Enum members read through the class cost a descriptor call each; the
+# observed lookup reads these module constants instead.
+_CACHE_HIT = EventKind.CACHE_HIT
+_CACHE_MISS = EventKind.CACHE_MISS
+_CACHE_EXPIRED = EventKind.CACHE_EXPIRED
+
 
 def cache_key(name: Name, rrtype: RRType) -> int:
     """Pack ``(name, rrtype)`` into the int key the cache stores under.
@@ -406,23 +412,23 @@ class DnsCache:
             raise InvariantError("observed get without an observer")
         if entry is None:
             if obs.quiet:
-                obs.count(EventKind.CACHE_MISS, now)
+                obs.count(_CACHE_MISS, now)
             else:
-                obs.emit(EventKind.CACHE_MISS, now,
+                obs.emit(_CACHE_MISS, now,
                          name=str(name), rrtype=rrtype.name)
             return None
         if entry.expires_at <= now:
             if obs.quiet:
-                obs.count(EventKind.CACHE_EXPIRED, now)
+                obs.count(_CACHE_EXPIRED, now)
             else:
-                obs.emit(EventKind.CACHE_EXPIRED, now,
+                obs.emit(_CACHE_EXPIRED, now,
                          name=str(name), rrtype=rrtype.name,
                          expired_at=entry.expires_at)
             return None
         if obs.quiet:
-            obs.count(EventKind.CACHE_HIT, now)
+            obs.count(_CACHE_HIT, now)
         else:
-            obs.emit(EventKind.CACHE_HIT, now,
+            obs.emit(_CACHE_HIT, now,
                      name=str(name), rrtype=rrtype.name,
                      remaining=entry.expires_at - now)
         if self.max_entries is not None:

@@ -124,6 +124,8 @@ _VALIDATION_FAILURE = ResolutionOutcome.VALIDATION_FAILURE
 
 # Enum members read through the class cost a descriptor call each; the
 # per-visit and per-lookup paths read these module constants instead.
+_STUB_QUERY = EventKind.STUB_QUERY
+_STUB_OUTCOME = EventKind.STUB_OUTCOME
 _A = RRType.A
 _NS = RRType.NS
 _CNAME = RRType.CNAME
@@ -252,9 +254,9 @@ class CachingServer:
         obs = self.observer
         if obs is not None:
             if obs.quiet:
-                obs.count(EventKind.STUB_QUERY, now)
+                obs.count(_STUB_QUERY, now)
             else:
-                obs.emit(EventKind.STUB_QUERY, now,
+                obs.emit(_STUB_QUERY, now,
                          name=str(qname), rrtype=rrtype.name)
         self._fetch_spent = 0
         cached = self.cache.get(qname, rrtype, now)
@@ -283,9 +285,9 @@ class CachingServer:
         )
         if obs is not None:
             if obs.quiet:
-                obs.count(EventKind.STUB_OUTCOME, now)
+                obs.count(_STUB_OUTCOME, now)
             else:
-                obs.emit(EventKind.STUB_OUTCOME, now,
+                obs.emit(_STUB_OUTCOME, now,
                          name=str(qname), rrtype=rrtype.name,
                          outcome=outcome.value,
                          failed=failed)
